@@ -28,16 +28,17 @@ RSS stays under ``--rss-budget-mb`` and the round loop under
 ``--round-budget-s``.
 
 ``--channels-scale`` is the *channel*-scaling study for the fused learner
-engine: for each C in the grid it builds the same system (two helpers per
-channel, so only the channel count — the dispatch structure — varies) on
-the ``grouped`` and ``per_channel`` engines and times the round loop.
-``--channels-guard`` is the CI gate: at C = 50 / 10k peers the fused
-engine must beat the per-channel dispatch (the engines are bit-identical,
-so the comparison is pure overhead).
+bank: for each C in the grid it builds the same system (two helpers per
+channel, so only the channel count — the dispatch structure — varies)
+once on the fused ``grouped`` bank and once on the ``per_channel``
+reference (private per-channel banks behind the same API) and times the
+round loop.  ``--channels-guard`` is the CI gate: at C = 50 / 10k peers
+the fused bank must beat the per-channel dispatch (the two are
+bit-identical, so the comparison is pure overhead).
 
 ``--shard-guard`` is the CI gate for the sharded runtime
 (:mod:`repro.runtime.sharded`): a 4-shard run must be trace-identical to
-the single-process engine, and the 100k-peer guard config must hold the
+the single-process system, and the 100k-peer guard config must hold the
 per-round latency and RSS budgets at every shard count; the parallel
 scaling floor is asserted only on machines with enough cores to make
 parallel speedup physically possible (the measurement is recorded either
@@ -87,7 +88,13 @@ sys.path.insert(
 import numpy as np  # noqa: E402
 
 from repro.core.r2hs import R2HSLearner  # noqa: E402
-from repro.runtime import VectorizedStreamingSystem, bank_factory  # noqa: E402
+from repro.runtime import (  # noqa: E402
+    PerChannelGroupedBank,
+    R2HSBank,
+    VectorizedStreamingSystem,
+    bank_factory,
+    build_per_channel_banks,
+)
 from repro.sim import (  # noqa: E402
     StreamingSystem,
     SystemConfig,
@@ -255,26 +262,34 @@ def bench_helpers_scale(
     return rows
 
 
+def _per_channel_r2hs(widths, rngs):
+    """The per-channel reference: one private R2HS bank per channel."""
+    return PerChannelGroupedBank(
+        build_per_channel_banks(
+            lambda h, rng: R2HSBank(h, rng=rng, u_max=U_MAX), widths, rngs
+        )
+    )
+
+
 def _time_engines(
     config: SystemConfig, rounds: int, seed: int, blocks: int = 3
 ) -> dict:
-    """Best-of-blocks per-round time of each learner engine.
+    """Best-of-blocks per-round time of the fused and per-channel banks.
 
-    Blocks alternate between engines so machine-load drift hits both
+    Blocks alternate between the two so machine-load drift hits both
     alike (same estimator as :func:`time_backends`); both systems run the
-    same seed, and the engines are bit-identical, so the measured gap is
+    same seed, and the banks are bit-identical, so the measured gap is
     pure dispatch overhead.
     """
+    factories = {
+        "grouped": bank_factory("r2hs", u_max=U_MAX),
+        "per_channel": _per_channel_r2hs,
+    }
     systems = {}
     round_s = {}
-    for engine in ("grouped", "per_channel"):
+    for engine, factory in factories.items():
         gc.collect()
-        systems[engine] = VectorizedStreamingSystem(
-            config,
-            bank_factory("r2hs", u_max=U_MAX),
-            rng=seed,
-            engine=engine,
-        )
+        systems[engine] = VectorizedStreamingSystem(config, factory, rng=seed)
         systems[engine].run(1)  # warmup
         round_s[engine] = []
     for _ in range(blocks):
@@ -293,7 +308,7 @@ def bench_channels_scale(
     Every cell keeps two helpers per channel, so the per-channel regret
     width (and the arithmetic) is constant across the grid — the only
     thing that grows with C is the number of per-round dispatches the
-    per-channel engine makes, which is exactly what fusing removes.
+    per-channel banks make, which is exactly what fusing removes.
     """
     rows = []
     for channels in channels_grid:
@@ -322,7 +337,7 @@ def bench_channels_scale(
 
 
 def run_channels_guard(args) -> int:
-    """CI gate: the fused engine must beat per-channel dispatch at C=50."""
+    """CI gate: the fused bank must beat per-channel dispatch at C=50."""
     channels, peers = args.guard_channels, args.guard_channel_peers
     config = SystemConfig(
         num_peers=peers,
@@ -339,7 +354,7 @@ def run_channels_guard(args) -> int:
     )
     if speedup <= 1.0:
         print(
-            "FAIL: the fused grouped engine is not faster than per-channel "
+            "FAIL: the fused grouped bank is not faster than per-channel "
             "dispatch"
         )
         return 1
@@ -661,8 +676,8 @@ def run_memory_guard(args) -> int:
 
 def _shard_trace_identity(seed: int) -> dict:
     """Small-scale gate: a 4-shard run must be trace-identical to the
-    single-process grouped engine (same config, same seed, every trace
-    array equal bit for bit)."""
+    single-process system (same config, same seed, every trace array
+    equal bit for bit)."""
     from repro.runtime import ShardedSystem
     from repro.sim import ChurnConfig
 
@@ -677,7 +692,7 @@ def _shard_trace_identity(seed: int) -> dict:
         ),
     )
     reference = VectorizedStreamingSystem(
-        config, bank_factory("r2hs", u_max=U_MAX), rng=seed, engine="grouped"
+        config, bank_factory("r2hs", u_max=U_MAX), rng=seed
     ).run(T)
     with ShardedSystem(
         config, bank_factory("r2hs", u_max=U_MAX), shards=4, rng=seed
@@ -697,7 +712,7 @@ def run_shard_guard(args) -> int:
     """CI gate for the sharded runtime: bit identity, budgets, scaling.
 
     (1) asserts small-scale trace identity between a 4-shard
-    :class:`ShardedSystem` and the single-process grouped engine under
+    :class:`ShardedSystem` and the single-process system under
     churn — unconditional, bit identity is the sharding contract;
     (2) drives the guard-scale config (100k peers across 50 width-2
     channels by default) at each shard count in ``--shard-counts`` and
@@ -722,7 +737,7 @@ def run_shard_guard(args) -> int:
     )
     failures = []
     if not identity["identical"]:
-        failures.append("4-shard trace differs from the single-process engine")
+        failures.append("4-shard trace differs from the single-process system")
 
     counts = [int(c) for c in args.shard_counts.split(",") if c]
     peers, channels = args.shard_peers, args.guard_channels
@@ -1004,8 +1019,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--channels-scale",
         action="store_true",
-        help="channel-scaling study over --channels-grid: grouped vs "
-        "per_channel learner engine (two helpers per channel, so only the "
+        help="channel-scaling study over --channels-grid: fused grouped "
+        "bank vs per-channel banks (two helpers per channel, so only the "
         "dispatch count varies)",
     )
     parser.add_argument(
@@ -1029,7 +1044,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--channels-guard",
         action="store_true",
-        help="CI gate: exit non-zero unless the fused grouped engine beats "
+        help="CI gate: exit non-zero unless the fused grouped bank beats "
         "per-channel dispatch at --guard-channels channels (no report "
         "written)",
     )
@@ -1062,7 +1077,7 @@ def main(argv=None) -> int:
         "--shard-guard",
         action="store_true",
         help="CI gate for the sharded runtime: 4-shard trace identity with "
-        "the single-process engine, then the --shard-peers run at each "
+        "the single-process system, then the --shard-peers run at each "
         "--shard-counts shard count under the latency/RSS budgets (appends "
         "a shard_guard point to the trajectory; the scaling floor is only "
         "enforced when the machine has enough cores)",

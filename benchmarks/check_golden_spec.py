@@ -12,10 +12,7 @@ vectorized backend and diffs the headline metrics against
   realize the same dynamics on different RNG stream layouts);
 * the sparse top-k bank must reproduce the dense vectorized run exactly
   at k >= per-channel H (trace-identical by construction) and stay
-  within a distributional band of it at k below that (true sparsity);
-* the per-channel learner engine must reproduce the (default) fused
-  grouped engine exactly — the two dispatch structures are bit-identical
-  by design, so their metrics must agree to float tolerance.
+  within a distributional band of it at k below that (true sparsity).
 
 Run with ``--update`` after an intentional behaviour change to
 regenerate the expectations file (and say why in the commit message).
@@ -112,87 +109,6 @@ def check_topk(spec: ExperimentSpec, observed: dict) -> list:
     return failures
 
 
-#: Legacy wrapper backends and the options their shim phase exercises
-#: (non-default so the options path is covered too).
-SHIM_CASES = {
-    "failures": {"failure_rate": 0.1, "mean_outage_rounds": 5.0},
-    "correlated_failures": {"num_groups": 2, "group_failure_rate": 0.1},
-    "oscillating": {"low_fraction": 0.3, "period": 7},
-}
-
-
-def check_transform_shims(spec: ExperimentSpec, observed: dict) -> list:
-    """Shim phase: legacy backend names must equal their transform spelling.
-
-    Self-consistent (no pinned data): the deprecated ``failures`` /
-    ``correlated_failures`` / ``oscillating`` capacity backends are
-    warn-once shims over the transform pipeline, so
-    ``capacity.backend=<name>`` and ``capacity.transforms=[{name}]``
-    must produce bit-identical runs.
-    """
-    import warnings
-
-    failures = []
-    for name, options in SHIM_CASES.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = {
-                k: float(v)
-                for k, v in spec.with_overrides(
-                    {
-                        "backend": "vectorized",
-                        "capacity.backend": name,
-                        "capacity.options": dict(options),
-                    }
-                ).run().metrics.items()
-            }
-        modern_spec = ExperimentSpec.from_dict(
-            {
-                **spec.with_overrides({"backend": "vectorized"}).to_dict(),
-                "capacity": {
-                    **spec.capacity.to_dict(),
-                    "backend": "vectorized",
-                    "transforms": [{"name": name, "options": dict(options)}],
-                },
-            }
-        )
-        modern = {
-            k: float(v) for k, v in modern_spec.run().metrics.items()
-        }
-        observed[f"shim-{name}"] = modern
-        for metric, value in legacy.items():
-            got = modern.get(metric)
-            if got is None or got != value:
-                failures.append(
-                    f"shim-{name}.{metric}: legacy backend gave {value!r}, "
-                    f"transform pipeline gave {got!r} (shims must be "
-                    "bit-identical)"
-                )
-    return failures
-
-
-def check_engines(spec: ExperimentSpec, observed: dict) -> list:
-    """Engine phase: per_channel must equal the fused grouped default."""
-    failures = []
-    per_channel = {
-        name: float(value)
-        for name, value in spec.with_overrides(
-            {"backend": "vectorized", "learner.engine": "per_channel"}
-        ).run().metrics.items()
-    }
-    observed["per-channel"] = per_channel
-    for name, value in observed["vectorized"].items():
-        got = per_channel.get(name)
-        if got is None or not math.isclose(
-            got, value, rel_tol=SAME_BACKEND_RTOL, abs_tol=1e-9
-        ):
-            failures.append(
-                f"per-channel.{name}: got {got!r}, grouped engine gave "
-                f"{value!r} (the engines must be bit-identical)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -235,8 +151,6 @@ def main(argv=None) -> int:
         )
 
     failures.extend(check_topk(spec, observed))
-    failures.extend(check_engines(spec, observed))
-    failures.extend(check_transform_shims(spec, observed))
 
     width = max(len(label) for label in observed)
     for label, metrics in observed.items():
@@ -248,10 +162,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(
-        "\nOK: golden spec reproduces on both backends, the topk bank, "
-        "and the legacy-backend shims"
-    )
+    print("\nOK: golden spec reproduces on both backends and the topk bank")
     return 0
 
 

@@ -26,7 +26,7 @@ from repro.metrics import (
 
 def main() -> None:
     scenario = repro.small_scale_scenario(num_stages=2000)
-    process = repro.make_capacity_process(scenario, rng=1)
+    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
     population = repro.make_learner_population(scenario, rng=2)
 
     print(f"Scenario: {scenario.name}  N={scenario.num_peers} peers, "

@@ -11,14 +11,14 @@ Quick start::
     import repro
 
     scenario = repro.small_scale_scenario()
-    process = repro.make_capacity_process(scenario, rng=1)
+    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
     population = repro.make_learner_population(scenario, rng=2)
     trajectory = population.run(process, scenario.num_stages)
     print(trajectory.welfare[-100:].mean())
 
 For population-scale full-system runs use the vectorized runtime::
 
-    system = repro.make_vectorized_system(repro.massive_scale_scenario(), rng=0)
+    system = repro.massive_scale_scenario().to_spec().build(rng=0)
     trace = system.run(100)
 
 See ``examples/`` for end-to-end scripts and the repository ``README.md``
@@ -94,10 +94,8 @@ from repro.workloads import (
     fig5_scenario,
     flash_crowd_spec,
     large_scale_scenario,
-    make_capacity_process,
     make_learner_population,
     make_system_config,
-    make_vectorized_system,
     massive_scale_scenario,
     popularity_skew_spec,
     small_scale_scenario,
@@ -181,8 +179,6 @@ __all__ = [
     "spec_for_scenario",
     "popularity_skew_spec",
     "flash_crowd_spec",
-    "make_capacity_process",
     "make_learner_population",
     "make_system_config",
-    "make_vectorized_system",
 ]

@@ -59,6 +59,11 @@ HEARTBEAT_FLOOR_S = 1.0
 #: liveness checks can get.
 _TICK_S = 0.05
 
+#: Seconds a dead worker's pipe reader may take to reach EOF before the
+#: attempt counts as a crash anyway (a grandchild that inherited the
+#: pipe's write end would otherwise hold it open indefinitely).
+_EOF_GRACE_S = 5.0
+
 
 @dataclass
 class CellAttempt:
@@ -268,6 +273,8 @@ class _Cell:
     attempts: List[CellAttempt] = field(default_factory=list)
     proc: Any = None
     conn: Any = None
+    reader: Any = None
+    exited: Optional[float] = None
     started: float = 0.0
     last_beat: float = 0.0
     segments: List[str] = field(default_factory=list)
@@ -383,13 +390,15 @@ class Supervisor:
             )
             proc.start()
             child_conn.close()  # parent keeps only the read end
-            threading.Thread(
+            cell.reader = threading.Thread(
                 target=_pipe_reader,
                 args=(parent_conn, self._queue),
                 daemon=True,
-            ).start()
+            )
+            cell.reader.start()
             cell.proc = proc
             cell.conn = parent_conn
+            cell.exited = None
             cell.started = cell.last_beat = time.monotonic()
             self._inflight[cell.index] = cell
             logger.debug(
@@ -528,18 +537,15 @@ class Supervisor:
             if cell.index not in self._inflight or cell.proc is None:
                 continue  # retired by a drain earlier in this pass
             if not cell.proc.is_alive():
-                # Grace-drain before declaring a crash: the final "ok"
-                # may still be in the pipe in the instant the process
-                # exits (the feeder thread flushes right before).
-                cell.proc.join(0.1)
-                for _ in range(3):
-                    self._drain(block=True)
-                    if (
-                        cell.index not in self._inflight
-                        or cell.index in self._results
-                        or cell.index in self._failures
-                    ):
-                        break
+                # The worker's final "ok"/"err" may still be on its way
+                # through the reader thread.  Declare a crash only once
+                # that thread has hit EOF with nothing delivered — without
+                # blocking the loop, and bounded by _EOF_GRACE_S.
+                if cell.exited is None:
+                    cell.exited = now
+                if cell.reader.is_alive() and now - cell.exited < _EOF_GRACE_S:
+                    continue
+                self._drain(block=False)
                 if cell.index not in self._inflight:
                     continue
                 if (

@@ -97,7 +97,6 @@ RUN_FLAG_SPEC_PATHS = {
     "dtype": "learner.dtype",
     "bank": "learner.bank",
     "topk": "learner.topk",
-    "engine": "learner.engine",
     "shards": "learner.shards",
     "churn_rate": "churn.arrival_rate",
     "mean_lifetime": "churn.mean_lifetime",
@@ -379,20 +378,11 @@ def _add_spec_flags(runp: argparse.ArgumentParser) -> None:
         "(clamped to the channel helper count; default 32)",
     )
     runp.add_argument(
-        "--engine",
-        choices=["auto", "grouped", "per_channel"],
-        default=unset,
-        help="vectorized learner dispatch: one fused act/observe across "
-        "all channels per round ('grouped', bit-identical to "
-        "'per_channel' and faster from C >= 20) or private per-channel "
-        "banks; default auto (grouped for the regret families)",
-    )
-    runp.add_argument(
         "--shards",
         type=int,
         default=unset,
         help="partition the learner banks across N worker processes "
-        "(vectorized grouped engine, N <= channels); traces are "
+        "(vectorized backend, N <= channels); traces are "
         "bit-identical to --shards 1, so this is a pure speed knob "
         "on multi-core hosts (default 1)",
     )
@@ -577,11 +567,9 @@ def _run_system(parser, args, out) -> None:
             print("error: every sweep cell failed", file=sys.stderr)
             return 1
     topo = spec.topology
-    engine = spec.resolved_engine()
     print(
         f"run: backend={spec.backend} learner={spec.learner.name} "
-        + (f"engine={engine} " if engine is not None else "")
-        + f"N={topo.num_peers} H={topo.num_helpers} C={topo.num_channels} "
+        f"N={topo.num_peers} H={topo.num_helpers} C={topo.num_channels} "
         f"rounds={spec.rounds} replications={replications} "
         f"cells={len(cells)} workers={args.workers}",
         file=out,
@@ -814,11 +802,9 @@ def _run_profile(parser, args, out) -> None:
         parser.error(str(exc))
     result = spec.run()
     topo = spec.topology
-    engine = spec.resolved_engine()
     print(
         f"profile: spec={spec.spec_digest()} backend={spec.backend} "
-        + (f"engine={engine} " if engine is not None else "")
-        + f"learner={spec.learner.name} N={topo.num_peers} "
+        f"learner={spec.learner.name} N={topo.num_peers} "
         f"H={topo.num_helpers} C={topo.num_channels} rounds={spec.rounds}",
         file=out,
     )
@@ -916,7 +902,6 @@ def _run_list(out) -> None:
         flags = [
             f"min_actions={entry.min_actions}",
             *(["sparse"] if entry.sparse else []),
-            *(["grouped"] if entry.grouped else []),
         ]
         line = f"    {name} [{', '.join(flags)}]"
         if entry.description:
@@ -927,9 +912,6 @@ def _run_list(out) -> None:
         backend = CAPACITY_BACKENDS.get(name)
         summary = _doc_summary(backend)
         print(f"    {name}: {summary}" if summary else f"    {name}", file=out)
-        options = _factory_options(backend)
-        if options:
-            print(f"      options: {options}", file=out)
     print("  capacity transforms:", file=out)
     for name in CAPACITY_TRANSFORMS.names():
         entry = CAPACITY_TRANSFORMS.get(name)

@@ -11,20 +11,20 @@ on dense arrays:
   O(1) free-list for churn and generation counters against slot aliasing;
 * :mod:`repro.runtime.learner_bank` — per-channel vectorized strategy
   blocks (RTHS / R2HS via :class:`repro.core.population.LearnerPopulation`,
-  plus uniform and sticky baselines);
-* :mod:`repro.runtime.grouped_bank` — the fused multi-channel engine:
-  one :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` owns every
+  plus uniform and sticky baselines) and :func:`bank_factory`;
+* :mod:`repro.runtime.grouped_bank` — the one bank contract: a
+  :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` owns every
   channel's rows and advances them with a single ``act_all`` /
-  ``observe_all`` per round (one kernel pass per distinct channel width),
-  bit-identical to the per-channel dispatch;
+  ``observe_all`` per round — fused (one kernel pass per distinct
+  channel width) for the regret families, bit-identical to per-channel
+  regret banks behind the same API;
 * :mod:`repro.runtime.system` — :class:`VectorizedStreamingSystem`, whose
-  learning round is a handful of numpy ops (one fused learner draw,
-  ``np.bincount`` loads, masked deficit accounting, one fused learner
-  update — pick the dispatch with ``engine=``);
+  learning round is a handful of numpy ops (one learner draw,
+  ``np.bincount`` loads, masked deficit accounting, one learner update);
 * :mod:`repro.runtime.sharded` — :class:`ShardedSystem`, the same facade
   with the learner banks channel-partitioned across worker processes
   (shared-memory exchange lanes, heartbeat/replay shard-death
-  containment), traces bit-identical to the single-process engine.
+  containment), traces bit-identical to the single-process system.
 
 Pick a backend per experiment: the scalar system for per-peer
 introspection and plug-in scalar learners, the vectorized runtime for
@@ -36,10 +36,10 @@ from repro.runtime.grouped_bank import (
     GroupedLearnerBank,
     GroupedRegretBank,
     PerChannelGroupedBank,
+    build_per_channel_banks,
 )
 from repro.runtime.learner_bank import (
     BankFactory,
-    GroupableBankFactory,
     LearnerBank,
     R2HSBank,
     RegretBank,
@@ -51,13 +51,12 @@ from repro.runtime.learner_bank import (
 )
 from repro.runtime.peer_store import PeerStore
 from repro.runtime.sharded import ShardedGroupedBank, ShardedSystem
-from repro.runtime.system import ENGINES, VectorizedStreamingSystem
+from repro.runtime.system import VectorizedStreamingSystem
 
 __all__ = [
     "PeerStore",
     "LearnerBank",
     "BankFactory",
-    "GroupableBankFactory",
     "RegretBank",
     "RTHSBank",
     "R2HSBank",
@@ -68,8 +67,8 @@ __all__ = [
     "GroupedRegretBank",
     "GroupedChannelView",
     "PerChannelGroupedBank",
+    "build_per_channel_banks",
     "bank_factory",
-    "ENGINES",
     "VectorizedStreamingSystem",
     "ShardedGroupedBank",
     "ShardedSystem",

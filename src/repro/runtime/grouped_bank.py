@@ -20,11 +20,12 @@ Two implementations:
   so at most two distinct widths exist) and each width group hosts all of
   its channels' rows in a single backing population — one gather/cumsum/
   update kernel pass per width instead of one per channel.
-* :class:`PerChannelGroupedBank` — the reference adapter: wraps the
-  classic ``List[LearnerBank]`` and loops channels inside the fused API.
-  This is the ``engine="per_channel"`` path, the baseline the fused
-  engine is asserted bit-identical against, and the fallback for
-  third-party bank factories without a fused implementation.
+* :class:`PerChannelGroupedBank` — the per-channel adapter: wraps a
+  ``List[LearnerBank]`` and loops channels inside the fused API.  The
+  stateless uniform/sticky baselines run on it (their round cost is the
+  per-channel RNG call, so there is nothing to fuse), and wrapped around
+  per-channel regret banks it is the reference oracle the fused engine
+  is asserted bit-identical against.
 
 **Bit-identity.**  The fused engine reproduces the per-channel path
 float-for-float, by construction:
@@ -116,9 +117,9 @@ def build_per_channel_banks(
 ) -> List[LearnerBank]:
     """Build one bank per channel, with channel-naming error context.
 
-    Shared by the ``per_channel`` engine and the baseline adapters so a
-    factory failure (e.g. a one-helper channel under a regret family)
-    always reports *which* channel could not be built.
+    ``bank_factory`` is a per-channel builder ``(num_actions, rng) ->
+    LearnerBank``.  A build failure (e.g. a one-helper channel under a
+    regret family) reports *which* channel could not be built.
     """
     banks: List[LearnerBank] = []
     for c, (size, rng) in enumerate(zip(arm_counts, rngs)):
@@ -149,13 +150,14 @@ def _channel_segments(channels, offsets) -> List[tuple]:
 
 
 class PerChannelGroupedBank:
-    """The reference engine: per-channel banks behind the fused API.
+    """Per-channel banks behind the fused API.
 
     Dispatches one ``act``/``observe`` per non-empty channel inside
     :meth:`act_all` / :meth:`observe_all` — operation-for-operation the
-    pre-fusion round loop, so it serves as the bit-identity baseline and
-    as the adapter for arbitrary third-party :data:`BankFactory` objects
-    (scripted banks included).
+    pre-fusion round loop.  It hosts the baselines' banks, serves as the
+    bit-identity oracle for :class:`GroupedRegretBank`, and adapts any
+    per-channel :class:`~repro.runtime.learner_bank.LearnerBank` (scripted
+    test banks included) to the one bank-factory contract.
     """
 
     def __init__(self, banks: Sequence[LearnerBank]) -> None:

@@ -3,10 +3,12 @@
 A *bank* holds the strategy state of every peer watching one channel and
 advances all of them per round with array ops — the population-scale
 counterpart of handing each :class:`~repro.sim.entities.Peer` its own
-:class:`~repro.game.interfaces.Learner` object.  Channels can have
-different helper counts, so the vectorized system builds one bank per
-channel (a *block*); each bank manages its own row space with a free-list
-so churn joins/leaves are O(1).
+:class:`~repro.game.interfaces.Learner` object.  Each bank manages its
+own row space with a free-list so churn joins/leaves are O(1).  The
+vectorized system drives one fused bank over all channels (see
+:mod:`repro.runtime.grouped_bank`); the per-channel banks here are the
+baselines' storage behind that fused API and the reference oracle the
+fused regret bank is asserted bit-identical against.
 
 The regret banks do **not** reimplement the paper's math: they wrap the
 slot API of :class:`repro.core.population.LearnerPopulation`, which is the
@@ -19,7 +21,15 @@ baselines from :mod:`repro.game.baselines`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -28,9 +38,15 @@ from repro.core.schedules import StepSchedule
 from repro.core.sparse_population import TopKPopulation
 from repro.util.rng import Seedish, as_generator
 
-#: Builds one bank for a channel with ``num_actions`` helpers — the
+if TYPE_CHECKING:  # grouped_bank imports this module
+    from repro.runtime.grouped_bank import GroupedLearnerBank
+
+#: Builds the one bank owning every channel's rows, called with the
+#: per-channel helper counts and one child generator per channel — the
 #: vectorized analogue of :data:`repro.sim.system.LearnerFactory`.
-BankFactory = Callable[[int, np.random.Generator], "LearnerBank"]
+BankFactory = Callable[
+    [Sequence[int], Sequence[np.random.Generator]], "GroupedLearnerBank"
+]
 
 _INITIAL_ROWS = 64
 
@@ -370,30 +386,6 @@ class StickyBank(_RowBank):
             raise ValueError("actions out of range")
 
 
-class GroupableBankFactory:
-    """A per-channel :data:`BankFactory` that can also build a fused bank.
-
-    Calling the object with ``(num_actions, rng)`` builds one per-channel
-    bank, exactly like a plain factory; :meth:`make_grouped` builds the
-    fused :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` over
-    *all* channels at once.  The vectorized system's ``engine="auto"``
-    picks the fused engine iff the factory it was handed exposes
-    ``make_grouped`` — plain third-party lambdas fall back to the
-    per-channel path automatically.
-    """
-
-    def __init__(self, per_channel: BankFactory, make_grouped) -> None:
-        self._per_channel = per_channel
-        self._make_grouped = make_grouped
-
-    def __call__(self, num_actions: int, rng: np.random.Generator):
-        return self._per_channel(num_actions, rng)
-
-    def make_grouped(self, arm_counts, rngs):
-        """Build the fused bank: ``(arm_counts, per-channel rngs)``."""
-        return self._make_grouped(arm_counts, rngs)
-
-
 def bank_factory(
     kind: str,
     epsilon: float = 0.05,
@@ -417,58 +409,55 @@ def bank_factory(
 
     ``bank`` selects the regret families' storage family: ``"dense"``
     (the full per-row regret tensor) or ``"topk"`` (sparse
-    :class:`TopKRegretBank` blocks tracking ``topk`` arms per row, with
-    popularity-driven re-selection every ``reselect_every`` stages).  The
+    :class:`~repro.core.sparse_population.TopKPopulation` blocks tracking
+    ``topk`` arms per row, with popularity-driven re-selection every
+    ``reselect_every`` stages).  The
     baselines have no regret state and reject ``"topk"``.
 
-    The regret families return a :class:`GroupableBankFactory` whose
-    ``make_grouped`` hook fuses all channels into a
+    The regret families build a
     :class:`~repro.runtime.grouped_bank.GroupedRegretBank` (one kernel
-    pass per distinct channel width).  The baselines return a plain
-    per-channel factory: their per-round cost *is* the per-channel RNG
-    call, so there is nothing to fuse and ``engine="auto"`` honestly
-    resolves to the per-channel dispatch for them.
+    pass per distinct channel width).  The baselines build a
+    :class:`~repro.runtime.grouped_bank.PerChannelGroupedBank` over one
+    :class:`UniformBank` / :class:`StickyBank` per channel: their
+    per-round cost *is* the per-channel RNG call, so there is nothing to
+    fuse.
     """
+    from repro.runtime.grouped_bank import (
+        GroupedRegretBank,
+        PerChannelGroupedBank,
+        build_per_channel_banks,
+    )
+
     kind = kind.lower()
     if bank not in ("dense", "topk"):
         raise ValueError(f"bank must be 'dense' or 'topk', got {bank!r}")
     if kind in ("rths", "r2hs"):
         # RTHS is the constant-step member of the family; with the spec
-        # layer's constant epsilon both kinds share one recursion, so the
-        # sparse variant serves both.
-        if bank == "topk":
-            def per_channel(h, rng):
-                return TopKRegretBank(
-                    h, k=topk, rng=rng, epsilon=epsilon, mu=mu, delta=delta,
-                    u_max=u_max, dtype=dtype, reselect_every=reselect_every,
-                )
-        else:
-            cls = RTHSBank if kind == "rths" else R2HSBank
-
-            def per_channel(h, rng):
-                return cls(
-                    h, rng=rng, epsilon=epsilon, mu=mu, delta=delta,
-                    u_max=u_max, dtype=dtype,
-                )
-
-        def make_grouped(arm_counts, rngs):
-            from repro.runtime.grouped_bank import GroupedRegretBank
-
+        # layer's constant epsilon both kinds share one recursion.
+        def build_regret(arm_counts, rngs):
             return GroupedRegretBank(
                 arm_counts, rngs, epsilon=epsilon, mu=mu, delta=delta,
                 u_max=u_max, dtype=dtype, bank=bank, topk=topk,
                 reselect_every=reselect_every,
             )
 
-        return GroupableBankFactory(per_channel, make_grouped)
+        return build_regret
     if bank == "topk":
         raise ValueError(
             f"bank 'topk' applies to the regret families, not {kind!r}"
         )
     if kind == "uniform":
-        return lambda h, rng: UniformBank(h, rng=rng)
-    if kind == "sticky":
-        return lambda h, rng: StickyBank(
-            h, rng=rng, switch_probability=switch_probability
+        def per_channel(h, rng):
+            return UniformBank(h, rng=rng)
+    elif kind == "sticky":
+        def per_channel(h, rng):
+            return StickyBank(h, rng=rng, switch_probability=switch_probability)
+    else:
+        raise ValueError(f"unknown bank kind {kind!r}")
+
+    def build_baseline(arm_counts, rngs):
+        return PerChannelGroupedBank(
+            build_per_channel_banks(per_channel, arm_counts, rngs)
         )
-    raise ValueError(f"unknown bank kind {kind!r}")
+
+    return build_baseline

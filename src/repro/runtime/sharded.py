@@ -18,13 +18,15 @@ Split of responsibilities
   grouping, every float reduction, and the trace.  All summation
   therefore happens in exactly the single-process order — one of the
   two pillars of the bit-identity guarantee.
-* **Shards** each own a real :class:`~repro.runtime.grouped_bank.GroupedRegretBank`
-  over their channel range, built from the same factory hook and the
-  same per-channel child generators the single-process engine would
-  use (the parent spawns them in global channel order and never draws
-  from them).  Bank arithmetic is per-row and draws are per-channel,
-  so hosting a channel's rows in a smaller population changes nothing
-  — the second pillar.
+* **Shards** each own a real bank over their channel range — a
+  :class:`~repro.runtime.grouped_bank.GroupedRegretBank` for the regret
+  families, a :class:`~repro.runtime.grouped_bank.PerChannelGroupedBank`
+  for the baselines — built by the same bank factory from the same
+  per-channel child generators the single-process system would use
+  (the parent spawns them in global channel order and never draws from
+  them).  Bank arithmetic is per-row and draws are per-channel, so
+  hosting a channel's rows in a smaller bank changes nothing — the
+  second pillar.
 
 Per round the parent ships each shard its slice of the channel-sorted
 row permutation plus that slice's realized utilities through
@@ -38,7 +40,8 @@ Row bookkeeping without round-trips
 ``acquire``/``release`` must return row ids synchronously (churn events
 fire between rounds).  The parent keeps a :class:`_ShardLedger` per
 shard — a replica of the shard bank's :class:`~repro.runtime.learner_bank._RowBank`
-free lists with no backing storage — and applies every command locally,
+free lists (one per width group, or one per channel for per-channel
+banks) with no backing storage — and applies every command locally,
 queueing it for the shard to replay before its next ``act``.  The
 free-list logic is deterministic, so ledger and bank agree forever; the
 worker *verifies* agreement on every command and fails loudly on
@@ -70,6 +73,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.parallel import share_array
+from repro.runtime.grouped_bank import GroupedRegretBank, PerChannelGroupedBank
 from repro.runtime.learner_bank import _RowBank
 from repro.runtime.system import VectorizedStreamingSystem
 from repro.telemetry import get_telemetry
@@ -134,6 +138,25 @@ def _apply_commands(bank, commands) -> None:
             raise RuntimeError(f"unknown row command {op!r}")
 
 
+def _row_spaces(bank) -> list:
+    """Per row allocator of a shard's bank: ``(its channels, its rows)``.
+
+    The parent ledger mirrors exactly these free lists, so only banks
+    whose allocators are known :class:`_RowBank` instances can shard.
+    """
+    if isinstance(bank, GroupedRegretBank):
+        return [(list(g.channels), g.rows.rows) for g in bank._groups]
+    if isinstance(bank, PerChannelGroupedBank):
+        banks = bank.channel_views()
+        if all(isinstance(b, _RowBank) for b in banks):
+            return [([c], b.rows) for c, b in enumerate(banks)]
+    raise RuntimeError(
+        "sharded runs need a bank whose row allocators the parent ledger "
+        "can mirror (a GroupedRegretBank, or a PerChannelGroupedBank over "
+        f"the stock per-channel banks); got {type(bank).__name__}"
+    )
+
+
 def _pickle_bank_state(bank, offsets, rows, local) -> bytes:
     """Checkpoint the worker's full deterministic state.
 
@@ -172,17 +195,8 @@ def _shard_worker(conn, build, checkpoint, handles, shard_index) -> None:
         else:
             bank = build()
             offsets = rows = local = None
-        groups = getattr(bank, "_groups", None)
-        if groups is None:
-            raise RuntimeError(
-                "sharded runs require a regret-family grouped bank "
-                "(GroupedRegretBank); this factory's fused bank exposes "
-                "no row-group structure for the parent ledger to mirror"
-            )
         lanes = _open_lanes(handles)
-        conn.send(
-            ("hello", [(g.width, len(g.channels), g.rows.rows) for g in groups])
-        )
+        conn.send(("hello", _row_spaces(bank)))
         while True:
             msg = conn.recv()
             kind = msg[0]
@@ -236,32 +250,26 @@ class _LedgerRows(_RowBank):
 
 
 class _ShardLedger:
-    """Parent-side mirror of one shard bank's row allocator.
+    """Parent-side mirror of one shard bank's row allocators.
 
-    Groups the shard's (local) channels by ascending width — the same
-    partition :class:`~repro.runtime.grouped_bank.GroupedRegretBank`
-    builds — and replays the identical free-list logic, seeded with the
-    initial capacities the worker reported at construction.  Row ids
-    therefore come out of ``acquire``/``release`` with zero IPC; the
-    worker asserts agreement when it replays each command.
+    Replays the identical free-list logic for every row space the worker
+    reported at construction (see :func:`_row_spaces`), seeded with the
+    reported initial capacities.  Row ids therefore come out of
+    ``acquire``/``release`` with zero IPC; the worker asserts agreement
+    when it replays each command.
     """
 
-    def __init__(self, widths: Sequence[int], report) -> None:
-        by_width: dict = {}
-        for c, width in enumerate(widths):
-            by_width.setdefault(int(width), []).append(c)
-        expected = [(w, len(by_width[w])) for w in sorted(by_width)]
-        got = [(int(w), int(n)) for w, n, _ in report]
-        if expected != got:
+    def __init__(self, num_channels: int, spaces) -> None:
+        owners = sorted(c for channels, _ in spaces for c in channels)
+        if owners != list(range(num_channels)):
             raise RuntimeError(
-                f"shard bank group structure {got} does not match the "
-                f"parent's channel partition {expected}"
+                f"shard bank row spaces {spaces} do not partition its "
+                f"{num_channels} channel(s)"
             )
-        self._groups = [_LedgerRows(int(rows)) for _, _, rows in report]
-        self._group_of = np.empty(len(widths), dtype=np.int64)
-        for index, width in enumerate(sorted(by_width)):
-            for c in by_width[width]:
-                self._group_of[c] = index
+        self._groups = [_LedgerRows(int(rows)) for _, rows in spaces]
+        self._group_of = np.empty(num_channels, dtype=np.int64)
+        for index, (channels, _) in enumerate(spaces):
+            self._group_of[channels] = index
 
     def acquire(self, channel: int) -> int:
         return self._groups[self._group_of[channel]].acquire()
@@ -339,7 +347,7 @@ class _ShardedChannelView:
         raise RuntimeError(
             "sharded banks host their populations in worker processes; "
             "per-channel population introspection is only available on "
-            "the in-process engines"
+            "in-process systems"
         )
 
 
@@ -358,7 +366,7 @@ class ShardedGroupedBank:
         self,
         arm_counts: Sequence[int],
         rngs: Sequence,
-        make_grouped,
+        bank_factory,
         shards: int,
         checkpoint_every: int = 64,
         heartbeat_timeout: float = 60.0,
@@ -389,7 +397,7 @@ class ShardedGroupedBank:
         # from these — their pristine state is what makes a
         # from-scratch respawn deterministic.
         self._rngs = list(rngs)
-        self._make_grouped = make_grouped
+        self._bank_factory = bank_factory
         self._checkpoint_every = int(checkpoint_every)
         self._timeout = float(heartbeat_timeout)
         self._max_retries = int(max_retries)
@@ -433,9 +441,7 @@ class ShardedGroupedBank:
                 self._grow_lanes(s, _INITIAL_LANE_ROWS)
                 report = self._spawn(s)
                 lo, hi = self._bounds[s]
-                self._ledgers[s] = _ShardLedger(
-                    self._arm_counts[lo:hi], report
-                )
+                self._ledgers[s] = _ShardLedger(hi - lo, report)
         except BaseException:
             self.close()
             raise
@@ -480,11 +486,11 @@ class ShardedGroupedBank:
     # ------------------------------------------------------------------
 
     def _spawn(self, s: int):
-        """Fork one worker; returns its hello report (group structure)."""
+        """Fork one worker; returns its hello report (its row spaces)."""
         lo, hi = self._bounds[s]
         widths = self._arm_counts[lo:hi]
         rngs = self._rngs[lo:hi]
-        make = self._make_grouped
+        make = self._bank_factory
 
         def build():
             return make(widths, rngs)
@@ -766,34 +772,23 @@ class ShardedGroupedBank:
 
 
 class _ShardedFactory:
-    """Adapter handing :class:`VectorizedStreamingSystem` a sharded bank.
+    """Bank factory handing :class:`VectorizedStreamingSystem` a sharded bank.
 
-    Wraps a stock :class:`~repro.runtime.learner_bank.GroupableBankFactory`:
-    per-channel calls pass through, ``make_grouped`` builds the
-    :class:`ShardedGroupedBank` around the wrapped factory's own fused
-    hook (which each worker invokes to build its real bank).
+    Builds the :class:`ShardedGroupedBank` around the wrapped factory,
+    which each worker invokes on its channel slice to build its real
+    bank; keeps the built bank so a failed system construction can stop
+    its workers.
     """
 
     def __init__(self, base, shards: int, options: dict) -> None:
-        inner = getattr(base, "make_grouped", None)
-        if inner is None:
-            raise ValueError(
-                "sharded runs need a bank factory with a fused "
-                "make_grouped hook (a stock regret-family factory from "
-                "repro.runtime.bank_factory)"
-            )
         self._base = base
-        self._inner = inner
         self._shards = int(shards)
         self._options = dict(options)
         self.built: Optional[ShardedGroupedBank] = None
 
-    def __call__(self, num_actions: int, rng):
-        return self._base(num_actions, rng)
-
-    def make_grouped(self, arm_counts, rngs) -> ShardedGroupedBank:
+    def __call__(self, arm_counts, rngs) -> ShardedGroupedBank:
         self.built = ShardedGroupedBank(
-            arm_counts, rngs, self._inner, self._shards, **self._options
+            arm_counts, rngs, self._base, self._shards, **self._options
         )
         return self.built
 
@@ -802,7 +797,7 @@ class ShardedSystem(VectorizedStreamingSystem):
     """A :class:`VectorizedStreamingSystem` whose banks live in workers.
 
     Same constructor surface plus ``shards`` and the containment knobs;
-    traces are bit-identical to the single-process engine for any shard
+    traces are bit-identical to the single-process system for any shard
     count (asserted in ``tests/runtime/test_sharded.py``).  Workers hold
     OS resources: call :meth:`close` when done (or use the system as a
     context manager); a garbage-collection finalizer backstops leaks.
@@ -833,17 +828,11 @@ class ShardedSystem(VectorizedStreamingSystem):
         initial_channels: Optional[Sequence[int]] = None,
         capacity_backend: str = "vectorized",
         dtype=np.float64,
-        engine: str = "auto",
         checkpoint_every: int = 64,
         heartbeat_timeout: float = 60.0,
         max_retries: int = 2,
     ) -> None:
-        if engine not in ("auto", "grouped"):
-            raise ValueError(
-                "sharded runs use the fused grouped engine; engine must "
-                f"be 'auto' or 'grouped', got {engine!r}"
-            )
-        shim = _ShardedFactory(
+        factory = _ShardedFactory(
             bank_factory,
             shards,
             {
@@ -855,17 +844,16 @@ class ShardedSystem(VectorizedStreamingSystem):
         try:
             super().__init__(
                 config,
-                shim,
+                factory,
                 rng=rng,
                 capacity_process=capacity_process,
                 initial_channels=initial_channels,
                 capacity_backend=capacity_backend,
                 dtype=dtype,
-                engine="grouped",
             )
         except BaseException:
-            if shim.built is not None:
-                shim.built.close()
+            if factory.built is not None:
+                factory.built.close()
             raise
 
     @property

@@ -15,14 +15,15 @@ one fused ``act_all``, ``np.bincount`` for helper loads, masked
 arithmetic for shares and deficits, one fused ``observe_all`` — instead
 of a Python loop over peers or ``2 * C`` per-channel bank calls.
 
-The ``engine`` parameter picks the learner dispatch structure:
-``"grouped"`` (the fused engine, one kernel pass per distinct channel
-width) or ``"per_channel"`` (private per-channel banks looped inside the
-fused API — the pre-fusion reference).  The two engines are
-**bit-identical**: same per-channel RNG streams, same per-row float
-sequences, same traces (asserted trace-for-trace in
-``tests/runtime/test_grouped_engine.py``).  ``"auto"`` (default) uses the
-fused engine whenever the bank factory provides one.
+The bank factory has one contract, ``factory(arm_counts, rngs) ->
+GroupedLearnerBank``: the regret families build the fused
+:class:`~repro.runtime.grouped_bank.GroupedRegretBank` (one kernel pass
+per distinct channel width), the stateless baselines a
+:class:`~repro.runtime.grouped_bank.PerChannelGroupedBank` looping their
+per-channel banks.  The fused regret bank is **bit-identical** to
+per-channel regret banks behind the same API: same per-channel RNG
+streams, same per-row float sequences, same traces (asserted
+trace-for-trace in ``tests/runtime/test_grouped_engine.py``).
 
 Given identical helper choices the scalar and vectorized systems produce
 identical round records (asserted trace-for-trace in
@@ -37,11 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.runtime.grouped_bank import (
-    GroupedLearnerBank,
-    PerChannelGroupedBank,
-    build_per_channel_banks,
-)
+from repro.runtime.grouped_bank import GroupedLearnerBank
 from repro.runtime.learner_bank import BankFactory
 from repro.runtime.peer_store import PeerStore
 from repro.sim.bandwidth import paper_bandwidth_process
@@ -63,9 +60,6 @@ from repro.util.rng import Seedish, as_generator, spawn
 
 logger = get_logger("runtime")
 
-#: Learner dispatch structures the vectorized system supports.
-ENGINES = ("auto", "grouped", "per_channel")
-
 
 class VectorizedStreamingSystem:
     """A runnable multi-channel P2P streaming deployment, array-backed.
@@ -76,11 +70,13 @@ class VectorizedStreamingSystem:
         The same :class:`~repro.sim.system.SystemConfig` the scalar system
         takes.
     bank_factory:
-        Builds one :class:`~repro.runtime.learner_bank.LearnerBank` per
-        channel: called with ``(num_channel_helpers, child_rng)``.  The
-        stock factories from :func:`repro.runtime.bank_factory` also
-        carry a ``make_grouped`` hook building the fused multi-channel
-        engine; plain factories run on the per-channel engine.
+        Builds the one
+        :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` owning
+        every channel's rows: called with ``(arm_counts, child_rngs)``,
+        the per-channel helper counts and one child generator per
+        channel (see :func:`repro.runtime.bank_factory`).  Wrap
+        per-channel banks as ``PerChannelGroupedBank(
+        build_per_channel_banks(per_channel, arm_counts, child_rngs))``.
     rng, capacity_process:
         As in the scalar system.
     initial_channels:
@@ -99,13 +95,6 @@ class VectorizedStreamingSystem:
         halves their memory traffic; pair it with a float32 bank via
         ``bank_factory(..., dtype=np.float32)`` for the full effect.
         Round records stay float64.
-    engine:
-        ``"grouped"`` — one fused ``act_all``/``observe_all`` across all
-        channels per round (requires a factory with ``make_grouped``);
-        ``"per_channel"`` — private per-channel banks, the pre-fusion
-        dispatch; ``"auto"`` (default) — grouped when available.  The
-        engines are bit-identical; grouped removes the O(C) per-round
-        Python/numpy dispatch wall.
     """
 
     def __init__(
@@ -117,7 +106,6 @@ class VectorizedStreamingSystem:
         initial_channels: Optional[Sequence[int]] = None,
         capacity_backend: str = "vectorized",
         dtype=np.float64,
-        engine: str = "auto",
     ) -> None:
         self._config = config
         self._rng = as_generator(rng)
@@ -191,41 +179,21 @@ class VectorizedStreamingSystem:
         for c, helpers in enumerate(self._channel_helpers):
             self._helper_table[c, : helpers.size] = helpers
 
-        # The learner bank: one object owning every channel's rows.  Child
-        # generators are spawned in channel order regardless of engine, so
-        # both engines (and the pre-fusion per-channel banks) consume the
-        # parent stream identically.
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        # The learner bank: one object owning every channel's rows, built
+        # from child generators spawned in channel order.
         bank_rngs = [spawn(self._rng) for _ in range(config.num_channels)]
-        make_grouped = getattr(bank_factory, "make_grouped", None)
-        if engine == "auto":
-            engine = "grouped" if make_grouped is not None else "per_channel"
-        if engine == "grouped":
-            if make_grouped is None:
-                raise ValueError(
-                    "bank_factory has no fused channel-grouped "
-                    "implementation (no make_grouped hook); use "
-                    "engine='per_channel' or a stock factory from "
-                    "repro.runtime.bank_factory"
-                )
-            self._bank: GroupedLearnerBank = make_grouped(widths, bank_rngs)
-            if self._bank.num_channels != config.num_channels:
-                raise ValueError(
-                    f"grouped bank hosts {self._bank.num_channels} "
-                    f"channels, config has {config.num_channels}"
-                )
-            for c, width in enumerate(widths):
-                if self._bank.num_actions_of(c) != width:
-                    raise ValueError(
-                        f"grouped bank produced {self._bank.num_actions_of(c)} "
-                        f"actions for channel {c} with {width} helpers"
-                    )
-        else:
-            self._bank = PerChannelGroupedBank(
-                build_per_channel_banks(bank_factory, widths, bank_rngs)
+        self._bank: GroupedLearnerBank = bank_factory(widths, bank_rngs)
+        if self._bank.num_channels != config.num_channels:
+            raise ValueError(
+                f"bank hosts {self._bank.num_channels} channels, config "
+                f"has {config.num_channels}"
             )
-        self._engine = engine
+        for c, width in enumerate(widths):
+            if self._bank.num_actions_of(c) != width:
+                raise ValueError(
+                    f"bank produced {self._bank.num_actions_of(c)} actions "
+                    f"for channel {c} with {width} helpers"
+                )
 
         # Initial population, bulk-allocated.
         self._store = PeerStore(
@@ -315,9 +283,9 @@ class VectorizedStreamingSystem:
         self._hist_round_s = tel.histogram("round.duration_s")
         self._pump = tel.pump()
         logger.debug(
-            "vectorized system up: N=%d H=%d C=%d engine=%s dtype=%s",
+            "vectorized system up: N=%d H=%d C=%d bank=%s dtype=%s",
             config.num_peers, config.num_helpers, config.num_channels,
-            self._engine, np.dtype(dtype).name,
+            type(self._bank).__name__, np.dtype(dtype).name,
         )
 
     # ------------------------------------------------------------------
@@ -408,11 +376,6 @@ class VectorizedStreamingSystem:
         return self._store
 
     @property
-    def engine(self) -> str:
-        """The resolved learner engine: ``"grouped"`` or ``"per_channel"``."""
-        return self._engine
-
-    @property
     def bank(self) -> GroupedLearnerBank:
         """The learner bank owning every channel's rows."""
         return self._bank
@@ -421,9 +384,10 @@ class VectorizedStreamingSystem:
     def banks(self) -> List:
         """Per-channel bank views, in channel order.
 
-        Under the per-channel engine these are the actual
-        :class:`~repro.runtime.learner_bank.LearnerBank` objects; under
-        the grouped engine they are lightweight
+        A :class:`~repro.runtime.grouped_bank.PerChannelGroupedBank`
+        returns its actual
+        :class:`~repro.runtime.learner_bank.LearnerBank` objects; the
+        fused regret bank returns lightweight
         :class:`~repro.runtime.grouped_bank.GroupedChannelView` objects
         exposing ``num_actions`` and the shared width-group
         ``population`` for introspection.

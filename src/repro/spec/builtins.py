@@ -9,8 +9,6 @@ layer, never the reverse).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.r2hs import R2HSLearner
@@ -20,7 +18,6 @@ from repro.metrics.fairness import jain_index
 from repro.runtime.learner_bank import bank_factory as _runtime_bank_factory
 from repro.sim.bandwidth import paper_bandwidth_process
 from repro.spec.registry import (
-    CAPACITY_TRANSFORMS,
     register_capacity_backend,
     register_capacity_transform,
     register_learner,
@@ -208,86 +205,6 @@ register_capacity_transform(
 
 
 # ----------------------------------------------------------------------
-# Legacy wrapper backends -> warn-once shims over the transforms.
-#
-# Each shim reproduces the retired monolithic factory's RNG layout
-# exactly — parent = as_generator(rng), base gets the first child, the
-# wrapper the second — which is also exactly the pipeline's layout for
-# ``backend=<base>, transforms=[{name}]``, so old specs stay
-# bit-identical both to their historical traces and to their modern
-# spelling (the golden-spec check pins this).
-# ----------------------------------------------------------------------
-
-_LEGACY_BACKEND_WARNED: set = set()
-
-
-def _warn_legacy_backend(name: str) -> None:
-    if name in _LEGACY_BACKEND_WARNED:
-        return
-    _LEGACY_BACKEND_WARNED.add(name)
-    warnings.warn(
-        f"capacity backend {name!r} is deprecated and will be removed in "
-        f"the next release; use capacity.transforms = "
-        f'[{{"name": {name!r}, "options": {{...}}}}] over a base backend '
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _legacy_transform_backend(name: str, summary: str):
-    def build(
-        num_helpers,
-        *,
-        levels,
-        stay_probability,
-        rng,
-        base: str = "vectorized",
-        **options,
-    ):
-        from repro.util.rng import as_generator, spawn
-
-        _warn_legacy_backend(name)
-        parent = as_generator(rng)
-        process = paper_bandwidth_process(
-            num_helpers,
-            levels=levels,
-            stay_probability=stay_probability,
-            rng=spawn(parent),
-            backend=base,
-        )
-        entry = CAPACITY_TRANSFORMS.get(name)
-        return entry.factory(process, rng=spawn(parent), **options)
-
-    build.__doc__ = (
-        f"{summary} (deprecated: use the {name!r} capacity transform)."
-    )
-    return build
-
-
-register_capacity_backend(
-    "failures",
-    _legacy_transform_backend(
-        "failures", "The paper environment wrapped in random helper outages"
-    ),
-)
-register_capacity_backend(
-    "correlated_failures",
-    _legacy_transform_backend(
-        "correlated_failures",
-        "The paper environment with whole failure domains going dark",
-    ),
-)
-register_capacity_backend(
-    "oscillating",
-    _legacy_transform_backend(
-        "oscillating",
-        "The paper environment under a rotating degradation square wave",
-    ),
-)
-
-
-# ----------------------------------------------------------------------
 # Learner families (each drives both system backends)
 # ----------------------------------------------------------------------
 
@@ -329,7 +246,7 @@ def _sticky_bank(epsilon, delta, mu, u_max, dtype):
 
 register_learner(
     "rths", scalar=_regret_scalar(RTHSLearner), bank=_regret_bank("rths"),
-    min_actions=2, sparse=True, grouped=True,
+    min_actions=2, sparse=True,
     description=(
         "Regret Tracking Helper Selection (the paper's Alg. 1): "
         "decaying-memory regret matching, tracks a changing environment"
@@ -337,15 +254,15 @@ register_learner(
 )
 register_learner(
     "r2hs", scalar=_regret_scalar(R2HSLearner), bank=_regret_bank("r2hs"),
-    min_actions=2, sparse=True, grouped=True,
+    min_actions=2, sparse=True,
     description=(
         "Regret-based Reinforcement Helper Selection (Alg. 2): "
         "time-averaged regrets, converges to the correlated-equilibrium set"
     ),
 )
 # The baselines keep no regret state; their per-round cost is the
-# per-channel RNG call itself, so there is nothing to fuse — they run
-# (and honestly report) the per-channel engine.
+# per-channel RNG call itself, so there is nothing to fuse — their bank
+# loops per-channel banks behind the one bank contract.
 register_learner(
     "uniform", scalar=_uniform_scalar, bank=_uniform_bank,
     description="baseline: picks a helper uniformly at random every round",

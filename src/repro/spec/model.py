@@ -53,8 +53,8 @@ SPEC_DTYPES = ("float32", "float64")
 #: Learner-bank storage families a spec can request.
 SPEC_BANKS = ("dense", "topk")
 
-#: Learner dispatch engines a spec can request (vectorized backend).
-SPEC_ENGINES = ("auto", "grouped", "per_channel")
+#: Accepted ``learner.engine`` values; parse-only, neither has any effect.
+SPEC_ENGINES = ("auto", "grouped")
 
 
 def _check_unknown_keys(cls, data: Mapping[str, Any]) -> None:
@@ -187,9 +187,6 @@ class CapacitySpec:
     ``"vectorized"``, or a plug-in); ``"auto"`` follows the system
     backend.  ``server_capacity`` is the origin server's per-round
     upload budget (``None`` = unbounded; JSON has no ``inf``).
-    ``options`` carries backend-specific keyword arguments through to the
-    registered factory; it must stay JSON-plain for the spec to
-    round-trip.
 
     ``transforms`` is the ordered capacity-transform pipeline: each
     entry names a registered transform (``"failures"``,
@@ -208,7 +205,6 @@ class CapacitySpec:
     levels: Tuple[float, ...] = PAPER_BANDWIDTH_LEVELS
     stay_probability: float = 0.9
     server_capacity: Optional[float] = None
-    options: Mapping[str, Any] = field(default_factory=dict)
     transforms: Tuple[TransformSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -221,13 +217,6 @@ class CapacitySpec:
             raise ValueError("stay_probability must lie strictly in (0, 1)")
         if self.server_capacity is not None and self.server_capacity <= 0:
             raise ValueError("server_capacity must be positive or None")
-        if not isinstance(self.options, Mapping) or any(
-            not isinstance(key, str) for key in self.options
-        ):
-            raise ValueError(
-                "capacity options must be a mapping with string keys"
-            )
-        object.__setattr__(self, "options", dict(self.options))
         transforms = tuple(
             t if isinstance(t, TransformSpec) else TransformSpec.from_dict(t)
             for t in self.transforms
@@ -428,21 +417,17 @@ class LearnerSpec:
     per-peer regret tensor, ``"topk"`` the sparse top-k blocks of
     :class:`~repro.runtime.learner_bank.TopKRegretBank` tracking ``topk``
     arms per peer (vectorized backend, regret families only; the memory
-    unlock for giant helper counts).  ``engine`` selects the vectorized
-    round's learner dispatch: ``"grouped"`` (one fused
-    ``act_all``/``observe_all`` across every channel — bit-identical to
-    per-channel, removes the O(C) dispatch wall), ``"per_channel"``
-    (private per-channel banks), or ``"auto"`` (grouped for families
-    registered with ``grouped=True`` — every builtin — per-channel
-    otherwise).  It composes with ``bank="topk"``.
+    unlock for giant helper counts).  ``engine`` is parse-only:
+    ``"auto"`` and ``"grouped"`` are accepted and have no effect (every
+    family has one bank contract); the removed ``"per_channel"`` raises.
 
     ``shards`` > 1 channel-partitions the learner banks across that many
     worker processes (:class:`~repro.runtime.sharded.ShardedSystem`) —
     the single-run parallelism unlock.  Traces are bit-identical to the
-    single-process engine for any shard count, so ``shards`` is a pure
+    single-process system for any shard count, so ``shards`` is a pure
     execution knob: it is excluded from the result digest and composes
-    with every other learner field (vectorized backend, grouped-capable
-    families, ``shards <= num_channels``).
+    with every other learner field (vectorized backend,
+    ``shards <= num_channels``).
     """
 
     name: str = "r2hs"
@@ -465,6 +450,11 @@ class LearnerSpec:
         if self.bank not in SPEC_BANKS:
             raise ValueError(
                 f"bank must be one of {SPEC_BANKS}, got {self.bank!r}"
+            )
+        if self.engine == "per_channel":
+            raise ValueError(
+                'learner.engine "per_channel" was removed: every learner '
+                "family runs behind one bank contract; drop the field"
             )
         if self.engine not in SPEC_ENGINES:
             raise ValueError(
@@ -855,33 +845,12 @@ class ExperimentSpec:
                     "bank; families registered with sparse=True: "
                     f"{[n for n in LEARNERS if LEARNERS.get(n).sparse]}"
                 )
-        if self.learner.engine != "auto":
-            if self.backend == "scalar":
-                raise ValueError(
-                    "learner.engine applies to the vectorized backend "
-                    "(scalar learners are per-peer objects); use "
-                    'backend="vectorized" or engine="auto"'
-                )
-            if self.learner.engine == "grouped" and not entry.grouped:
-                raise ValueError(
-                    f"learner {self.learner.name!r} has no fused "
-                    "channel-grouped engine; families registered with "
-                    "grouped=True: "
-                    f"{[n for n in LEARNERS if LEARNERS.get(n).grouped]}; "
-                    'use engine="per_channel"'
-                )
         if self.learner.shards > 1:
             if self.backend != "vectorized":
                 raise ValueError(
                     "learner.shards applies to the vectorized backend "
                     "(sharding partitions the learner banks); use "
                     'backend="vectorized" or shards=1'
-                )
-            if self.resolved_engine() != "grouped":
-                raise ValueError(
-                    "learner.shards requires the fused channel-grouped "
-                    f"engine; learner {self.learner.name!r} resolves to "
-                    f"engine={self.resolved_engine()!r}"
                 )
             if self.learner.shards > self.topology.num_channels:
                 raise ValueError(
@@ -939,8 +908,20 @@ class ExperimentSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON).
 
         Sections are optional (defaults apply); unknown keys raise with
-        the allowed field names.
+        the allowed field names.  A wrong-typed value (a string where a
+        number belongs, a list where a section does) raises
+        :class:`ValueError` naming its section, like every other
+        malformed spec.
         """
+
+        def build(section: str, make, value):
+            try:
+                return make(value)
+            except TypeError as exc:
+                raise ValueError(
+                    f"spec {section}: wrong-typed value ({exc})"
+                ) from exc
+
         data = dict(data)
         sweep = data.pop("sweep", None)
         sections = {
@@ -956,7 +937,9 @@ class ExperimentSpec:
         kwargs: Dict[str, Any] = {}
         for key, section_cls in sections.items():
             if key in data:
-                kwargs[key] = section_cls.from_dict(data.pop(key) or {})
+                kwargs[key] = build(
+                    f"section {key!r}", section_cls.from_dict, data.pop(key) or {}
+                )
         allowed_scalars = {"name", "backend", "rounds", "seed"}
         unknown = sorted(set(data) - allowed_scalars)
         if unknown:
@@ -966,8 +949,8 @@ class ExperimentSpec:
             )
         kwargs.update(data)
         if sweep is not None:
-            kwargs["sweep_spec"] = SweepSpec.from_dict(sweep)
-        return cls(**kwargs)
+            kwargs["sweep_spec"] = build("section 'sweep'", SweepSpec.from_dict, sweep)
+        return build("top-level field", lambda fields: cls(**fields), kwargs)
 
     def to_json(self, indent: int = 2) -> str:
         """The spec as JSON text (tuples serialize as lists)."""
@@ -995,10 +978,12 @@ class ExperimentSpec:
         data = self.to_dict()
         data.pop("sweep", None)
         data.pop("execution", None)
-        # Shard count is a pure execution knob: the sharded engine is
+        # Shard count is a pure execution knob: the sharded system is
         # bit-identical to the single-process one, so results keyed
-        # without it stay cache hits across shard-count changes.
-        data.get("learner", {}).pop("shards", None)
+        # without it stay cache hits across shard-count changes.  The
+        # parse-only engine field changes nothing either.
+        data["learner"].pop("shards", None)
+        data["learner"].pop("engine", None)
         canonical = json.dumps(data, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
@@ -1064,23 +1049,6 @@ class ExperimentSpec:
             return self.capacity.backend
         return "vectorized" if self.backend == "vectorized" else "scalar"
 
-    def resolved_engine(self) -> Optional[str]:
-        """``learner.engine`` with ``"auto"`` resolved via the registry.
-
-        ``None`` on the scalar backend (no banks there); otherwise
-        ``"grouped"`` for families registered with the fused engine and
-        ``"per_channel"`` for the rest.
-        """
-        if self.backend != "vectorized":
-            return None
-        if self.learner.engine != "auto":
-            return self.learner.engine
-        return (
-            "grouped"
-            if LEARNERS.get(self.learner.name).grouped
-            else "per_channel"
-        )
-
     def to_config(self):
         """The :class:`~repro.sim.system.SystemConfig` both backends share."""
         from repro.sim.system import SystemConfig
@@ -1119,7 +1087,7 @@ class ExperimentSpec:
         )
 
     def bank_factory(self):
-        """A per-channel :data:`~repro.runtime.learner_bank.BankFactory`."""
+        """The spec's :data:`~repro.runtime.learner_bank.BankFactory`."""
         entry = LEARNERS.get(self.learner.name)
         if entry.bank is None:
             raise ValueError(
@@ -1143,10 +1111,6 @@ class ExperimentSpec:
     def build_capacity_process(self, rng: Seedish = None):
         """The spec's helper-bandwidth environment, via the registries.
 
-        ``capacity.options`` pass through as extra keyword arguments only
-        when non-empty, so plain factories keep the original
-        four-argument contract.
-
         With ``capacity.transforms`` and/or an active ``network``
         section, the base process feeds the transform pipeline: the rng
         becomes a parent stream, the backend factory receives the first
@@ -1166,13 +1130,9 @@ class ExperimentSpec:
             rng=self.seed if rng is None else rng,
         )
         if not transforms and not network_active:
-            if self.capacity.options:
-                kwargs.update(self.capacity.options)
             return factory(self.topology.num_helpers, **kwargs)
         parent = as_generator(kwargs["rng"])
         kwargs["rng"] = spawn(parent)
-        if self.capacity.options:
-            kwargs.update(self.capacity.options)
         process = factory(self.topology.num_helpers, **kwargs)
         for transform in transforms:
             entry = CAPACITY_TRANSFORMS.get(transform.name)
@@ -1240,7 +1200,6 @@ class ExperimentSpec:
                     rng=parent,
                     capacity_process=capacity_process,
                     dtype=np.dtype(self.learner.dtype),
-                    engine=self.resolved_engine(),
                 )
             from repro.runtime import VectorizedStreamingSystem
 
@@ -1250,7 +1209,6 @@ class ExperimentSpec:
                 rng=parent,
                 capacity_process=capacity_process,
                 dtype=np.dtype(self.learner.dtype),
-                engine=self.resolved_engine(),
             )
         from repro.sim.system import StreamingSystem
 

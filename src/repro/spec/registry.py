@@ -142,8 +142,8 @@ class LearnerEntry:
     :data:`~repro.sim.system.LearnerFactory` (per-peer learner objects for
     :class:`~repro.sim.system.StreamingSystem`);
     ``bank(epsilon, delta, mu, u_max, dtype)`` returns a
-    :data:`~repro.runtime.learner_bank.BankFactory` (one vectorized block
-    per channel for
+    :data:`~repro.runtime.learner_bank.BankFactory` (``factory(arm_counts,
+    rngs)`` building the one bank over all channels for
     :class:`~repro.runtime.VectorizedStreamingSystem`).  Entries without a
     vectorized implementation may leave ``bank`` as ``None`` (and vice
     versa); building a spec on the missing backend then raises a clear
@@ -155,20 +155,12 @@ class LearnerEntry:
     top-k storage family (see
     :class:`~repro.runtime.learner_bank.TopKRegretBank`); specs with
     ``learner.bank = "topk"`` are only valid against such entries.
-    ``grouped`` declares that the bank builder's factories carry a
-    ``make_grouped`` hook (see
-    :class:`~repro.runtime.learner_bank.GroupableBankFactory`) building
-    the fused multi-channel engine; specs with
-    ``learner.engine = "grouped"`` are only valid against such entries,
-    and ``engine = "auto"`` resolves to the fused engine exactly for
-    them.
     """
 
     scalar: Optional[Callable] = None
     bank: Optional[Callable] = None
     min_actions: int = 1
     sparse: bool = False
-    grouped: bool = False
     description: str = ""
 
 
@@ -244,23 +236,20 @@ def register_learner(
     bank=None,
     min_actions: int = 1,
     sparse: bool = False,
-    grouped: bool = False,
     description: str = "",
     overwrite: bool = False,
 ) -> LearnerEntry:
     """Register a learner family under ``name`` for one or both backends.
 
     Pass ``sparse=True`` when the ``bank`` builder also accepts
-    ``bank=``/``topk=`` keyword arguments (sparse top-k storage) and
-    ``grouped=True`` when its factories carry a ``make_grouped`` hook
-    (the fused multi-channel engine; plain factories run per-channel).
+    ``bank=``/``topk=`` keyword arguments (sparse top-k storage).
     ``description`` is the one-line summary ``repro list`` prints.
     """
     if scalar is None and bank is None:
         raise ValueError("register_learner needs a scalar factory, a bank factory, or both")
     entry = LearnerEntry(
         scalar=scalar, bank=bank, min_actions=min_actions, sparse=sparse,
-        grouped=grouped, description=description,
+        description=description,
     )
     LEARNERS.register(name, entry, overwrite=overwrite)
     return entry

@@ -35,14 +35,11 @@ from repro.workloads.scenarios import (
     flash_crowd_spec,
     heterogeneous_scenario,
     large_scale_scenario,
-    make_capacity_process,
     make_heterogeneous_process,
     make_learner_population,
     make_system_config,
-    make_vectorized_system,
     massive_scale_scenario,
     popularity_skew_spec,
-    run_scenario,
     small_scale_scenario,
     spec_for_scenario,
 )
@@ -60,12 +57,9 @@ __all__ = [
     "spec_for_scenario",
     "popularity_skew_spec",
     "flash_crowd_spec",
-    "make_capacity_process",
     "make_heterogeneous_process",
     "make_learner_population",
     "make_system_config",
-    "make_vectorized_system",
-    "run_scenario",
     "correlated_failures_spec",
     "oscillating_capacity_spec",
     "flash_storm_spec",

@@ -19,16 +19,12 @@ by the ablation benches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.core.population import LearnerPopulation
 from repro.sim.bandwidth import PAPER_BANDWIDTH_LEVELS, MarkovCapacityProcess
 from repro.spec import (
-    CAPACITY_BACKENDS,
     CapacitySpec,
     ChurnSpec,
     ExperimentSpec,
@@ -38,23 +34,7 @@ from repro.spec import (
     TransformSpec,
     register_scenario,
 )
-from repro.util.rng import Seedish, as_generator, spawn
-
-# Names whose deprecation has already been announced this process; the
-# shims below warn exactly once each, not per call.
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated and will be removed in the next release; "
-        f"use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+from repro.util.rng import Seedish, as_generator
 
 
 @dataclass(frozen=True)
@@ -150,9 +130,9 @@ def massive_scale_scenario(
     """Population-scale multi-channel scenario for the vectorized runtime.
 
     Not a paper figure — the regime the ROADMAP's north star targets
-    (10⁵–10⁶ viewers), far beyond what per-object peers can advance.  Use
-    :func:`make_vectorized_system`; the scalar backend at this size is
-    minutes per round.  Demand is set below the per-peer helper share so
+    (10⁵–10⁶ viewers), far beyond what per-object peers can advance.  Build
+    it with ``scenario.to_spec().build()`` (vectorized backend); the scalar
+    backend at this size is minutes per round.  Demand is set below the per-peer helper share so
     welfare, not the origin server, is the interesting series; crank
     ``num_peers`` further to study the load-skew regime.
     """
@@ -242,75 +222,6 @@ def spec_for_scenario(
     )
 
 
-def make_vectorized_system(
-    scenario: Scenario,
-    rng: Seedish = None,
-    learner: str = "r2hs",
-    capacity_backend: str = "vectorized",
-    **overrides,
-):
-    """A ready-to-run :class:`~repro.runtime.VectorizedStreamingSystem`.
-
-    .. deprecated:: 1.1
-       Declare the experiment as an :class:`~repro.spec.ExperimentSpec`
-       (``scenario.to_spec(...).build()``) instead; this shim remains for
-       one release.
-
-    Without ``overrides`` this is a thin adapter over the spec path (and
-    produces bit-identical RNG streams); ``overrides`` pass through to
-    :func:`make_system_config` for config fields the spec does not carry.
-    """
-    _warn_deprecated(
-        "make_vectorized_system", "scenario.to_spec(...).build()"
-    )
-    if not overrides:
-        # as_generator preserves the historical rng=None semantics (fresh
-        # OS entropy); spec.build(rng=None) would pin the spec's seed.
-        return spec_for_scenario(
-            scenario, backend="vectorized", learner=learner,
-            capacity_backend=capacity_backend,
-        ).build(rng=as_generator(rng))
-    from repro.runtime import VectorizedStreamingSystem, bank_factory
-
-    config = make_system_config(scenario, **overrides)
-    factory = bank_factory(
-        learner,
-        epsilon=scenario.epsilon,
-        delta=scenario.delta,
-        mu=scenario.mu,
-        u_max=scenario.u_max,
-    )
-    return VectorizedStreamingSystem(
-        config, factory, rng=rng, capacity_backend=capacity_backend
-    )
-
-
-def make_capacity_process(
-    scenario: Scenario, rng: Seedish = None, backend: str = "scalar"
-):
-    """The scenario's helper-bandwidth environment.
-
-    .. deprecated:: 1.1
-       Use ``scenario.to_spec(capacity_backend=...).build_capacity_process()``
-       or the capacity-backend registry; this shim remains for one
-       release.
-
-    ``backend`` names any registered capacity backend (``"scalar"`` and
-    ``"vectorized"`` are built in).
-    """
-    _warn_deprecated(
-        "make_capacity_process",
-        "ExperimentSpec.build_capacity_process or register_capacity_backend",
-    )
-    factory = CAPACITY_BACKENDS.get(backend)
-    return factory(
-        scenario.num_helpers,
-        levels=scenario.bandwidth_levels,
-        stay_probability=scenario.stay_probability,
-        rng=rng,
-    )
-
-
 def make_learner_population(
     scenario: Scenario, rng: Seedish = None
 ) -> LearnerPopulation:
@@ -324,26 +235,6 @@ def make_learner_population(
         u_max=scenario.u_max,
         rng=rng,
     )
-
-
-def run_scenario(
-    scenario: Scenario, seed: int = 0
-) -> Tuple[LearnerPopulation, "np.ndarray"]:
-    """Run a scenario end to end; returns (population, welfare series).
-
-    .. deprecated:: 1.1
-       Use ``scenario.to_spec(...).run(seed=...)`` (full streaming
-       system) or build the population/process pair from the spec; this
-       shim remains for one release.
-    """
-    _warn_deprecated("run_scenario", "scenario.to_spec(...).run(seed=...)")
-    parent = as_generator(seed)
-    process = scenario.to_spec(backend="scalar").build_capacity_process(
-        rng=spawn(parent)
-    )
-    population = make_learner_population(scenario, rng=spawn(parent))
-    trajectory = population.run(process, scenario.num_stages)
-    return population, trajectory.welfare
 
 
 def heterogeneous_scenario(num_stages: int = 2000) -> Scenario:

@@ -10,6 +10,7 @@ bit-identical to a clean run.
 import glob
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -419,6 +420,38 @@ class TestSupervisorInternals:
         assert supervisor.stats["completed"] == 3
         assert supervisor.stats["crashes"] == 1
         assert supervisor.stats["retries"] == 1
+
+    def test_result_forwarded_late_is_not_a_crash(self, monkeypatch):
+        """A worker that sent ``ok`` and exited cleanly is no crash, even
+        when its pipe reader forwards the result well after the exit (a
+        loaded host); with ``max_retries=0`` a miscount would fail the
+        cell outright."""
+        from repro.analysis import supervision
+
+        real_reader = supervision._pipe_reader
+
+        class LateQueue:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def put(self, message):
+                time.sleep(0.6)  # past the old fixed ~0.25 s grace
+                self._inner.put(message)
+
+        monkeypatch.setattr(
+            supervision,
+            "_pipe_reader",
+            lambda conn, out: real_reader(conn, LateQueue(out)),
+        )
+        supervisor = Supervisor(workers=2, execution=ExecutionSpec(max_retries=0))
+        results, failures = supervisor.run(
+            [(rng_cell, {"replication": i}, 1000 + i, i) for i in range(2)],
+            result_mode=None,
+            heartbeat_interval=0.0,
+        )
+        assert not failures
+        assert sorted(results) == [0, 1]
+        assert supervisor.stats["crashes"] == 0
 
     def test_attempt_history_serializes(self):
         failure = SweepFailure(

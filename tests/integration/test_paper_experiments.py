@@ -29,7 +29,7 @@ from repro.sim import StreamingSystem, SystemConfig, paper_bandwidth_process
 def small_scale_run():
     """One shared small-scale (N=10, H=4) run used by several tests."""
     scenario = repro.small_scale_scenario(num_stages=1500)
-    process = repro.make_capacity_process(scenario, rng=1)
+    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
     population = repro.make_learner_population(scenario, rng=2)
     trajectory = population.run(process, scenario.num_stages)
     return scenario, process, trajectory

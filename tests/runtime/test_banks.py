@@ -120,11 +120,13 @@ class TestBankFactory:
     @pytest.mark.parametrize("kind", ["rths", "r2hs", "uniform", "sticky"])
     def test_builds_each_kind(self, kind):
         factory = bank_factory(kind)
-        bank = factory(4, np.random.default_rng(0))
-        assert bank.num_actions == 4
-        rows = bank.acquire_many(3)
-        actions = bank.act(rows)
-        bank.observe(rows, actions, np.full(3, 400.0))
+        bank = factory([4, 3], [np.random.default_rng(0), np.random.default_rng(1)])
+        assert [bank.num_actions_of(c) for c in range(2)] == [4, 3]
+        rows = np.concatenate([bank.acquire_many(0, 3), bank.acquire_many(1, 2)])
+        offsets = np.array([0, 3, 5])
+        actions = bank.act_all(offsets, rows)
+        assert (actions[:3] < 4).all() and (actions[3:] < 3).all()
+        bank.observe_all(offsets, rows, actions, np.full(5, 400.0))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core.r2hs import R2HSLearner
-from repro.runtime import VectorizedStreamingSystem, bank_factory
+from repro.runtime import (
+    PerChannelGroupedBank,
+    VectorizedStreamingSystem,
+    bank_factory,
+    build_per_channel_banks,
+)
 from repro.sim import (
     ChurnConfig,
     StreamingSystem,
@@ -76,6 +81,13 @@ class ScriptedBank:
         self._t += 1
 
 
+def per_channel(factory):
+    """The one bank contract over per-channel ``(num_actions, rng)`` banks."""
+    return lambda widths, rngs: PerChannelGroupedBank(
+        build_per_channel_banks(factory, widths, rngs)
+    )
+
+
 class TestScriptedExactEquivalence:
     def _assert_traces_match(self, ts, tv):
         assert np.array_equal(ts.loads, tv.loads)
@@ -108,7 +120,7 @@ class TestScriptedExactEquivalence:
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         vectorized = VectorizedStreamingSystem(
-            config, lambda h, r: ScriptedBank(script, h), rng=0,
+            config, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         ts = scalar.run(T)
@@ -145,7 +157,7 @@ class TestScriptedExactEquivalence:
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         vectorized = VectorizedStreamingSystem(
-            config, lambda h, r: ScriptedBank(script, h), rng=0,
+            config, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         ts = scalar.run(T)
@@ -202,7 +214,7 @@ class TestScriptedExactEquivalence:
         )
         vectorized = VectorizedStreamingSystem(
             config,
-            scripted_bank_factory,
+            per_channel(scripted_bank_factory),
             rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
             initial_channels=order,

@@ -108,13 +108,13 @@ class TestPeerStoreDtype:
 class TestBankDtype:
     def test_bank_factory_threads_dtype(self):
         factory = bank_factory("r2hs", u_max=900.0, dtype=np.float32)
-        bank = factory(4, np.random.default_rng(0))
-        assert bank.population.dtype == np.dtype(np.float32)
+        bank = factory([4], [np.random.default_rng(0)])
+        assert bank.population_of(0).dtype == np.dtype(np.float32)
 
     def test_default_stays_float64(self):
         factory = bank_factory("rths", u_max=900.0)
-        bank = factory(4, np.random.default_rng(0))
-        assert bank.population.dtype == np.dtype(np.float64)
+        bank = factory([4], [np.random.default_rng(0)])
+        assert bank.population_of(0).dtype == np.dtype(np.float64)
 
 
 class TestSystemFloat32:

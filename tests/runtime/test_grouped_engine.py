@@ -1,11 +1,13 @@
 """Bit-identity of the fused multi-channel engine.
 
 The decisive suite for the grouped learner engine: under the same seed,
-``engine="grouped"`` and ``engine="per_channel"`` must produce **the same
-bytes** — every trace array equal with ``np.array_equal`` (no tolerance),
-dense and sparse top-k storage, with and without churn, viewer channel
-switching, and per-peer recording.  Plus property tests for the
-incremental channel-sorted permutation the fused round loop consumes.
+the fused :class:`GroupedRegretBank` and the per-channel oracle (private
+per-channel regret banks behind :class:`PerChannelGroupedBank`) must
+produce **the same bytes** — every trace array equal with
+``np.array_equal`` (no tolerance), dense and sparse top-k storage, with
+and without churn, viewer channel switching, and per-peer recording.
+Plus property tests for the incremental channel-sorted permutation the
+fused round loop consumes.
 """
 
 import numpy as np
@@ -16,8 +18,12 @@ from repro.runtime import (
     GroupedRegretBank,
     PeerStore,
     PerChannelGroupedBank,
+    R2HSBank,
+    RTHSBank,
+    TopKRegretBank,
     VectorizedStreamingSystem,
     bank_factory,
+    build_per_channel_banks,
 )
 from repro.sim import ChurnConfig, SystemConfig
 
@@ -28,14 +34,30 @@ CHURN = ChurnConfig(
 )
 
 
+def per_channel_oracle(kind="r2hs", bank="dense", topk=32, dtype=np.float64):
+    """Private per-channel regret banks behind the fused API."""
+
+    def per_channel(h, rng):
+        if bank == "topk":
+            return TopKRegretBank(h, k=topk, rng=rng, u_max=U_MAX, dtype=dtype)
+        cls = RTHSBank if kind == "rths" else R2HSBank
+        return cls(h, rng=rng, u_max=U_MAX, dtype=dtype)
+
+    return lambda widths, rngs: PerChannelGroupedBank(
+        build_per_channel_banks(per_channel, widths, rngs)
+    )
+
+
 def build(engine, config, *, kind="r2hs", bank="dense", topk=32, seed=42,
           initial_channels=None):
+    """``engine="grouped"``: the stock fused bank; ``"per_channel"``: the oracle."""
+    factory = (
+        bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk)
+        if engine == "grouped"
+        else per_channel_oracle(kind, bank, topk)
+    )
     return VectorizedStreamingSystem(
-        config,
-        bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk),
-        rng=seed,
-        engine=engine,
-        initial_channels=initial_channels,
+        config, factory, rng=seed, initial_channels=initial_channels
     )
 
 
@@ -59,7 +81,8 @@ class TestGroupedBitIdentity:
         )
         sg = build("grouped", config)
         sp = build("per_channel", config)
-        assert sg.engine == "grouped" and sp.engine == "per_channel"
+        assert isinstance(sg.bank, GroupedRegretBank)
+        assert isinstance(sp.bank, PerChannelGroupedBank)
         assert_traces_identical(sg.run(120), sp.run(120))
 
     def test_dense_under_churn_and_switching(self):
@@ -106,74 +129,56 @@ class TestGroupedBitIdentity:
 
     def test_baseline_families_run_per_channel_honestly(self):
         """The baselines have nothing to fuse (their round cost is the
-        per-channel RNG call): auto resolves to per_channel, and asking
-        for the fused engine is a clear error, not silent relabeling."""
+        per-channel RNG call): their stock factory loops per-channel
+        banks behind the one bank contract."""
         config = SystemConfig(
             num_peers=50, num_helpers=8, num_channels=3,
             channel_bitrates=100.0, churn=CHURN,
         )
         for kind in ("uniform", "sticky"):
-            system = build("auto", config, kind=kind)
-            assert system.engine == "per_channel"
+            system = build("grouped", config, kind=kind)
+            assert isinstance(system.bank, PerChannelGroupedBank)
             trace = system.run(80)
             assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
-            with pytest.raises(ValueError, match="make_grouped"):
-                build("grouped", config, kind=kind)
 
     def test_float32_banks_identical(self):
         config = SystemConfig(
             num_peers=60, num_helpers=6, num_channels=2,
             channel_bitrates=100.0,
         )
-        for engine_pair in [("grouped", "per_channel")]:
-            systems = [
-                VectorizedStreamingSystem(
-                    config,
-                    bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
-                    rng=3,
-                    engine=engine,
-                    dtype=np.float32,
-                )
-                for engine in engine_pair
-            ]
-            assert_traces_identical(systems[0].run(100), systems[1].run(100))
+        systems = [
+            VectorizedStreamingSystem(config, factory, rng=3, dtype=np.float32)
+            for factory in (
+                bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
+                per_channel_oracle(dtype=np.float32),
+            )
+        ]
+        assert_traces_identical(systems[0].run(100), systems[1].run(100))
 
 
 class TestEngineSelection:
     def test_auto_resolves_to_grouped_for_stock_factories(self):
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        system = build("auto", config)
-        assert system.engine == "grouped"
+        system = build("grouped", config)
         assert isinstance(system.banks[0], GroupedChannelView)
         assert isinstance(system.bank, GroupedRegretBank)
 
-    def test_auto_falls_back_for_plain_factories(self):
-        from repro.runtime.learner_bank import RTHSBank
-
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        system = VectorizedStreamingSystem(
-            config, lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX), rng=0
-        )
-        assert system.engine == "per_channel"
-        assert isinstance(system.bank, PerChannelGroupedBank)
-        assert isinstance(system.banks[0], RTHSBank)
-
     def test_grouped_with_plain_factory_raises(self):
-        from repro.runtime.learner_bank import RTHSBank
-
+        """A per-channel ``(num_actions, rng)`` factory no longer fits the
+        one ``(arm_counts, rngs)`` contract; it must fail loudly."""
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        with pytest.raises(ValueError, match="make_grouped"):
+        with pytest.raises(TypeError, match="int"):
             VectorizedStreamingSystem(
-                config,
-                lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX),
-                rng=0,
-                engine="grouped",
+                config, lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX), rng=0
             )
 
     def test_unknown_engine_rejected(self):
+        # The engine switch is gone from the system's constructor.
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        with pytest.raises(ValueError, match="engine"):
-            build("turbo", config)
+        with pytest.raises(TypeError, match="engine"):
+            VectorizedStreamingSystem(
+                config, bank_factory("r2hs"), rng=0, engine="grouped"
+            )
 
     def test_grouped_one_helper_channel_names_the_channel(self):
         """Round-robin can hand a channel one helper; the fused regret

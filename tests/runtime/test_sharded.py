@@ -2,9 +2,9 @@
 
 The decisive suite for :mod:`repro.runtime.sharded`: under the same
 seed, a :class:`ShardedSystem` must produce **the same bytes** as the
-single-process grouped engine for any shard count — every trace array
-equal with ``np.array_equal`` (no tolerance), dense and sparse top-k
-storage, with and without churn, per-peer recording.  The containment
+single-process system for any shard count — every trace array equal
+with ``np.array_equal`` (no tolerance), dense and sparse top-k storage,
+the per-channel baselines, with and without churn, per-peer recording.  The containment
 half kills live shard workers with ``SIGKILL`` mid-run and demands the
 rebuilt worker replay to the exact same trace, both from construction
 (``checkpoint_every=0``) and from a checkpoint.
@@ -17,8 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import ShardedSystem, VectorizedStreamingSystem, bank_factory
-from repro.runtime.learner_bank import RTHSBank
+from repro.runtime import (
+    PerChannelGroupedBank,
+    ShardedSystem,
+    VectorizedStreamingSystem,
+    bank_factory,
+)
 from repro.sim import ChurnConfig, SystemConfig
 from repro.spec import ExperimentSpec
 
@@ -48,7 +52,6 @@ def single(config, *, kind="r2hs", bank="dense", topk=32, seed=42,
         config,
         bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk),
         rng=seed,
-        engine="grouped",
         initial_channels=initial_channels,
     )
 
@@ -93,6 +96,16 @@ class TestShardedBitIdentity:
         with sharded(config, 3, bank="topk", topk=3) as system:
             assert_traces_identical(system.run(40), reference)
 
+    @pytest.mark.parametrize("kind", ["sticky", "uniform"])
+    def test_baseline_under_churn_matches_single_process(self, kind):
+        """The baselines' per-channel banks shard too: the parent ledger
+        mirrors one free list per channel."""
+        config = config_for()
+        reference = single(config, kind=kind)
+        assert isinstance(reference.bank, PerChannelGroupedBank)
+        with sharded(config, 2, kind=kind) as system:
+            assert_traces_identical(system.run(60), reference.run(60))
+
     def test_record_peers_actions_and_utilities_identical(self):
         config = SystemConfig(
             num_peers=40, num_helpers=6, num_channels=3,
@@ -113,7 +126,6 @@ class TestShardedBitIdentity:
             config,
             bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
             rng=7,
-            engine="grouped",
             dtype=np.float32,
         ).run(40)
         system = ShardedSystem(
@@ -188,17 +200,23 @@ class TestShardedLifecycleAndValidation:
             sharded(config_for(num_channels=2, churn=ChurnConfig()), 3)
 
     def test_plain_bank_factory_rejected(self):
-        with pytest.raises(ValueError, match="make_grouped"):
-            ShardedSystem(
-                config_for(churn=ChurnConfig()),
-                lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX),
-                shards=2,
-                rng=0,
-            )
+        """A bank whose row allocators the parent ledger cannot mirror
+        (here: per-channel banks without a stock free list) is refused."""
 
-    def test_per_channel_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            sharded(config_for(churn=ChurnConfig()), 2, engine="per_channel")
+        class FixedBank:
+            def __init__(self, num_actions):
+                self.num_actions = num_actions
+
+            def acquire_many(self, count):
+                return np.zeros(count, dtype=np.int64)
+
+        def factory(widths, rngs):
+            return PerChannelGroupedBank([FixedBank(w) for w in widths])
+
+        with pytest.raises(RuntimeError, match="ledger"):
+            ShardedSystem(
+                config_for(churn=ChurnConfig()), factory, shards=2, rng=0
+            )
 
     def test_population_introspection_names_the_limitation(self):
         with sharded(config_for(churn=ChurnConfig()), 2) as system:
@@ -223,6 +241,14 @@ class TestShardedSpecIntegration:
         system.close()
         a, b = plain.run(), spec.run()
         assert a.metrics == b.metrics
+
+    def test_sticky_shards_match_one_shard(self):
+        spec = ExperimentSpec.from_dict(
+            {**self.BASE, "learner": {"name": "sticky", "shards": 2}}
+        )
+        one = spec.with_overrides({"learner.shards": 1}).run().trace
+        two = spec.run().trace
+        assert_traces_identical(two, one)
 
     def test_shards_excluded_from_result_digest(self):
         plain = ExperimentSpec.from_dict(self.BASE)

@@ -241,10 +241,10 @@ class TestSparseApproximation:
 class TestBankPlumbing:
     def test_bank_factory_topk_builds_topk_banks(self):
         factory = bank_factory("r2hs", u_max=U_MAX, bank="topk", topk=8)
-        bank = factory(40, np.random.default_rng(0))
-        assert isinstance(bank, TopKRegretBank)
-        assert bank.num_actions == 40
-        assert bank.k == 8
+        bank = factory([40], [np.random.default_rng(0)])
+        assert isinstance(bank.population_of(0), TopKPopulation)
+        assert bank.num_actions_of(0) == 40
+        assert bank.channel_views()[0].k == 8
 
     def test_bank_factory_rejects_topk_for_baselines(self):
         with pytest.raises(ValueError, match="regret families"):

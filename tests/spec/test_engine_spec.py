@@ -1,85 +1,60 @@
-"""Spec/CLI surface of the fused multi-channel engine.
+"""Spec/CLI surface of the removed engine switch and capacity options.
 
-``LearnerSpec.engine`` round-trips, validates through the registry
-capability flags, resolves ``"auto"`` per family, drives the built
-system, and reaches the CLI as ``--engine`` (including ``--dump-spec``).
-Also covers ``CapacitySpec.options`` (the failures backend's parameter
-channel).
+``LearnerSpec.engine`` is parse-only: ``"auto"`` and ``"grouped"``
+round-trip and change nothing, the removed ``"per_channel"`` fails with
+one clean message, and the CLI no longer has ``--engine``.
+``CapacitySpec.options`` is gone: options travel on the capacity
+transform stage that consumes them.
 """
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.spec import ExperimentSpec, register_learner
-from repro.spec.registry import LEARNERS
+from repro.runtime import GroupedRegretBank, PerChannelGroupedBank
+from repro.spec import ExperimentSpec
+
+SMOKE = Path(__file__).resolve().parents[2] / "examples" / "smoke.json"
 
 
 class TestEngineSpecField:
     def test_roundtrip_preserves_engine(self):
         spec = ExperimentSpec.from_dict(
-            {"learner": {"name": "r2hs", "engine": "per_channel"}}
+            {"learner": {"name": "r2hs", "engine": "grouped"}}
         )
-        assert spec.learner.engine == "per_channel"
+        assert spec.learner.engine == "grouped"
         clone = ExperimentSpec.from_json(spec.to_json())
         assert clone == spec
-        assert clone.to_dict()["learner"]["engine"] == "per_channel"
-
-    def test_auto_resolves_by_registry_flag(self):
-        spec = ExperimentSpec()
-        assert spec.learner.engine == "auto"
-        assert spec.resolved_engine() == "grouped"
-        assert spec.with_overrides({"backend": "scalar"}).resolved_engine() is None
-        assert (
-            spec.with_overrides(
-                {"learner.engine": "per_channel"}
-            ).resolved_engine()
-            == "per_channel"
-        )
+        assert clone.to_dict()["learner"]["engine"] == "grouped"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             ExperimentSpec.from_dict({"learner": {"engine": "turbo"}})
 
-    def test_explicit_engine_on_scalar_backend_rejected(self):
-        with pytest.raises(ValueError, match="vectorized backend"):
-            ExperimentSpec.from_dict(
-                {"backend": "scalar", "learner": {"engine": "grouped"}}
-            )
-
-    def test_grouped_engine_requires_capability_flag(self):
-        register_learner(
-            "plain-test-learner",
-            bank=lambda epsilon, delta, mu, u_max, dtype: (
-                __import__("repro.runtime", fromlist=["bank_factory"])
-                .bank_factory("uniform")
-            ),
-            overwrite=True,
-        )
-        try:
-            with pytest.raises(ValueError, match="grouped=True"):
-                ExperimentSpec.from_dict(
-                    {"learner": {"name": "plain-test-learner", "engine": "grouped"}}
-                )
-            # auto quietly picks the per-channel engine instead.
-            spec = ExperimentSpec.from_dict(
-                {"learner": {"name": "plain-test-learner"}}
-            )
-            assert spec.resolved_engine() == "per_channel"
-        finally:
-            LEARNERS.unregister("plain-test-learner")
+    def test_per_channel_engine_removed(self):
+        with pytest.raises(ValueError, match="per_channel.*removed"):
+            ExperimentSpec.from_dict({"learner": {"engine": "per_channel"}})
 
     def test_built_system_uses_resolved_engine(self):
+        # The family alone picks the bank; the engine field changes nothing.
         base = {
             "rounds": 5,
             "topology": {"num_peers": 12, "num_helpers": 6, "num_channels": 2},
         }
-        assert ExperimentSpec.from_dict(base).build().engine == "grouped"
-        per = dict(base, learner={"engine": "per_channel"})
-        assert ExperimentSpec.from_dict(per).build().engine == "per_channel"
+        for engine in ("auto", "grouped"):
+            regret = dict(base, learner={"engine": engine})
+            sticky = dict(base, learner={"name": "sticky", "engine": engine})
+            assert isinstance(
+                ExperimentSpec.from_dict(regret).build().bank, GroupedRegretBank
+            )
+            assert isinstance(
+                ExperimentSpec.from_dict(sticky).build().bank,
+                PerChannelGroupedBank,
+            )
 
     def test_engines_run_bit_identically_through_the_spec(self):
         base = {
@@ -87,15 +62,15 @@ class TestEngineSpecField:
             "seed": 5,
             "topology": {"num_peers": 40, "num_helpers": 7, "num_channels": 3},
         }
-        tg = ExperimentSpec.from_dict(
-            dict(base, learner={"engine": "grouped"})
-        ).run().trace
-        tp = ExperimentSpec.from_dict(
-            dict(base, learner={"engine": "per_channel"})
-        ).run().trace
-        assert np.array_equal(tg.welfare, tp.welfare)
-        assert np.array_equal(tg.loads, tp.loads)
-        assert np.array_equal(tg.server_load, tp.server_load)
+        auto, grouped = (
+            ExperimentSpec.from_dict(dict(base, learner={"engine": engine}))
+            for engine in ("auto", "grouped")
+        )
+        ta, tg = auto.run().trace, grouped.run().trace
+        assert np.array_equal(ta.welfare, tg.welfare)
+        assert np.array_equal(ta.loads, tg.loads)
+        assert np.array_equal(ta.server_load, tg.server_load)
+        assert auto.result_digest() == grouped.result_digest()
 
     def test_engine_composes_with_topk_bank(self):
         spec = ExperimentSpec.from_dict(
@@ -106,33 +81,25 @@ class TestEngineSpecField:
             }
         )
         system = spec.build()
-        assert system.engine == "grouped"
+        assert isinstance(system.bank, GroupedRegretBank)
         assert system.banks[0].k == 3
 
 
 class TestCapacityOptions:
     def test_options_roundtrip(self):
-        spec = ExperimentSpec.from_dict(
-            {"capacity": {"backend": "failures", "options": {"failure_rate": 0.5}}}
-        )
-        clone = ExperimentSpec.from_json(spec.to_json())
-        assert clone.capacity.options == {"failure_rate": 0.5}
-
-    def test_options_reach_the_backend_factory(self):
+        # Options live on the transform stage that consumes them.
         spec = ExperimentSpec.from_dict(
             {
-                "topology": {"num_peers": 10, "num_helpers": 4},
                 "capacity": {
-                    "backend": "failures",
-                    "options": {"failure_rate": 1.0, "mean_outage_rounds": 2.0},
-                },
+                    "transforms": [
+                        {"name": "failures", "options": {"failure_rate": 0.5}}
+                    ]
+                }
             }
         )
-        process = spec.build_capacity_process(rng=0)
-        process.advance()
-        assert process.failed.all()  # rate 1.0: every helper down
-        assert np.all(process.capacities() == 0.0)
-        assert np.all(np.asarray(process.minimum_capacities()) == 0.0)
+        clone = ExperimentSpec.from_json(spec.to_json())
+        assert clone.capacity.transforms[0].options == {"failure_rate": 0.5}
+        assert "options" not in clone.to_dict()["capacity"]
 
     def test_non_mapping_options_rejected(self):
         with pytest.raises(ValueError, match="options"):
@@ -140,33 +107,44 @@ class TestCapacityOptions:
                 {"capacity": {"options": [1, 2, 3]}}
             )
 
+    def test_options_field_removed(self):
+        with pytest.raises(ValueError, match="unknown CapacitySpec field"):
+            ExperimentSpec.from_dict(
+                {"capacity": {"options": {"failure_rate": 0.5}}}
+            )
+
 
 class TestEngineCli:
-    def test_engine_flag_dumps_and_roundtrips(self):
-        out = io.StringIO()
-        main(
-            ["run", "--engine", "per_channel", "--dump-spec"], out=out
-        )
-        dumped = json.loads(out.getvalue())
-        assert dumped["learner"]["engine"] == "per_channel"
-        assert ExperimentSpec.from_dict(dumped).to_json() == out.getvalue().rstrip("\n")
+    def test_engine_rejected_with_scalar_backend_at_parse_time(self, capsys):
+        # --engine is gone: argparse rejects it on every backend.
+        for backend in ("scalar", "vectorized"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    ["run", "--backend", backend, "--engine", "grouped"],
+                    out=io.StringIO(),
+                )
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_run_reports_resolved_engine(self):
-        out = io.StringIO()
-        code = main(
-            [
-                "run", "--peers", "12", "--helpers", "4", "--channels", "2",
-                "--rounds", "3",
-            ],
-            out=out,
-        )
-        assert code == 0
-        assert "engine=grouped" in out.getvalue()
-
-    def test_engine_rejected_with_scalar_backend_at_parse_time(self):
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("capacity", {"backend": "failures"}),
+            ("capacity", {"options": {"failure_rate": 0.5}}),
+            ("learner", {"engine": "per_channel"}),
+        ],
+    )
+    def test_removed_names_fail_with_one_clean_error(
+        self, tmp_path, capsys, section, field
+    ):
+        data = json.loads(SMOKE.read_text())
+        data.setdefault(section, {}).update(field)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["run", "--backend", "scalar", "--engine", "grouped"],
-                out=io.StringIO(),
-            )
+            main(["run", "--spec", str(path)], out=io.StringIO())
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro: error: ")

@@ -1,7 +1,6 @@
-"""Spec serialization round-trips, validation, and the deprecation shims."""
+"""Spec serialization round-trips and validation."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -237,80 +236,6 @@ class TestRunFacade:
         assert len(result.cells) == 3
         welfare = [c.metrics["mean_welfare"] for c in result.cells]
         assert len(set(welfare)) > 1
-
-
-class TestDeprecationShims:
-    def _fresh(self, monkeypatch, *names):
-        from repro.workloads import scenarios
-
-        for name in names:
-            scenarios._DEPRECATION_WARNED.discard(name)
-
-    def test_make_vectorized_system_warns_exactly_once(self, monkeypatch):
-        import repro
-
-        self._fresh(monkeypatch, "make_vectorized_system")
-        scenario = repro.massive_scale_scenario(
-            num_peers=40, num_helpers=4, num_channels=2, num_stages=2
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.make_vectorized_system(scenario, rng=0)
-            repro.make_vectorized_system(scenario, rng=1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "make_vectorized_system" in str(deprecations[0].message)
-
-    def test_make_capacity_process_warns_exactly_once(self, monkeypatch):
-        import repro
-
-        self._fresh(monkeypatch, "make_capacity_process")
-        scenario = repro.small_scale_scenario(num_stages=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.make_capacity_process(scenario, rng=0)
-            repro.make_capacity_process(scenario, rng=1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_run_scenario_warns_exactly_once_and_still_works(self, monkeypatch):
-        from repro.workloads.scenarios import run_scenario, small_scale_scenario
-
-        self._fresh(monkeypatch, "run_scenario")
-        scenario = small_scale_scenario(num_stages=10)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, w1 = run_scenario(scenario, seed=5)
-            _, w2 = run_scenario(scenario, seed=5)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert np.array_equal(w1, w2)
-
-    def test_shimmed_system_matches_spec_built_system(self, monkeypatch):
-        """The shim is a true adapter: same RNG stream as the spec path."""
-        import repro
-
-        self._fresh(monkeypatch, "make_vectorized_system")
-        scenario = repro.massive_scale_scenario(
-            num_peers=60, num_helpers=4, num_channels=2, num_stages=4
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim_trace = repro.make_vectorized_system(scenario, rng=3).run(4)
-        spec_trace = (
-            repro.spec_for_scenario(scenario, backend="vectorized",
-                                    capacity_backend="vectorized")
-            .build(rng=3)
-            .run(4)
-        )
-        assert np.array_equal(shim_trace.welfare, spec_trace.welfare)
-        assert np.array_equal(shim_trace.loads, spec_trace.loads)
 
 
 class TestTopKBankSpecFields:

@@ -1,6 +1,4 @@
-"""The capacity-transform pipeline: ordering, RNG streams, legacy shims."""
-
-import warnings
+"""The capacity-transform pipeline: ordering, RNG streams, removed backends."""
 
 import numpy as np
 import pytest
@@ -170,39 +168,12 @@ class TestPipelineComposition:
         assert plain.shape == doubled.shape
 
 
-class TestLegacyBackendShims:
+class TestRemovedLegacyBackends:
     @pytest.mark.parametrize(
-        "legacy, options",
-        [
-            ("failures", {"failure_rate": 0.1, "mean_outage_rounds": 5.0}),
-            (
-                "correlated_failures",
-                {"num_groups": 3, "group_failure_rate": 0.1},
-            ),
-            ("oscillating", {"low_fraction": 0.3, "period": 7}),
-        ],
+        "legacy", ["failures", "correlated_failures", "oscillating"]
     )
-    def test_legacy_backend_is_bit_identical_to_transform(self, legacy, options):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = capacity_trace(
-                base_spec(backend=legacy, options=options, seed=3)
-            )
-        new = capacity_trace(
-            base_spec(
-                transforms=(TransformSpec(name=legacy, options=options),),
-                seed=3,
-            )
-        )
-        assert np.array_equal(old, new)
-
-    def test_legacy_backend_warns_deprecation(self):
-        from repro.spec import builtins as spec_builtins
-
-        spec_builtins._LEGACY_BACKEND_WARNED.discard("failures")
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            base_spec(backend="failures").build_capacity_process()
-        # Warn-once: a second build stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            base_spec(backend="failures").build_capacity_process()
+    def test_legacy_backend_names_raise_with_the_menu(self, legacy):
+        # The effects live on as capacity transforms of the same name.
+        with pytest.raises(UnknownComponentError, match="scalar, vectorized"):
+            base_spec(backend=legacy)
+        base_spec(transforms=(TransformSpec(name=legacy),))

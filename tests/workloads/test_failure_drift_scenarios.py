@@ -1,6 +1,6 @@
 """The churn-heavy / skew-shifting scenario registry entries.
 
-``helper_failures`` (outage-injecting capacity backend + Poisson churn)
+``helper_failures`` (outage-injecting capacity transform + Poisson churn)
 and ``popularity_drift`` (diurnal Zipf drift + viewer switching) must be
 resolvable by name, build on the vectorized backend with the fused
 engine, and actually exercise their distinguishing dynamics.
@@ -8,6 +8,7 @@ engine, and actually exercise their distinguishing dynamics.
 
 import numpy as np
 
+from repro.runtime import GroupedRegretBank
 from repro.spec import SCENARIOS, ExperimentSpec
 from repro.workloads.scenarios import helper_failures_spec, popularity_drift_spec
 
@@ -25,7 +26,7 @@ class TestHelperFailuresScenario:
         assert isinstance(spec, ExperimentSpec)
         assert [t.name for t in spec.capacity.transforms] == ["failures"]
         assert spec.churn.arrival_rate > 0
-        assert spec.resolved_engine() == "grouped"
+        assert isinstance(spec.build().bank, GroupedRegretBank)
 
     def test_outages_reach_the_trace(self):
         spec = small(
@@ -52,7 +53,7 @@ class TestPopularityDriftScenario:
         spec = small(SCENARIOS.get("popularity_drift"))
         assert spec.topology.popularity_drift_rate > 0
         assert spec.topology.channel_switch_rate > 0
-        assert spec.resolved_engine() == "grouped"
+        assert isinstance(spec.build().bank, GroupedRegretBank)
 
     def test_weights_drift_during_the_run(self):
         spec = small(popularity_drift_spec, drift_rate=0.3, drift_period=2.0)

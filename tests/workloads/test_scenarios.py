@@ -6,12 +6,9 @@ from repro.workloads.scenarios import (
     Scenario,
     fig5_scenario,
     large_scale_scenario,
-    make_capacity_process,
     make_learner_population,
     make_system_config,
-    make_vectorized_system,
     massive_scale_scenario,
-    run_scenario,
     small_scale_scenario,
 )
 
@@ -36,7 +33,7 @@ class TestMassiveScaleScenario:
         scenario = massive_scale_scenario(
             num_peers=400, num_helpers=8, num_channels=2, num_stages=5
         )
-        system = make_vectorized_system(scenario, rng=0)
+        system = scenario.to_spec().build(rng=0)
         trace = system.run(scenario.num_stages)
         assert trace.num_rounds == 5
         assert trace.online_peers[-1] == 400
@@ -80,7 +77,7 @@ class TestCannedScenarios:
 class TestFactories:
     def test_capacity_process_size(self):
         scenario = small_scale_scenario()
-        process = make_capacity_process(scenario, rng=0)
+        process = scenario.to_spec(backend="scalar").build_capacity_process(rng=0)
         assert process.num_helpers == 4
 
     def test_population_size(self):
@@ -91,14 +88,14 @@ class TestFactories:
 
     def test_run_scenario_end_to_end(self):
         scenario = small_scale_scenario(num_stages=50)
-        population, welfare = run_scenario(scenario, seed=0)
-        assert welfare.shape == (50,)
-        assert population.stage == 50
+        trace = scenario.to_spec(backend="scalar").run(seed=0).trace
+        assert trace.welfare.shape == (50,)
+        assert trace.online_peers[-1] == scenario.num_peers
 
     def test_run_scenario_reproducible(self):
-        scenario = small_scale_scenario(num_stages=30)
-        _, w1 = run_scenario(scenario, seed=5)
-        _, w2 = run_scenario(scenario, seed=5)
+        spec = small_scale_scenario(num_stages=30).to_spec(backend="scalar")
+        w1 = spec.run(seed=5).trace.welfare
+        w2 = spec.run(seed=5).trace.welfare
         assert (w1 == w2).all()
 
 
