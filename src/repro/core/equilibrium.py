@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.game.repeated_game import Trajectory
 from repro.game.strategic_game import NormalFormGame, Profile
@@ -152,7 +151,12 @@ def solve_ce_lp(
         The optimizing joint distribution as ``{profile: probability}``
         (zero-probability profiles omitted) and the objective value
         (always reported as total welfare of the returned distribution).
+
+    scipy is imported on the first call, so the rest of the package runs
+    on numpy alone.
     """
+    from scipy.optimize import linprog
+
     profiles = list(game.all_profiles())
     if len(profiles) > profile_limit:
         raise ValueError(

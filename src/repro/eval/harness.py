@@ -32,9 +32,14 @@ import numpy as np
 
 from repro.analysis.reporting import format_float, render_table
 from repro.eval.metrics import SCALAR_METRICS, prequential_metrics
-from repro.spec.model import ExecutionSpec, ExperimentSpec, _check_unknown_keys
+from repro.spec.model import (
+    ExecutionSpec,
+    ExperimentSpec,
+    _build,
+    _check_unknown_keys,
+)
 from repro.spec.registry import LEARNERS, SCENARIOS
-from repro.util.validation import require_positive_int
+from repro.util.validation import require_non_negative_int, require_positive_int
 
 #: Scalar columns the matrix table reports, in order.
 TABLE_METRICS = SCALAR_METRICS + ("final_window_reward", "final_window_regret")
@@ -71,15 +76,27 @@ class EvalSpec:
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(self, "learners", tuple(self.learners))
-        for scenario in self.scenarios:
-            SCENARIOS.get(scenario)  # raises with the menu
-        for learner in self.learners:
-            LEARNERS.get(learner)  # raises with the menu
+        for name, registry in (
+            ("scenarios", SCENARIOS),
+            ("learners", LEARNERS),
+        ):
+            names = getattr(self, name)
+            # A bare string would iterate into one-letter names.
+            if not isinstance(names, (list, tuple)) or not all(
+                isinstance(item, str) for item in names
+            ):
+                raise ValueError(
+                    f"{name} must be a list of names, got {names!r}"
+                )
+            for item in names:
+                registry.get(item)  # raises with the menu
+            object.__setattr__(self, name, tuple(names))
         require_positive_int(self.window, "window")
         if self.rounds is not None:
             require_positive_int(self.rounds, "rounds")
+        object.__setattr__(
+            self, "seed", require_non_negative_int(self.seed, "seed")
+        )
         if self.backend is not None:
             from repro.spec.model import SYSTEM_BACKENDS
 
@@ -129,11 +146,20 @@ class EvalSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalSpec":
+        """Rebuild from :meth:`to_dict` output (or hand-written JSON).
+
+        Unknown keys and wrong-typed values raise :class:`ValueError`,
+        as :meth:`ExperimentSpec.from_dict` does.
+        """
         _check_unknown_keys(cls, data)
         data = dict(data)
         if "execution" in data:
-            data["execution"] = ExecutionSpec.from_dict(data["execution"] or {})
-        return cls(**data)
+            data["execution"] = _build(
+                "section 'execution'",
+                ExecutionSpec.from_dict,
+                data["execution"] or {},
+            )
+        return _build("top-level field", lambda fields: cls(**fields), data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

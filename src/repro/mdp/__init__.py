@@ -8,7 +8,8 @@ Contents
   upload bandwidth in the paper's evaluation.
 * :mod:`repro.mdp.occupation_lp` — the cooperative optimization of Sec. IV-A
   expressed as a linear program over global occupation measures
-  ``rho(y, x)`` and solved exactly with :func:`scipy.optimize.linprog`.
+  ``rho(y, x)`` and solved exactly with :func:`scipy.optimize.linprog`
+  (scipy is imported on the first solve, so the package needs only numpy).
 * :mod:`repro.mdp.symmetric` — an exact, composition-based reformulation of
   the same optimum that exploits peer exchangeability, tractable for the
   large ``N`` used in the paper's figures.

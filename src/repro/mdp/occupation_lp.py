@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.mdp.markov_chain import MarkovChain
 
@@ -97,7 +96,12 @@ def solve_occupation_lp(
         split welfare of the paper's utility.
     state_limit, assignment_limit:
         Guards on the enumerated joint spaces.
+
+    scipy is imported on the first call, so the rest of the package runs
+    on numpy alone.
     """
+    from scipy.optimize import linprog
+
     if num_peers < 1:
         raise ValueError("num_peers must be >= 1")
     if not chains:

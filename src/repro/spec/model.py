@@ -43,6 +43,7 @@ from repro.spec.registry import (
 from repro.telemetry import parse_sink_reference
 from repro.telemetry import session as telemetry_session
 from repro.util.rng import Seedish, as_generator, spawn
+from repro.util.validation import require_non_negative_int
 
 #: System backends a spec can target.
 SYSTEM_BACKENDS = ("scalar", "vectorized")
@@ -65,6 +66,18 @@ def _check_unknown_keys(cls, data: Mapping[str, Any]) -> None:
             f"unknown {cls.__name__} field(s) {unknown}; "
             f"allowed: {sorted(allowed)}"
         )
+
+
+def _build(section: str, make, value):
+    """``make(value)``, re-raising a ``TypeError`` as a ``ValueError``.
+
+    The message names ``section``, so a wrong-typed spec value fails the
+    way every other malformed spec does.
+    """
+    try:
+        return make(value)
+    except TypeError as exc:
+        raise ValueError(f"spec {section}: wrong-typed value ({exc})") from exc
 
 
 def _opt_tuple(value) -> Optional[Tuple]:
@@ -811,6 +824,9 @@ class ExperimentSpec:
     sweep_spec: Optional[SweepSpec] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "seed", require_non_negative_int(self.seed, "seed")
+        )
         if self.backend not in SYSTEM_BACKENDS:
             raise ValueError(
                 f"backend must be one of {SYSTEM_BACKENDS}, got {self.backend!r}"
@@ -913,15 +929,6 @@ class ExperimentSpec:
         :class:`ValueError` naming its section, like every other
         malformed spec.
         """
-
-        def build(section: str, make, value):
-            try:
-                return make(value)
-            except TypeError as exc:
-                raise ValueError(
-                    f"spec {section}: wrong-typed value ({exc})"
-                ) from exc
-
         data = dict(data)
         sweep = data.pop("sweep", None)
         sections = {
@@ -937,7 +944,7 @@ class ExperimentSpec:
         kwargs: Dict[str, Any] = {}
         for key, section_cls in sections.items():
             if key in data:
-                kwargs[key] = build(
+                kwargs[key] = _build(
                     f"section {key!r}", section_cls.from_dict, data.pop(key) or {}
                 )
         allowed_scalars = {"name", "backend", "rounds", "seed"}
@@ -949,8 +956,8 @@ class ExperimentSpec:
             )
         kwargs.update(data)
         if sweep is not None:
-            kwargs["sweep_spec"] = build("section 'sweep'", SweepSpec.from_dict, sweep)
-        return build("top-level field", lambda fields: cls(**fields), kwargs)
+            kwargs["sweep_spec"] = _build("section 'sweep'", SweepSpec.from_dict, sweep)
+        return _build("top-level field", lambda fields: cls(**fields), kwargs)
 
     def to_json(self, indent: int = 2) -> str:
         """The spec as JSON text (tuples serialize as lists)."""

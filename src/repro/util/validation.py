@@ -28,12 +28,24 @@ def require_non_negative(value: float, name: str) -> float:
     return float(value)
 
 
-def require_positive_int(value: int, name: str) -> int:
-    """Return ``value`` if a strictly positive integer, else raise."""
+def _require_int(value: int, name: str) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def require_positive_int(value: int, name: str) -> int:
+    """Return ``value`` if a strictly positive integer, else raise."""
+    _require_int(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def require_non_negative_int(value: int, name: str) -> int:
+    """Return ``value`` as an ``int`` if a non-negative integer, else raise."""
+    _require_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return int(value)
 
 

@@ -3,23 +3,27 @@
 Mutations of ``examples/smoke.json`` — wrong-typed values, unknown keys,
 nulls, and the names removed from the spec (``capacity.backend:
 "failures"``, ``capacity.options``, ``learner.engine: "per_channel"``) —
-must either parse or raise ``ValueError``/``KeyError``: the exceptions
-``repro run`` reports as a single ``repro: error:`` line.
+and of ``examples/eval_matrix.json`` must either parse or raise
+``ValueError``/``KeyError``: the exceptions ``repro run`` and ``repro
+eval`` report as a single ``repro: error:`` line.
 """
 
 import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spec import ExperimentSpec
+from repro.cli import main
+from repro.eval import EvalSpec
+from repro.spec import ExecutionSpec, ExperimentSpec
 
-SMOKE = json.loads(
-    (Path(__file__).resolve().parents[2] / "examples" / "smoke.json").read_text()
-)
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+SMOKE = json.loads((EXAMPLES / "smoke.json").read_text())
+MATRIX = json.loads((EXAMPLES / "eval_matrix.json").read_text())
 
 SECTIONS = sorted(
     key for key, value in ExperimentSpec().to_dict().items()
@@ -94,3 +98,81 @@ def test_wrong_typed_field_names_its_section(path, value, where):
     mutate(data, path, value)
     with pytest.raises(ValueError, match=f"spec .*{where}.*wrong-typed"):
         ExperimentSpec.from_dict(data)
+
+
+def test_numpy_seed_is_an_int_seed():
+    spec = ExperimentSpec.from_dict(dict(SMOKE, seed=np.int64(7)))
+    assert type(spec.seed) is int
+    assert spec.result_digest() == ExperimentSpec.from_dict(SMOKE).result_digest()
+    matrix = EvalSpec.from_dict(dict(MATRIX, seed=np.uint8(0)))
+    assert type(matrix.seed) is int
+    assert matrix.eval_digest() == EvalSpec.from_dict(MATRIX).eval_digest()
+
+
+def test_valid_examples_keep_their_digests():
+    """Store keys: validating a field must not change a valid spec's key."""
+    assert ExperimentSpec.from_dict(SMOKE).result_digest() == "fb8c05658e6e"
+    assert EvalSpec.from_dict(MATRIX).eval_digest() == "8058290cd88c"
+
+
+EVAL_FIELD_PATHS = [
+    (name,) for name in EvalSpec().to_dict()
+] + [("execution", name) for name in ExecutionSpec().to_dict()] + [
+    ("scenario_options", scenario, option)
+    for scenario, options in MATRIX["scenario_options"].items()
+    for option in options
+]
+EVAL_UNKNOWN_PATHS = [
+    ("bogus",), ("execution", "bogus"), ("scenario_options", "bogus"),
+]
+EVAL_NAMES = st.lists(
+    st.sampled_from(["rths", "sticky", "oscillating_capacity", "nope"]),
+    max_size=3,
+)
+
+EVAL_MUTATION = st.one_of(
+    st.tuples(st.sampled_from(EVAL_FIELD_PATHS), JUNK),
+    st.tuples(st.sampled_from(EVAL_UNKNOWN_PATHS), JUNK),
+    st.tuples(st.sampled_from([("scenarios",), ("learners",)]), EVAL_NAMES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EVAL_MUTATION, min_size=1, max_size=4))
+def test_mutated_eval_matrix_parses_or_fails_cleanly(mutations):
+    data = copy.deepcopy(MATRIX)
+    for path, value in mutations:
+        mutate(data, path, value)
+    try:
+        spec = EvalSpec.from_dict(data)
+    except (ValueError, KeyError):
+        return
+    assert EvalSpec.from_json(spec.to_json()).eval_digest() == spec.eval_digest()
+
+
+BAD_SEEDS = ["x", 1.5, -1, None, True]
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("run", "seed", seed) for seed in BAD_SEEDS]
+    + [("eval", "seed", seed) for seed in BAD_SEEDS]
+    + [
+        ("eval", "scenarios", "oscillating_capacity"),
+        ("eval", "window", "ten"),
+        ("eval", "learners", 5),
+        ("eval", "learners", None),
+    ],
+)
+def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsys):
+    """Never a traceback, a fresh-entropy run (null seed), seed 1 (true
+    seed) or one-letter scenario names (a bare string).
+    """
+    example = {"run": SMOKE, "eval": MATRIX}[command]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(example, **{field: value})))
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--spec", str(path), "--dump-spec"])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith("repro: error:") and f"{field} must be" in error

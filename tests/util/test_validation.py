@@ -6,6 +6,7 @@ import pytest
 from repro.util.validation import (
     require_in_closed_unit_interval,
     require_non_negative,
+    require_non_negative_int,
     require_positive,
     require_positive_int,
     require_probability_vector,
@@ -52,6 +53,23 @@ class TestRequirePositiveInt:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             require_positive_int(2.0, "n")
+
+
+class TestRequireNonNegativeInt:
+    def test_accepts_zero_as_int(self):
+        assert require_non_negative_int(0, "n") == 0
+
+    def test_numpy_int_becomes_int(self):
+        assert type(require_non_negative_int(np.uint32(5), "n")) is int
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            require_non_negative_int(-1, "n")
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_rejects_non_int(self, bad):
+        with pytest.raises(TypeError, match="n must be an int"):
+            require_non_negative_int(bad, "n")
 
 
 class TestUnitInterval:
