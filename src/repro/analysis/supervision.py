@@ -229,6 +229,13 @@ def _pipe_reader(conn, out_queue) -> None:
         pass
     except Exception:  # pragma: no cover - unpickling garbage
         pass
+    finally:
+        # Only this thread reads the pipe, so only it may close it.  A
+        # close from the supervisor could free the descriptor number
+        # while this thread is between reads; the next worker's pipe
+        # would reuse it, and this thread would steal that worker's
+        # messages.
+        conn.close()
 
 
 def reap_segments(names) -> int:
@@ -272,7 +279,6 @@ class _Cell:
     tries: int = 0
     attempts: List[CellAttempt] = field(default_factory=list)
     proc: Any = None
-    conn: Any = None
     reader: Any = None
     exited: Optional[float] = None
     started: float = 0.0
@@ -397,7 +403,6 @@ class Supervisor:
             )
             cell.reader.start()
             cell.proc = proc
-            cell.conn = parent_conn
             cell.exited = None
             cell.started = cell.last_beat = time.monotonic()
             self._inflight[cell.index] = cell
@@ -628,14 +633,6 @@ class Supervisor:
         else:
             proc.join(0.1)
         cell.proc = None
-        if cell.conn is not None:
-            # Unblocks this worker's reader thread if it is still parked
-            # in recv (the pipe also EOFs on worker death by itself).
-            try:
-                cell.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            cell.conn = None
 
     # ------------------------------------------------------------------
 

@@ -32,6 +32,22 @@ the hot read (regret row ``j = a_i``) becomes a constant-stride gather the
 hardware prefetcher handles — about 3× faster per stage at 10k × 100 than
 the row-major layout, where the scattered read-modify-write dominates.
 
+**Narrow rows.**  With a few arms per channel a row is a handful of
+floats, and numpy's cost per row — not the arithmetic — sets the price of
+a stage.  Two measures keep it down without changing a float operation.
+Whole rows (of ``probs``, the CDF, the played-regret rows and the stored
+tensor's rank-one rows) are gathered and scattered through a view with one
+opaque ``H * itemsize``-byte item per row, so each row moves as one item
+of a 1-D fancy index instead of as a strided sub-array; every
+``(row, played action)`` entry of a block's buffers is reached through one
+flat position computed once per block.  And below ``_NARROW_WIDTH`` arms
+the row sum, the CDF prefix sum, the regret-row gather index and the act
+threshold count run as a loop over columns, one whole-block numpy call per
+column.  The switch sits at 8 because numpy adds up a row of fewer than 8
+items left to right — the same float sequence as the column loop (pinned
+in ``tests/core/test_kernel_reference.py``) — and from 8 items on sums
+pairwise, so wider rows keep the axis-1 calls.
+
 **Slot API.**  ``act_slots`` / ``observe_slots`` / ``reset_slots`` /
 ``ensure_capacity`` advance an arbitrary *subset* of rows with per-slot
 stage counters, which is what :mod:`repro.runtime` needs to host churning
@@ -76,6 +92,20 @@ _OBSERVE_BLOCK = 4096
 # widen to keep per-pass temporaries at the same ~2 MiB cache budget the
 # 4096-row block was sized for at H = 64.
 _OBSERVE_TARGET_ELEMS = _OBSERVE_BLOCK * 64
+
+# Rows narrower than this run their per-row reductions column by column
+# (see "Narrow rows" above).  numpy's summation rule fixes the value; it
+# is not a tuning knob.
+_NARROW_WIDTH = 8
+
+
+def _items(rows: np.ndarray, item: np.dtype) -> np.ndarray:
+    """``rows`` as a 1-D array holding one ``item`` per row.
+
+    ``rows`` is C-contiguous along its last axis and ``item`` is a void
+    dtype exactly one row wide, so the view aliases the same bytes.
+    """
+    return rows.view(item).reshape(-1)
 
 
 def _observe_block_rows(width: int) -> int:
@@ -246,6 +276,8 @@ class LearnerPopulation:
         # Flat offsets of column j within one (H, H) block (see the q
         # gather in _observe_block).
         self._col_offsets = np.arange(self._h, dtype=np.intp) * self._h
+        # One opaque item per row, for whole-row gathers and scatters.
+        self._item = np.dtype((np.void, self._h * self._dtype.itemsize))
         self._scratch = _Scratch()
 
     # ------------------------------------------------------------------
@@ -376,19 +408,28 @@ class LearnerPopulation:
         """
         slots = np.asarray(slots, dtype=np.intp)
         k = slots.shape[0]
+        h = self._h
+        item = self._item
         ws = self._scratch
-        cdf = ws.rows("act_cdf", k, self._h, self._dtype)
-        np.take(self._cdf, slots, axis=0, out=cdf)
+        cdf = ws.rows("act_cdf", k, h, self._dtype)
+        np.take(_items(self._cdf, item), slots, out=_items(cdf, item))
         if draws is None:
             draws = self._rng.random(k)
         else:
             draws = np.asarray(draws, dtype=float)
             if draws.shape != (k,):
                 raise ValueError("draws must supply one uniform per slot")
-        below = ws.rows("act_below", k, self._h, np.bool_)
-        np.less(cdf, draws[:, None], out=below)
-        actions = below.sum(axis=1)
-        return np.minimum(actions, self._h - 1)
+        if h < _NARROW_WIDTH:
+            actions = np.zeros(k, dtype=np.int_)
+            below = ws.vec("act_below_column", k, np.bool_)
+            for j in range(h):
+                np.less(cdf[:, j], draws, out=below)
+                actions += below
+        else:
+            below = ws.rows("act_below", k, h, np.bool_)
+            np.less(cdf, draws[:, None], out=below)
+            actions = below.sum(axis=1)
+        return np.minimum(actions, h - 1)
 
     def observe_slots(
         self, slots: np.ndarray, actions: np.ndarray, utilities: np.ndarray
@@ -427,8 +468,10 @@ class LearnerPopulation:
         k = slots.shape[0]
         h = self._h
         ws = self._scratch
-        self._stages[slots] += 1
-        eps = self._eps_for(self._stages[slots])
+        stages = self._stages[slots]
+        stages += 1
+        self._stages[slots] = stages
+        eps = self._eps_for(stages)
         normalized = np.divide(
             utilities, self._u_max, out=ws.vec("norm", k, np.float64)
         )
@@ -460,25 +503,29 @@ class LearnerPopulation:
         np.take(self._scale, slots, out=scale)
         scale *= decay
         self._scale[slots] = scale
-        row_index = ws.arange(k)
+        item = self._item
+        narrow = h < _NARROW_WIDTH
+        # Flat position of each row's played entry in a (k, H) buffer.
+        played = ws.vec("played", k, np.intp)
+        np.multiply(ws.arange(k), h, out=played)
+        played += actions
         gathered = ws.rows("gathered", k, h, self._dtype)
-        np.take(self._probs, slots, axis=0, out=gathered)
-        played_prob = gathered[row_index, actions]
+        np.take(_items(self._probs, item), slots, out=_items(gathered, item))
+        played_prob = gathered.reshape(-1)[played]
         weight = ws.vec("weight", k, np.float64)
         np.multiply(normalized, eps, out=weight)
         np.divide(weight, played_prob, out=weight)
         np.divide(weight, scale, out=weight)
         np.multiply(gathered, weight[:, None], out=gathered)
-        # Single-axis fancy indexing on a flat row view takes numpy's fast
-        # path (~25% cheaper than the equivalent 3-axis form).
-        flat_rows = self._s.reshape(self._n * h, h)
+        # Row a_i of peer i's stored block is item i*H + a_i of this view.
+        flat_rows = _items(self._s, item)
         row_idx = ws.vec("row_idx", k, np.intp)
         np.multiply(slots, h, out=row_idx)
         row_idx += actions
         acc = ws.rows("acc", k, h, self._dtype)
-        np.take(flat_rows, row_idx, axis=0, out=acc)
+        np.take(flat_rows, row_idx, out=_items(acc, item))
         acc += gathered
-        flat_rows[row_idx] = acc
+        flat_rows[row_idx] = _items(acc, item)
 
         # Regret rows for the played actions (Eq. 3-6, row j = a_i);
         # S(a_i, k) over k is the strided column _s[i, :, a_i], gathered
@@ -488,15 +535,20 @@ class LearnerPopulation:
         base = ws.vec("q_base", k, np.intp)
         np.multiply(slots, h * h, out=base)
         base += actions
-        np.add(base[:, None], self._col_offsets, out=q_idx)
+        if narrow:
+            for j in range(h):
+                np.add(base, j * h, out=q_idx[:, j])
+        else:
+            np.add(base[:, None], self._col_offsets, out=q_idx)
         q = ws.rows("q", k, h, self._dtype)
+        q_flat = q.reshape(-1)
         np.take(self._s.reshape(-1), q_idx, out=q)
-        diag = q[row_index, actions]
+        diag = q_flat[played]
         q -= diag[:, None]
         q *= scale[:, None]
         np.maximum(q, 0.0, out=q)
-        q[row_index, actions] = 0.0
-        self._last_played_regrets[slots] = q
+        q_flat[played] = 0.0
+        _items(self._last_played_regrets, item)[slots] = _items(q, item)
 
         # Probability update (Algorithm 2), fused in place:
         # min(q/mu, cap)*(1-delta) + delta/H.
@@ -504,13 +556,23 @@ class LearnerPopulation:
         np.multiply(q, (1.0 - self._delta) / self._mu, out=q)
         np.minimum(q, (1.0 - self._delta) * cap, out=q)
         q += self._delta / self._h
-        q[row_index, actions] = 0.0
-        q[row_index, actions] = 1.0 - q.sum(axis=1)
-        self._probs[slots] = q
+        q_flat[played] = 0.0
+        if narrow:
+            total = np.add(q[:, 0], q[:, 1], out=ws.vec("total", k, self._dtype))
+            for j in range(2, h):
+                total += q[:, j]
+        else:
+            total = q.sum(axis=1)
+        q_flat[played] = 1.0 - total
+        _items(self._probs, item)[slots] = _items(q, item)
         # Refresh the maintained CDF rows while q is cache-hot (q is not
-        # needed after this point, so the cumsum lands in place).
-        np.cumsum(q, axis=1, out=q)
-        self._cdf[slots] = q
+        # needed after this point, so the prefix sum lands in place).
+        if narrow:
+            for j in range(1, h):
+                q[:, j] += q[:, j - 1]
+        else:
+            np.cumsum(q, axis=1, out=q)
+        _items(self._cdf, item)[slots] = _items(q, item)
 
         # Fold nearly-underflowed scales back into the stored tensors.
         tiny = ws.vec("tiny", k, np.bool_)

@@ -10,7 +10,8 @@ random operation sequences (observes, churn resets, capacity growth)
 with shared explicit draws and demand byte equality of every state
 array.  Plus: blocking invariance (observe block boundaries must not
 leak into results) for the dense and top-k kernels, the maintained-CDF
-invariant, and the eps-table/schedule equivalence.
+invariant, the numpy summation order the dense kernel's narrow-row
+column loops rely on, and the eps-table/schedule equivalence.
 """
 
 import numpy as np
@@ -198,6 +199,11 @@ def assert_states_identical(pop, ref):
 
 
 class TestDenseKernelReference:
+    # Both sides of population._NARROW_WIDTH: column-wise row sums,
+    # prefix sums and thresholds below it, numpy's axis-1 calls from it on.
+    @pytest.mark.parametrize(
+        "width", [2, 3, 6, 7, 8, 9, 33], ids=lambda w: f"width{w}"
+    )
     @pytest.mark.parametrize(
         "dtype,make_schedule",
         [
@@ -209,10 +215,10 @@ class TestDenseKernelReference:
         ],
         ids=["constant-f64", "constant-f32", "harmonic-f64", "polynomial-f64"],
     )
-    def test_bit_identical_under_churn(self, dtype, make_schedule):
+    def test_bit_identical_under_churn(self, dtype, make_schedule, width):
         kwargs = dict(u_max=U_MAX, delta=0.1, dtype=dtype)
-        pop = LearnerPopulation(40, 6, schedule=make_schedule(), rng=0, **kwargs)
-        ref = _ReferenceLearner(40, 6, schedule=make_schedule(), **kwargs)
+        pop = LearnerPopulation(40, width, schedule=make_schedule(), rng=0, **kwargs)
+        ref = _ReferenceLearner(40, width, schedule=make_schedule(), **kwargs)
         ops = random_ops(np.random.default_rng(123), 40, 120)
         a, b = replay(pop, ops), replay(ref, ops)
         for x, y in zip(a, b):
@@ -238,8 +244,9 @@ def _patched_small_blocks(monkeypatch):
 
 
 class TestBlockingInvariance:
-    def test_dense_results_independent_of_block_boundaries(self, monkeypatch):
-        build = lambda: LearnerPopulation(90, 6, epsilon=0.05, u_max=U_MAX, rng=0)
+    @pytest.mark.parametrize("width", [6, 2], ids=lambda w: f"width{w}")
+    def test_dense_results_independent_of_block_boundaries(self, monkeypatch, width):
+        build = lambda: LearnerPopulation(90, width, epsilon=0.05, u_max=U_MAX, rng=0)
         ops = random_ops(np.random.default_rng(5), 90, 60)
         pop_default = build()
         log_default = replay(pop_default, ops)
@@ -275,11 +282,12 @@ class TestMaintainedCdfInvariant:
         assert np.array_equal(pop._cdf, np.cumsum(pop._probs, axis=1))
 
     def test_dense_cdf_tracks_probs_exactly(self):
-        pop = LearnerPopulation(40, 6, epsilon=0.05, u_max=U_MAX, rng=0)
-        rng = np.random.default_rng(21)
-        for _ in range(60):
-            replay(pop, random_ops(rng, pop.num_peers, 1))
-            self.assert_cdf_fresh(pop)
+        for width in (6, 2):  # either side of population._NARROW_WIDTH
+            pop = LearnerPopulation(40, width, epsilon=0.05, u_max=U_MAX, rng=0)
+            rng = np.random.default_rng(21)
+            for _ in range(60):
+                replay(pop, random_ops(rng, pop.num_peers, 1))
+                self.assert_cdf_fresh(pop)
 
     def test_topk_cdf_tracks_probs_exactly(self):
         pop = TopKPopulation(
@@ -289,6 +297,44 @@ class TestMaintainedCdfInvariant:
         for _ in range(60):
             replay(pop, random_ops(rng, pop._n, 1))
             self.assert_cdf_fresh(pop)
+
+
+class TestNarrowRowSums:
+    """The numpy behaviour the narrow-row column loops rely on.
+
+    Below ``_NARROW_WIDTH`` the dense kernel replaces ``q.sum(axis=1)``
+    and ``np.cumsum(q, axis=1)`` with loops over columns and promises the
+    same bytes.  A numpy release that changes its reduction order fails
+    here by name, not only as a kernel byte difference.
+    """
+
+    @staticmethod
+    def mixed_rows(rng, rows, width, dtype):
+        magnitude = 10.0 ** rng.integers(-9, 9, size=(rows, width))
+        return (rng.random((rows, width)) * magnitude).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_sums_narrow_rows_left_to_right(self, dtype):
+        rng = np.random.default_rng(31)
+        # Up to the widest observe block at width 2 (131072 rows), past
+        # numpy's 8192-element reduction buffer.
+        for rows in (1, 7, 8192, 8193, 131_072):
+            for width in range(2, population_module._NARROW_WIDTH):
+                q = self.mixed_rows(rng, rows, width, dtype)
+                total = q[:, 0] + q[:, 1]
+                for j in range(2, width):
+                    total += q[:, j]
+                assert np.array_equal(q.sum(axis=1), total), (rows, width)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_cumsum_is_the_column_prefix_sum(self, dtype):
+        rng = np.random.default_rng(32)
+        for width in range(2, population_module._NARROW_WIDTH):
+            q = self.mixed_rows(rng, 8193, width, dtype)
+            prefix = q.copy()
+            for j in range(1, width):
+                prefix[:, j] += prefix[:, j - 1]
+            assert np.array_equal(np.cumsum(q, axis=1), prefix), width
 
 
 class TestEpsTable:
