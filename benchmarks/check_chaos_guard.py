@@ -109,10 +109,10 @@ def _sweep_cmd(store_dir: str) -> list:
     return [
         sys.executable, "-m", "repro", "sweep",
         "--spec", str(SPEC_PATH),
-        "--rounds", str(RESUME_ROUNDS),
+        "--set", f"rounds={RESUME_ROUNDS}",
         "--replications", str(RESUME_CELLS),
         "--workers", "2",
-        "--max-retries", "1",
+        "--set", "execution.max_retries=1",
         "--store", store_dir,
     ]
 

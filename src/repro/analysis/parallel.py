@@ -541,7 +541,7 @@ class ParallelRunner:
             len(payloads), self._workers, self._result_handoff,
         )
         if not pooled:
-            results = [_invoke_contained(p) for p in payloads]
+            results = self._run_inline(payloads)
         else:
             ctx = multiprocessing.get_context(self._mp_context)
             with ctx.Pool(min(self._workers, len(payloads))) as pool:
@@ -598,7 +598,7 @@ class ParallelRunner:
         failures_out: Optional[list],
     ) -> List[Optional[SweepCell]]:
         """Supervised/durable fan-out behind :meth:`map_cells`."""
-        from repro.analysis.supervision import Supervisor, SweepError
+        from repro.analysis.supervision import Supervisor, SweepError, SweepFailure
         from repro.telemetry import get_telemetry
 
         tel = get_telemetry()
@@ -632,9 +632,21 @@ class ParallelRunner:
             if self._workers == 1 and not execution.supervised:
                 # Store-only single-worker runs stay inline (no process
                 # per cell) but still commit after every cell.
-                self._run_inline_with_store(
-                    to_run, results, store, spec_digest, tel
+                outcomes = self._run_inline(
+                    [(fn, params, seed, None, i) for fn, params, seed, i in to_run],
+                    store, spec_digest,
                 )
+                for (_, params, seed, index), outcome in zip(to_run, outcomes):
+                    if isinstance(outcome, _CellFailure):
+                        failures[index] = SweepFailure(
+                            cell_index=index,
+                            params=dict(params),
+                            seed=seed,
+                            spec_digest=spec_digest,
+                            traceback=outcome.formatted_traceback,
+                        )
+                    else:
+                        results[index] = dict(outcome)
             else:
                 supervisor = Supervisor(
                     workers=min(self._workers, len(to_run)),
@@ -666,20 +678,29 @@ class ParallelRunner:
                 failures_out.extend(ordered_failures)
         return cells
 
-    def _run_inline_with_store(
-        self, payloads, results, store, spec_digest, tel
-    ) -> None:
-        from repro.store import cell_digest
+    def _run_inline(self, payloads, store=None, spec_digest=None) -> list:
+        """Run :func:`_invoke` payloads in this process, in order.
 
-        commits = tel.counter("sweep.store_commits")
-        for fn, params, seed, index in payloads:
-            metrics = dict(fn(params, seed))
-            results[index] = metrics
-            if store is None:
+        Each cell yields its metrics or a :class:`_CellFailure`, so a
+        raising cell never stops its siblings — the failure contract of
+        every worker count.  With a ``store``, each completed cell is
+        committed as soon as it returns.
+        """
+        if store is not None:
+            from repro.store import cell_digest
+            from repro.telemetry import get_telemetry
+
+            commits = get_telemetry().counter("sweep.store_commits")
+        outcomes = []
+        for payload in payloads:
+            outcome = _invoke_contained(payload)
+            outcomes.append(outcome)
+            if store is None or isinstance(outcome, _CellFailure):
                 continue
+            _, params, seed, _, index = payload
             try:
                 if store.put(
-                    spec_digest, cell_digest(params, seed), metrics,
+                    spec_digest, cell_digest(params, seed), dict(outcome),
                     params=params, seed=seed,
                 ):
                     commits.inc()
@@ -687,6 +708,7 @@ class ParallelRunner:
                 logger.warning(
                     "store commit failed for cell %d: %s", index, exc
                 )
+        return outcomes
 
     def run_sweep(
         self,

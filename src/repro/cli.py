@@ -5,13 +5,17 @@ Usage::
     python -m repro figure fig1 [--seed 0]
     python -m repro figure all
     python -m repro scenario --peers 30 --helpers 5 --stages 2000 --seed 1
-    python -m repro run --backend=vectorized --peers 100000 --workers 4
+    python -m repro run --set topology.num_peers=100000 --workers 4
     python -m repro run --spec examples/smoke.json
-    python -m repro run --peers 500 --churn-rate 2 --mean-lifetime 50 --dump-spec
-    python -m repro run --spec sweep.json --workers 8 --store results/ --max-retries 2
+    python -m repro run --spec examples/smoke.json --set backend=scalar
+    python -m repro run --set topology.num_peers=500 --set churn.arrival_rate=2.0 \\
+        --set churn.mean_lifetime=50.0 --dump-spec
+    python -m repro run --spec sweep.json --workers 8 --store results/ \\
+        --set execution.max_retries=2
     python -m repro sweep --spec sweep.json --workers 8 --store results/ --resume
-    python -m repro eval --scenarios oscillating_capacity,flash_storm \\
-        --learners rths,sticky --window 25
+    python -m repro profile --spec examples/smoke.json --set rounds=40
+    python -m repro eval --set 'scenarios=["oscillating_capacity","flash_storm"]' \\
+        --set 'learners=["rths","sticky"]' --set window=25
     python -m repro eval --spec examples/eval_matrix.json --format markdown
     python -m repro store ls results/
     python -m repro store gc results/ --dry-run
@@ -27,21 +31,25 @@ server — on either the scalar (``repro.sim``) or the vectorized
 processes.  ``eval`` runs a prequential learner × scenario comparison
 matrix (see :mod:`repro.eval`) and prints the per-cell metric table.
 
-``run`` is a thin adapter over the declarative spec layer: the flags
-compile into an :class:`~repro.spec.ExperimentSpec` (printable with
-``--dump-spec``, loadable with ``--spec path.json``), component names
-resolve through the :mod:`repro.spec` registries — so plug-in learners
-and capacity backends appear automatically — and invalid specs (unknown
-names, ``--dtype float32`` with the scalar backend, ``--mean-lifetime``
-without churn) fail at parse time with the list of valid choices.  When
-``--spec`` is given, any run flag set to a non-default value overrides
-the corresponding spec field (so one spec file drives both backends:
-``--spec smoke.json --backend scalar``).
+``run``, ``sweep`` and ``profile`` build an
+:class:`~repro.spec.ExperimentSpec`, ``eval`` an
+:class:`~repro.eval.EvalSpec`, the same way: load ``--spec path.json`` (or
+start from the spec defaults), then apply every ``--set PATH=VALUE`` in
+command-line order.  PATH is a dotted key of the ``--dump-spec`` output,
+so ``--dump-spec`` lists every PATH there is.  VALUE is JSON, as in a spec
+file: ``2`` is an int and ``2.0`` a float, and the result digest sees the
+difference; a VALUE that does not parse as JSON is taken as a plain string
+(``--set backend=scalar``).  Component names resolve through the
+:mod:`repro.spec` registries, so plug-in learners and capacity backends
+are settable too, and an invalid spec (an unknown path or name, float32
+with the scalar backend, a churn lifetime without arrivals) fails before
+anything runs, with one ``repro: error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -63,6 +71,7 @@ from repro.spec import (
     ExperimentSpec,
     SweepSpec,
 )
+from repro.spec.model import apply_overrides
 from repro.telemetry import (
     merge_snapshots,
     render_snapshot,
@@ -78,40 +87,6 @@ FIGURE_DESCRIPTIONS = {
     "fig4": "per-peer bandwidth fairness",
     "fig5": "server workload vs. minimum bandwidth deficit",
 }
-
-#: run-flag dest -> ExperimentSpec override path (see --spec in the help).
-RUN_FLAG_SPEC_PATHS = {
-    "backend": "backend",
-    "rounds": "rounds",
-    "seed": "seed",
-    "peers": "topology.num_peers",
-    "helpers": "topology.num_helpers",
-    "channels": "topology.num_channels",
-    "bitrate": "topology.channel_bitrates",
-    "stay": "capacity.stay_probability",
-    "capacity_backend": "capacity.backend",
-    "learner": "learner.name",
-    "epsilon": "learner.epsilon",
-    "delta": "learner.delta",
-    "mu": "learner.mu",
-    "dtype": "learner.dtype",
-    "bank": "learner.bank",
-    "topk": "learner.topk",
-    "shards": "learner.shards",
-    "churn_rate": "churn.arrival_rate",
-    "mean_lifetime": "churn.mean_lifetime",
-    "max_retries": "execution.max_retries",
-    "cell_timeout": "execution.cell_timeout",
-    "heartbeat_interval": "execution.heartbeat_interval",
-    "on_failure": "execution.on_failure",
-}
-
-#: The flags above are registered with ``argparse.SUPPRESS`` defaults, so
-#: compile_run_spec can tell "explicitly passed" (overrides the --spec
-#: file, even when the value equals the dataclass default) from "left
-#: unset" (the file's value — or the ExperimentSpec field default —
-#: wins).  The field defaults on the spec dataclasses are the single
-#: source of run defaults.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,17 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run the full streaming system (scalar or vectorized backend)",
     )
-    _add_spec_flags(runp)
-    runp.add_argument(
-        "--dump-spec",
-        action="store_true",
-        help="print the compiled ExperimentSpec JSON and exit without running",
-    )
+    _add_spec_flags(runp, "ExperimentSpec", dump=True)
     runp.add_argument(
         "--telemetry",
         nargs="?",
-        const=None,
-        default=argparse.SUPPRESS,
+        const="",
+        default=None,
         metavar="SINK",
         help="enable instrumentation for the run and print a merged "
         "summary; the optional sink reference 'name[:arg]' over "
@@ -187,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan a spec's sweep grid across workers and print the "
         "per-cell metric table",
     )
-    _add_spec_flags(swp)
+    _add_spec_flags(swp, "ExperimentSpec")
     swp.add_argument(
-        "--replications", type=int, default=argparse.SUPPRESS,
+        "--replications", type=int, default=None,
         help="override the spec's replication count",
     )
     swp.add_argument(
@@ -203,44 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a prequential learner x scenario evaluation matrix and "
         "print the per-cell metric table",
     )
-    evalp.add_argument(
-        "--spec",
-        default=None,
-        metavar="PATH",
-        help="load the matrix from an EvalSpec JSON file; explicitly-set "
-        "eval flags override the file's fields",
-    )
-    unset = argparse.SUPPRESS  # see _compile_eval_spec
-    evalp.add_argument(
-        "--scenarios",
-        default=unset,
-        metavar="NAMES",
-        help="comma-separated registered scenarios "
-        f"({', '.join(SCENARIOS.names())})",
-    )
-    evalp.add_argument(
-        "--learners",
-        default=unset,
-        metavar="NAMES",
-        help="comma-separated registered learners "
-        f"({', '.join(LEARNERS.names())}; default rths,sticky)",
-    )
-    evalp.add_argument(
-        "--window", type=int, default=unset,
-        help="prequential window size in rounds (default 25)",
-    )
-    evalp.add_argument(
-        "--rounds", type=int, default=unset,
-        help="override every scenario's horizon",
-    )
-    evalp.add_argument(
-        "--backend", choices=["scalar", "vectorized"], default=unset,
-        help="override every scenario's system backend",
-    )
-    evalp.add_argument(
-        "--seed", type=int, default=unset,
-        help="root of the per-cell seed derivation (default 0)",
-    )
+    _add_spec_flags(evalp, "EvalSpec", dump=True)
     evalp.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the matrix cells",
@@ -256,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the rendered result to PATH instead of stdout",
-    )
-    evalp.add_argument(
-        "--dump-spec",
-        action="store_true",
-        help="print the compiled EvalSpec JSON and exit without running",
     )
     _add_store_flags(evalp)
 
@@ -301,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one spec with telemetry on and print the per-phase "
         "round-loop decomposition",
     )
-    _add_spec_flags(prof)
+    _add_spec_flags(prof, "ExperimentSpec")
     prof.add_argument(
         "--output", "-o",
         default=None,
@@ -325,118 +253,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_spec_flags(runp: argparse.ArgumentParser) -> None:
-    """Register the shared spec-compiling flags (``run`` and ``profile``).
-
-    Every flag in :data:`RUN_FLAG_SPEC_PATHS` uses an
-    ``argparse.SUPPRESS`` default so :func:`compile_run_spec` can tell
-    "explicitly passed" from "left unset".
-    """
-    runp.add_argument(
+def _add_spec_flags(
+    cmd: argparse.ArgumentParser, kind: str, dump: bool = False
+) -> None:
+    """Register ``--spec`` and ``--set`` (and ``--dump-spec`` if ``dump``)."""
+    cmd.add_argument(
         "--spec",
         default=None,
         metavar="PATH",
-        help="load the experiment from an ExperimentSpec JSON file; "
-        "explicitly-set run flags override the file's fields",
+        help=f"load the {kind} from a JSON file (default: the {kind} "
+        "defaults)",
     )
-    unset = argparse.SUPPRESS  # see RUN_FLAG_SPEC_PATHS
-    runp.add_argument(
-        "--backend",
-        choices=["scalar", "vectorized"],
-        default=unset,
-        help="peer representation: Python objects or numpy arrays "
-        "(default vectorized)",
+    cmd.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
+        help="override one spec field (repeatable, applied in order): PATH "
+        f"is a dotted key of the {kind} JSON that --dump-spec prints, VALUE "
+        "is JSON (2 is an int, 2.0 a float) or else a plain string",
     )
-    runp.add_argument(
-        "--capacity-backend",
-        default=unset,
-        help="helper-bandwidth environment: 'auto' (match --backend, the "
-        "default) or a registered capacity backend "
-        f"({', '.join(CAPACITY_BACKENDS.names())})",
-    )
-    runp.add_argument(
-        "--dtype",
-        choices=["float32", "float64"],
-        default=unset,
-        help="learner-bank and peer-store precision (float32 halves the "
-        "regret update's memory traffic; vectorized backend only; "
-        "default float64)",
-    )
-    runp.add_argument(
-        "--bank",
-        choices=["dense", "topk"],
-        default=unset,
-        help="regret-bank storage family: the full per-peer regret tensor "
-        "or sparse top-k blocks (vectorized regret learners only; the "
-        "memory unlock for --helpers >> 1000; default dense)",
-    )
-    runp.add_argument(
-        "--topk",
-        type=int,
-        default=unset,
-        help="tracked helper arms per peer for --bank topk "
-        "(clamped to the channel helper count; default 32)",
-    )
-    runp.add_argument(
-        "--shards",
-        type=int,
-        default=unset,
-        help="partition the learner banks across N worker processes "
-        "(vectorized backend, N <= channels); traces are "
-        "bit-identical to --shards 1, so this is a pure speed knob "
-        "on multi-core hosts (default 1)",
-    )
-    runp.add_argument("--peers", type=int, default=unset)
-    runp.add_argument("--helpers", type=int, default=unset)
-    runp.add_argument("--channels", type=int, default=unset)
-    runp.add_argument("--rounds", type=int, default=unset)
-    runp.add_argument("--bitrate", type=float, default=unset)
-    runp.add_argument(
-        "--learner",
-        default=unset,
-        help="registered learner family "
-        f"({', '.join(LEARNERS.names())}; default r2hs)",
-    )
-    runp.add_argument("--epsilon", type=float, default=unset)
-    runp.add_argument("--delta", type=float, default=unset)
-    runp.add_argument("--mu", type=float, default=unset)
-    runp.add_argument("--stay", type=float, default=unset)
-    runp.add_argument(
-        "--churn-rate", type=float, default=unset,
-        help="Poisson arrival rate (0 disables churn)",
-    )
-    runp.add_argument(
-        "--mean-lifetime", type=float, default=unset,
-        help="mean exponential peer lifetime (requires churn arrivals)",
-    )
-    runp.add_argument("--seed", type=int, default=unset)
-    runp.add_argument(
-        "--max-retries", type=int, default=unset,
-        help="re-dispatch a sweep cell up to this many times after a "
-        "worker crash, timeout, or hang (retried cells are bit-identical "
-        "to first-try; default 0)",
-    )
-    runp.add_argument(
-        "--cell-timeout", type=float, default=unset,
-        help="wall-clock budget in seconds per sweep-cell attempt "
-        "(default: unlimited)",
-    )
-    runp.add_argument(
-        "--heartbeat-interval", type=float, default=unset,
-        help="worker heartbeat period in seconds; a worker silent for "
-        "~4 intervals is presumed frozen and its cell retried "
-        "(default 0 = off)",
-    )
-    runp.add_argument(
-        "--on-failure", choices=["raise", "record"], default=unset,
-        help="when a cell fails beyond its retries: abort the sweep "
-        "('raise', the default) or complete around the hole and report "
-        "the failure ('record')",
-    )
+    if dump:
+        cmd.add_argument(
+            "--dump-spec",
+            action="store_true",
+            help=f"print the compiled {kind} JSON and exit without running",
+        )
 
 
 def _add_store_flags(runp: argparse.ArgumentParser) -> None:
-    """Register the results-store flags (``run`` and ``sweep``)."""
+    """Register the results-store flags (``run``, ``sweep`` and ``eval``)."""
     runp.add_argument(
         "--store",
         default=None,
@@ -453,45 +299,33 @@ def _add_store_flags(runp: argparse.ArgumentParser) -> None:
     )
 
 
-def compile_run_spec(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> ExperimentSpec:
-    """Compile ``run`` flags (and an optional ``--spec`` file) into a spec.
+def compile_spec(parser: argparse.ArgumentParser, args, spec_cls, **defaults):
+    """Load ``--spec`` (else ``spec_cls(**defaults)``) and apply ``--set``.
 
-    All spec validation — unknown registry names, illegal
-    ``--dtype``/``--backend`` combinations, malformed JSON — happens
-    here, immediately after parsing, and reports through
-    ``parser.error`` (clear message, exit code 2) instead of surfacing
-    deep inside system construction.
+    Every ``--set PATH=VALUE`` item is applied in command-line order, so a
+    repeated PATH takes its last VALUE.  All spec validation — unknown
+    paths or registry names, illegal combinations, malformed JSON —
+    happens here, immediately after parsing, and reports through
+    ``parser.error`` (one line, exit code 2) instead of surfacing deep
+    inside system construction.
     """
-    # SUPPRESS defaults: a flag attribute exists iff the user passed it.
-    provided = {
-        flag for flag in RUN_FLAG_SPEC_PATHS if hasattr(args, flag)
-    }
+    overrides = {}
+    for item in args.set:
+        path, sep, text = item.partition("=")
+        if not sep or not path:
+            parser.error(f"--set expects PATH=VALUE, got {item!r}")
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        overrides.pop(path, None)  # a repeated path applies at its last place
+        overrides[path] = value
     try:
-        if args.spec is not None:
-            spec = ExperimentSpec.load(args.spec)
-        else:
-            spec = ExperimentSpec(name="cli-run")
-        overrides = {
-            RUN_FLAG_SPEC_PATHS[flag]: getattr(args, flag)
-            for flag in provided
-        }
+        spec = spec_cls(**defaults) if args.spec is None else spec_cls.load(args.spec)
         if overrides:
-            spec = spec.with_overrides(overrides)
+            spec = spec_cls.from_dict(apply_overrides(spec.to_dict(), overrides))
     except (OSError, ValueError, KeyError) as exc:
         parser.error(str(exc))
-    if (
-        spec.churn.mean_lifetime is not None
-        and spec.churn.arrival_rate <= 0
-        and not spec.churn.initial_peer_lifetimes
-    ):
-        # Checked on the *compiled* spec so a churn-enabling --spec file
-        # legitimizes --mean-lifetime.
-        parser.error(
-            "churn mean_lifetime requires arrival_rate > 0 "
-            "(--churn-rate) or initial_peer_lifetimes"
-        )
     return spec
 
 
@@ -525,9 +359,9 @@ def _run_system(parser, args, out) -> None:
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     store = _open_store(parser, args)
-    spec = compile_run_spec(parser, args)
-    if hasattr(args, "telemetry"):
-        sinks = [] if args.telemetry is None else [args.telemetry]
+    spec = compile_spec(parser, args, ExperimentSpec, name="cli-run")
+    if args.telemetry is not None:
+        sinks = [args.telemetry] if args.telemetry else []
         try:
             spec = spec.with_overrides(
                 {"telemetry.enabled": True, "telemetry.sinks": sinks}
@@ -610,9 +444,9 @@ def _run_sweep_cmd(parser, args, out) -> int:
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     store = _open_store(parser, args)
-    spec = compile_run_spec(parser, args)
+    spec = compile_spec(parser, args, ExperimentSpec, name="cli-run")
     sweep = spec.sweep_spec
-    if hasattr(args, "replications"):
+    if args.replications is not None:
         if args.replications < 1:
             parser.error("--replications must be >= 1")
         sweep = SweepSpec(
@@ -641,59 +475,21 @@ def _run_sweep_cmd(parser, args, out) -> int:
     return 0
 
 
-#: eval-flag dest -> EvalSpec field (all SUPPRESS defaults, like the run
-#: flags: present on the namespace iff the user passed them).
-EVAL_FLAG_FIELDS = ("scenarios", "learners", "window", "rounds", "backend", "seed")
-
-
-def _compile_eval_spec(parser, args):
-    """Compile ``eval`` flags (and an optional ``--spec`` file) into an EvalSpec.
-
-    The comma-separated ``--scenarios``/``--learners`` lists become
-    tuples; every other flag overrides the corresponding field.  All
-    validation (unknown registry names, bad window) reports through
-    ``parser.error``.
-    """
-    import dataclasses
-
-    from repro.eval import EvalSpec
-
-    overrides = {
-        name: getattr(args, name)
-        for name in EVAL_FLAG_FIELDS
-        if hasattr(args, name)
-    }
-    for name in ("scenarios", "learners"):
-        if name in overrides:
-            overrides[name] = tuple(
-                item.strip()
-                for item in overrides[name].split(",")
-                if item.strip()
-            )
-    try:
-        spec = EvalSpec.load(args.spec) if args.spec is not None else EvalSpec()
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
-    except (OSError, ValueError, KeyError) as exc:
-        parser.error(str(exc))
-    return spec
-
-
 def _run_eval(parser, args, out) -> int:
     """``repro eval``: run the matrix, print/write the metric table."""
-    from repro.eval import Evaluator
+    from repro.eval import EvalSpec, Evaluator
 
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     store = _open_store(parser, args)
-    spec = _compile_eval_spec(parser, args)
+    spec = compile_spec(parser, args, EvalSpec)
     if args.dump_spec:
         print(spec.to_json(), file=out)
         return 0
     if not spec.scenarios or not spec.learners:
         parser.error(
-            "nothing to evaluate: pass --scenarios (and --learners) or "
-            "give --spec a file naming them"
+            "nothing to evaluate: give --spec a file naming scenarios and "
+            "learners, or --set 'scenarios=[\"NAME\", ...]'"
         )
     try:
         result = Evaluator(workers=args.workers).run(spec, store=store)
@@ -787,7 +583,7 @@ def _run_profile(parser, args, out) -> None:
         parser.error("--flush-interval must be >= 0")
     if args.sample_period < 0:
         parser.error("--sample-period must be >= 0")
-    spec = compile_run_spec(parser, args)
+    spec = compile_spec(parser, args, ExperimentSpec, name="cli-run")
     sinks = [] if args.output is None else [f"jsonl:{args.output}"]
     try:
         spec = spec.with_overrides(

@@ -43,7 +43,11 @@ from repro.spec.registry import (
 from repro.telemetry import parse_sink_reference
 from repro.telemetry import session as telemetry_session
 from repro.util.rng import Seedish, as_generator, spawn
-from repro.util.validation import require_non_negative_int
+from repro.util.validation import (
+    require_bool,
+    require_non_negative_int,
+    require_positive_int,
+)
 
 #: System backends a spec can target.
 SYSTEM_BACKENDS = ("scalar", "vectorized")
@@ -78,6 +82,42 @@ def _build(section: str, make, value):
         return make(value)
     except TypeError as exc:
         raise ValueError(f"spec {section}: wrong-typed value ({exc})") from exc
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` proper (``True`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def apply_overrides(
+    data: Dict[str, Any], overrides: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """Replace dotted-path fields of a spec's ``to_dict()`` form in place.
+
+    Paths such as ``"learner.epsilon"`` or ``"backend"`` address the
+    nested keys of ``data``, in the order given; an unknown path raises
+    with the valid keys at the failing level.  Returns ``data``.
+    """
+    for path, value in overrides.items():
+        node: Dict[str, Any] = data
+        parts = str(path).split(".")
+        for i, part in enumerate(parts[:-1]):
+            child = node.get(part)
+            if not isinstance(child, dict):
+                raise ValueError(
+                    f"unknown override path {path!r}: {'.'.join(parts[: i + 1])!r} "
+                    f"is not a spec section; sections here: "
+                    f"{sorted(k for k, v in node.items() if isinstance(v, dict))}"
+                )
+            node = child
+        leaf = parts[-1]
+        if leaf not in node:
+            raise ValueError(
+                f"unknown override path {path!r}; valid keys here: "
+                f"{sorted(node)}"
+            )
+        node[leaf] = value
+    return data
 
 
 def _opt_tuple(value) -> Optional[Tuple]:
@@ -122,10 +162,9 @@ class TopologySpec:
         # Mirror SystemConfig's construction-time checks so malformed
         # specs fail here (where the CLI reports cleanly) instead of deep
         # inside build().
-        if self.num_peers < 1:
-            raise ValueError("topology num_peers must be >= 1")
-        if self.num_channels < 1:
-            raise ValueError("topology num_channels must be >= 1")
+        for name in ("num_peers", "num_helpers", "num_channels"):
+            count = require_positive_int(getattr(self, name), f"topology {name}")
+            object.__setattr__(self, name, count)
         if self.num_helpers < self.num_channels:
             raise ValueError(
                 "topology needs at least one helper per channel "
@@ -292,6 +331,11 @@ class NetworkSpec:
             )
         object.__setattr__(
             self, "helper_regions", _opt_tuple(self.helper_regions)
+        )
+        object.__setattr__(
+            self,
+            "viewer_region",
+            require_non_negative_int(self.viewer_region, "network viewer_region"),
         )
         if not isinstance(self.helper_classes, Mapping) or any(
             not isinstance(key, str) for key in self.helper_classes
@@ -473,11 +517,11 @@ class LearnerSpec:
             raise ValueError(
                 f"engine must be one of {SPEC_ENGINES}, got {self.engine!r}"
             )
-        if not isinstance(self.topk, int) or self.topk < 2:
+        if not _is_int(self.topk) or self.topk < 2:
             raise ValueError(
                 f"topk must be an integer >= 2, got {self.topk!r}"
             )
-        if not isinstance(self.shards, int) or self.shards < 1:
+        if not _is_int(self.shards) or self.shards < 1:
             raise ValueError(
                 f"shards must be an integer >= 1, got {self.shards!r}"
             )
@@ -502,10 +546,22 @@ class ChurnSpec:
     initial_peer_lifetimes: bool = False
 
     def __post_init__(self) -> None:
+        require_bool(self.initial_peer_lifetimes, "churn initial_peer_lifetimes")
         if self.arrival_rate < 0:
             raise ValueError("churn arrival_rate must be >= 0")
         if self.mean_lifetime is not None and self.mean_lifetime <= 0:
             raise ValueError("churn mean_lifetime must be positive or None")
+        # Lifetimes are drawn for arrivals (and, optionally, the initial
+        # population); with neither, mean_lifetime would be inert.
+        if (
+            self.mean_lifetime is not None
+            and self.arrival_rate <= 0
+            and not self.initial_peer_lifetimes
+        ):
+            raise ValueError(
+                "churn mean_lifetime requires arrival_rate > 0 or "
+                "initial_peer_lifetimes"
+            )
 
     def to_config(self) -> ChurnConfig:
         return ChurnConfig(
@@ -536,6 +592,7 @@ class MetricsSpec:
     record_peers: bool = False
 
     def __post_init__(self) -> None:
+        require_bool(self.record_peers, "metrics record_peers")
         object.__setattr__(self, "metrics", tuple(self.metrics))
         for name in self.metrics:
             METRICS.get(name)  # raises with the menu
@@ -572,18 +629,19 @@ class TelemetrySpec:
     sample_period: int = 0
 
     def __post_init__(self) -> None:
+        require_bool(self.enabled, "telemetry enabled")
         object.__setattr__(
             self, "sinks", tuple(str(ref) for ref in self.sinks)
         )
         for ref in self.sinks:
             parse_sink_reference(ref)  # raises with the registered menu
-        if not isinstance(self.flush_interval, int) or self.flush_interval < 0:
+        if not _is_int(self.flush_interval) or self.flush_interval < 0:
             raise ValueError(
                 "telemetry flush_interval must be an integer >= 0 "
                 f"(rounds between flushes; 0 = final only), got "
                 f"{self.flush_interval!r}"
             )
-        if not isinstance(self.sample_period, int) or self.sample_period < 0:
+        if not _is_int(self.sample_period) or self.sample_period < 0:
             raise ValueError(
                 "telemetry sample_period must be an integer >= 0 "
                 f"(rounds between resource samples; 0 = off), got "
@@ -659,7 +717,7 @@ class ExecutionSpec:
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ValueError(
                 "execution max_retries must be an integer >= 0, got "
                 f"{self.max_retries!r}"
@@ -748,8 +806,11 @@ class SweepSpec:
                     f"got {values!r}"
                 ) from None
         object.__setattr__(self, "grid", grid)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        object.__setattr__(
+            self,
+            "replications",
+            require_positive_int(self.replications, "sweep replications"),
+        )
         for name, values in self.grid.items():
             if not values:
                 raise ValueError(f"sweep grid entry {name!r} must not be empty")
@@ -827,12 +888,13 @@ class ExperimentSpec:
         object.__setattr__(
             self, "seed", require_non_negative_int(self.seed, "seed")
         )
+        object.__setattr__(
+            self, "rounds", require_positive_int(self.rounds, "rounds")
+        )
         if self.backend not in SYSTEM_BACKENDS:
             raise ValueError(
                 f"backend must be one of {SYSTEM_BACKENDS}, got {self.backend!r}"
             )
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
         if self.learner.dtype == "float32" and self.backend == "scalar":
             raise ValueError(
                 "dtype float32 requires the vectorized backend "
@@ -1013,31 +1075,10 @@ class ExperimentSpec:
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ExperimentSpec":
         """A new spec with dotted-path fields replaced.
 
-        ``{"learner.epsilon": 0.1, "backend": "scalar"}`` — paths address
-        :meth:`to_dict` keys; unknown paths raise with the valid keys at
-        the failing level.
+        ``{"learner.epsilon": 0.1, "backend": "scalar"}`` — see
+        :func:`apply_overrides`.
         """
-        data = self.to_dict()
-        for path, value in overrides.items():
-            node: Dict[str, Any] = data
-            parts = str(path).split(".")
-            for i, part in enumerate(parts[:-1]):
-                child = node.get(part)
-                if not isinstance(child, dict):
-                    raise ValueError(
-                        f"unknown override path {path!r}: {'.'.join(parts[: i + 1])!r} "
-                        f"is not a spec section; sections here: "
-                        f"{sorted(k for k, v in node.items() if isinstance(v, dict))}"
-                    )
-                node = child
-            leaf = parts[-1]
-            if leaf not in node:
-                raise ValueError(
-                    f"unknown override path {path!r}; valid keys here: "
-                    f"{sorted(node)}"
-                )
-            node[leaf] = value
-        return ExperimentSpec.from_dict(data)
+        return ExperimentSpec.from_dict(apply_overrides(self.to_dict(), overrides))
 
     # ------------------------------------------------------------------
     # Building

@@ -49,6 +49,16 @@ def require_non_negative_int(value: int, name: str) -> int:
     return int(value)
 
 
+def require_bool(value: bool, name: str) -> bool:
+    """Return ``value`` if a ``bool``, else raise ``TypeError``.
+
+    Truthiness is not enough: the string ``"false"`` is truthy.
+    """
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
 def require_in_closed_unit_interval(value: float, name: str) -> float:
     """Return ``value`` if in ``[0, 1]``, else raise ``ValueError``."""
     if not np.isfinite(value) or value < 0 or value > 1:

@@ -111,11 +111,11 @@ class TestCLIRunCommand:
         code = main(
             [
                 "run",
-                "--backend", "vectorized",
-                "--peers", "50",
-                "--helpers", "5",
-                "--rounds", "30",
-                "--seed", "3",
+                "--set", "backend=vectorized",
+                "--set", "topology.num_peers=50",
+                "--set", "topology.num_helpers=5",
+                "--set", "rounds=30",
+                "--set", "seed=3",
             ],
             out=out,
         )
@@ -129,11 +129,11 @@ class TestCLIRunCommand:
         code = main(
             [
                 "run",
-                "--backend", "scalar",
-                "--learner", "uniform",
-                "--peers", "20",
-                "--helpers", "4",
-                "--rounds", "10",
+                "--set", "backend=scalar",
+                "--set", "learner.name=uniform",
+                "--set", "topology.num_peers=20",
+                "--set", "topology.num_helpers=4",
+                "--set", "rounds=10",
             ],
             out=out,
         )
@@ -145,9 +145,9 @@ class TestCLIRunCommand:
         code = main(
             [
                 "run",
-                "--peers", "20",
-                "--helpers", "4",
-                "--rounds", "10",
+                "--set", "topology.num_peers=20",
+                "--set", "topology.num_helpers=4",
+                "--set", "rounds=10",
                 "--replications", "3",
                 "--workers", "1",
             ],
@@ -165,11 +165,11 @@ class TestCLIRunCommand:
             main(
                 [
                     "run",
-                    "--backend", backend,
-                    "--learner", "uniform",
-                    "--peers", "30",
-                    "--helpers", "3",
-                    "--rounds", "5",
+                    "--set", f"backend={backend}",
+                    "--set", "learner.name=uniform",
+                    "--set", "topology.num_peers=30",
+                    "--set", "topology.num_helpers=3",
+                    "--set", "rounds=5",
                 ],
                 out=out,
             )
@@ -179,7 +179,7 @@ class TestCLIRunCommand:
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
-            main(["run", "--backend", "gpu"])
+            main(["run", "--set", "backend=gpu"])
 
 
 class TestCLIFigureCommand:

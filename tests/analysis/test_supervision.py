@@ -49,6 +49,12 @@ def error_cell(params, seed):
     return rng_cell(params, seed)
 
 
+def zero_division_cell(params, seed):
+    if params["replication"] == 1:
+        return {"draw": 1 / 0}
+    return rng_cell(params, seed)
+
+
 def stop_self_cell(params, seed):
     """Freeze the whole worker (heartbeat thread included) once."""
     if params["replication"] == 1:
@@ -320,6 +326,28 @@ class TestStoreResume:
         assert len(store) == 3
         clean = ParallelRunner(workers=1).map_cells(rng_cell, _sets(3), rng=7)
         assert [c.metrics for c in first] == [c.metrics for c in clean]
+
+    def test_single_worker_store_contains_a_failing_cell(self, tmp_path):
+        """A store changes nothing about containment: one worker runs every
+        cell and raises one SweepError naming the failed cell, and its
+        siblings are committed."""
+        store = ResultsStore(tmp_path / "store")
+        runner = ParallelRunner(workers=1)
+        with pytest.raises(SweepError) as excinfo:
+            runner.map_cells(
+                zero_division_cell, _sets(3), rng=7,
+                store=store, spec_digest="0123",
+            )
+        assert excinfo.value.failure.cell_index == 1
+        assert "ZeroDivisionError" in excinfo.value.failure.traceback
+        assert len(store) == 2
+        from repro.util.rng import as_generator, derive_seed
+
+        parent = as_generator(7)
+        seeds = [derive_seed(parent) for _ in range(3)]
+        for index in (0, 2):
+            cached = store.get("0123", cell_digest(_sets(3)[index], seeds[index]))
+            assert cached == rng_cell(_sets(3)[index], seeds[index])
 
     def test_corrupt_entry_recomputed_not_served(self, tmp_path):
         from repro.analysis.chaos import corrupt_array_payload

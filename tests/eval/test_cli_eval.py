@@ -39,12 +39,12 @@ class TestDumpSpec:
         code = main(
             [
                 "eval",
-                "--scenarios", "oscillating_capacity,flash_crowd",
-                "--learners", "rths",
-                "--window", "10",
-                "--rounds", "50",
-                "--backend", "scalar",
-                "--seed", "3",
+                "--set", 'scenarios=["oscillating_capacity", "flash_crowd"]',
+                "--set", 'learners=["rths"]',
+                "--set", "window=10",
+                "--set", "rounds=50",
+                "--set", "backend=scalar",
+                "--set", "seed=3",
                 "--dump-spec",
             ],
             out=out,
@@ -61,7 +61,8 @@ class TestDumpSpec:
     def test_flags_override_spec_file(self, spec_path):
         out = io.StringIO()
         code = main(
-            ["eval", "--spec", spec_path, "--learners", "sticky", "--dump-spec"],
+            ["eval", "--spec", spec_path, "--set", 'learners=["sticky"]',
+             "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -127,12 +128,12 @@ class TestRun:
 class TestValidation:
     def test_unknown_learner_exits_2(self, spec_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["eval", "--spec", spec_path, "--learners", "nope"])
+            main(["eval", "--spec", spec_path, "--set", 'learners=["nope"]'])
         assert excinfo.value.code == 2
 
     def test_empty_matrix_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["eval", "--learners", "rths"])
+            main(["eval", "--set", 'learners=["rths"]'])
         assert excinfo.value.code == 2
 
     def test_resume_without_existing_store_exits_2(self, spec_path, tmp_path):

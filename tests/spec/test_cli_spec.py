@@ -1,4 +1,4 @@
-"""CLI integration for the spec layer: --spec, --dump-spec, parse-time errors."""
+"""CLI integration for the spec layer: --spec, --set, --dump-spec, parse-time errors."""
 
 import io
 import json
@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.eval import EvalSpec
 from repro.spec import ExperimentSpec
 
 
@@ -27,8 +28,9 @@ class TestDumpSpec:
     def test_dump_spec_prints_roundtrippable_json(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "40", "--helpers", "4", "--rounds", "9",
-             "--learner", "rths", "--dump-spec"],
+            ["run", "--set", "topology.num_peers=40",
+             "--set", "topology.num_helpers=4", "--set", "rounds=9",
+             "--set", "learner.name=rths", "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -39,7 +41,11 @@ class TestDumpSpec:
 
     def test_dump_spec_does_not_run(self):
         out = io.StringIO()
-        main(["run", "--peers", "10", "--helpers", "3", "--dump-spec"], out=out)
+        main(
+            ["run", "--set", "topology.num_peers=10",
+             "--set", "topology.num_helpers=3", "--dump-spec"],
+            out=out,
+        )
         assert "mean_welfare" not in out.getvalue()
 
 
@@ -58,8 +64,8 @@ class TestRunFromSpecFile:
         path = write_spec(tmp_path)
         out = io.StringIO()
         code = main(
-            ["run", "--spec", str(path), "--backend", "scalar",
-             "--learner", "uniform", "--dump-spec"],
+            ["run", "--spec", str(path), "--set", "backend=scalar",
+             "--set", "learner.name=uniform", "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -69,14 +75,14 @@ class TestRunFromSpecFile:
         assert spec.topology.num_peers == 30  # untouched file field survives
 
     def test_explicit_flag_equal_to_default_still_overrides(self, tmp_path):
-        """--backend vectorized IS the argparse default, but passing it
+        """backend=vectorized IS the spec default, but setting it
         explicitly must still override a scalar-backend spec file (the
         float32 combination below is only legal after the override)."""
         path = write_spec(tmp_path, backend="scalar")
         out = io.StringIO()
         code = main(
-            ["run", "--spec", str(path), "--backend", "vectorized",
-             "--dtype", "float32", "--dump-spec"],
+            ["run", "--spec", str(path), "--set", "backend=vectorized",
+             "--set", "learner.dtype=float32", "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -90,7 +96,7 @@ class TestRunFromSpecFile:
         )
         out = io.StringIO()
         code = main(
-            ["run", "--spec", str(path), "--mean-lifetime", "40",
+            ["run", "--spec", str(path), "--set", "churn.mean_lifetime=40.0",
              "--dump-spec"],
             out=out,
         )
@@ -104,7 +110,8 @@ class TestRunFromSpecFile:
         for backend in ("scalar", "vectorized"):
             out = io.StringIO()
             code = main(
-                ["run", "--spec", str(path), "--backend", backend], out=out
+                ["run", "--spec", str(path), "--set", f"backend={backend}"],
+                out=out,
             )
             assert code == 0
             assert f"backend={backend}" in out.getvalue()
@@ -156,7 +163,8 @@ class TestParseTimeValidation:
     def test_float32_with_scalar_backend_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
-                ["run", "--backend", "scalar", "--dtype", "float32"],
+                ["run", "--set", "backend=scalar",
+                 "--set", "learner.dtype=float32"],
                 out=io.StringIO(),
             )
         assert excinfo.value.code == 2
@@ -164,27 +172,31 @@ class TestParseTimeValidation:
 
     def test_unknown_learner_rejected_with_menu(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--learner", "quantum"], out=io.StringIO())
+            main(["run", "--set", "learner.name=quantum"], out=io.StringIO())
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "quantum" in err and "r2hs" in err
 
     def test_unknown_capacity_backend_rejected_with_menu(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--capacity-backend", "warp"], out=io.StringIO())
+            main(["run", "--set", "capacity.backend=warp"], out=io.StringIO())
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "warp" in err and "vectorized" in err
 
     def test_invalid_topology_fails_cleanly_not_deep(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--peers", "0"], out=io.StringIO())
+            main(["run", "--set", "topology.num_peers=0"], out=io.StringIO())
         assert excinfo.value.code == 2
         assert "num_peers" in capsys.readouterr().err
 
     def test_too_few_helpers_for_regret_learner_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--helpers", "2", "--channels", "2"], out=io.StringIO())
+            main(
+                ["run", "--set", "topology.num_helpers=2",
+                 "--set", "topology.num_channels=2"],
+                out=io.StringIO(),
+            )
         assert excinfo.value.code == 2
         assert "helper" in capsys.readouterr().err
 
@@ -196,22 +208,97 @@ class TestParseTimeValidation:
 
     def test_negative_churn_rate_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--churn-rate", "-1"], out=io.StringIO())
+            main(["run", "--set", "churn.arrival_rate=-1"], out=io.StringIO())
         assert excinfo.value.code == 2
         assert "arrival_rate" in capsys.readouterr().err
 
     def test_mean_lifetime_without_churn_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--mean-lifetime", "20"], out=io.StringIO())
+            main(["run", "--set", "churn.mean_lifetime=20"], out=io.StringIO())
         assert excinfo.value.code == 2
-        assert "--churn-rate" in capsys.readouterr().err
+        assert "arrival_rate" in capsys.readouterr().err
 
     def test_valid_combination_parses(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["run", "--backend", "vectorized", "--dtype", "float32"]
+            ["run", "--set", "backend=vectorized",
+             "--set", "learner.dtype=float32"]
         )
-        assert args.dtype == "float32"
+        assert args.set == ["backend=vectorized", "learner.dtype=float32"]
+
+
+def leaf_paths(data, prefix=""):
+    """``(dotted path, value)`` for every non-section key of a spec dict."""
+    for key, value in data.items():
+        if isinstance(value, dict) and value:
+            yield from leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAVES = [
+    ("run", path, value)
+    for path, value in leaf_paths(ExperimentSpec(name="cli-run").to_dict())
+] + [("eval", path, value) for path, value in leaf_paths(EvalSpec().to_dict())]
+
+
+def dump(*argv):
+    out = io.StringIO()
+    assert main([*argv, "--dump-spec"], out=out) == 0
+    return out.getvalue()
+
+
+class TestSetOverrides:
+    @pytest.mark.parametrize("command, path, value", LEAVES)
+    def test_set_reaches_every_spec_path(self, command, path, value):
+        assert dump(command, "--set", f"{path}={json.dumps(value)}") == dump(
+            command
+        )
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("item", ["foo=1", "topology.num_peer=5", "rounds"])
+    def test_bad_item_is_one_cli_error(self, command, item, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--set", item, "--dump-spec"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro: error: ")
+
+    def test_later_item_for_a_path_wins(self):
+        data = json.loads(dump("run", "--set", "rounds=5", "--set", "rounds=9"))
+        assert data["rounds"] == 9
+        data = json.loads(
+            dump(
+                "run", "--set", "topology.num_peers=3",
+                "--set", 'topology={"num_peers": 5, "num_helpers": 4}',
+                "--set", "topology.num_peers=7",
+            )
+        )
+        assert data["topology"]["num_peers"] == 7
+        assert data["topology"]["num_helpers"] == 4
+
+    def test_value_is_json_else_a_string(self):
+        data = json.loads(
+            dump(
+                "run", "--set", "learner.epsilon=1", "--set", "learner.delta=0.2",
+                "--set", "backend=scalar", "--set", "name=\"7\"",
+                "--set", 'metrics.metrics=["mean_welfare"]',
+            )
+        )
+        assert data["learner"]["epsilon"] == 1
+        assert type(data["learner"]["epsilon"]) is int
+        assert data["learner"]["delta"] == 0.2
+        assert data["backend"] == "scalar"
+        assert data["name"] == "7"
+        assert data["metrics"]["metrics"] == ["mean_welfare"]
+
+    def test_int_and_float_values_key_different_results(self):
+        as_int = ExperimentSpec.from_json(dump("run", "--set", "learner.epsilon=1"))
+        as_float = ExperimentSpec.from_json(
+            dump("run", "--set", "learner.epsilon=1.0")
+        )
+        assert as_int.result_digest() != as_float.result_digest()
 
 
 class TestListCommand:
@@ -228,8 +315,9 @@ class TestTopKFlags:
     def test_dump_spec_emits_bank_and_topk_fields(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "50", "--helpers", "40", "--bank", "topk",
-             "--topk", "8", "--dump-spec"],
+            ["run", "--set", "topology.num_peers=50",
+             "--set", "topology.num_helpers=40", "--set", "learner.bank=topk",
+             "--set", "learner.topk=8", "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -242,7 +330,8 @@ class TestTopKFlags:
         same text — bank/topk included."""
         out = io.StringIO()
         code = main(
-            ["run", "--bank", "topk", "--topk", "64", "--dump-spec"],
+            ["run", "--set", "learner.bank=topk", "--set", "learner.topk=64",
+             "--dump-spec"],
             out=out,
         )
         assert code == 0
@@ -260,8 +349,9 @@ class TestTopKFlags:
     def test_topk_run_executes(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "40", "--helpers", "30", "--rounds", "5",
-             "--bank", "topk", "--topk", "4"],
+            ["run", "--set", "topology.num_peers=40",
+             "--set", "topology.num_helpers=30", "--set", "rounds=5",
+             "--set", "learner.bank=topk", "--set", "learner.topk=4"],
             out=out,
         )
         assert code == 0
@@ -269,13 +359,13 @@ class TestTopKFlags:
 
     def test_topk_with_scalar_backend_fails_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--backend", "scalar", "--bank", "topk"])
+            main(["run", "--set", "backend=scalar", "--set", "learner.bank=topk"])
         assert excinfo.value.code == 2
         assert "vectorized" in capsys.readouterr().err
 
     def test_topk_with_baseline_learner_fails_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--learner", "sticky", "--bank", "topk"])
+            main(["run", "--set", "learner.name=sticky", "--set", "learner.bank=topk"])
         assert excinfo.value.code == 2
         assert "sparse" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""CLI integration for fault tolerance: execution flags, --store/--resume,
+"""CLI integration for fault tolerance: execution overrides, --store/--resume,
 the sweep subcommand, structured failure reporting, and `repro store`."""
 
 import io
@@ -37,9 +37,12 @@ class TestExecutionFlags:
     def test_flags_compile_into_execution_section(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "10", "--helpers", "3",
-             "--max-retries", "2", "--cell-timeout", "30",
-             "--heartbeat-interval", "0.5", "--on-failure", "record",
+            ["run", "--set", "topology.num_peers=10",
+             "--set", "topology.num_helpers=3",
+             "--set", "execution.max_retries=2",
+             "--set", "execution.cell_timeout=30.0",
+             "--set", "execution.heartbeat_interval=0.5",
+             "--set", "execution.on_failure=record",
              "--dump-spec"],
             out=out,
         )
@@ -53,7 +56,11 @@ class TestExecutionFlags:
 
     def test_flags_absent_leave_defaults(self):
         out = io.StringIO()
-        main(["run", "--peers", "10", "--helpers", "3", "--dump-spec"], out=out)
+        main(
+            ["run", "--set", "topology.num_peers=10",
+             "--set", "topology.num_helpers=3", "--dump-spec"],
+            out=out,
+        )
         spec = ExperimentSpec.from_json(out.getvalue())
         assert spec.execution.max_retries == 0
         assert not spec.execution.supervised
@@ -61,8 +68,9 @@ class TestExecutionFlags:
     def test_bad_on_failure_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             main(
-                ["run", "--peers", "10", "--helpers", "3",
-                 "--on-failure", "explode"],
+                ["run", "--set", "topology.num_peers=10",
+                 "--set", "topology.num_helpers=3",
+                 "--set", "execution.on_failure=explode"],
                 out=io.StringIO(),
             )
         assert excinfo.value.code == 2
@@ -190,7 +198,8 @@ class TestSweepFailureReporting:
         path = bad_grid_spec(tmp_path)
         out = io.StringIO()
         code = main(
-            ["sweep", "--spec", str(path), "--on-failure", "record"], out=out
+            ["sweep", "--spec", str(path), "--set", "execution.on_failure=record"],
+            out=out,
         )
         assert code == 0
         text = out.getvalue()
@@ -203,7 +212,7 @@ class TestSweepFailureReporting:
             tmp_path, sweep={"grid": {"learner.epsilon": [-1.0, -2.0]}}
         )
         code = main(
-            ["sweep", "--spec", str(path), "--on-failure", "record"],
+            ["sweep", "--spec", str(path), "--set", "execution.on_failure=record"],
             out=io.StringIO(),
         )
         assert code == 1

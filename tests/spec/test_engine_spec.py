@@ -120,7 +120,7 @@ class TestEngineCli:
         for backend in ("scalar", "vectorized"):
             with pytest.raises(SystemExit) as excinfo:
                 main(
-                    ["run", "--backend", backend, "--engine", "grouped"],
+                    ["run", "--set", f"backend={backend}", "--engine", "grouped"],
                     out=io.StringIO(),
                 )
             assert excinfo.value.code == 2

@@ -162,17 +162,51 @@ BAD_SEEDS = ["x", 1.5, -1, None, True]
         ("eval", "window", "ten"),
         ("eval", "learners", 5),
         ("eval", "learners", None),
+        ("run", "rounds", 12.5),
+        ("run", "topology.num_peers", 120.5),
+        ("run", "topology.num_helpers", 8.0),
+        ("run", "topology.num_channels", True),
+        ("run", "network.viewer_region", 0.0),
+        ("run", "sweep.replications", 2.5),
+        ("run", "churn.initial_peer_lifetimes", "false"),
+        ("run", "metrics.record_peers", "no"),
+        ("run", "telemetry.enabled", "False"),
+        ("run", "learner.topk", True),
+        ("run", "learner.shards", True),
+        ("run", "telemetry.flush_interval", True),
+        ("run", "telemetry.sample_period", False),
+        ("run", "execution.max_retries", True),
     ],
 )
 def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsys):
     """Never a traceback, a fresh-entropy run (null seed), seed 1 (true
-    seed) or one-letter scenario names (a bare string).
+    seed), one-letter scenario names (a bare string), a fractional count
+    that fails only in ``build()``, or a truthy string taken for a flag.
     """
-    example = {"run": SMOKE, "eval": MATRIX}[command]
+    example = copy.deepcopy({"run": SMOKE, "eval": MATRIX}[command])
+    mutate(example, field.split("."), value)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(dict(example, **{field: value})))
+    path.write_text(json.dumps(example))
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--spec", str(path), "--dump-spec"])
     assert excinfo.value.code == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
-    assert error.startswith("repro: error:") and f"{field} must be" in error
+    leaf = field.split(".")[-1]
+    assert error.startswith("repro: error:") and f"{leaf} must be" in error
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        "churn.initial_peer_lifetimes=False",
+        "metrics.record_peers=no",
+        "telemetry.enabled=off",
+    ],
+)
+def test_non_json_flag_value_is_one_cli_error(item, capsys):
+    """A non-JSON ``--set`` VALUE is a string, which a flag refuses."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--set", item, "--dump-spec"])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith("repro: error:") and "must be a bool" in error

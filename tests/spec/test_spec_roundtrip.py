@@ -178,6 +178,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean_lifetime"):
             ChurnSpec(mean_lifetime=0.0)
 
+    def test_mean_lifetime_needs_arrivals_or_initial_lifetimes(self):
+        with pytest.raises(ValueError, match="requires arrival_rate > 0"):
+            ChurnSpec(mean_lifetime=20.0)
+        with pytest.raises(ValueError, match="requires arrival_rate > 0"):
+            ExperimentSpec.from_dict({"churn": {"mean_lifetime": 20.0}})
+        assert ChurnSpec(arrival_rate=1.0, mean_lifetime=20.0).mean_lifetime == 20.0
+        assert ChurnSpec(
+            mean_lifetime=20.0, initial_peer_lifetimes=True
+        ).initial_peer_lifetimes
+
 
 class TestRunFacade:
     def test_run_uses_selected_metrics(self):

@@ -106,12 +106,18 @@ class TestSweepMergedTelemetry:
         assert "mean_welfare" in table
 
 
+#: A 30-peer, 3-helper, 5-round ``repro run``.
+SMALL_RUN = [
+    "--set", "topology.num_peers=30", "--set", "topology.num_helpers=3",
+    "--set", "rounds=5",
+]
+
+
 class TestCliTelemetryFlag:
     def test_bare_flag_prints_merged_summary(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "30", "--helpers", "3", "--rounds", "5",
-             "--telemetry"],
+            ["run", *SMALL_RUN, "--telemetry"],
             out=out,
         )
         assert code == 0
@@ -122,7 +128,7 @@ class TestCliTelemetryFlag:
     def test_without_flag_no_summary(self):
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "30", "--helpers", "3", "--rounds", "5"],
+            ["run", *SMALL_RUN],
             out=out,
         )
         assert code == 0
@@ -132,8 +138,7 @@ class TestCliTelemetryFlag:
         path = tmp_path / "run.jsonl"
         out = io.StringIO()
         code = main(
-            ["run", "--peers", "30", "--helpers", "3", "--rounds", "5",
-             "--telemetry", f"jsonl:{path}"],
+            ["run", *SMALL_RUN, "--telemetry", f"jsonl:{path}"],
             out=out,
         )
         assert code == 0
@@ -197,8 +202,7 @@ class TestLogging:
     def test_log_level_flag_configures_repro_hierarchy(self):
         out = io.StringIO()
         code = main(
-            ["--log-level", "debug", "run", "--peers", "30",
-             "--helpers", "3", "--rounds", "2"],
+            ["--log-level", "debug", "run", *SMALL_RUN, "--set", "rounds=2"],
             out=out,
         )
         assert code == 0
