@@ -28,7 +28,6 @@ Run:  python examples/churn_adaptation.py
 
 import numpy as np
 
-import repro
 from repro.analysis import render_table
 from repro.core import R2HSLearner, regret_matching_learner
 from repro.game import EpsilonGreedyLearner, RepeatedGameDriver, StickyLearner

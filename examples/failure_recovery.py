@@ -16,7 +16,6 @@ Run:  python examples/failure_recovery.py
 
 import numpy as np
 
-import repro
 from repro.analysis import render_series_table
 from repro.core import LearnerPopulation, sliding_ce_regret
 from repro.game.repeated_game import StaticCapacities

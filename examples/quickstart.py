@@ -11,8 +11,6 @@ switching over [700, 800, 900] kbit/s), then reports:
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 import repro
 from repro.analysis import render_series_table, sparkline
 from repro.core import empirical_ce_regret

@@ -38,12 +38,24 @@ discards no regret).  This pre-warms popular arms — their regret history
 starts accruing before the peer's own exploration finds them — without
 ever perturbing the current strategy.
 
+**Blocks stay put.**  A peer's ``k``-wide rows — tracked ids, strategy,
+CDF and the played-regret row — are kept in ascending arm order, which
+the action sampler's tail walk and the insertion search rely on.  The
+``(k, k)`` block is not: it is indexed by *storage slot*, and a per-row
+position map ``pos`` (one more ``k``-wide row) gives the slot of the arm
+at each sorted rank.  A promotion or re-selection therefore zeroes one
+storage row and one storage column in place and re-sorts only the
+``k``-wide rows, instead of copying the whole block through a
+permutation.  The stage update reaches the played arm's column and
+regret row through ``pos``, in sorted order, so every float operation
+sees the operands it would see in a sorted block.
+
 With ``k >= H`` every arm is tracked, no promotion or re-selection can
 trigger, and the class performs the *bit-identical* sequence of
 floating-point operations as :class:`LearnerPopulation` (asserted
-trace-for-trace in ``tests/runtime/test_topk_bank.py``), so the sparse
-representation is a pure memory optimization at small ``H`` and a
-controlled approximation at large ``H``.
+trace-for-trace in ``tests/runtime/test_topk_bank.py``; ``pos`` stays the
+identity), so the sparse representation is a pure memory optimization at
+small ``H`` and a controlled approximation at large ``H``.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from repro.core.population import (
     _SCALE_FLOOR32,
     _EpsTable,
     _Scratch,
+    _items,
     _observe_block_rows,
 )
 
@@ -83,6 +96,14 @@ class TopKPopulation:
     :class:`~repro.core.population.LearnerPopulation` (``act_slots`` /
     ``observe_slots`` / ``reset_slots`` / ``ensure_capacity``), storing
     ``O(N * k^2)`` instead of ``O(N * H^2)``.
+
+    State per slot ``i``: the ``(N, k)`` rows ``_ids``, ``_probs``,
+    ``_cdf``, ``_pos`` and ``_last_played_regrets`` in sorted-arm order
+    (rank ``r`` is the ``r``-th smallest tracked id), and the block
+    ``_s[i]`` indexed by storage slot.  ``_pos[i, r]`` is the storage
+    slot of the arm at rank ``r``; the block is transposed like the dense
+    kernel's, so ``_s[i, _pos[i, c], _pos[i, r]]`` holds
+    ``S_i(row=ids[i, r], col=ids[i, c])``.
 
     Parameters
     ----------
@@ -168,9 +189,8 @@ class TopKPopulation:
         self._tail_mass = self._tail_count * self._delta / self._h
         # Tracked-arm ids, per-row sorted ascending (CSR-style index block).
         self._ids = np.tile(np.arange(kk, dtype=np.int32), (n, 1))
-        # Transposed block exactly like the dense kernel: _s[i, c, r] holds
-        # S_i(row=ids[i, r], col=ids[i, c]) — the played column is the
-        # contiguous row _s[i, a_loc, :].
+        # Storage slot of each sorted rank (see the class docstring).
+        self._pos = self._ids.copy()
         self._s = np.zeros((n, kk, kk), dtype=self._dtype)
         self._scale = np.ones(n)
         self._probs = np.full((n, kk), 1.0 / self._h, dtype=self._dtype)
@@ -183,7 +203,10 @@ class TopKPopulation:
         # holds cumsum(_probs[i]); refreshed by every writer of _probs.
         self._cdf = np.cumsum(self._probs, axis=1)
         self._uniform_cdf = np.cumsum(np.full(kk, 1.0 / self._h, dtype=self._dtype))
-        self._col_offsets = np.arange(kk, dtype=np.intp) * kk
+        # One opaque item per k-wide row, for whole-row gathers and
+        # scatters: float rows, and the int32 rows of _ids and _pos.
+        self._item = np.dtype((np.void, kk * self._dtype.itemsize))
+        self._index_item = np.dtype((np.void, kk * self._ids.itemsize))
         self._scratch = _Scratch()
         # Aggregated tail bucket: regret mass discarded by evictions
         # (absolute units) — an upper bound on the per-peer approximation.
@@ -246,14 +269,23 @@ class TopKPopulation:
         return self._play_ewma.copy()
 
     def nbytes(self) -> int:
-        """Bytes held by the per-peer sparse state (blocks + indices)."""
-        return (
-            self._s.nbytes
-            + self._ids.nbytes
-            + self._probs.nbytes
-            + self._tail_prob.nbytes
-            + self._last_played_regrets.nbytes
-            + self._tail_regret.nbytes
+        """Bytes held by the per-slot arrays (blocks, rows and counters)."""
+        return sum(
+            a.nbytes
+            for a in (
+                self._s,
+                self._ids,
+                self._pos,
+                self._probs,
+                self._cdf,
+                self._last_played_regrets,
+                self._scale,
+                self._tail_prob,
+                self._tail_regret,
+                self._stages,
+                self._slot_group,
+                self._peer_index,
+            )
         )
 
     def slot_stages(self) -> np.ndarray:
@@ -301,9 +333,9 @@ class TopKPopulation:
         old = self._n
         extra = capacity - old
         kk = self._k
-        self._ids = np.concatenate(
-            [self._ids, np.tile(np.arange(kk, dtype=np.int32), (extra, 1))]
-        )
+        fresh = np.tile(np.arange(kk, dtype=np.int32), (extra, 1))
+        self._ids = np.concatenate([self._ids, fresh])
+        self._pos = np.concatenate([self._pos, fresh])
         self._s = np.concatenate(
             [self._s, np.zeros((extra, kk, kk), dtype=self._dtype)]
         )
@@ -355,6 +387,7 @@ class TopKPopulation:
         """
         slots = np.asarray(slots, dtype=np.intp)
         self._ids[slots] = np.arange(self._k, dtype=np.int32)
+        self._pos[slots] = np.arange(self._k, dtype=np.int32)
         self._s[slots] = 0.0
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h
@@ -382,7 +415,7 @@ class TopKPopulation:
         count = slots.shape[0]
         ws = self._scratch
         cdf = ws.rows("act_cdf", count, self._k, self._dtype)
-        np.take(self._cdf, slots, axis=0, out=cdf)
+        np.take(_items(self._cdf, self._item), slots, out=_items(cdf, self._item))
         if draws is None:
             draws = self._rng.random(count)
         else:
@@ -414,7 +447,7 @@ class TopKPopulation:
             # walk — each tracked id <= the running candidate shifts the
             # candidate up by one.
             g = rank
-            tids = self._ids[us]
+            tids = self._rows(self._ids, us)
             for j in range(self._k):
                 g = g + (tids[:, j] <= g)
             actions[u_idx] = g
@@ -468,38 +501,60 @@ class TopKPopulation:
     # Tracked-set maintenance
     # ------------------------------------------------------------------
 
+    def _rows(self, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Rows ``slots`` of the ``(N, k)`` array ``rows``, gathered whole
+        into a fresh ``(len(slots), k)`` array."""
+        item = self._item if rows.dtype == self._dtype else self._index_item
+        return _items(rows, item)[slots].view(rows.dtype).reshape(-1, self._k)
+
+    def _set_rows(self, rows: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
+        """Scatter the C-contiguous ``values`` into rows ``slots`` of ``rows``."""
+        item = self._item if rows.dtype == self._dtype else self._index_item
+        _items(rows, item)[slots] = _items(values, item)
+
     def _locate(self, slots: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-row insertion point of ``actions`` in the sorted id rows."""
-        return (self._ids[slots] < actions[:, None]).sum(axis=1)
+        return (self._rows(self._ids, slots) < actions[:, None]).sum(axis=1)
 
     def _permute_rows(self, slots: np.ndarray) -> None:
-        """Re-sort ``slots``' id rows ascending, permuting probs + blocks."""
-        order = np.argsort(self._ids[slots], axis=1, kind="stable")
-        self._ids[slots] = np.take_along_axis(self._ids[slots], order, axis=1)
-        self._probs[slots] = np.take_along_axis(self._probs[slots], order, axis=1)
-        block = self._s[slots]
-        block = np.take_along_axis(block, order[:, :, None], axis=1)
-        block = np.take_along_axis(block, order[:, None, :], axis=2)
-        self._s[slots] = block
-        self._cdf[slots] = np.cumsum(self._probs[slots], axis=1)
+        """Re-sort ``slots``' k-wide rows by arm id (the blocks stay put)."""
+        ids = self._rows(self._ids, slots)
+        order = np.argsort(ids, axis=1, kind="stable")
+        self._set_rows(self._ids, slots, np.take_along_axis(ids, order, axis=1))
+        pos = np.take_along_axis(self._rows(self._pos, slots), order, axis=1)
+        self._set_rows(self._pos, slots, pos)
+        probs = np.take_along_axis(self._rows(self._probs, slots), order, axis=1)
+        self._set_rows(self._probs, slots, probs)
+        self._set_rows(self._cdf, slots, np.cumsum(probs, axis=1))
+
+    def _clear_arm(self, slots: np.ndarray, ranks: np.ndarray) -> None:
+        """Zero the block row and column of the arm at sorted ``ranks``."""
+        freed = self._pos[slots, ranks]
+        self._s[slots, freed, :] = 0.0
+        self._s[slots, :, freed] = 0.0
 
     def _promote(self, slots: np.ndarray, arms: np.ndarray) -> None:
         """Swap ``arms`` (untracked, just played) into ``slots``' tracked
         sets, evicting each slot's least-probable tracked arm."""
-        evict = np.asarray(self._probs[slots]).argmin(axis=1)
+        kk = self._k
+        evict = self._rows(self._probs, slots).argmin(axis=1)
         # Fold the evicted arms' remaining regret mass into the tail
-        # bucket diagnostic (column + row of the block, diagonal once).
-        col_sum = self._s[slots, evict, :].sum(axis=1)
-        row_sum = self._s[slots, :, evict].sum(axis=1)
-        diag = self._s[slots, evict, evict]
+        # bucket diagnostic (column + row of the block, diagonal once),
+        # each summed in sorted-arm order.
+        pos = self._rows(self._pos, slots)
+        freed = pos[np.arange(slots.shape[0]), evict]
+        s_flat = self._s.reshape(-1)
+        block = slots * (kk * kk)
+        col_sum = s_flat[(block + freed * kk)[:, None] + pos].sum(axis=1)
+        row_sum = s_flat[(block + freed)[:, None] + pos * kk].sum(axis=1)
+        diag = s_flat[block + freed * (kk + 1)]
         discarded = (col_sum + row_sum - diag) * self._scale[slots]
         self._tail_regret[slots] += np.maximum(discarded, 0.0)
         # The promoted arm enters with its true current probability — the
         # per-arm tail share — and a fresh row/column.
         arm_prob = self._tail_prob[slots] / max(self._tail_count, 1)
         self._ids[slots, evict] = arms.astype(np.int32)
-        self._s[slots, evict, :] = 0.0
-        self._s[slots, :, evict] = 0.0
+        self._clear_arm(slots, evict)
         self._probs[slots, evict] = arm_prob.astype(self._dtype)
         self._permute_rows(slots)
         self._promotions += int(slots.shape[0])
@@ -528,11 +583,11 @@ class TopKPopulation:
         hot = hot[play_ewma[hot] > 0.0]
         if not hot.size:
             return
-        probs = self._probs[slots]
+        probs = self._rows(self._probs, slots)
         weak = probs.argmin(axis=1)
         floor = self._delta / self._h
         swappable = probs[np.arange(slots.shape[0]), weak] <= floor * (1.0 + 1e-9)
-        ids = self._ids[slots]
+        ids = self._rows(self._ids, slots)
         chosen = np.full(slots.shape[0], -1, dtype=np.int64)
         for arm in hot:
             pos = np.minimum((ids < arm).sum(axis=1), self._k - 1)
@@ -545,8 +600,7 @@ class TopKPopulation:
         ps = slots[pick]
         ev = weak[pick]
         self._ids[ps, ev] = chosen[pick].astype(np.int32)
-        self._s[ps, ev, :] = 0.0
-        self._s[ps, :, ev] = 0.0
+        self._clear_arm(ps, ev)
         # weakest arm sat at the floor, which is exactly the incoming
         # arm's tail probability — stored probs stay consistent as-is.
         self._permute_rows(ps)
@@ -562,6 +616,7 @@ class TopKPopulation:
         count = slots.shape[0]
         kk = self._k
         ws = self._scratch
+        item = self._item
         self._stages[slots] += 1
         eps = self._eps_for(self._stages[slots])
         normalized = np.divide(
@@ -586,9 +641,9 @@ class TopKPopulation:
         np.take(self._scale, slots, out=scale)
         scale *= decay
         self._scale[slots] = scale
-        row_index = ws.arange(count)
 
-        # Promote untracked plays so the played column exists in the block.
+        # Promote untracked plays so the played arm has a row and column
+        # in the block.
         loc = self._locate(slots, actions)
         loc_c = np.minimum(loc, kk - 1)
         is_tracked = self._ids[slots, loc_c] == actions
@@ -597,39 +652,56 @@ class TopKPopulation:
             self._promote(slots[untracked], actions[untracked])
             loc[untracked] = self._locate(slots[untracked], actions[untracked])
         np.minimum(loc, kk - 1, out=loc)
+        # Flat start of each row, and of its played rank, in a (count, k)
+        # buffer.
+        row_start = ws.vec("row_start", count, np.intp)
+        np.multiply(ws.arange(count), kk, out=row_start)
+        played = ws.vec("played", count, np.intp)
+        np.add(row_start, loc, out=played)
+        pos = self._rows(self._pos, slots)
+        played_slot = pos.reshape(-1)[played]
 
         gathered = ws.rows("gathered", count, kk, self._dtype)
-        np.take(self._probs, slots, axis=0, out=gathered)
-        played_prob = gathered[row_index, loc]
+        np.take(_items(self._probs, item), slots, out=_items(gathered, item))
+        played_prob = gathered.reshape(-1)[played]
         weight = ws.vec("weight", count, np.float64)
         np.multiply(normalized, eps, out=weight)
         np.divide(weight, played_prob, out=weight)
         np.divide(weight, scale, out=weight)
         np.multiply(gathered, weight[:, None], out=gathered)
-        flat_rows = self._s.reshape(self._n * kk, kk)
+        # Rank-one update of the played arm's column of S, which is its
+        # storage row of the block: move the increments into storage order
+        # (rank r to slot pos[r]) and add them to that row as one item.
+        idx = ws.rows("idx", count, kk, np.intp)
+        np.add(row_start[:, None], pos, out=idx)
+        stored = ws.rows("stored", count, kk, self._dtype)
+        stored.reshape(-1)[idx] = gathered
+        flat_rows = _items(self._s, item)
         row_idx = ws.vec("row_idx", count, np.intp)
         np.multiply(slots, kk, out=row_idx)
-        row_idx += loc
+        row_idx += played_slot
         acc = ws.rows("acc", count, kk, self._dtype)
-        np.take(flat_rows, row_idx, axis=0, out=acc)
-        acc += gathered
-        flat_rows[row_idx] = acc
+        np.take(flat_rows, row_idx, out=_items(acc, item))
+        acc += stored
+        flat_rows[row_idx] = _items(acc, item)
 
-        # Tracked regret row of the played action (Eq. 3-6, row j = a_i),
-        # gathered through precomputed flat offsets as in the dense kernel.
-        q_idx = ws.rows("q_idx", count, kk, np.intp)
+        # Tracked regret row of the played action (Eq. 3-6, row j = a_i):
+        # rank r is the block entry (pos[r], played slot), one entry from
+        # each storage row, strided as in the dense kernel.
         base = ws.vec("q_base", count, np.intp)
         np.multiply(slots, kk * kk, out=base)
-        base += loc
-        np.add(base[:, None], self._col_offsets, out=q_idx)
+        base += played_slot
+        np.multiply(pos, kk, out=idx)
+        idx += base[:, None]
         q = ws.rows("q", count, kk, self._dtype)
-        np.take(self._s.reshape(-1), q_idx, out=q)
-        diag = q[row_index, loc]
+        q_flat = q.reshape(-1)
+        np.take(self._s.reshape(-1), idx, out=q)
+        diag = q_flat[played]
         q -= diag[:, None]
         q *= scale[:, None]
         np.maximum(q, 0.0, out=q)
-        q[row_index, loc] = 0.0
-        self._last_played_regrets[slots] = q
+        q_flat[played] = 0.0
+        _items(self._last_played_regrets, item)[slots] = _items(q, item)
 
         # Probability update (Algorithm 2) over the tracked arms; every
         # untracked arm lands exactly on the exploration floor delta / H,
@@ -638,17 +710,17 @@ class TopKPopulation:
         np.multiply(q, (1.0 - self._delta) / self._mu, out=q)
         np.minimum(q, (1.0 - self._delta) * cap, out=q)
         q += self._delta / self._h
-        q[row_index, loc] = 0.0
+        q_flat[played] = 0.0
         if self._tail_count:
-            q[row_index, loc] = 1.0 - self._tail_mass - q.sum(axis=1)
+            q_flat[played] = 1.0 - self._tail_mass - q.sum(axis=1)
         else:
-            q[row_index, loc] = 1.0 - q.sum(axis=1)
-        self._probs[slots] = q
+            q_flat[played] = 1.0 - q.sum(axis=1)
+        _items(self._probs, item)[slots] = _items(q, item)
         if self._tail_count:
             self._tail_prob[slots] = self._tail_mass
         # Refresh the maintained CDF rows while q is cache-hot.
         np.cumsum(q, axis=1, out=q)
-        self._cdf[slots] = q
+        _items(self._cdf, item)[slots] = _items(q, item)
 
         # Fold nearly-underflowed scales back into the stored blocks.
         tiny = ws.vec("tiny", count, np.bool_)

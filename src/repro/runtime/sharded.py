@@ -867,7 +867,9 @@ class ShardedSystem(VectorizedStreamingSystem):
         return self.bank.shard_pids
 
     def close(self) -> None:
-        """Stop the shard workers and release shared memory (idempotent)."""
+        """Stop the shard workers, release shared memory and drop the
+        pending events (idempotent)."""
+        super().close()
         self.bank.close()
 
     def __enter__(self) -> "ShardedSystem":

@@ -228,7 +228,7 @@ class VectorizedStreamingSystem:
         # Churn (same process and semantics as the scalar system; peer ids
         # handed to the churn process are uids, which are never reused, so
         # a stale leave event can never hit a recycled slot).
-        self._churn = ChurnProcess(
+        churn = ChurnProcess(
             config.churn,
             on_join=self._churn_join,
             on_leave=self._churn_leave,
@@ -236,17 +236,17 @@ class VectorizedStreamingSystem:
         )
         if config.churn.initial_peer_lifetimes and config.churn.mean_lifetime:
             for slot in slots:
-                self._churn.schedule_lifetime(
+                churn.schedule_lifetime(
                     self._sim, int(self._store.uid[slot])
                 )
-        self._churn.start(self._sim)
+        churn.start(self._sim)
 
         # Viewer channel switching (time-varying popularity).
         self._switch_rng = spawn(self._rng)
         self._channel_switches = 0
         if config.channel_switch_rate > 0:
             install_channel_switching(
-                self._sim, config, self._switch_rng, self._churn,
+                self._sim, config, self._switch_rng, churn,
                 self._switch_once,
             )
 
@@ -604,3 +604,13 @@ class VectorizedStreamingSystem:
         )
         self._flush_accumulators()
         return self._trace
+
+    def close(self) -> None:
+        """End the run: drop the pending events.
+
+        Churn, switching and round events call back into this system, so
+        while they are queued the system sits in a reference cycle and
+        outlives its last user until the garbage collector runs.  The
+        trace stays readable; the system cannot run on.
+        """
+        self._sim.clear()

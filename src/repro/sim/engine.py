@@ -191,42 +191,22 @@ class Simulator:
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
         delay = period if first_delay is None else first_delay
-        first_time = self._now + delay
-        series_cancelled = {"flag": False}
-        fired = itertools.count(1)
+        return _PeriodicSeries(self, self._now + delay, period, callback, priority)
 
-        outer_handle: List[EventHandle] = []
+    def clear(self) -> None:
+        """Drop every pending event; the clock and counters stay.
 
-        def fire(sim: "Simulator") -> None:
-            if series_cancelled["flag"]:
-                return
-            callback(sim)
-            if not series_cancelled["flag"]:
-                inner = sim.schedule_at(
-                    first_time + next(fired) * period, fire, priority=priority
-                )
-                outer_handle[0] = inner
-
-        first = self.schedule_at(first_time, fire, priority=priority)
-        outer_handle.append(first)
-
-        class _SeriesHandle(EventHandle):
-            def __init__(self) -> None:  # noqa: D401 - wraps the live handle
-                pass
-
-            @property
-            def time(self) -> float:
-                return outer_handle[0].time
-
-            @property
-            def cancelled(self) -> bool:
-                return series_cancelled["flag"]
-
-            def cancel(self) -> None:
-                series_cancelled["flag"] = True
-                outer_handle[0].cancel()
-
-        return _SeriesHandle()
+        Event callbacks usually point back at whatever owns the
+        simulator, so a pending event keeps its owner in a reference
+        cycle.  Owners call this when their run is over.
+        """
+        for event in self._queue:
+            event.in_queue = False
+            event.cancelled = True
+            event.callback = None
+        self._queue = []
+        self._live = 0
+        self._dead = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -273,3 +253,53 @@ class Simulator:
             count += 1
             if max_events is not None and count >= max_events:
                 raise RuntimeError("max_events exhausted with events still pending")
+
+
+class _PeriodicSeries(EventHandle):
+    """Handle of a :meth:`Simulator.schedule_periodic` series.
+
+    Its bound ``_fire`` is the callback of the series' pending event, so
+    the series and that event refer to each other;
+    :meth:`Simulator.clear` detaches the callback of every dropped event,
+    which ends the cycle.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        first_time: float,
+        period: float,
+        callback: EventCallback,
+        priority: int,
+    ) -> None:
+        self._callback = callback
+        self._first_time = first_time
+        self._period = period
+        self._priority = priority
+        self._fired = 0
+        self._series_cancelled = False
+        self._live = sim.schedule_at(first_time, self._fire, priority=priority)
+
+    def _fire(self, sim: Simulator) -> None:
+        if self._series_cancelled:
+            return
+        self._callback(sim)
+        if not self._series_cancelled:
+            self._fired += 1
+            self._live = sim.schedule_at(
+                self._first_time + self._fired * self._period,
+                self._fire,
+                priority=self._priority,
+            )
+
+    @property
+    def time(self) -> float:
+        return self._live.time
+
+    @property
+    def cancelled(self) -> bool:
+        return self._series_cancelled
+
+    def cancel(self) -> None:
+        self._series_cancelled = True
+        self._live.cancel()

@@ -79,23 +79,37 @@ def install_channel_switching(
     sampling, rescheduling and lifetime wiring here are shared by both
     backends.
     """
+    _ChannelSwitching(config, switch_rng, churn, switch_once).schedule_next(sim)
 
-    def schedule_next() -> None:
-        gap = float(switch_rng.exponential(1.0 / config.channel_switch_rate))
 
-        def fire(inner_sim: Simulator) -> None:
-            handle = switch_once()
-            if (
-                handle is not None
-                and config.churn.mean_lifetime
-                and config.churn.initial_peer_lifetimes
-            ):
-                churn.schedule_lifetime(inner_sim, handle)
-            schedule_next()
+class _ChannelSwitching:
+    """State of the switch process; only its pending event refers to it.
 
-        sim.schedule(gap, fire)
+    A self-rescheduling closure would refer to itself through its own
+    cell, a cycle that keeps the churn process, and the system behind its
+    callbacks, alive until the garbage collector runs.
+    """
 
-    schedule_next()
+    def __init__(self, config, switch_rng, churn, switch_once) -> None:
+        self._config = config
+        self._rng = switch_rng
+        self._churn = churn
+        self._switch_once = switch_once
+
+    def schedule_next(self, sim: Simulator) -> None:
+        gap = float(self._rng.exponential(1.0 / self._config.channel_switch_rate))
+        sim.schedule(gap, self._fire)
+
+    def _fire(self, sim: Simulator) -> None:
+        handle = self._switch_once()
+        churn_config = self._config.churn
+        if (
+            handle is not None
+            and churn_config.mean_lifetime
+            and churn_config.initial_peer_lifetimes
+        ):
+            self._churn.schedule_lifetime(sim, handle)
+        self.schedule_next(sim)
 
 
 def install_popularity_drift(
@@ -319,7 +333,7 @@ class StreamingSystem:
                 self._create_peer()
 
         # Churn.
-        self._churn = ChurnProcess(
+        churn = ChurnProcess(
             config.churn,
             on_join=self._churn_join,
             on_leave=self._churn_leave,
@@ -327,15 +341,15 @@ class StreamingSystem:
         )
         if config.churn.initial_peer_lifetimes and config.churn.mean_lifetime:
             for peer in self._peers:
-                self._churn.schedule_lifetime(self._sim, peer.peer_id)
-        self._churn.start(self._sim)
+                churn.schedule_lifetime(self._sim, peer.peer_id)
+        churn.start(self._sim)
 
         # Viewer channel switching (time-varying popularity).
         self._switch_rng = spawn(self._rng)
         self._channel_switches = 0
         if config.channel_switch_rate > 0:
             install_channel_switching(
-                self._sim, config, self._switch_rng, self._churn,
+                self._sim, config, self._switch_rng, churn,
                 self._switch_once,
             )
 
@@ -551,3 +565,13 @@ class StreamingSystem:
             num_rounds,
         )
         return self._trace
+
+    def close(self) -> None:
+        """End the run: drop the pending events.
+
+        Churn, switching and round events call back into this system, so
+        while they are queued the system sits in a reference cycle and
+        outlives its last user until the garbage collector runs.  The
+        trace stays readable; the system cannot run on.
+        """
+        self._sim.clear()

@@ -266,6 +266,21 @@ class TestBankPlumbing:
         dense_bytes = N * H * H * 4
         assert pop.nbytes() < dense_bytes / 100
 
+    def test_nbytes_counts_every_per_slot_array(self):
+        # N, k, H and the group count differ, so "first axis of length N"
+        # picks out exactly the per-slot arrays, whatever they are named.
+        pop = TopKPopulation(
+            50, 20, k=4, u_max=U_MAX, rng=0, dtype=np.float32, num_channel_groups=3
+        )
+        pop.ensure_capacity(57)
+        per_slot = [
+            value
+            for value in vars(pop).values()
+            if isinstance(value, np.ndarray) and value.shape[:1] == (57,)
+        ]
+        assert len(per_slot) >= 12
+        assert pop.nbytes() == sum(a.nbytes for a in per_slot)
+
     def test_acquire_release_recycles_rows(self):
         bank = TopKRegretBank(20, k=4, rng=0, u_max=U_MAX)
         rows = bank.acquire_many(10)

@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -229,6 +232,54 @@ class TestPeriodicDrift:
         sim.schedule_periodic(2.0, lambda s: times.append(s.now), first_delay=0.5)
         sim.run_until(8.0)
         assert times == [0.5, 2.5, 4.5, 6.5]
+
+
+class TestClear:
+    def test_drops_pending_events_and_keeps_the_clock(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda s: fired.append("once"))
+        series = sim.schedule_periodic(1.0, lambda s: fired.append(s.now))
+        sim.run_until(1.5)
+        assert fired == ["once", 1.0]
+        sim.clear()
+        assert sim.pending == 0 and sim.queue_size == 0
+        assert sim.now == 1.5 and sim.events_processed == 2
+        sim.run_until(10.0)
+        assert fired == ["once", 1.0]
+        handle.cancel()  # already fired: harmless
+        series.cancel()  # its pending event was dropped: harmless
+        assert sim.pending == 0
+
+    def test_dropped_events_release_their_callbacks(self):
+        class Owner:
+            def tick(self, sim):
+                pass
+
+        sim = Simulator()
+        owner = Owner()
+        sim.schedule(1.0, owner.tick)
+        sim.schedule_periodic(1.0, owner.tick)
+        ref = weakref.ref(owner)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del owner
+            assert ref() is not None  # held by the pending events
+            sim.clear()
+            assert ref() is None  # freed by reference counting alone
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_simulator_stays_usable(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda s: None)
+        sim.clear()
+        times = []
+        sim.schedule(2.0, lambda s: times.append(s.now))
+        sim.run()
+        assert times == [2.0] and sim.pending == 0
 
 
 class TestCounters:
