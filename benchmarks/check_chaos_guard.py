@@ -65,7 +65,9 @@ def check_chaos_recovery(spec: ExperimentSpec) -> list:
     """Injected crashes + one hang: sweep completes, retries bit-identical."""
     failures = []
     sweep = SweepSpec(replications=CHAOS_CELLS)
-    clean = spec.sweep(runner=ParallelRunner(workers=2), sweep=sweep)
+    # The reference runs inline, in this process: a different path from
+    # the supervised sweep it is compared with.
+    clean = spec.sweep(runner=ParallelRunner(workers=1), sweep=sweep)
     execution = ExecutionSpec(
         max_retries=2, cell_timeout=5.0, heartbeat_interval=0.2,
     )

@@ -11,7 +11,6 @@ from repro.analysis.parallel import (
     CellFunction,
     ParallelRunner,
     SharedArrayHandle,
-    resolve_shared_array,
     share_array,
 )
 from repro.analysis.sweeps import (
@@ -42,7 +41,6 @@ __all__ = [
     "CellFunction",
     "SharedArrayHandle",
     "share_array",
-    "resolve_shared_array",
 ]
 
 # Note: repro.analysis.experiments is intentionally not imported here — it

@@ -1,11 +1,10 @@
 """Supervised sweep execution: one worker process per cell, watched.
 
 :class:`~repro.analysis.parallel.ParallelRunner` delegates here whenever
-a sweep asks for fault tolerance (a non-default
-:class:`~repro.spec.ExecutionSpec`) or durability (an attached
-:class:`~repro.store.ResultsStore`).  The pool-based fast path treats a
-crashed worker as a fatal sweep error; this dispatcher treats it as an
-event:
+a sweep fans out over more than one worker or asks for fault tolerance
+(a non-default :class:`~repro.spec.ExecutionSpec`); this is the only
+module that runs cells in other processes.  A crashed worker is an
+event, not a hang:
 
 * every cell runs in its own short-lived worker process, so one cell's
   death, hang, or memory blow-up cannot take siblings down with it;
@@ -19,12 +18,11 @@ event:
   bit-identical to a first-try cell regardless of where or when it
   lands.  Cell *exceptions* are deterministic in (params, seed) and are
   therefore terminal immediately — retrying would reproduce them;
+* each result travels home pickled through its worker's private pipe,
+  so a dead worker leaves nothing behind for anyone to reclaim;
 * results commit to the store as they arrive (when one is attached), so
   a sweep killed mid-flight resumes with every finished cell a cache
-  hit;
-* shared-memory result segments a dead worker disowned are reaped by
-  the supervisor (workers announce segment names before shipping the
-  result), so crashes do not orphan ``/dev/shm`` backings.
+  hit.
 
 Cells that exhaust their retries become structured
 :class:`SweepFailure` records (attempt history included).  Under
@@ -70,7 +68,7 @@ class CellAttempt:
     """One try at one cell, as recorded in the failure history."""
 
     attempt: int
-    outcome: str  # "ok" | "crash" | "timeout" | "hung" | "error" | "materialize"
+    outcome: str  # "ok" | "crash" | "timeout" | "hung" | "error"
     elapsed_s: float
     detail: str = ""
 
@@ -147,31 +145,18 @@ def _heartbeat_loop(send, index, attempt, interval, stop) -> None:
             return
 
 
-def _supervised_worker(
-    conn, payload, heartbeat_interval, post_share_hook=None
-) -> None:
+def _supervised_worker(conn, payload, heartbeat_interval) -> None:
     """Worker-process entry: run one cell, ship the result, beat while at it.
 
     The protocol back to the supervisor (this worker's *private* pipe,
     message tuples ``(kind, index, attempt, data)``): optional ``hb``
-    beats, a ``segments`` announcement naming any shared-memory backings
-    the result disowned (so the parent can reap them if this process
-    dies before delivery), then exactly one of ``ok`` (the metrics,
-    possibly holding disowned handles) or ``err`` (the formatted
-    traceback).  Each worker owns its pipe end exclusively — the
-    supervisor can SIGKILL a wedged worker without poisoning a lock its
-    siblings share (the failure mode of a single ``mp.Queue``); a
-    killed-mid-send pipe just reads as EOF.  ``post_share_hook`` is a
-    fault-injection seam used by the chaos tests to die *between*
-    announcing and delivering.
+    beats, then exactly one of ``ok`` (the metrics) or ``err`` (the
+    formatted traceback).  Each worker owns its pipe end exclusively —
+    the supervisor can SIGKILL a wedged worker without poisoning a lock
+    its siblings share (the failure mode of a single ``mp.Queue``); a
+    killed-mid-send pipe just reads as EOF.
     """
-    from repro.analysis.parallel import (
-        SharedArrayHandle,
-        _mark_results_delivered,
-        _share_result_metrics,
-    )
-
-    index, attempt, fn, params, seed, result_mode = payload
+    index, attempt, fn, params, seed = payload
     send_lock = threading.Lock()
 
     def send(message):
@@ -187,23 +172,11 @@ def _supervised_worker(
         ).start()
     try:
         metrics = dict(fn(params, seed))
-        if result_mode is not None:
-            metrics = _share_result_metrics(metrics, result_mode)
-        segment_names = [
-            value._shm_name
-            for value in metrics.values()
-            if isinstance(value, SharedArrayHandle) and value.mode == "shm"
-        ]
-        if segment_names:
-            send(("segments", index, attempt, segment_names))
-        if post_share_hook is not None:
-            post_share_hook(index, attempt, metrics)
         stop.set()
+        # A result that does not pickle fails here, before any byte is
+        # written, and is reported below like any other cell error.
         send(("ok", index, attempt, metrics))
-        _mark_results_delivered(metrics)
     except BaseException:
-        # Anything disowned but undelivered is reclaimed by the
-        # worker's atexit reaper (see parallel._reap_undelivered).
         stop.set()
         try:
             send(("err", index, attempt, traceback.format_exc()))
@@ -238,36 +211,6 @@ def _pipe_reader(conn, out_queue) -> None:
         conn.close()
 
 
-def reap_segments(names) -> int:
-    """Unlink shared-memory segments by name (best-effort); count reaped.
-
-    The parent-side half of crash recovery: a worker announces its
-    result segments before shipping them, so when it dies in between,
-    the backings it disowned are reclaimed here instead of surviving in
-    ``/dev/shm`` until reboot.
-    """
-    from multiprocessing import shared_memory
-
-    reaped = 0
-    for name in names:
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            continue
-        except Exception:  # pragma: no cover - platform oddities
-            continue
-        # No explicit tracker bookkeeping: attaching registered the
-        # segment with this process's tracker and unlink() deregisters
-        # it — exactly balanced.
-        seg.close()
-        try:
-            seg.unlink()
-            reaped += 1
-        except FileNotFoundError:  # pragma: no cover - lost the race
-            pass
-    return reaped
-
-
 @dataclass
 class _Cell:
     """Supervisor-side state of one cell across its attempts."""
@@ -283,7 +226,6 @@ class _Cell:
     exited: Optional[float] = None
     started: float = 0.0
     last_beat: float = 0.0
-    segments: List[str] = field(default_factory=list)
 
 
 class Supervisor:
@@ -299,17 +241,13 @@ class Supervisor:
         self,
         workers: int,
         execution,
-        mp_context: Optional[str] = None,
         store=None,
         spec_digest: Optional[str] = None,
-        post_share_hook=None,
     ) -> None:
         self._workers = max(1, int(workers))
         self._execution = execution
-        self._ctx = multiprocessing.get_context(mp_context)
         self._store = store
         self._spec_digest = spec_digest
-        self._post_share_hook = post_share_hook
         tel = get_telemetry()
         self._ctr_retries = tel.counter("sweep.retries")
         self._ctr_failed = tel.counter("sweep.cells_failed")
@@ -323,16 +261,12 @@ class Supervisor:
             "failed": 0,
             "completed": 0,
             "committed": 0,
-            "segments_reaped": 0,
         }
 
     # ------------------------------------------------------------------
 
     def run(
-        self,
-        payloads,
-        result_mode: Optional[str],
-        heartbeat_interval: float,
+        self, payloads
     ) -> Tuple[Dict[int, Mapping[str, Any]], Dict[int, SweepFailure]]:
         """Execute payloads ``(fn, params, seed, index)``; supervise all.
 
@@ -343,8 +277,7 @@ class Supervisor:
             _Cell(index=index, fn=fn, params=dict(params), seed=seed)
             for (fn, params, seed, index) in payloads
         ]
-        self._result_mode = result_mode
-        self._heartbeat = float(heartbeat_interval)
+        self._heartbeat = float(self._execution.heartbeat_interval)
         # A plain thread queue: per-worker pipe reader threads feed it,
         # so no lock is ever shared with a process we might kill.
         self._queue = queue_module.Queue()
@@ -375,24 +308,11 @@ class Supervisor:
         while self._pending and len(self._inflight) < self._workers:
             cell = self._pending.popleft()
             cell.tries += 1
-            cell.segments = []
-            payload = (
-                cell.index,
-                cell.tries,
-                cell.fn,
-                cell.params,
-                cell.seed,
-                self._result_mode,
-            )
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
+            payload = (cell.index, cell.tries, cell.fn, cell.params, cell.seed)
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
                 target=_supervised_worker,
-                args=(
-                    child_conn,
-                    payload,
-                    self._heartbeat,
-                    self._post_share_hook,
-                ),
+                args=(child_conn, payload, self._heartbeat),
             )
             proc.start()
             child_conn.close()  # parent keeps only the read end
@@ -433,57 +353,23 @@ class Supervisor:
         if kind == "hb":
             if cell is not None and cell.tries == attempt:
                 cell.last_beat = time.monotonic()
-        elif kind == "segments":
-            if cell is not None and cell.tries == attempt:
-                cell.segments = list(data)
         elif kind == "ok":
-            self._accept(index, attempt, data)
+            self._accept(index, data)
         elif kind == "err":
             self._cell_error(index, attempt, data)
 
-    def _accept(self, index: int, attempt: int, metrics) -> None:
-        from repro.analysis.parallel import _materialize_result_metrics
-
+    def _accept(self, index: int, metrics) -> None:
         if index in self._results or index in self._failures:
-            # A duplicate from a racing attempt: deterministic cells
-            # make it identical — materialize only to release backing.
-            try:
-                _materialize_result_metrics(dict(metrics))
-            except Exception:
-                pass
-            return
+            return  # a duplicate from a racing attempt: identical, dropped
         cell = self._find(index)
-        try:
-            materialized = _materialize_result_metrics(dict(metrics))
-        except Exception as exc:
-            if cell is None:
-                return
-            if cell.proc is not None and cell.tries == attempt:
-                # The backing vanished between worker exit and adoption
-                # (reaped segment, deleted .npy) — a recoverable
-                # placement fault, retried like a crash.
-                self._attempt_over(
-                    cell, "materialize",
-                    f"result materialization failed: {exc!r}",
-                )
-            else:
-                # A stale payload from an attempt already written off;
-                # _find pulled the cell out of the schedule — put it
-                # back (running it sooner than its backoff slot is fine).
-                self._pending.append(cell)
-            return
-        self._results[index] = materialized
+        self._results[index] = metrics
         self.stats["completed"] += 1
         if cell is not None:
             # A result from an older attempt may land while a newer one
             # runs (deterministic cells make them identical): kill the
-            # straggler, then reap whatever it had announced — for the
-            # normal same-attempt case materialization above already
-            # released the segments, so the reap is a no-op.
+            # straggler.
             self._retire(cell)
-            self.stats["segments_reaped"] += reap_segments(cell.segments)
-            cell.segments = []
-            self._commit(cell, materialized)
+            self._commit(cell, metrics)
 
     def _commit(self, cell: _Cell, metrics) -> None:
         if self._store is None:
@@ -583,9 +469,7 @@ class Supervisor:
                 )
 
     def _attempt_over(self, cell: _Cell, outcome: str, detail: str) -> None:
-        """A live attempt failed: reap, record, and retry or give up."""
-        self.stats["segments_reaped"] += reap_segments(cell.segments)
-        cell.segments = []
+        """A live attempt failed: retire, record, and retry or give up."""
         self._retire(cell)
         elapsed = time.monotonic() - cell.started if cell.started else 0.0
         cell.attempts.append(CellAttempt(cell.tries, outcome, elapsed, detail))

@@ -168,7 +168,7 @@ class SweepResult:
 
 
 def _learner_cell(
-    shared_trace,
+    trace: np.ndarray,
     num_peers: int,
     num_helpers: int,
     num_stages: int,
@@ -178,13 +178,9 @@ def _learner_cell(
 ) -> Dict[str, float]:
     """One sweep cell, picklable for :class:`~repro.analysis.parallel.ParallelRunner`.
 
-    ``shared_trace`` is a plain ``(T, H)`` array or a
-    :class:`~repro.analysis.parallel.SharedArrayHandle`; handles resolve
-    zero-copy inside the worker, so the trace is never pickled per cell.
+    ``trace`` is the sweep's recorded ``(T, H)`` capacity path; every
+    cell replays it read-only.
     """
-    from repro.analysis.parallel import resolve_shared_array
-
-    trace = resolve_shared_array(shared_trace)
     learner_params = {k: v for k, v in params.items() if k != "replication"}
     population = LearnerPopulation(
         num_peers, num_helpers, u_max=u_max, rng=seed, **learner_params
@@ -205,7 +201,6 @@ def sweep_learner_parameters(
     u_max: float = 900.0,
     rng: Seedish = None,
     runner: Optional["ParallelRunner"] = None,
-    trace_handoff: str = "auto",
 ) -> SweepResult:
     """Sweep :class:`~repro.core.population.LearnerPopulation` parameters.
 
@@ -220,10 +215,7 @@ def sweep_learner_parameters(
     in the workers (custom metric callables are usually closures and do
     not pickle); per-cell seeds are derived in grid order either way, so
     serial and parallel sweeps with the same ``rng`` agree cell-for-cell.
-    The shared ``(T, H)`` trace is handed to workers through
-    :func:`~repro.analysis.parallel.share_array` (``trace_handoff`` picks
-    the placement: shared memory, on-disk ``.npy`` or inline) instead of
-    being pickled into every cell payload.
+    The shared ``(T, H)`` trace rides inside the cell function.
     """
     from repro.spec.model import SweepSpec
 
@@ -242,13 +234,10 @@ def sweep_learner_parameters(
                 "custom metrics are not picklable across workers; "
                 "use the default metrics with a ParallelRunner"
             )
-        from repro.analysis.parallel import share_array
-
-        with share_array(shared, mode=trace_handoff) as handle:
-            cell_fn = functools.partial(
-                _learner_cell, handle, num_peers, num_helpers, num_stages, u_max
-            )
-            return runner.run_sweep(sweep, cell_fn, rng=parent)
+        cell_fn = functools.partial(
+            _learner_cell, shared, num_peers, num_helpers, num_stages, u_max
+        )
+        return runner.run_sweep(sweep, cell_fn, rng=parent)
 
     metric_fns = dict(metrics) if metrics is not None else default_metrics(u_max)
     result = SweepResult()

@@ -299,10 +299,9 @@ register_metric(
     "load_jain",
     lambda trace: float(jain_index(trace.loads.mean(axis=0).astype(float))),
 )
-# Per-round series: array-valued metrics.  Sweeps fan these back from
-# worker processes through shared memory (see
-# repro.analysis.parallel result handoff), so requesting them at scale
-# does not turn result pickling into the bottleneck.
+# Per-round series: array-valued metrics.  A sweep's workers pickle them
+# home through their pipes with the scalars; a series costs about its
+# size in bytes per cell.
 register_metric(
     "welfare_series", lambda trace: np.asarray(trace.welfare, dtype=float)
 )

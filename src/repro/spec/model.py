@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,6 +90,54 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _bad_number(value, allow_bool: bool = False):
+    """The first NaN, ±Infinity or (unless allowed) boolean in ``value``.
+
+    Lists, tuples, arrays and mapping values are searched entry by entry;
+    ``None`` means there is none.  Non-numbers are not this check's
+    business: the spec's own checks report them as wrong-typed.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            bad = _bad_number(item, allow_bool)
+            if bad is not None:
+                return bad
+        return None
+    if isinstance(value, (bool, np.bool_)):
+        return None if allow_bool else value
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return value
+    return None
+
+
+def _check_number(where: str, value, allow_bool: bool = False) -> None:
+    """Raise naming ``where`` when ``value`` holds a :func:`_bad_number`."""
+    bad = _bad_number(value, allow_bool)
+    if bad is not None:
+        many = isinstance(value, (list, tuple, np.ndarray, Mapping))
+        what = "finite numbers" if many else "a finite number"
+        raise ValueError(f"{where} must be {what}, got {bad!r}")
+
+
+def _check_float_fields(spec, section: str) -> None:
+    """Reject NaN, ±Infinity and booleans in a spec section's float fields.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, from spec files and
+    ``--set`` values alike, and takes JSON ``true`` for the number 1;
+    none of them is a rate, a level or a timeout.  A float field is one
+    whose annotation names ``float``.  Each section calls this first in
+    ``__post_init__``, before its range checks (which NaN slips past) and
+    its float conversions (which turn ``True`` into 1.0).
+    """
+    for f in dataclasses.fields(spec):
+        if "float" in f.type:
+            _check_number(f"{section} {f.name}", getattr(spec, f.name))
+
+
 def apply_overrides(
     data: Dict[str, Any], overrides: Mapping[str, Any]
 ) -> Dict[str, Any]:
@@ -144,7 +193,7 @@ class TopologySpec:
     num_peers: int = 1000
     num_helpers: int = 20
     num_channels: int = 1
-    channel_bitrates: Any = 350.0
+    channel_bitrates: Union[float, Tuple[float, ...]] = 350.0
     channel_popularity: Optional[Tuple[float, ...]] = None
     channel_switch_rate: float = 0.0
     round_duration: float = 1.0
@@ -152,6 +201,7 @@ class TopologySpec:
     popularity_drift_period: float = 10.0
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "topology")
         if not isinstance(self.channel_bitrates, (int, float)):
             object.__setattr__(
                 self, "channel_bitrates", tuple(float(r) for r in self.channel_bitrates)
@@ -205,14 +255,17 @@ class TransformSpec:
     names raise with the registered menu at spec construction);
     ``options`` carries the stage's keyword arguments through to the
     registered factory and must stay JSON-plain for the spec to
-    round-trip.
+    round-trip.  The options are bound against the factory's signature
+    here, so an unknown option fails at spec construction too; numbers
+    in them must be finite, and an option whose default is a float
+    refuses a boolean.
     """
 
     name: str
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        CAPACITY_TRANSFORMS.get(self.name)  # raises with the menu
+        factory = CAPACITY_TRANSFORMS.get(self.name).factory  # raises with the menu
         if not isinstance(self.options, Mapping) or any(
             not isinstance(key, str) for key in self.options
         ):
@@ -221,6 +274,21 @@ class TransformSpec:
                 "string keys"
             )
         object.__setattr__(self, "options", dict(self.options))
+        signature = inspect.signature(factory)
+        try:
+            signature.bind(None, rng=None, **self.options)
+        except TypeError as exc:
+            raise ValueError(
+                f"transform {self.name!r} options {sorted(self.options)} do "
+                f"not fit its factory: {exc}"
+            ) from None
+        for name, value in self.options.items():
+            param = signature.parameters.get(name)
+            _check_number(
+                f"transform {self.name!r} option {name}",
+                value,
+                allow_bool=param is None or not isinstance(param.default, float),
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -260,6 +328,7 @@ class CapacitySpec:
     transforms: Tuple[TransformSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "capacity")
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if self.backend != "auto":
             CAPACITY_BACKENDS.get(self.backend)  # raises with the menu
@@ -320,6 +389,7 @@ class NetworkSpec:
     rtt_reference_ms: float = 50.0
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "network")
         object.__setattr__(
             self, "regions", tuple(str(name) for name in self.regions)
         )
@@ -499,6 +569,7 @@ class LearnerSpec:
     shards: int = 1
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "learner")
         LEARNERS.get(self.name)  # raises with the menu
         if self.dtype not in SPEC_DTYPES:
             raise ValueError(
@@ -546,6 +617,7 @@ class ChurnSpec:
     initial_peer_lifetimes: bool = False
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "churn")
         require_bool(self.initial_peer_lifetimes, "churn initial_peer_lifetimes")
         if self.arrival_rate < 0:
             raise ValueError("churn arrival_rate must be >= 0")
@@ -675,14 +747,15 @@ EXECUTION_ON_FAILURE = ("raise", "record")
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """Sweep-execution fault-tolerance policy (plain fan-out by default).
+    """Sweep-execution fault-tolerance policy (no retries by default).
 
-    Controls how :class:`~repro.analysis.parallel.ParallelRunner`
-    supervises worker processes.  All-default means the historical
-    behaviour: cells fan out unsupervised and the first failure aborts
-    the sweep.  Any non-default field (or an attached results store)
-    switches the runner to the supervised dispatcher in
-    :mod:`repro.analysis.supervision`: one worker process per cell,
+    Tunes how :class:`~repro.analysis.parallel.ParallelRunner`'s
+    supervisor (:mod:`repro.analysis.supervision`) runs worker
+    processes.  Every multi-worker sweep runs under it, one process per
+    cell; all-default means a dead worker or a raising cell fails its
+    cell on the first attempt and the sweep raises once every other cell
+    has finished.  Any non-default field also puts a one-worker sweep
+    under the supervisor instead of running it inline, adding
     per-attempt wall-clock limits, heartbeat liveness, and retry with
     exponential backoff + deterministic jitter on worker death.
 
@@ -717,6 +790,7 @@ class ExecutionSpec:
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
+        _check_float_fields(self, "execution")
         if not _is_int(self.max_retries) or self.max_retries < 0:
             raise ValueError(
                 "execution max_retries must be an integer >= 0, got "
@@ -1324,8 +1398,8 @@ class ExperimentSpec:
 
         Returns a :class:`~repro.analysis.sweeps.SweepResult` whose cell
         parameters are the grid overrides and whose metrics are each
-        cell's :meth:`run` output (array-valued metrics ride back through
-        the runner's shared-memory result handoff).  ``rng`` defaults to
+        cell's :meth:`run` output (array-valued metrics included; they
+        come home pickled through each worker's pipe).  ``rng`` defaults to
         the spec's ``seed``; seeds are derived per cell in grid order, so
         results are worker-count-independent.
 

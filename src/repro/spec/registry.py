@@ -211,9 +211,10 @@ def register_capacity_transform(
     implementing the same
     :class:`~repro.game.repeated_game.CapacityProcess` protocol plus
     ``minimum_capacities()``).  Specs reach it through the ordered
-    ``capacity.transforms`` list; unknown option names fail inside the
-    factory, unknown transform *names* fail at spec construction with
-    the registered menu.  Usable as a decorator.
+    ``capacity.transforms`` list.  Both kinds of mistake fail at spec
+    construction: an unknown transform *name* with the registered menu,
+    and options that do not bind to the factory's signature with the
+    binding error.  Usable as a decorator.
     """
 
     def _add(fn):

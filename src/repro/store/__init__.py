@@ -10,9 +10,9 @@ an unchanged cell are cache hits (no worker dispatched) and interrupted
 sweeps resume for free.
 
 Commits are atomic (write into a temp directory, then one ``rename``
-into place), payload arrays reuse the ``.npy`` format of the sweep
-handoff machinery, and every entry carries checksums — a torn write or
-bit rot is detected on read, quarantined, and transparently recomputed.
+into place), payload arrays are stored as ``.npy`` files, and every
+entry carries checksums — a torn write or bit rot is detected on read,
+quarantined, and transparently recomputed.
 ``verify``/``gc`` are the maintenance ops, exposed on the CLI as
 ``repro store {ls,verify,gc}``.
 """

@@ -93,24 +93,22 @@ class TestSweepIntegration:
 
 
 def trace_sum_cell(params, seed):
-    """Module-level cell resolving a shared-array handle inside the worker."""
-    from repro.analysis.parallel import resolve_shared_array
-
-    arr = resolve_shared_array(params["trace"])
-    return {"total": float(np.asarray(arr).sum()), "seed_mod": float(seed % 7)}
+    """Module-level cell loading a shared-array handle inside the worker."""
+    arr = params["trace"].load()
+    return {"total": float(arr.sum()), "seed_mod": float(seed % 7)}
 
 
 class TestSharedArrayHandle:
-    @pytest.mark.parametrize("mode", ["shm", "file", "inline"])
+    @pytest.mark.parametrize("mode", ["shm", "file"])
     def test_roundtrip_through_pickle(self, mode):
         import pickle
 
-        from repro.analysis.parallel import share_array, resolve_shared_array
+        from repro.analysis.parallel import share_array
 
         arr = np.arange(24, dtype=float).reshape(6, 4)
         with share_array(arr, mode=mode) as handle:
             clone = pickle.loads(pickle.dumps(handle))
-            got = resolve_shared_array(clone)
+            got = clone.load()
             assert np.array_equal(np.asarray(got), arr)
             assert handle.shape == (6, 4)
             clone.close()
@@ -169,21 +167,18 @@ class TestSharedArrayHandle:
 
 
 class TestSweepTraceHandoff:
-    @pytest.mark.parametrize("trace_handoff", ["auto", "file", "inline"])
-    def test_parallel_matches_serial(self, trace_handoff):
+    def test_parallel_matches_serial(self):
         grid = {"epsilon": [0.02, 0.08]}
         serial = sweep_learner_parameters(grid, 8, 4, 50, rng=11)
         parallel = sweep_learner_parameters(
-            grid, 8, 4, 50, rng=11,
-            runner=ParallelRunner(workers=2),
-            trace_handoff=trace_handoff,
+            grid, 8, 4, 50, rng=11, runner=ParallelRunner(workers=2),
         )
         for a, b in zip(serial.cells, parallel.cells):
             assert a.parameters == b.parameters
             for name in a.metrics:
                 assert a.metrics[name] == pytest.approx(b.metrics[name], abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["shm", "inline"])
+    @pytest.mark.parametrize("mode", ["shm", "file"])
     def test_loaded_views_are_read_only(self, mode):
         from repro.analysis.parallel import share_array
 

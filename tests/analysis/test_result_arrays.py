@@ -1,4 +1,4 @@
-"""Per-cell result arrays returning from workers through shared memory."""
+"""Per-cell result arrays returning from workers through their pipes."""
 
 import glob
 import os
@@ -7,20 +7,14 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.analysis.parallel import (
-    RESULT_SHARE_MIN_BYTES,
-    ParallelRunner,
-    SharedArrayHandle,
-    _materialize_result_metrics,
-    _share_result_metrics,
-)
+from repro.analysis.parallel import ParallelRunner, SharedArrayHandle
 
 
 def array_cell(params, seed):
     """Module-level cell returning one large and one small array metric."""
     rng = np.random.default_rng(seed)
-    big = np.full((64, 64), float(params["x"]))  # 32 KiB: shared
-    small = np.arange(4, dtype=float)  # 32 B: pickled inline
+    big = np.full((64, 64), float(params["x"]))  # 32 KiB
+    small = np.arange(4, dtype=float)  # 32 B
     return {
         "x": float(params["x"]),
         "big_series": big,
@@ -55,31 +49,9 @@ class TestResultArrayHandoff:
             assert a.metrics["draw"] == b.metrics["draw"]
             assert np.array_equal(a.metrics["big_series"], b.metrics["big_series"])
 
-    @pytest.mark.parametrize("result_handoff", ["file", "inline"])
-    def test_explicit_handoff_modes(self, result_handoff):
-        runner = ParallelRunner(workers=2, result_handoff=result_handoff)
-        cells = runner.map_cells(array_cell, [{"x": i} for i in range(3)], rng=1)
-        for i, cell in enumerate(cells):
-            assert np.all(cell.metrics["big_series"] == float(i))
-
-    def test_file_mode_cleans_up_backing_files(self):
-        before = set(
-            glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
-        )
-        runner = ParallelRunner(workers=2, result_handoff="file")
-        runner.map_cells(array_cell, [{"x": i} for i in range(4)], rng=0)
-        after = set(
-            glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
-        )
-        assert after <= before  # no leaked .npy result files
-
-    def test_bad_result_handoff_rejected(self):
-        with pytest.raises(ValueError, match="result_handoff"):
-            ParallelRunner(workers=2, result_handoff="telepathy")
-
     def test_results_stay_valid_after_pool_teardown(self):
-        """map_cells materializes before returning: the arrays must not
-        reference worker-owned storage that died with the pool."""
+        """The arrays map_cells returns are parent-owned: they must not
+        reference storage that died with the workers."""
         runner = ParallelRunner(workers=2)
         cells = runner.map_cells(array_cell, [{"x": 7}] * 2, rng=0)
         del runner
@@ -98,18 +70,18 @@ def exploding_cell(params, seed):
 
 class TestWorkerFailureDoesNotLeak:
     def test_failure_surfaces_after_siblings_are_released(self):
-        before = set(
-            glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
-        )
-        runner = ParallelRunner(workers=2, result_handoff="file")
+        def backings():
+            return set(glob.glob("/dev/shm/psm_*")) | set(
+                glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
+            )
+
+        before = backings()
+        runner = ParallelRunner(workers=2)
         with pytest.raises(RuntimeError, match="boom on cell 1"):
             runner.map_cells(exploding_cell, [{"x": i} for i in range(4)], rng=0)
-        after = set(
-            glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
-        )
-        # The three successful cells' result files were materialized and
-        # unlinked before the failure was raised.
-        assert after <= before
+        # The three successful cells' arrays came home through their
+        # pipes: no shared segment or backing file outlives the sweep.
+        assert backings() <= before
 
     def test_inline_path_raises_the_original_exception(self):
         runner = ParallelRunner(workers=1)
@@ -117,32 +89,9 @@ class TestWorkerFailureDoesNotLeak:
             runner.map_cells(exploding_cell, [{"x": i} for i in range(2)], rng=0)
 
 
-class TestShareHelpers:
-    def test_small_arrays_pass_through(self):
-        metrics = {"tiny": np.zeros(4), "value": 1.0}
-        shared = _share_result_metrics(metrics, "auto")
-        assert shared["tiny"] is metrics["tiny"]
-        assert shared["value"] == 1.0
-
-    def test_large_arrays_become_handles_and_round_trip(self):
-        big = np.random.default_rng(0).uniform(
-            size=(RESULT_SHARE_MIN_BYTES // 8 + 16,)
-        )
-        shared = _share_result_metrics({"big": big, "s": 2.0}, "auto")
-        handle = shared["big"]
-        assert isinstance(handle, SharedArrayHandle)
-        out = _materialize_result_metrics(shared)
-        assert np.array_equal(out["big"], big)
-        assert out["s"] == 2.0
-
-    def test_materialize_is_identity_for_plain_metrics(self):
-        metrics = {"a": 1.0, "b": np.zeros(3)}
-        assert _materialize_result_metrics(metrics)["a"] == 1.0
-
-
 def spec_series_cell_guard():  # pragma: no cover - documentation anchor
     """See tests/spec/test_spec_roundtrip.py for spec sweeps that return
-    welfare_series arrays through this handoff."""
+    welfare_series arrays from their workers."""
 
 
 class TestSpecSweepSeriesThroughWorkers:
@@ -150,7 +99,7 @@ class TestSpecSweepSeriesThroughWorkers:
         from repro.spec import ExperimentSpec, MetricsSpec, SweepSpec, TopologySpec
 
         spec = ExperimentSpec(
-            rounds=1200,  # 1200 rounds -> 9.6 KiB series, above the share floor
+            rounds=1200,  # 1200 rounds -> a 9.6 KiB series per cell
             topology=TopologySpec(num_peers=8, num_helpers=4, channel_bitrates=100.0),
             metrics=MetricsSpec(metrics=("mean_welfare", "welfare_series")),
         )

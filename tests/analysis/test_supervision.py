@@ -1,16 +1,21 @@
 """Tests for fault-tolerant sweep execution.
 
 Worker crashes, hangs, timeouts, retry/backoff, failure records, the
-results-store resume path, and the shared-memory crash reaper — all
+results-store resume path, and results that leave nothing behind — all
 driven through the chaos harness (:mod:`repro.analysis.chaos`) so each
 fault injects exactly once and the retried cell must come back
 bit-identical to a clean run.
 """
 
 import glob
+import json
 import os
 import signal
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,6 @@ from repro.analysis.supervision import (
     SweepError,
     SweepFailure,
     Supervisor,
-    reap_segments,
 )
 from repro.spec.model import ExecutionSpec
 from repro.store import ResultsStore, cell_digest
@@ -35,12 +39,9 @@ def rng_cell(params, seed):
 
 
 def array_cell(params, seed):
-    """Carries an array large enough to ride the shm result handoff."""
+    """Carries a 32 KiB array home with its scalar."""
     rng = np.random.default_rng(seed)
-    return {
-        "draw": float(rng.random()),
-        "trace": rng.random(4096),  # 32 KiB >= RESULT_SHARE_MIN_BYTES
-    }
+    return {"draw": float(rng.random()), "trace": rng.random(4096)}
 
 
 def error_cell(params, seed):
@@ -66,8 +67,64 @@ def stop_self_cell(params, seed):
     return rng_cell(params, seed)
 
 
+def exit_on_one_cell(params, seed):
+    """Kills its own worker on ``i == 1``; the other cells leave a marker."""
+    if params["i"] == 1:
+        os._exit(3)
+    Path(params["dir"], f"ran-{params['i']}").touch()
+    return {"i": float(params["i"])}
+
+
 def _sets(n):
     return [{"replication": i} for i in range(n)]
+
+
+#: Runs a 4-cell, 2-worker sweep of :func:`exit_on_one_cell` with the
+#: default execution policy and no store; prints the raised
+#: ``SweepError``'s cell index and attempt outcomes as JSON.
+DYING_WORKER_SWEEP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_supervision import exit_on_one_cell
+from repro.analysis.parallel import ParallelRunner
+from repro.analysis.supervision import SweepError
+sets = [{"i": i, "dir": sys.argv[2]} for i in range(4)]
+try:
+    ParallelRunner(workers=2).map_cells(exit_on_one_cell, sets, rng=0)
+except SweepError as exc:
+    outcomes = [attempt.outcome for attempt in exc.failure.attempts]
+    print(json.dumps([exc.failure.cell_index, outcomes]))
+else:
+    print(json.dumps(None))
+"""
+
+
+class TestDyingWorker:
+    def test_dying_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
+        """A worker that dies mid-cell fails its cell with one SweepError;
+        it must never wait forever on a result that cannot come.  The
+        sweep runs in a child process so that a hang fails this test
+        after 60 s instead of stalling the suite."""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(here.parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DYING_WORKER_SWEEP, str(here), str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a sweep with a dying worker hung for 60 s")
+        assert proc.returncode == 0, err
+        cell_index, outcomes = json.loads(out)
+        assert cell_index == 1
+        assert outcomes[-1] == "crash"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ran-0", "ran-2", "ran-3",
+        ]
 
 
 class TestRetryAfterCrash:
@@ -378,71 +435,28 @@ class TestStoreResume:
 
 
 class TestShmReaping:
-    def test_crash_between_announce_and_delivery_leaks_nothing(self):
-        def die_after_share(index, attempt, metrics):
-            if attempt == 1 and index == 0:
-                os._exit(99)
+    def test_crash_between_announce_and_delivery_leaks_nothing(self, tmp_path):
+        """Results ride the worker's pipe: a worker killed mid-cell leaves
+        no shared segment or backing file behind, and its retry is
+        bit-identical to a clean run."""
 
-        before = set(glob.glob("/dev/shm/psm_*"))
+        def backings():
+            return set(glob.glob("/dev/shm/psm_*")) | set(
+                glob.glob(os.path.join(tempfile.gettempdir(), "repro-trace-*"))
+            )
+
+        before = backings()
         runner = ParallelRunner(workers=2)
-        runner._post_share_hook = die_after_share
-        cells = runner.map_cells(
-            array_cell, _sets(3), rng=1,
+        clean = runner.map_cells(array_cell, _sets(3), rng=1)
+        plan = ChaosPlan(tmp_path / "chaos").crash_cell(0)
+        retried = runner.map_cells(
+            plan.wrap(array_cell), _sets(3), rng=1,
             execution=ExecutionSpec(max_retries=1),
         )
-        assert all(c is not None for c in cells)
-        leaked = set(glob.glob("/dev/shm/psm_*")) - before
-        assert not leaked
-
-    def test_reap_segments_unlinks_named_segments(self):
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=1024)
-        name = seg.name
-        seg.close()
-        assert reap_segments([name]) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_reap_segments_tolerates_missing(self):
-        assert reap_segments(["psm_does_not_exist_xyz"]) == 0
-
-    def test_undelivered_reaper_reclaims_disowned_handles(self):
-        from repro.analysis.parallel import (
-            _UNDELIVERED,
-            _reap_undelivered,
-            _share_result_metrics,
-        )
-        from multiprocessing import shared_memory
-
-        metrics = _share_result_metrics(
-            {"trace": np.arange(4096, dtype=np.float64)}, "shm"
-        )
-        handle = metrics["trace"]
-        assert id(handle) in _UNDELIVERED
-        name = handle._shm_name
-        assert _reap_undelivered() >= 1
-        assert id(handle) not in _UNDELIVERED
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_delivery_deregisters_from_reaper(self):
-        from repro.analysis.parallel import (
-            _UNDELIVERED,
-            _mark_results_delivered,
-            _materialize_result_metrics,
-            _share_result_metrics,
-        )
-
-        metrics = _share_result_metrics(
-            {"trace": np.arange(4096, dtype=np.float64)}, "shm"
-        )
-        _mark_results_delivered(metrics)
-        assert not _UNDELIVERED
-        out = _materialize_result_metrics(metrics)  # releases backing
-        np.testing.assert_array_equal(
-            out["trace"], np.arange(4096, dtype=np.float64)
-        )
+        for a, b in zip(retried, clean):
+            assert a.metrics["draw"] == b.metrics["draw"]
+            np.testing.assert_array_equal(a.metrics["trace"], b.metrics["trace"])
+        assert not backings() - before
 
 
 class TestSupervisorInternals:
@@ -453,9 +467,7 @@ class TestSupervisorInternals:
             [
                 (plan.wrap(rng_cell), {"replication": i}, 1000 + i, i)
                 for i in range(3)
-            ],
-            result_mode=None,
-            heartbeat_interval=0.0,
+            ]
         )
         assert not failures
         assert len(results) == 3
@@ -487,9 +499,7 @@ class TestSupervisorInternals:
         )
         supervisor = Supervisor(workers=2, execution=ExecutionSpec(max_retries=0))
         results, failures = supervisor.run(
-            [(rng_cell, {"replication": i}, 1000 + i, i) for i in range(2)],
-            result_mode=None,
-            heartbeat_interval=0.0,
+            [(rng_cell, {"replication": i}, 1000 + i, i) for i in range(2)]
         )
         assert not failures
         assert sorted(results) == [0, 1]

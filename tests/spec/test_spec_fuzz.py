@@ -152,6 +152,40 @@ def test_mutated_eval_matrix_parses_or_fails_cleanly(mutations):
 
 BAD_SEEDS = ["x", 1.5, -1, None, True]
 
+#: Every float-valued spec field ("leaf"), list-valued ones included.
+RUN_FLOAT_LEAVES = [
+    "topology.channel_bitrates",
+    "topology.channel_popularity",
+    "topology.channel_switch_rate",
+    "topology.round_duration",
+    "topology.popularity_drift_rate",
+    "topology.popularity_drift_period",
+    "capacity.levels",
+    "capacity.stay_probability",
+    "capacity.server_capacity",
+    "network.latency_matrix",
+    "network.helper_classes",
+    "network.latency_ms",
+    "network.jitter_ms",
+    "network.loss_rate",
+    "network.rtt_reference_ms",
+    "learner.epsilon",
+    "learner.delta",
+    "learner.mu",
+    "learner.u_max",
+    "churn.arrival_rate",
+    "churn.mean_lifetime",
+    "execution.cell_timeout",
+    "execution.backoff_base",
+    "execution.backoff_max",
+    "execution.heartbeat_interval",
+]
+EVAL_FLOAT_LEAVES = [
+    leaf for leaf in RUN_FLOAT_LEAVES if leaf.startswith("execution.")
+]
+#: Values Python's json reads that no float field may hold.
+BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True]
+
 
 @pytest.mark.parametrize(
     "command, field, value",
@@ -176,12 +210,18 @@ BAD_SEEDS = ["x", 1.5, -1, None, True]
         ("run", "telemetry.flush_interval", True),
         ("run", "telemetry.sample_period", False),
         ("run", "execution.max_retries", True),
-    ],
+        ("run", "capacity.levels", [700.0, float("nan")]),
+        ("run", "topology.channel_bitrates", [100.0, float("inf")]),
+        ("run", "network.helper_classes", {"seedbox": float("nan")}),
+    ]
+    + [("run", leaf, bad) for leaf in RUN_FLOAT_LEAVES for bad in BAD_FLOATS]
+    + [("eval", leaf, bad) for leaf in EVAL_FLOAT_LEAVES for bad in BAD_FLOATS],
 )
 def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsys):
     """Never a traceback, a fresh-entropy run (null seed), seed 1 (true
     seed), one-letter scenario names (a bare string), a fractional count
-    that fails only in ``build()``, or a truthy string taken for a flag.
+    that fails only in ``build()``, a truthy string taken for a flag, or
+    a NaN, an infinity or a boolean taken for a float.
     """
     example = copy.deepcopy({"run": SMOKE, "eval": MATRIX}[command])
     mutate(example, field.split("."), value)
@@ -190,9 +230,25 @@ def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsy
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--spec", str(path), "--dump-spec"])
     assert excinfo.value.code == 2
-    error = capsys.readouterr().err.strip().splitlines()[-1]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = err.strip().splitlines()[-1]
     leaf = field.split(".")[-1]
     assert error.startswith("repro: error:") and f"{leaf} must be" in error
+
+
+def test_unknown_transform_option_is_one_cli_error(capsys):
+    """Transform options bind to the factory when the spec is built."""
+    item = 'capacity.transforms=[{"name": "clamp", "options": {"floor": 5}}]'
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--spec", str(EXAMPLES / "smoke.json"), "--set", item,
+              "--dump-spec"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = err.strip().splitlines()[-1]
+    assert error.startswith("repro: error:")
+    assert "'clamp'" in error and "'floor'" in error
 
 
 @pytest.mark.parametrize(
