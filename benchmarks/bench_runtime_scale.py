@@ -11,7 +11,7 @@ for each H in the grid it times capacity-process advancement (scalar chain
 objects vs. the vectorized engine) and the vectorized system's end-to-end
 round with each environment backend, reporting the capacity-process share
 of round time.  Helpers partition across channels (~50 per channel, like
-``massive_scale_scenario``) so the per-channel regret tensors stay sane at
+``massive_scale_spec``) so the per-channel regret tensors stay sane at
 H in the thousands.
 
 ``--capacity-guard`` is the CI regression gate: a quick H=1000 advancement
@@ -54,12 +54,6 @@ Usage::
     python benchmarks/bench_runtime_scale.py --channels-guard
     python benchmarks/bench_runtime_scale.py --memory-guard
     python benchmarks/bench_runtime_scale.py --shard-guard
-
-``--phase-profile`` runs the 10k-peer / 100-helper round loop under the
-:mod:`repro.telemetry` instrumentation and appends the per-phase
-decomposition (act / observe / capacity / reductions / trace, with each
-phase's share of ``round.total``) to the trajectory — the ground truth
-behind "where does the 2.4 ms floor go".
 
 The JSON report lands in ``BENCH_runtime.json`` (repo root by default) as a
 *trajectory* — ``{"schema": 3, "runs": [...]}``, one entry appended per
@@ -107,7 +101,7 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 U_MAX = 900.0
 
 #: Target helpers per channel in the helpers-scale study (mirrors
-#: massive_scale_scenario's partitioning; keeps per-channel (N, H, H)
+#: massive_scale_spec's partitioning; keeps per-channel (N, H, H)
 #: regret tensors feasible at H in the thousands).
 HELPERS_PER_CHANNEL = 50
 
@@ -881,96 +875,6 @@ def run_shard_guard(args) -> int:
     return 0
 
 
-def run_phase_profile(args) -> int:
-    """Per-phase decomposition of the vectorized round loop.
-
-    Builds the default-scale system inside a live telemetry session (the
-    phase instruments bind at construction time), runs warmup + timed
-    rounds, and reports where ``round.total`` goes.  Warmup rounds stay
-    in the totals — ``Telemetry.reset()`` would orphan the instruments
-    already bound into the system — so keep ``--rounds`` comfortably
-    above ``--warmup`` for representative shares.
-    """
-    from repro.telemetry import (
-        render_phase_table,
-        round_phase_shares,
-        session,
-    )
-
-    rounds = args.warmup + args.rounds
-    config = SystemConfig(
-        num_peers=args.peers,
-        num_helpers=args.helpers,
-        num_channels=args.channels,
-        channel_bitrates=100.0,
-    )
-    print(
-        f"bench_runtime_scale --phase-profile: N={args.peers} "
-        f"H={args.helpers} C={args.channels} rounds={rounds} "
-        f"({args.warmup} warmup included in totals)"
-    )
-    gc.collect()
-    with session(enabled=True) as tel:
-        system = VectorizedStreamingSystem(
-            config,
-            bank_factory("r2hs", u_max=U_MAX),
-            rng=args.seed,
-        )
-        system.run(rounds)
-        snap = tel.snapshot()
-    del system
-    gc.collect()
-
-    print(render_phase_table(snap))
-    shares = round_phase_shares(snap)
-    if shares is None:
-        print("FAIL: no round.total envelope in the snapshot")
-        return 1
-    coverage = shares.pop("coverage")
-    total = snap["phases"]["round.total"]
-    per_round = total["total_s"] / total["count"]
-    print(
-        f"  {per_round * 1e3:.3f} ms/round over {total['count']} rounds, "
-        f"named phases cover {coverage:.1%} of round.total"
-    )
-
-    report = append_run(
-        args.output,
-        {
-            "kind": "phase_profile",
-            "config": {
-                "peers": args.peers,
-                "helpers": args.helpers,
-                "channels": args.channels,
-                "rounds": rounds,
-                "warmup": args.warmup,
-                "seed": args.seed,
-                "learner": "r2hs",
-                "quick": bool(args.quick),
-            },
-            "results": {
-                "seconds_per_round": per_round,
-                "coverage": coverage,
-                "shares": shares,
-                "phases": snap["phases"],
-            },
-        },
-    )
-    print(f"  wrote {args.output} ({len(report['runs'])} runs)")
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    lines = [
-        f"N={args.peers} H={args.helpers} C={args.channels}: "
-        f"{per_round * 1e3:.3f} ms/round, coverage {coverage:.1%}"
-    ] + [
-        f"  {name:16s} {share:6.1%}"
-        for name, share in sorted(shares.items(), key=lambda kv: -kv[1])
-    ]
-    (OUTPUT_DIR / "bench_phase_profile.txt").write_text(
-        "\n".join(lines) + "\n"
-    )
-    return 0
-
-
 def run_capacity_guard(seed: int) -> int:
     """CI gate: vectorized capacity advancement must beat scalar at H=1000."""
     result = bench_capacity_advance(1000, seed)
@@ -1028,12 +932,6 @@ def main(argv=None) -> int:
         type=str,
         default="1,20,100",
         help="comma-separated channel counts for --channels-scale",
-    )
-    parser.add_argument(
-        "--phase-profile",
-        action="store_true",
-        help="per-phase decomposition of the vectorized round loop via "
-        "repro.telemetry (appends a phase_profile run to the trajectory)",
     )
     parser.add_argument(
         "--capacity-guard",
@@ -1138,9 +1036,6 @@ def main(argv=None) -> int:
             args.helpers_grid = "100,1000"
         if args.channels_grid == "1,20,100":
             args.channels_grid = "1,20"
-
-    if args.phase_profile:
-        return run_phase_profile(args)
 
     if args.channels_scale:
         grid = [int(c) for c in args.channels_grid.split(",") if c]

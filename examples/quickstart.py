@@ -23,18 +23,20 @@ from repro.metrics import (
 
 
 def main() -> None:
-    scenario = repro.small_scale_scenario(num_stages=2000)
-    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
-    population = repro.make_learner_population(scenario, rng=2)
+    spec = repro.small_scale_spec(num_stages=2000, backend="scalar")
+    process = spec.build_capacity_process(rng=1)
+    population = spec.build_population(rng=2)
+    num_peers, num_helpers = spec.topology.num_peers, spec.topology.num_helpers
 
-    print(f"Scenario: {scenario.name}  N={scenario.num_peers} peers, "
-          f"H={scenario.num_helpers} helpers, {scenario.num_stages} stages")
-    print(f"Learner: R2HS  eps={scenario.epsilon} delta={scenario.delta}\n")
+    print(f"Scenario: {spec.name}  N={num_peers} peers, "
+          f"H={num_helpers} helpers, {spec.rounds} stages")
+    print(f"Learner: R2HS  eps={spec.learner.epsilon} "
+          f"delta={spec.learner.delta}\n")
 
-    trajectory = population.run(process, scenario.num_stages)
+    trajectory = population.run(process, spec.rounds)
 
     # --- Fig. 2: welfare vs. the centralized MDP benchmark -------------
-    optimum = solve_symmetric_optimum(process.chains, scenario.num_peers).value
+    optimum = solve_symmetric_optimum(process.chains, num_peers).value
     steady = trajectory.welfare[-500:].mean()
     print("Social welfare (kbit/s)")
     print(f"  centralized MDP optimum : {optimum:8.1f}")
@@ -44,15 +46,15 @@ def main() -> None:
 
     # --- Fig. 1: worst-player regret decay -----------------------------
     regret = time_averaged_regret_series(trajectory, sample_every=100,
-                                         u_max=scenario.u_max)
+                                         u_max=spec.u_max)
     print("Worst-player time-averaged regret (normalized)")
     print(render_series_table(["regret"], [regret], num_points=10))
-    print(f"  final CE regret: {empirical_ce_regret(trajectory, u_max=scenario.u_max):.4f}\n")
+    print(f"  final CE regret: {empirical_ce_regret(trajectory, u_max=spec.u_max):.4f}\n")
 
     # --- Figs. 3-4: load balance and fairness --------------------------
     balance = load_balance_report(trajectory)
     print("Helper load balance (steady-state tail)")
-    for j in range(scenario.num_helpers):
+    for j in range(num_helpers):
         print(f"  helper {j}: mean load {balance.mean_loads[j]:5.2f}  "
               f"(proportional target {balance.proportional_target[j]:5.2f})")
     print(f"  Jain index of loads    : {balance.jain:.4f}")

@@ -10,15 +10,15 @@ Quick start::
 
     import repro
 
-    scenario = repro.small_scale_scenario()
-    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
-    population = repro.make_learner_population(scenario, rng=2)
-    trajectory = population.run(process, scenario.num_stages)
+    spec = repro.small_scale_spec(backend="scalar")
+    process = spec.build_capacity_process(rng=1)
+    population = spec.build_population(rng=2)
+    trajectory = population.run(process, spec.rounds)
     print(trajectory.welfare[-100:].mean())
 
 For population-scale full-system runs use the vectorized runtime::
 
-    system = repro.massive_scale_scenario().to_spec().build(rng=0)
+    system = repro.massive_scale_spec().build(rng=0)
     trace = system.run(100)
 
 See ``examples/`` for end-to-end scripts and the repository ``README.md``
@@ -90,16 +90,12 @@ from repro.spec import (
     register_scenario,
 )
 from repro.workloads import (
-    Scenario,
-    fig5_scenario,
+    fig5_spec,
     flash_crowd_spec,
-    large_scale_scenario,
-    make_learner_population,
-    make_system_config,
-    massive_scale_scenario,
+    large_scale_spec,
+    massive_scale_spec,
     popularity_skew_spec,
-    small_scale_scenario,
-    spec_for_scenario,
+    small_scale_spec,
 )
 
 __version__ = "1.0.0"
@@ -171,14 +167,10 @@ __all__ = [
     "register_metric",
     "register_scenario",
     # workloads
-    "Scenario",
-    "small_scale_scenario",
-    "large_scale_scenario",
-    "fig5_scenario",
-    "massive_scale_scenario",
-    "spec_for_scenario",
+    "small_scale_spec",
+    "large_scale_spec",
+    "fig5_spec",
+    "massive_scale_spec",
     "popularity_skew_spec",
     "flash_crowd_spec",
-    "make_learner_population",
-    "make_system_config",
 ]

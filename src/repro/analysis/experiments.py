@@ -56,9 +56,9 @@ def fig1_worst_player_regret(
     sample_every: int = 100,
 ) -> ExperimentResult:
     """Fig. 1 — evolution of the worst player's regret, large scale."""
-    spec = repro.large_scale_scenario(
-        num_peers=num_peers, num_helpers=num_helpers, num_stages=num_stages
-    ).to_spec(backend="scalar", learner="rths", seed=seed)
+    spec = repro.large_scale_spec(
+        num_peers, num_helpers, num_stages, backend="scalar", seed=seed
+    ).with_overrides({"learner.name": "rths"})
     process = spec.build_capacity_process(rng=seed)
     population = spec.build_population(rng=seed + 1)
     tracking = []
@@ -97,9 +97,9 @@ def fig2_welfare_vs_mdp(
     seed: int = 0, num_stages: int = 2000
 ) -> ExperimentResult:
     """Fig. 2 — RTHS welfare vs. the centralized MDP benchmark (N=10, H=4)."""
-    spec = repro.small_scale_scenario(num_stages=num_stages).to_spec(
-        backend="scalar", learner="rths", seed=seed
-    )
+    spec = repro.small_scale_spec(
+        num_stages, backend="scalar", seed=seed
+    ).with_overrides({"learner.name": "rths"})
     num_peers = spec.topology.num_peers
     process = spec.build_capacity_process(rng=seed)
     stationary_optimum = solve_symmetric_optimum(process.chains, num_peers).value
@@ -242,9 +242,7 @@ def fig4_peer_rates(
 
 def fig5_server_load(seed: int = 0, num_stages: int = 1200) -> ExperimentResult:
     """Fig. 5 — real server workload vs. minimum bandwidth deficit."""
-    spec = repro.fig5_scenario(num_stages=num_stages).to_spec(
-        backend="scalar", learner="r2hs", seed=seed
-    )
+    spec = repro.fig5_spec(num_stages, backend="scalar", seed=seed)
     trace = spec.run(seed=seed).trace
     report = server_load_report(trace)
     steady = float(report.server_load[num_stages // 6 :].mean())

@@ -173,22 +173,23 @@ def _learner_cell(
     num_helpers: int,
     num_stages: int,
     u_max: float,
+    metrics: Optional[Mapping[str, MetricFunction]],
     params: Mapping[str, object],
     seed: int,
 ) -> Dict[str, float]:
     """One sweep cell, picklable for :class:`~repro.analysis.parallel.ParallelRunner`.
 
     ``trace`` is the sweep's recorded ``(T, H)`` capacity path; every
-    cell replays it read-only.
+    cell replays it read-only.  ``metrics`` ``None`` means
+    :func:`default_metrics`, built where the cell runs.
     """
     learner_params = {k: v for k, v in params.items() if k != "replication"}
     population = LearnerPopulation(
         num_peers, num_helpers, u_max=u_max, rng=seed, **learner_params
     )
     trajectory = population.run(TraceCapacityProcess(trace), num_stages)
-    return {
-        name: fn(trajectory) for name, fn in default_metrics(u_max).items()
-    }
+    metric_fns = default_metrics(u_max) if metrics is None else metrics
+    return {name: fn(trajectory) for name, fn in metric_fns.items()}
 
 
 def sweep_learner_parameters(
@@ -210,55 +211,36 @@ def sweep_learner_parameters(
     the full cross product is evaluated against a single shared bandwidth
     realization.
 
-    Pass a :class:`~repro.analysis.parallel.ParallelRunner` to fan cells
-    across processes.  The parallel path computes :func:`default_metrics`
-    in the workers (custom metric callables are usually closures and do
-    not pickle); per-cell seeds are derived in grid order either way, so
-    serial and parallel sweeps with the same ``rng`` agree cell-for-cell.
-    The shared ``(T, H)`` trace rides inside the cell function.
+    Cells run through ``runner`` (default: one worker, inline).  With
+    more than one worker the cells compute :func:`default_metrics` in
+    their own processes, so custom metric callables (usually closures,
+    which do not pickle) need a single worker.  Per-cell seeds are
+    derived in grid order either way, so sweeps with the same ``rng``
+    agree cell-for-cell at any worker count.  The shared ``(T, H)``
+    trace rides inside the cell function.
     """
+    from repro.analysis.parallel import ParallelRunner
     from repro.spec.model import SweepSpec
 
     sweep = grid if isinstance(grid, SweepSpec) else SweepSpec(grid=dict(grid))
     if not sweep.grid:
         raise ValueError("grid must not be empty")
+    if runner is None:
+        runner = ParallelRunner(workers=1)
+    if metrics is not None and runner.workers > 1:
+        raise ValueError(
+            "custom metrics are not picklable across workers; "
+            "use the default metrics with a multi-worker ParallelRunner"
+        )
     parent = as_generator(rng)
     env = paper_bandwidth_process(
         num_helpers, stay_probability=stay_probability, rng=derive_seed(parent)
     )
     shared = record_capacity_trace(env, num_stages)
-
-    if runner is not None:
-        if metrics is not None:
-            raise ValueError(
-                "custom metrics are not picklable across workers; "
-                "use the default metrics with a ParallelRunner"
-            )
-        cell_fn = functools.partial(
-            _learner_cell, shared, num_peers, num_helpers, num_stages, u_max
-        )
-        return runner.run_sweep(sweep, cell_fn, rng=parent)
-
-    metric_fns = dict(metrics) if metrics is not None else default_metrics(u_max)
-    result = SweepResult()
-    for params in sweep.parameter_sets():
-        population = LearnerPopulation(
-            num_peers,
-            num_helpers,
-            u_max=u_max,
-            rng=derive_seed(parent),
-            **{k: v for k, v in params.items() if k != "replication"},
-        )
-        trajectory = population.run(TraceCapacityProcess(shared.copy()), num_stages)
-        result.cells.append(
-            SweepCell(
-                parameters=params,
-                metrics={
-                    name: fn(trajectory) for name, fn in metric_fns.items()
-                },
-            )
-        )
-    return result
+    cell_fn = functools.partial(
+        _learner_cell, shared, num_peers, num_helpers, num_stages, u_max, metrics
+    )
+    return runner.run_sweep(sweep, cell_fn, rng=parent)
 
 
 def sweep_environment_speed(

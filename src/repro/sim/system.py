@@ -159,10 +159,11 @@ def normalized_channel_weights(
     if weights is None:
         weights = [1.0] * num_channels
     weights = np.asarray(list(weights), dtype=float)
-    if weights.size != num_channels or np.any(weights < 0):
-        raise ValueError("channel_popularity must be non-negative, one per channel")
-    if weights.sum() <= 0:
-        raise ValueError("channel_popularity must not be all zero")
+    if weights.size != num_channels or np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError(
+            "channel_popularity must be one non-negative weight per channel "
+            "with a positive sum"
+        )
     return weights / weights.sum()
 
 

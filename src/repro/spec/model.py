@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.sim.bandwidth import PAPER_BANDWIDTH_LEVELS
 from repro.sim.churn import ChurnConfig
+from repro.sim.system import normalized_channel_weights
 from repro.spec.registry import (
     CAPACITY_BACKENDS,
     CAPACITY_TRANSFORMS,
@@ -47,6 +48,7 @@ from repro.util.rng import Seedish, as_generator, spawn
 from repro.util.validation import (
     require_bool,
     require_non_negative_int,
+    require_positive,
     require_positive_int,
 )
 
@@ -221,6 +223,13 @@ class TopologySpec:
                 f"(num_helpers={self.num_helpers}, "
                 f"num_channels={self.num_channels})"
             )
+        if self.channel_popularity is not None:
+            try:
+                normalized_channel_weights(
+                    self.num_channels, self.channel_popularity
+                )
+            except ValueError as exc:
+                raise ValueError(f"topology {exc}") from None
         rates = self.channel_bitrates
         rates = (rates,) if isinstance(rates, (int, float)) else rates
         if any(r <= 0 for r in rates):
@@ -334,6 +343,11 @@ class CapacitySpec:
             CAPACITY_BACKENDS.get(self.backend)  # raises with the menu
         if not self.levels:
             raise ValueError("capacity levels must not be empty")
+        if min(self.levels) < 0 or max(self.levels) <= 0:
+            raise ValueError(
+                "capacity levels must be >= 0 with a positive largest level, "
+                f"got {list(self.levels)}"
+            )
         if not 0 < self.stay_probability < 1:
             raise ValueError("stay_probability must lie strictly in (0, 1)")
         if self.server_capacity is not None and self.server_capacity <= 0:
@@ -598,6 +612,9 @@ class LearnerSpec:
             )
         if not 0 < self.epsilon <= 1 or not 0 < self.delta < 1:
             raise ValueError("epsilon in (0,1], delta in (0,1) required")
+        for name in ("mu", "u_max"):
+            if getattr(self, name) is not None:
+                require_positive(getattr(self, name), f"learner {name}")
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

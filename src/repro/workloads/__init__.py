@@ -3,9 +3,11 @@
 * :mod:`repro.workloads.popularity` — Zipf-like channel popularity (the
   time-varying popularity motivating multi-channel helper systems).
 * :mod:`repro.workloads.demand` — per-peer streaming-demand profiles.
-* :mod:`repro.workloads.scenarios` — the concrete experiment setups of the
-  paper's Section IV (small-scale N=10/H=4, large-scale, Fig. 5 demand
-  setting), each bundling population, environment and learner parameters.
+* :mod:`repro.workloads.scenarios` — spec factories for the concrete
+  experiment setups of the paper's Section IV (:func:`small_scale_spec`
+  N=10/H=4, :func:`large_scale_spec`, the :func:`fig5_spec` demand
+  setting), :func:`massive_scale_spec`, :func:`heterogeneous_spec` and the
+  load-skew families; each returns an :class:`~repro.spec.ExperimentSpec`.
 * :mod:`repro.workloads.adversarial` — the hostile corpus the prequential
   evaluator (:mod:`repro.eval`) compares learners against: correlated
   helper outages, oscillating capacity, flash-crowd+failure storms, and
@@ -30,36 +32,28 @@ from repro.workloads.geo import (
 from repro.workloads.demand import constant_demand, heterogeneous_demand
 from repro.workloads.popularity import zipf_popularity
 from repro.workloads.scenarios import (
-    Scenario,
-    fig5_scenario,
+    fig5_spec,
     flash_crowd_spec,
-    heterogeneous_scenario,
-    large_scale_scenario,
+    heterogeneous_spec,
+    large_scale_spec,
     make_heterogeneous_process,
-    make_learner_population,
-    make_system_config,
-    massive_scale_scenario,
+    massive_scale_spec,
     popularity_skew_spec,
-    small_scale_scenario,
-    spec_for_scenario,
+    small_scale_spec,
 )
 
 __all__ = [
     "zipf_popularity",
     "constant_demand",
     "heterogeneous_demand",
-    "Scenario",
-    "small_scale_scenario",
-    "large_scale_scenario",
-    "fig5_scenario",
-    "heterogeneous_scenario",
-    "massive_scale_scenario",
-    "spec_for_scenario",
+    "small_scale_spec",
+    "large_scale_spec",
+    "fig5_spec",
+    "heterogeneous_spec",
+    "massive_scale_spec",
     "popularity_skew_spec",
     "flash_crowd_spec",
     "make_heterogeneous_process",
-    "make_learner_population",
-    "make_system_config",
     "correlated_failures_spec",
     "oscillating_capacity_spec",
     "flash_storm_spec",

@@ -1,35 +1,40 @@
-"""The paper's experiment scenarios, as reusable bundles.
+"""The paper's experiment scenarios, as spec factories.
 
 Section IV fixes the environment (helper bandwidth switching over
-``[700, 800, 900]``) and varies scale:
+``[700, 800, 900]``) and varies scale.  Every preset here returns an
+:class:`~repro.spec.ExperimentSpec` and takes its scale, then
+``num_stages``, ``backend`` and ``seed``:
 
-* :func:`small_scale_scenario` — "N = 10 peers and |H| = 4 helpers" used
+* :func:`small_scale_spec` — "N = 10 peers and |H| = 4 helpers" used
   for the RTHS-vs-centralized-MDP comparison (Fig. 2).
-* :func:`large_scale_scenario` — the "large-scale cooperative multi-channel"
+* :func:`large_scale_spec` — the "large-scale cooperative multi-channel"
   run behind Fig. 1 (exact size unreported; we default to N=100, H=10 and
   expose both as parameters).
-* :func:`fig5_scenario` — a demand-bearing configuration where aggregate
+* :func:`fig5_spec` — a demand-bearing configuration where aggregate
   demand exceeds the helpers' minimum provisioned bandwidth, so the server
   carries a structural deficit (the Fig. 5 regime).
+* :func:`massive_scale_spec` and :func:`heterogeneous_spec` — extension
+  settings (population scale; strong and weak helper classes), and the
+  load-skew families from :func:`popularity_skew_spec` on.
 
-Learner hyper-parameters (unreported in the paper) default to
-``epsilon=0.05, delta=0.1, mu = 2 (H-1)`` in normalized units and are swept
-by the ablation benches.
+The first four register as ``small_scale``, ``large_scale``, ``fig5``
+and ``massive_scale``.  Learner hyper-parameters (unreported in
+the paper) keep the :class:`~repro.spec.LearnerSpec` defaults
+``epsilon=0.05, delta=0.1, mu = 2 (H-1)`` in normalized units and are
+swept by the ablation benches.  Build a preset's parts with
+``spec.to_config()``, ``spec.build_capacity_process(rng)``,
+``spec.build_population(rng)`` or the whole system with
+``spec.build(rng)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.core.population import LearnerPopulation
-from repro.sim.bandwidth import PAPER_BANDWIDTH_LEVELS, MarkovCapacityProcess
+from repro.sim.bandwidth import MarkovCapacityProcess
 from repro.spec import (
     CapacitySpec,
     ChurnSpec,
     ExperimentSpec,
     LearnerSpec,
-    MetricsSpec,
     TopologySpec,
     TransformSpec,
     register_scenario,
@@ -37,256 +42,147 @@ from repro.spec import (
 from repro.util.rng import Seedish, as_generator
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A named, fully-parameterized experiment setup."""
-
-    name: str
-    num_peers: int
-    num_helpers: int
-    bandwidth_levels: Tuple[float, ...] = PAPER_BANDWIDTH_LEVELS
-    stay_probability: float = 0.9
-    epsilon: float = 0.05
-    delta: float = 0.1
-    mu: Optional[float] = None
-    demand_per_peer: Optional[float] = None
-    num_stages: int = 2000
-    num_channels: int = 1
-
-    def __post_init__(self) -> None:
-        if self.num_peers < 1 or self.num_helpers < 2:
-            raise ValueError("need num_peers >= 1 and num_helpers >= 2")
-        if not 0 < self.epsilon <= 1 or not 0 < self.delta < 1:
-            raise ValueError("epsilon in (0,1], delta in (0,1) required")
-        if self.num_stages < 1:
-            raise ValueError("num_stages must be >= 1")
-        if self.num_channels < 1 or self.num_helpers < 2 * self.num_channels:
-            # Helpers partition round-robin across channels and the regret
-            # learners need an action set of at least two, so every channel
-            # must receive two or more helpers.
-            raise ValueError(
-                "need num_channels >= 1 and at least two helpers per channel"
-            )
-
-    @property
-    def u_max(self) -> float:
-        """Utility normalizer: the highest bandwidth level."""
-        return float(max(self.bandwidth_levels))
-
-    def to_spec(self, **kwargs) -> ExperimentSpec:
-        """This scenario as an :class:`~repro.spec.ExperimentSpec`.
-
-        See :func:`spec_for_scenario` for the keyword arguments.
-        """
-        return spec_for_scenario(self, **kwargs)
-
-
-def small_scale_scenario(num_stages: int = 2000) -> Scenario:
+def small_scale_spec(
+    num_stages: int = 2000, backend: str = "vectorized", seed: int = 0
+) -> ExperimentSpec:
     """Paper Fig. 2 setting: N = 10 peers, H = 4 helpers."""
-    return Scenario(
+    return ExperimentSpec(
         name="small-scale",
-        num_peers=10,
-        num_helpers=4,
-        num_stages=num_stages,
+        backend=backend,
+        rounds=num_stages,
+        seed=seed,
+        topology=TopologySpec(num_peers=10, num_helpers=4),
     )
 
 
-def large_scale_scenario(
+def large_scale_spec(
     num_peers: int = 100,
     num_helpers: int = 10,
     num_stages: int = 3000,
-) -> Scenario:
+    backend: str = "vectorized",
+    seed: int = 0,
+) -> ExperimentSpec:
     """Paper Fig. 1 setting (scale unreported; defaults N=100, H=10)."""
-    return Scenario(
+    return ExperimentSpec(
         name="large-scale",
-        num_peers=num_peers,
-        num_helpers=num_helpers,
-        num_stages=num_stages,
+        backend=backend,
+        rounds=num_stages,
+        seed=seed,
+        topology=TopologySpec(num_peers=num_peers, num_helpers=num_helpers),
     )
 
 
-def fig5_scenario(num_stages: int = 1500) -> Scenario:
+def fig5_spec(
+    num_stages: int = 1500, backend: str = "vectorized", seed: int = 0
+) -> ExperimentSpec:
     """Fig. 5 setting: demands exceed the helpers' minimum bandwidth.
 
     40 peers at 100 kbit/s each (4000 total) against 4 helpers with minimum
     aggregate 2800 kbit/s: the minimum deficit is 1200 kbit/s, and good
     selection should keep realized server load near it.
     """
-    return Scenario(
+    return ExperimentSpec(
         name="fig5-server-load",
-        num_peers=40,
-        num_helpers=4,
-        demand_per_peer=100.0,
-        num_stages=num_stages,
+        backend=backend,
+        rounds=num_stages,
+        seed=seed,
+        topology=TopologySpec(
+            num_peers=40, num_helpers=4, channel_bitrates=100.0
+        ),
     )
 
 
-def massive_scale_scenario(
+def massive_scale_spec(
     num_peers: int = 100_000,
     num_helpers: int = 200,
     num_channels: int = 4,
     num_stages: int = 200,
-) -> Scenario:
+    backend: str = "vectorized",
+    seed: int = 0,
+) -> ExperimentSpec:
     """Population-scale multi-channel scenario for the vectorized runtime.
 
     Not a paper figure — the regime the ROADMAP's north star targets
-    (10⁵–10⁶ viewers), far beyond what per-object peers can advance.  Build
-    it with ``scenario.to_spec().build()`` (vectorized backend); the scalar
-    backend at this size is minutes per round.  Demand is set below the per-peer helper share so
-    welfare, not the origin server, is the interesting series; crank
-    ``num_peers`` further to study the load-skew regime.
+    (10⁵–10⁶ viewers), far beyond what per-object peers can advance.  The
+    scalar backend at this size is minutes per round.  Demand is set
+    below the per-peer helper share so welfare, not the origin server, is
+    the interesting series; crank ``num_peers`` further to study the
+    load-skew regime.
     """
-    return Scenario(
-        name="massive-scale",
-        num_peers=num_peers,
-        num_helpers=num_helpers,
-        num_channels=num_channels,
-        demand_per_peer=100.0,
-        num_stages=num_stages,
-    )
-
-
-def make_system_config(scenario: Scenario, **overrides) -> "SystemConfig":
-    """A :class:`~repro.sim.system.SystemConfig` matching ``scenario``.
-
-    ``overrides`` pass through to the config (churn, popularity, ...).
-    """
-    from repro.sim.system import SystemConfig
-
-    bitrate = (
-        scenario.demand_per_peer
-        if scenario.demand_per_peer is not None
-        else 350.0
-    )
-    return SystemConfig(
-        num_peers=scenario.num_peers,
-        num_helpers=scenario.num_helpers,
-        num_channels=scenario.num_channels,
-        channel_bitrates=bitrate,
-        bandwidth_levels=scenario.bandwidth_levels,
-        stay_probability=scenario.stay_probability,
-        **overrides,
-    )
-
-
-def spec_for_scenario(
-    scenario: Scenario,
-    backend: str = "vectorized",
-    learner: str = "r2hs",
-    capacity_backend: str = "auto",
-    seed: int = 0,
-    dtype: str = "float64",
-    churn: Optional[ChurnSpec] = None,
-    channel_popularity: Optional[Tuple[float, ...]] = None,
-    metrics: Tuple[str, ...] = (),
-) -> ExperimentSpec:
-    """Translate a :class:`Scenario` bundle into an :class:`~repro.spec.ExperimentSpec`.
-
-    The scenario's scale, environment and learner hyper-parameters map
-    onto the spec sections; ``backend``, ``learner`` and
-    ``capacity_backend`` pick the registered implementations.  Peers with
-    no explicit demand stream at the historical default 350 kbit/s
-    (matching :func:`make_system_config`).
-    """
-    bitrate = (
-        scenario.demand_per_peer
-        if scenario.demand_per_peer is not None
-        else 350.0
-    )
     return ExperimentSpec(
-        name=scenario.name,
+        name="massive-scale",
         backend=backend,
-        rounds=scenario.num_stages,
+        rounds=num_stages,
         seed=seed,
         topology=TopologySpec(
-            num_peers=scenario.num_peers,
-            num_helpers=scenario.num_helpers,
-            num_channels=scenario.num_channels,
-            channel_bitrates=bitrate,
-            channel_popularity=channel_popularity,
+            num_peers=num_peers,
+            num_helpers=num_helpers,
+            num_channels=num_channels,
+            channel_bitrates=100.0,
         ),
-        capacity=CapacitySpec(
-            backend=capacity_backend,
-            levels=scenario.bandwidth_levels,
-            stay_probability=scenario.stay_probability,
-        ),
-        learner=LearnerSpec(
-            name=learner,
-            epsilon=scenario.epsilon,
-            delta=scenario.delta,
-            mu=scenario.mu,
-            dtype=dtype,
-        ),
-        churn=churn if churn is not None else ChurnSpec(),
-        metrics=MetricsSpec(metrics=metrics),
     )
 
 
-def make_learner_population(
-    scenario: Scenario, rng: Seedish = None
-) -> LearnerPopulation:
-    """A vectorized R2HS population with the scenario's parameters."""
-    return LearnerPopulation(
-        num_peers=scenario.num_peers,
-        num_helpers=scenario.num_helpers,
-        epsilon=scenario.epsilon,
-        mu=scenario.mu,
-        delta=scenario.delta,
-        u_max=scenario.u_max,
-        rng=rng,
-    )
-
-
-def heterogeneous_scenario(num_stages: int = 2000) -> Scenario:
+def heterogeneous_spec(
+    num_stages: int = 2000, backend: str = "vectorized", seed: int = 0
+) -> ExperimentSpec:
     """Helpers of two classes: strong (fiber) and weak (DSL) uploaders.
 
     Not a paper figure — an extension scenario exercising the asymmetric
     regime where helper selection actually matters for welfare (with
     symmetric helpers, any non-degenerate rule is near-optimal; see the
-    README backend guide).  Four helpers at levels [1400, 1600, 1800] and four at
-    [350, 400, 450]; the proportional split is 4:1.
+    README backend guide).  Its environment is
+    :func:`make_heterogeneous_process`: four helpers at levels
+    [1400, 1600, 1800] and four at [350, 400, 450]; the proportional split
+    is 4:1.
     """
-    return Scenario(
+    return ExperimentSpec(
         name="heterogeneous-helpers",
-        num_peers=40,
-        num_helpers=8,
-        bandwidth_levels=(350.0, 400.0, 450.0, 1400.0, 1600.0, 1800.0),
-        num_stages=num_stages,
+        backend=backend,
+        rounds=num_stages,
+        seed=seed,
+        topology=TopologySpec(num_peers=40, num_helpers=8),
+        capacity=CapacitySpec(
+            levels=(350.0, 400.0, 450.0, 1400.0, 1600.0, 1800.0)
+        ),
     )
 
 
 def make_heterogeneous_process(
-    scenario: Scenario, rng: Seedish = None
+    spec: ExperimentSpec, rng: Seedish = None
 ) -> MarkovCapacityProcess:
-    """Environment for :func:`heterogeneous_scenario`.
+    """Environment for :func:`heterogeneous_spec`.
 
-    Half the helpers switch over the strong levels, half over the weak
-    ones (each a slow birth-death chain).
+    Half the helpers switch over the strong levels (the upper half of
+    ``spec.capacity.levels``), half over the weak ones (each a slow
+    birth-death chain with the spec's stay probability).
     """
     from repro.mdp.markov_chain import birth_death_chain
     from repro.util.rng import spawn_many
 
-    levels = list(scenario.bandwidth_levels)
+    levels = list(spec.capacity.levels)
     if len(levels) % 2 != 0:
-        raise ValueError("scenario must carry an even number of levels "
+        raise ValueError("spec must carry an even number of capacity levels "
                          "(weak half + strong half)")
     half = len(levels) // 2
     weak_levels, strong_levels = levels[:half], levels[half:]
-    parent = as_generator(rng)
-    children = spawn_many(parent, scenario.num_helpers)
+    num_helpers = spec.topology.num_helpers
+    children = spawn_many(as_generator(rng), num_helpers)
     chains = []
     for j, child in enumerate(children):
-        chosen = strong_levels if j < scenario.num_helpers // 2 else weak_levels
+        chosen = strong_levels if j < num_helpers // 2 else weak_levels
         chains.append(
             birth_death_chain(
-                chosen, stay_probability=scenario.stay_probability, rng=child
+                chosen,
+                stay_probability=spec.capacity.stay_probability,
+                rng=child,
             )
         )
     return MarkovCapacityProcess(chains)
 
 
 # ----------------------------------------------------------------------
-# Load-skew scenario families (registry-native: they produce specs)
+# Load-skew scenario families
 # ----------------------------------------------------------------------
 
 
@@ -486,45 +382,10 @@ def popularity_drift_spec(
     )
 
 
-# ----------------------------------------------------------------------
-# Scenario registry entries: every preset resolvable by name
-# ----------------------------------------------------------------------
-
-
-@register_scenario("small_scale")
-def _small_scale_entry(num_stages: int = 2000, **kwargs) -> ExperimentSpec:
-    return spec_for_scenario(
-        small_scale_scenario(num_stages=num_stages), **kwargs
-    )
-
-
-@register_scenario("large_scale")
-def _large_scale_entry(
-    num_peers: int = 100,
-    num_helpers: int = 10,
-    num_stages: int = 3000,
-    **kwargs,
-) -> ExperimentSpec:
-    return spec_for_scenario(
-        large_scale_scenario(
-            num_peers=num_peers, num_helpers=num_helpers, num_stages=num_stages
-        ),
-        **kwargs,
-    )
-
-
-@register_scenario("fig5")
-def _fig5_entry(num_stages: int = 1500, **kwargs) -> ExperimentSpec:
-    return spec_for_scenario(fig5_scenario(num_stages=num_stages), **kwargs)
-
-
-@register_scenario("massive_scale")
-def _massive_scale_entry(**kwargs) -> ExperimentSpec:
-    scenario_keys = {"num_peers", "num_helpers", "num_channels", "num_stages"}
-    scenario_kwargs = {k: kwargs.pop(k) for k in list(kwargs) if k in scenario_keys}
-    return spec_for_scenario(massive_scale_scenario(**scenario_kwargs), **kwargs)
-
-
+register_scenario("small_scale", small_scale_spec)
+register_scenario("large_scale", large_scale_spec)
+register_scenario("fig5", fig5_spec)
+register_scenario("massive_scale", massive_scale_spec)
 register_scenario("popularity_skew", popularity_skew_spec)
 register_scenario("flash_crowd", flash_crowd_spec)
 register_scenario("helper_failures", helper_failures_spec)

@@ -13,6 +13,7 @@ from repro.analysis.experiments import (
     fig1_worst_player_regret,
     fig2_welfare_vs_mdp,
     fig3_helper_load,
+    fig4_peer_rates,
     fig5_server_load,
 )
 from repro.cli import build_parser, main
@@ -42,6 +43,14 @@ class TestExperimentsRegistry:
         )
         assert result.metrics["jain"] > 0.9
         assert "proportional target" in result.text
+
+    def test_fig4_small(self):
+        result = fig4_peer_rates(
+            seed=0, num_peers=12, num_helpers=3, num_stages=400
+        )
+        assert result.name == "fig4_peer_rates"
+        assert result.metrics["jain_time_averaged"] > 0.95
+        assert "RTHS rate kbit/s" in result.text
 
     def test_fig5_small(self):
         result = fig5_server_load(seed=0, num_stages=240)

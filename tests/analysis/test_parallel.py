@@ -78,7 +78,7 @@ class TestSweepIntegration:
         for a, b in zip(serial.cells, fanned.cells):
             assert dict(a.parameters) == dict(b.parameters)
             for name in a.metrics:
-                assert a.metrics[name] == pytest.approx(b.metrics[name])
+                assert a.metrics[name] == b.metrics[name]
 
     def test_parallel_sweep_rejects_custom_metrics(self):
         with pytest.raises(ValueError):
@@ -90,6 +90,17 @@ class TestSweepIntegration:
                 metrics={"zero": lambda t: 0.0},
                 runner=ParallelRunner(workers=2),
             )
+
+    def test_one_worker_runs_custom_metrics_inline(self):
+        result = sweep_learner_parameters(
+            {"epsilon": [0.05]},
+            num_peers=4,
+            num_helpers=3,
+            num_stages=10,
+            metrics={"stages": lambda t: float(t.num_stages)},
+            runner=ParallelRunner(workers=1),
+        )
+        assert result.cells[0].metrics == {"stages": 10.0}
 
 
 def trace_sum_cell(params, seed):
@@ -176,7 +187,7 @@ class TestSweepTraceHandoff:
         for a, b in zip(serial.cells, parallel.cells):
             assert a.parameters == b.parameters
             for name in a.metrics:
-                assert a.metrics[name] == pytest.approx(b.metrics[name], abs=1e-12)
+                assert a.metrics[name] == b.metrics[name]
 
     @pytest.mark.parametrize("mode", ["shm", "file"])
     def test_loaded_views_are_read_only(self, mode):

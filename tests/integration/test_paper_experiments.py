@@ -28,11 +28,11 @@ from repro.sim import StreamingSystem, SystemConfig, paper_bandwidth_process
 @pytest.fixture(scope="module")
 def small_scale_run():
     """One shared small-scale (N=10, H=4) run used by several tests."""
-    scenario = repro.small_scale_scenario(num_stages=1500)
-    process = scenario.to_spec(backend="scalar").build_capacity_process(rng=1)
-    population = repro.make_learner_population(scenario, rng=2)
-    trajectory = population.run(process, scenario.num_stages)
-    return scenario, process, trajectory
+    spec = repro.small_scale_spec(num_stages=1500, backend="scalar")
+    process = spec.build_capacity_process(rng=1)
+    population = spec.build_population(rng=2)
+    trajectory = population.run(process, spec.rounds)
+    return spec, process, trajectory
 
 
 class TestFig1RegretDecay:
@@ -50,9 +50,9 @@ class TestFig1RegretDecay:
 
 class TestFig2NearOptimalWelfare:
     def test_rths_within_ten_percent_of_mdp_optimum(self, small_scale_run):
-        scenario, process, trajectory = small_scale_run
+        spec, process, trajectory = small_scale_run
         optimum = solve_symmetric_optimum(
-            process.chains, scenario.num_peers
+            process.chains, spec.topology.num_peers
         ).value
         steady = trajectory.welfare[-400:].mean()
         assert steady > 0.9 * optimum

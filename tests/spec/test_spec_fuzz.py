@@ -213,6 +213,14 @@ BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True]
         ("run", "capacity.levels", [700.0, float("nan")]),
         ("run", "topology.channel_bitrates", [100.0, float("inf")]),
         ("run", "network.helper_classes", {"seedbox": float("nan")}),
+        ("run", "capacity.levels", [-5, 700]),
+        ("run", "capacity.levels", [0, 0]),
+        ("run", "learner.mu", 0),
+        ("run", "learner.mu", -1),
+        ("run", "learner.u_max", 0),
+        ("run", "topology.channel_popularity", [1, 2, 3]),
+        ("run", "topology.channel_popularity", [1, -1]),
+        ("run", "topology.channel_popularity", [0, 0]),
     ]
     + [("run", leaf, bad) for leaf in RUN_FLOAT_LEAVES for bad in BAD_FLOATS]
     + [("eval", leaf, bad) for leaf in EVAL_FLOAT_LEAVES for bad in BAD_FLOATS],
@@ -220,8 +228,10 @@ BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True]
 def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsys):
     """Never a traceback, a fresh-entropy run (null seed), seed 1 (true
     seed), one-letter scenario names (a bare string), a fractional count
-    that fails only in ``build()``, a truthy string taken for a flag, or
-    a NaN, an infinity or a boolean taken for a float.
+    that fails only in ``build()``, a truthy string taken for a flag, a
+    NaN, an infinity or a boolean taken for a float, or a number out of
+    its range (a negative level, a zero ``mu``, a popularity weight
+    vector of the wrong length) that ran or failed only in ``build()``.
     """
     example = copy.deepcopy({"run": SMOKE, "eval": MATRIX}[command])
     mutate(example, field.split("."), value)

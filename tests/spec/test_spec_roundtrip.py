@@ -171,6 +171,14 @@ class TestValidation:
             TopologySpec(num_helpers=2, num_channels=4)
         with pytest.raises(ValueError, match="bitrates"):
             TopologySpec(channel_bitrates=-5.0)
+        # Out-of-range values fail as CLI cases in test_spec_fuzz.py; the
+        # boundaries stay valid: a zero weight, a zero capacity level.
+        TopologySpec(num_helpers=4, num_channels=2, channel_popularity=[0, 1])
+        assert CapacitySpec(levels=[0, 700]).levels == (0.0, 700.0)
+
+    def test_learner_validates_at_construction(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            LearnerSpec(epsilon=0.0)
 
     def test_churn_validates_at_construction(self):
         with pytest.raises(ValueError, match="arrival_rate"):

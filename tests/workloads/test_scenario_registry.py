@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from repro.spec import SCENARIOS, ExperimentSpec, register_capacity_backend, CAPACITY_BACKENDS
-from repro.workloads import flash_crowd_spec, popularity_skew_spec, spec_for_scenario
-from repro.workloads.scenarios import small_scale_scenario
+from repro.workloads import (
+    fig5_spec,
+    flash_crowd_spec,
+    large_scale_spec,
+    massive_scale_spec,
+    popularity_skew_spec,
+    small_scale_spec,
+)
+
+#: The paper presets by registered name, with the ``result_digest()`` of
+#: their default spec (the key the results store files them under).
+PAPER_PRESETS = {
+    "small_scale": (small_scale_spec, "8b2c801b7079"),
+    "large_scale": (large_scale_spec, "8df73b8eef08"),
+    "fig5": (fig5_spec, "05aea21185ad"),
+    "massive_scale": (massive_scale_spec, "af602b8fbb88"),
+}
 
 
 class TestPresetEntries:
@@ -31,14 +46,18 @@ class TestPresetEntries:
         assert trace.num_rounds == 3
         assert trace.online_peers[-1] == 200
 
-    def test_spec_for_scenario_preserves_hyperparameters(self):
-        scenario = small_scale_scenario(num_stages=77)
-        spec = spec_for_scenario(scenario, learner="rths", seed=4)
-        assert spec.rounds == 77
-        assert spec.learner.name == "rths"
-        assert spec.learner.epsilon == scenario.epsilon
-        assert spec.capacity.levels == scenario.bandwidth_levels
-        assert spec.seed == 4
+    @pytest.mark.parametrize("name", sorted(PAPER_PRESETS))
+    def test_paper_presets_are_their_spec_factories(self, name):
+        factory, _ = PAPER_PRESETS[name]
+        assert SCENARIOS.get(name) is factory
+        spec = factory(num_stages=77, backend="scalar", seed=4)
+        assert (spec.rounds, spec.backend, spec.seed) == (77, "scalar", 4)
+
+    @pytest.mark.parametrize("name", sorted(PAPER_PRESETS))
+    def test_paper_presets_keep_their_digests(self, name):
+        """Store keys: a preset's default spec keeps its results-store key."""
+        _, digest = PAPER_PRESETS[name]
+        assert SCENARIOS.get(name)().result_digest() == digest
 
 
 class TestPopularitySkew:
