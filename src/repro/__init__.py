@@ -37,7 +37,6 @@ from repro.core import (
 )
 from repro.game import (
     BestResponseLearner,
-    FictitiousPlayLearner,
     HelperSelectionGame,
     RepeatedGameDriver,
     StickyLearner,
@@ -55,7 +54,6 @@ from repro.mdp import (
 )
 from repro.analysis import ParallelRunner
 from repro.metrics import jain_index, load_balance_report, server_load_report
-from repro.multichannel import AdaptiveAllocator, JointMultiChannelSystem
 from repro.runtime import (
     PeerStore,
     R2HSBank,
@@ -117,7 +115,6 @@ __all__ = [
     "Trajectory",
     "StaticCapacities",
     "BestResponseLearner",
-    "FictitiousPlayLearner",
     "UniformRandomLearner",
     "StickyLearner",
     # mdp
@@ -140,9 +137,6 @@ __all__ = [
     "jain_index",
     "load_balance_report",
     "server_load_report",
-    # multichannel
-    "AdaptiveAllocator",
-    "JointMultiChannelSystem",
     # runtime
     "PeerStore",
     "RTHSBank",

@@ -1,12 +1,18 @@
-"""Reporting utilities: ASCII tables and series for the benchmark harness.
+"""Experiment harness: figure reproduction, sweeps and their reporting.
 
-Each benchmark regenerates one of the paper's figures as text — a table of
-the plotted series (downsampled) plus the headline comparison the figure
-makes.  No plotting dependencies; everything renders in a terminal or CI
-log.
+* :mod:`repro.analysis.reporting` — ASCII tables and series.  Each
+  benchmark regenerates one of the paper's figures as text — a table of
+  the plotted series (downsampled) plus the headline comparison the figure
+  makes.  No plotting dependencies; everything renders in a terminal or
+  CI log.
+* :mod:`repro.analysis.experiments` — one function per paper figure.
+* :mod:`repro.analysis.sweeps` — paired-environment parameter sweeps.
+* :mod:`repro.analysis.parallel` / :mod:`repro.analysis.supervision` —
+  deterministic sweep execution, inline or one supervised worker process
+  per cell.
+* :mod:`repro.analysis.chaos` — fault injection for the supervised path.
 """
 
-from repro.analysis.io import load_trajectory, save_trajectory
 from repro.analysis.parallel import (
     CellFunction,
     ParallelRunner,
@@ -32,8 +38,6 @@ __all__ = [
     "sparkline",
     "downsample",
     "format_float",
-    "save_trajectory",
-    "load_trajectory",
     "SweepResult",
     "sweep_learner_parameters",
     "sweep_environment_speed",

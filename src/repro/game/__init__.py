@@ -17,18 +17,15 @@ This package contains:
 * :mod:`repro.game.best_response` — (simultaneous) best-response dynamics,
   exhibiting the herd-oscillation pathology of paper Sec. III-B, plus the
   sequential variant that converges.
-* :mod:`repro.game.fictitious_play` and :mod:`repro.game.baselines` —
-  additional comparison strategies (fictitious play, uniform random,
-  sticky-random).
+* :mod:`repro.game.baselines` — comparison strategies (uniform random,
+  sticky random, epsilon-greedy).
 * :mod:`repro.game.repeated_game` — the stage-synchronous driver that runs a
   population of learners against a (possibly time-varying) capacity process
   and records full trajectories.
 """
 
-from repro.game.asynchronous import AsynchronousGameDriver
 from repro.game.baselines import (
     EpsilonGreedyLearner,
-    ProportionalSamplerLearner,
     StickyLearner,
     UniformRandomLearner,
 )
@@ -37,19 +34,12 @@ from repro.game.best_response import (
     sequential_best_response,
     simultaneous_best_response_path,
 )
-from repro.game.fictitious_play import FictitiousPlayLearner
 from repro.game.helper_selection import HelperSelectionGame, loads_from_profile
 from repro.game.interfaces import Learner
 from repro.game.nash import (
     enumerate_pure_nash,
     greedy_balanced_assignment,
     is_pure_nash,
-)
-from repro.game.potential import (
-    exact_potential,
-    greedy_potential_ascent,
-    potential_maximizing_loads,
-    potential_of_profile,
 )
 from repro.game.repeated_game import RepeatedGameDriver, StageRecord, Trajectory
 from repro.game.strategic_game import NormalFormGame, TabularGame
@@ -63,20 +53,13 @@ __all__ = [
     "enumerate_pure_nash",
     "greedy_balanced_assignment",
     "is_pure_nash",
-    "exact_potential",
-    "potential_of_profile",
-    "potential_maximizing_loads",
-    "greedy_potential_ascent",
     "BestResponseLearner",
     "sequential_best_response",
     "simultaneous_best_response_path",
-    "FictitiousPlayLearner",
     "UniformRandomLearner",
     "StickyLearner",
     "EpsilonGreedyLearner",
-    "ProportionalSamplerLearner",
     "RepeatedGameDriver",
-    "AsynchronousGameDriver",
     "StageRecord",
     "Trajectory",
 ]

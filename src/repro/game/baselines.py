@@ -118,64 +118,3 @@ class EpsilonGreedyLearner(LearnerBase):
         probs += self._epsilon / self.num_actions
         probs[int(np.argmax(self._estimates))] += 1.0 - self._epsilon
         return probs
-
-
-class ProportionalSamplerLearner(LearnerBase):
-    """Randomizes proportionally to the estimated attainable share.
-
-    Keeps an exponentially-weighted estimate of the rate each helper
-    delivered when used and samples the next helper with probability
-    proportional to those estimates (plus a uniform exploration floor) —
-    the natural "follow the bandwidth" heuristic.  Its population fixed
-    point is ``p_k ∝ sqrt(C_k)`` (sampling ∝ share = C/(N p) balances at
-    ``p² ∝ C``), so it *softens* load imbalance relative to uniform random
-    but does not reach capacity-proportional loads, has no equilibrium or
-    no-regret guarantee, and keeps a constant stream of helper switches.
-    A useful mid-strength baseline between random and RTHS.
-    """
-
-    def __init__(
-        self,
-        num_actions: int,
-        rng: Seedish = None,
-        step_size: float = 0.2,
-        exploration: float = 0.05,
-    ) -> None:
-        super().__init__(num_actions, as_generator(rng))
-        if not 0 < step_size <= 1:
-            raise ValueError("step_size must lie in (0, 1]")
-        if not 0 <= exploration < 1:
-            raise ValueError("exploration must lie in [0, 1)")
-        self._step_size = float(step_size)
-        self._exploration = float(exploration)
-        self._estimates = np.zeros(num_actions)
-        self._visited = np.zeros(num_actions, dtype=bool)
-
-    def strategy(self) -> np.ndarray:
-        unvisited = np.flatnonzero(~self._visited)
-        if unvisited.size:
-            probs = np.zeros(self.num_actions)
-            probs[unvisited] = 1.0 / unvisited.size
-            return probs
-        total = self._estimates.sum()
-        if total <= 0:
-            return np.full(self.num_actions, 1.0 / self.num_actions)
-        probs = (1.0 - self._exploration) * self._estimates / total
-        probs += self._exploration / self.num_actions
-        return probs
-
-    def act(self) -> int:
-        return int(self._rng.choice(self.num_actions, p=self.strategy()))
-
-    def observe(self, action: int, utility: float) -> None:
-        if not 0 <= action < self.num_actions:
-            raise ValueError(f"action {action} out of range")
-        value = max(0.0, utility)
-        if not self._visited[action]:
-            self._estimates[action] = value
-            self._visited[action] = True
-        else:
-            self._estimates[action] += self._step_size * (
-                value - self._estimates[action]
-            )
-        self._advance_stage()

@@ -1,10 +1,10 @@
 """The minimal learner protocol shared across the library.
 
-A *learner* is the per-peer strategy object.  The repeated-game driver, the
-discrete-event streaming system and the multichannel extension all interact
-with learners exclusively through this protocol, so any strategy — RTHS,
-R2HS, regret matching, best response, fictitious play, random — is plug-in
-compatible everywhere.
+A *learner* is the per-peer strategy object.  The repeated-game driver and
+the discrete-event streaming system both interact with learners
+exclusively through this protocol, so any strategy — RTHS, R2HS, regret
+matching, best response, epsilon-greedy, random — is plug-in compatible
+everywhere.
 
 The protocol is deliberately bandit-shaped: a learner picks an action and
 later observes only *its own* realized utility, matching the paper's

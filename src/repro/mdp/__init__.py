@@ -13,11 +13,12 @@ Contents
 * :mod:`repro.mdp.symmetric` — an exact, composition-based reformulation of
   the same optimum that exploits peer exchangeability, tractable for the
   large ``N`` used in the paper's figures.
-* :mod:`repro.mdp.value_iteration` — a generic finite MDP value-iteration
-  solver used to cross-check the LP on small instances.
+
+The LP is the reference oracle: on small instances it must report the
+same optimal average welfare as the closed form in :mod:`repro.mdp.symmetric`
+(``tests/mdp/test_cross_check.py``).
 """
 
-from repro.mdp.cooperative import build_cooperative_mdp
 from repro.mdp.markov_chain import (
     BatchMarkovChains,
     MarkovChain,
@@ -37,11 +38,6 @@ from repro.mdp.symmetric import (
     optimal_welfare_series,
     solve_symmetric_optimum,
 )
-from repro.mdp.value_iteration import (
-    FiniteMDP,
-    relative_value_iteration,
-    value_iteration,
-)
 
 __all__ = [
     "MarkovChain",
@@ -57,8 +53,4 @@ __all__ = [
     "optimal_welfare_for_state",
     "optimal_welfare_series",
     "solve_symmetric_optimum",
-    "FiniteMDP",
-    "value_iteration",
-    "relative_value_iteration",
-    "build_cooperative_mdp",
 ]

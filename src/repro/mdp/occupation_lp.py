@@ -18,7 +18,7 @@ giving the LP (paper Sec. IV-A):
 Because the helper chains are uncontrolled, the LP decomposes per state and
 the optimum is attained by a deterministic policy; we still build and solve
 the full LP with ``scipy.optimize.linprog`` (it *is* the paper's benchmark),
-and cross-check against the decomposed argmax and relative value iteration
+and cross-check against the decomposed argmax and the symmetric closed form
 in the tests.  Profile spaces grow as ``H^N * prod|Y_j|``, so the verbatim
 LP is for small instances; :mod:`repro.mdp.symmetric` handles the paper's
 larger scenarios by exploiting peer exchangeability.

@@ -83,7 +83,9 @@ def optimal_assignment_for_state(
     helper set are welfare-equal under even splitting, costs aside) this
     picks the water-filling one: each successive peer joins the occupied
     helper offering the highest marginal rate, maximizing the minimum
-    per-peer rate.  Returns the load vector ``(n_1..n_H)``.
+    per-peer rate.  With connection costs the surplus peers may only join
+    the cheapest occupied helpers, since any other placement pays more.
+    Returns the load vector ``(n_1..n_H)``.
     """
     caps = np.asarray(capacities, dtype=float)
     h = caps.size
@@ -111,10 +113,13 @@ def optimal_assignment_for_state(
     loads = np.zeros(h, dtype=int)
     loads[occupied] = 1
     remaining = num_peers - occupied.size
+    # Every surplus peer pays its helper's cost, so only the cheapest
+    # occupied helpers may take one (all of them when costs are zero).
+    cheapest = occupied[costs[occupied] == costs[occupied].min()]
     for _ in range(remaining):
         # Water-filling: add the next peer where the post-join rate is best.
         rates = np.full(h, -np.inf)
-        rates[occupied] = caps[occupied] / (loads[occupied] + 1)
+        rates[cheapest] = caps[cheapest] / (loads[cheapest] + 1)
         j = int(np.argmax(rates))
         loads[j] += 1
     return loads

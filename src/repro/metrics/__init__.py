@@ -2,14 +2,15 @@
 
 * :mod:`repro.metrics.fairness` — Jain's index, max/min ratio, coefficient
   of variation (Figs. 3 and 4).
-* :mod:`repro.metrics.welfare` — social welfare series, optimality ratios
-  (Fig. 2).
 * :mod:`repro.metrics.convergence` — regret trajectories, smoothing,
   convergence detection (Fig. 1).
 * :mod:`repro.metrics.server_load` — server workload vs. the minimum
   bandwidth deficit of helpers (Fig. 5).
 * :mod:`repro.metrics.distributions` — helper-load distribution statistics
   (Fig. 3).
+
+Fig. 2 needs no module here: it plots ``Trajectory.welfare`` against the
+optimum from :mod:`repro.mdp`.
 """
 
 from repro.metrics.convergence import (
@@ -26,14 +27,11 @@ from repro.metrics.distributions import (
 )
 from repro.metrics.fairness import coefficient_of_variation, jain_index, max_min_ratio
 from repro.metrics.server_load import server_load_report
-from repro.metrics.welfare import optimality_ratio, welfare_report
 
 __all__ = [
     "jain_index",
     "max_min_ratio",
     "coefficient_of_variation",
-    "welfare_report",
-    "optimality_ratio",
     "regret_trajectory",
     "time_averaged_regret_series",
     "moving_average",

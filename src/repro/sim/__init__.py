@@ -8,6 +8,9 @@
 * :mod:`repro.sim.entities` / :mod:`repro.sim.tracker` — channels, helpers,
   peers, origin server, and the directory service.
 * :mod:`repro.sim.churn` — Poisson join / exponential-lifetime leave.
+* :mod:`repro.sim.failures` / :mod:`repro.sim.adversarial` — helper
+  failure injection and oscillating capacity wrapped around a capacity
+  process.
 * :mod:`repro.sim.system` — the runnable system tying it all together.
 * :mod:`repro.sim.trace` — per-round metric recording.
 """
@@ -21,12 +24,10 @@ from repro.sim.bandwidth import (
     paper_bandwidth_process,
     record_capacity_trace,
 )
-from repro.sim.chunks import ChunkConfig, ChunkLevelSystem, HelperUploader
 from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.adversarial import OscillatingCapacityProcess
 from repro.sim.failures import CorrelatedFailureProcess, FailureInjectingProcess
-from repro.sim.playback import PlaybackBuffer, QoEReport, playback_qoe, switch_rate
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
 from repro.sim.system import LearnerFactory, StreamingSystem, SystemConfig
 from repro.sim.trace import RoundRecord, SystemTrace
@@ -54,13 +55,6 @@ __all__ = [
     "RoundRecord",
     "SystemTrace",
     "Tracker",
-    "PlaybackBuffer",
-    "QoEReport",
-    "playback_qoe",
-    "switch_rate",
-    "ChunkConfig",
-    "ChunkLevelSystem",
-    "HelperUploader",
     "FailureInjectingProcess",
     "CorrelatedFailureProcess",
     "OscillatingCapacityProcess",

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.sim.bandwidth import CAPACITY_BACKENDS as CHAIN_BACKENDS
 from repro.sim.bandwidth import PAPER_BANDWIDTH_LEVELS
 from repro.sim.churn import ChurnConfig
 from repro.sim.system import normalized_channel_weights
@@ -231,7 +232,14 @@ class TopologySpec:
             except ValueError as exc:
                 raise ValueError(f"topology {exc}") from None
         rates = self.channel_bitrates
-        rates = (rates,) if isinstance(rates, (int, float)) else rates
+        if isinstance(rates, (int, float)):
+            rates = (rates,)
+        elif len(rates) != self.num_channels:
+            raise ValueError(
+                "topology channel_bitrates must be one number or one per "
+                f"channel (num_channels={self.num_channels}, got "
+                f"{list(rates)})"
+            )
         if any(r <= 0 for r in rates):
             raise ValueError("topology channel_bitrates must be positive")
         if self.channel_switch_rate < 0:
@@ -343,6 +351,14 @@ class CapacitySpec:
             CAPACITY_BACKENDS.get(self.backend)  # raises with the menu
         if not self.levels:
             raise ValueError("capacity levels must not be empty")
+        # The built-in backends ("auto" resolves to one of them) walk the
+        # levels as a birth-death chain, which needs two states; a plug-in
+        # backend checks its own levels.
+        if self.backend in ("auto",) + CHAIN_BACKENDS and len(self.levels) < 2:
+            raise ValueError(
+                "capacity levels must be at least two values for the "
+                f"{self.backend!r} backend, got {list(self.levels)}"
+            )
         if min(self.levels) < 0 or max(self.levels) <= 0:
             raise ValueError(
                 "capacity levels must be >= 0 with a positive largest level, "

@@ -2,7 +2,6 @@
 
 * :mod:`repro.workloads.popularity` — Zipf-like channel popularity (the
   time-varying popularity motivating multi-channel helper systems).
-* :mod:`repro.workloads.demand` — per-peer streaming-demand profiles.
 * :mod:`repro.workloads.scenarios` — spec factories for the concrete
   experiment setups of the paper's Section IV (:func:`small_scale_spec`
   N=10/H=4, :func:`large_scale_spec`, the :func:`fig5_spec` demand
@@ -16,6 +15,9 @@
   cross-region flash crowds, regional outages and asymmetric access-link
   mixes, driving the :mod:`repro.network` layer through the spec's
   ``network`` section.
+
+Per-peer demand is the bitrate of the peer's channel, set by the spec's
+``topology.channel_bitrates``.
 """
 
 from repro.workloads.adversarial import (
@@ -29,7 +31,6 @@ from repro.workloads.geo import (
     cross_region_flash_crowd_spec,
     regional_outage_spec,
 )
-from repro.workloads.demand import constant_demand, heterogeneous_demand
 from repro.workloads.popularity import zipf_popularity
 from repro.workloads.scenarios import (
     fig5_spec,
@@ -44,8 +45,6 @@ from repro.workloads.scenarios import (
 
 __all__ = [
     "zipf_popularity",
-    "constant_demand",
-    "heterogeneous_demand",
     "small_scale_spec",
     "large_scale_spec",
     "fig5_spec",

@@ -1,4 +1,4 @@
-"""Tests for repro.game.baselines and fictitious play."""
+"""Tests for repro.game.baselines."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.game.baselines import (
     StickyLearner,
     UniformRandomLearner,
 )
-from repro.game.fictitious_play import FictitiousPlayLearner
 
 
 class TestUniformRandomLearner:
@@ -85,42 +84,3 @@ class TestEpsilonGreedyLearner:
             EpsilonGreedyLearner(2, epsilon=2.0)
         with pytest.raises(ValueError):
             EpsilonGreedyLearner(2, step_size=0.0)
-
-
-class TestFictitiousPlayLearner:
-    def test_plays_unplayed_actions_first(self):
-        learner = FictitiousPlayLearner(3, rng=0)
-        seen = set()
-        for _ in range(3):
-            a = learner.act()
-            seen.add(a)
-            learner.observe(a, 1.0)
-        assert seen == {0, 1, 2}
-
-    def test_empirical_means(self):
-        learner = FictitiousPlayLearner(2, rng=0)
-        learner.observe(0, 10.0)
-        learner.observe(0, 20.0)
-        learner.observe(1, 5.0)
-        assert learner.empirical_means.tolist() == [15.0, 5.0]
-
-    def test_exploration_decays(self):
-        learner = FictitiousPlayLearner(2, rng=0, exploration_constant=5.0)
-        for _ in range(100):
-            a = learner.act()
-            learner.observe(a, 100.0 if a == 0 else 1.0)
-        picks = [learner.act() for _ in range(200)]
-        assert np.mean(np.array(picks) == 0) > 0.9
-
-    def test_strategy_valid_distribution(self):
-        learner = FictitiousPlayLearner(3, rng=0)
-        for _ in range(10):
-            a = learner.act()
-            learner.observe(a, 1.0)
-        strategy = learner.strategy()
-        assert strategy.sum() == pytest.approx(1.0)
-        assert np.all(strategy >= 0)
-
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            FictitiousPlayLearner(2, exploration_constant=0.0)

@@ -78,6 +78,28 @@ class TestRepeatedGameDriver:
         with pytest.raises(ValueError):
             RepeatedGameDriver(learners, StaticCapacities([800.0, 800.0]))
 
+    def test_connection_costs_need_one_entry_per_helper(self):
+        learners = [UniformRandomLearner(2, rng=0)]
+        with pytest.raises(ValueError, match="one entry per helper"):
+            RepeatedGameDriver(
+                learners, StaticCapacities([800.0, 400.0]), connection_costs=[1.0]
+            )
+
+    def test_capacity_shape_checked_every_stage(self):
+        class ShrinkingProcess(StaticCapacities):
+            def capacities(self):
+                return super().capacities()[:1]
+
+        driver = RepeatedGameDriver(
+            [UniformRandomLearner(2, rng=0)], ShrinkingProcess([800.0, 400.0])
+        )
+        with pytest.raises(RuntimeError, match="shape"):
+            driver.run_stage()
+
+    def test_rejects_zero_stages(self):
+        with pytest.raises(ValueError, match="num_stages"):
+            make_driver().run(0)
+
     def test_empty_learners_rejected(self):
         with pytest.raises(ValueError):
             RepeatedGameDriver([], StaticCapacities([800.0]))

@@ -1,9 +1,9 @@
 """Property-based invariants across the substrate.
 
 Hypothesis-driven checks of the structural facts everything else leans on:
-event ordering in the engine, conservation in the chunk uploader,
-stationarity of random ergodic chains, and trajectory bookkeeping under
-arbitrary (population, helper, horizon) sizes.
+event ordering in the engine, stationarity of random ergodic chains, and
+trajectory bookkeeping under arbitrary (population, helper, horizon)
+sizes.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core.population import LearnerPopulation
 from repro.game.repeated_game import StaticCapacities
 from repro.mdp.markov_chain import stationary_distribution
-from repro.sim.chunks import HelperUploader
 from repro.sim.engine import Simulator
 
 
@@ -36,32 +35,6 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    chunk=st.floats(min_value=1.0, max_value=500.0),
-    budgets=st.lists(
-        st.floats(min_value=0.0, max_value=5000.0), min_size=1, max_size=50
-    ),
-    num_peers=st.integers(min_value=1, max_value=9),
-)
-def test_uploader_conserves_budget(chunk, budgets, num_peers):
-    """Chunks delivered never exceed the offered budget, and the shortfall
-    stays below one chunk (the banked remainder)."""
-    uploader = HelperUploader(chunk_kbits=chunk)
-    delivered = 0
-    offered = 0.0
-    for budget in budgets:
-        served = uploader.serve_round(budget, num_peers)
-        assert served.min(initial=0) >= 0
-        # Round-robin fairness: within one chunk of each other.
-        if num_peers > 1 and served.size:
-            assert served.max() - served.min() <= 1
-        delivered += int(served.sum())
-        offered += budget
-    assert delivered * chunk <= offered + 1e-6
-    assert offered - delivered * chunk < chunk + 1e-6
 
 
 @settings(max_examples=40, deadline=None)

@@ -48,6 +48,39 @@ class TestConstruction:
                 p, PAPER_LEVELS, num_chains=2, initial_states=[0, 5]
             )
 
+    def test_rejects_non_square_transitions(self):
+        with pytest.raises(ValueError, match="transitions must be"):
+            BatchMarkovChains(np.full((3, 2), 0.5), PAPER_LEVELS, num_chains=2)
+
+    def test_several_groups_need_groups(self):
+        p = np.stack([birth_death_transition(3, 0.9)] * 2)
+        with pytest.raises(ValueError, match="groups is required"):
+            BatchMarkovChains(p, PAPER_LEVELS, num_chains=2)
+
+    def test_rejects_zero_chains(self):
+        p = birth_death_transition(3, 0.9)
+        with pytest.raises(ValueError, match="num_chains must be"):
+            BatchMarkovChains(p, PAPER_LEVELS, num_chains=0)
+
+    def test_rejects_empty_groups(self):
+        p = birth_death_transition(3, 0.9)
+        with pytest.raises(ValueError, match="non-empty"):
+            BatchMarkovChains(p, PAPER_LEVELS, groups=[])
+
+    def test_num_chains_must_agree_with_groups(self):
+        p = birth_death_transition(3, 0.9)
+        with pytest.raises(ValueError, match="disagrees"):
+            BatchMarkovChains(p, PAPER_LEVELS, num_chains=3, groups=[0, 0])
+
+    def test_rejects_wrong_initial_states_shape(self):
+        p = birth_death_transition(3, 0.9)
+        with pytest.raises(ValueError, match="shape"):
+            BatchMarkovChains(p, PAPER_LEVELS, num_chains=2, initial_states=[0])
+
+    def test_birth_death_needs_two_levels(self):
+        with pytest.raises(ValueError, match="at least two values"):
+            BatchMarkovChains.birth_death([700.0], num_chains=2)
+
     def test_explicit_initial_states_respected(self):
         batch = BatchMarkovChains(
             birth_death_transition(3, 0.9),
@@ -88,6 +121,8 @@ class TestDynamics:
         assert np.allclose(batch.state_values(), 900.0)
         with pytest.raises(ValueError):
             batch.set_states([0, 0, 3])
+        with pytest.raises(ValueError, match="shape"):
+            batch.set_states([0, 0])
 
     def test_fast_path_stream_identical_to_step_loop(self):
         """sample_value_paths must consume the generator exactly like a

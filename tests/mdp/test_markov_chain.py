@@ -6,6 +6,7 @@ import pytest
 from repro.mdp.markov_chain import (
     MarkovChain,
     birth_death_chain,
+    birth_death_transition,
     lazy_uniform_chain,
     product_stationary,
     stationary_distribution,
@@ -78,6 +79,10 @@ class TestMarkovChain:
         with pytest.raises(ValueError):
             MarkovChain(np.full((3, 3), 1 / 3), states=[1.0, 2.0])
 
+    def test_wrong_initial_length_rejected(self):
+        with pytest.raises(ValueError, match="initial must have length 3"):
+            MarkovChain(np.full((3, 3), 1 / 3), initial=[0.5, 0.5])
+
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError):
             MarkovChain([[0.9, 0.0], [0.5, 0.5]])
@@ -115,6 +120,10 @@ class TestBirthDeathChain:
     def test_stay_probability_validated(self):
         with pytest.raises(ValueError):
             birth_death_chain(PAPER_LEVELS, 1.5)
+
+    def test_transition_needs_two_states(self):
+        with pytest.raises(ValueError, match="two states"):
+            birth_death_transition(1, 0.9)
 
     def test_state_values_are_levels(self):
         chain = birth_death_chain(PAPER_LEVELS, 0.9, rng=0)

@@ -1,5 +1,7 @@
 """Tests for repro.mdp.occupation_lp."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,29 @@ class TestSolveOccupationLP:
         with pytest.raises(ValueError, match="assignment space"):
             solve_occupation_lp(chains, num_peers=20, assignment_limit=100)
 
+    def test_state_limit_guard(self):
+        with pytest.raises(ValueError, match="joint helper-state space"):
+            solve_occupation_lp(two_chains(), num_peers=1, state_limit=8)
+
+    def test_assignment_for_unknown_state_raises(self):
+        lp = solve_occupation_lp(two_chains(), num_peers=2)
+        with pytest.raises(KeyError):
+            lp.assignment_for((5, 5))
+
+    def test_policy_plays_only_per_state_optimal_assignments(self):
+        # Uncontrolled chains decouple the LP per state, so every
+        # assignment the optimal policy plays is a per-state argmax.
+        chains = two_chains()
+        lp = solve_occupation_lp(chains, num_peers=3)
+        for y, options in lp.policy.items():
+            caps = np.array([chains[j].states[y[j]] for j in range(2)])
+            best = max(
+                even_split_welfare(caps, x)
+                for x in itertools.product(range(2), repeat=3)
+            )
+            for x in options:
+                assert even_split_welfare(caps, x) == pytest.approx(best)
+
     def test_custom_welfare_function(self):
         chains = two_chains()
 
@@ -116,6 +141,14 @@ class TestDecomposedOptimum:
     def test_single_chain_single_peer(self):
         chain = MarkovChain(np.full((2, 2), 0.5), states=[100.0, 300.0], rng=0)
         assert decomposed_optimum([chain], 1) == pytest.approx(200.0)
+
+    def test_state_limit_guard(self):
+        with pytest.raises(ValueError, match="state space"):
+            decomposed_optimum(two_chains(), 1, state_limit=8)
+
+    def test_assignment_limit_guard(self):
+        with pytest.raises(ValueError, match="assignment space"):
+            decomposed_optimum(two_chains(), 10, assignment_limit=100)
 
     def test_monotone_in_peers_until_h(self):
         chains = two_chains()

@@ -50,6 +50,15 @@ class TestOptimalWelfareForState:
         with pytest.raises(ValueError):
             optimal_welfare_for_state([100.0], 0)
 
+    @pytest.mark.parametrize("capacities", [[], [[700.0, 800.0]]], ids=["empty", "2d"])
+    def test_rejects_malformed_capacities(self, capacities):
+        with pytest.raises(ValueError, match="non-empty and 1-D"):
+            optimal_welfare_for_state(capacities, 1)
+
+    def test_rejects_mismatched_costs(self):
+        with pytest.raises(ValueError, match="connection_costs"):
+            optimal_welfare_for_state([700.0, 800.0], 2, connection_costs=[10.0])
+
 
 class TestOptimalAssignmentForState:
     def test_loads_sum_to_n(self):
@@ -76,6 +85,25 @@ class TestOptimalAssignmentForState:
         welfare = caps[loads > 0].sum()
         assert welfare == optimal_welfare_for_state(caps, 5)
 
+    def test_with_costs_surplus_peers_join_cheapest_helper(self):
+        # Both helpers are worth occupying; each surplus peer pays its
+        # helper's cost, so both extra peers go to the free helper even
+        # though the costly one offers the better split rate.
+        loads = optimal_assignment_for_state(
+            [800.0, 900.0], 4, connection_costs=[0.0, 300.0]
+        )
+        assert loads.tolist() == [3, 1]
+
+    def test_with_costs_surplus_water_fills_equally_cheap_helpers(self):
+        loads = optimal_assignment_for_state(
+            [600.0, 1200.0, 900.0], 6, connection_costs=[0.0, 0.0, 500.0]
+        )
+        assert loads.tolist() == [2, 3, 1]
+
+    def test_rejects_zero_peers(self):
+        with pytest.raises(ValueError):
+            optimal_assignment_for_state([700.0, 800.0], 0)
+
 
 class TestSolveSymmetricOptimum:
     def test_matches_expected_total_capacity(self):
@@ -99,6 +127,15 @@ class TestSolveSymmetricOptimum:
         chains = [birth_death_chain(PAPER_LEVELS, 0.9, rng=i) for i in range(4)]
         with pytest.raises(ValueError):
             solve_symmetric_optimum(chains, num_peers=4, state_limit=10)
+
+    def test_rejects_no_chains(self):
+        with pytest.raises(ValueError, match="chain"):
+            solve_symmetric_optimum([], num_peers=1)
+
+    def test_rejects_zero_peers(self):
+        chains = [birth_death_chain(PAPER_LEVELS, 0.9, rng=0)]
+        with pytest.raises(ValueError, match="num_peers"):
+            solve_symmetric_optimum(chains, num_peers=0)
 
 
 class TestOptimalWelfareSeries:

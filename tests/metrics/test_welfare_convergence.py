@@ -1,4 +1,4 @@
-"""Tests for repro.metrics.welfare and repro.metrics.convergence."""
+"""Tests for repro.metrics.convergence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.metrics.convergence import (
     moving_average,
     time_averaged_regret_series,
 )
-from repro.metrics.welfare import optimality_ratio, welfare_report
 
 
 def constant_trajectory(actions, capacities, stages):
@@ -24,42 +23,6 @@ def constant_trajectory(actions, capacities, stages):
         [caps[t][actions[t]] / loads[t][actions[t]] for t in range(stages)]
     )
     return Trajectory(capacities=caps, actions=actions, loads=loads, utilities=utilities)
-
-
-class TestWelfareReport:
-    def test_means(self):
-        traj = constant_trajectory([0, 1], [800.0, 800.0], 20)
-        report = welfare_report(traj)
-        assert report.mean == pytest.approx(1600.0)
-        assert report.steady_state_mean == pytest.approx(1600.0)
-
-    def test_optimality(self):
-        traj = constant_trajectory([0, 1], [800.0, 800.0], 10)
-        report = welfare_report(traj, optimum=2000.0)
-        assert report.optimality == pytest.approx(0.8)
-
-    def test_no_optimum_gives_none(self):
-        traj = constant_trajectory([0, 1], [800.0, 800.0], 10)
-        assert welfare_report(traj).optimality is None
-
-    def test_fraction_validation(self):
-        traj = constant_trajectory([0, 1], [800.0, 800.0], 10)
-        with pytest.raises(ValueError):
-            welfare_report(traj, steady_state_fraction=0.0)
-
-
-class TestOptimalityRatio:
-    def test_elementwise(self):
-        ratio = optimality_ratio(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
-        assert ratio.tolist() == [0.5, 1.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            optimality_ratio(np.ones(2), np.ones(3))
-
-    def test_zero_optimum_rejected(self):
-        with pytest.raises(ValueError):
-            optimality_ratio(np.ones(2), np.zeros(2))
 
 
 class TestMovingAverage:
@@ -110,6 +73,10 @@ class TestConvergenceStage:
     def test_validation(self):
         with pytest.raises(ValueError):
             convergence_stage(np.ones(3), tolerance=-1.0)
+
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            convergence_stage(np.array([]), tolerance=0.1)
 
 
 class TestTimeAveragedRegretSeries:

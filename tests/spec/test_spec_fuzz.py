@@ -221,6 +221,9 @@ BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True]
         ("run", "topology.channel_popularity", [1, 2, 3]),
         ("run", "topology.channel_popularity", [1, -1]),
         ("run", "topology.channel_popularity", [0, 0]),
+        ("run", "topology.channel_bitrates", [100, 200, 300]),
+        ("run", "topology.channel_bitrates", [100]),
+        ("run", "capacity.levels", [700]),
     ]
     + [("run", leaf, bad) for leaf in RUN_FLOAT_LEAVES for bad in BAD_FLOATS]
     + [("eval", leaf, bad) for leaf in EVAL_FLOAT_LEAVES for bad in BAD_FLOATS],
@@ -230,8 +233,9 @@ def test_malformed_field_is_one_cli_error(command, field, value, tmp_path, capsy
     seed), one-letter scenario names (a bare string), a fractional count
     that fails only in ``build()``, a truthy string taken for a flag, a
     NaN, an infinity or a boolean taken for a float, or a number out of
-    its range (a negative level, a zero ``mu``, a popularity weight
-    vector of the wrong length) that ran or failed only in ``build()``.
+    its range (a negative level, a zero ``mu``, a popularity weight or
+    bitrate vector of the wrong length, a single level for the built-in
+    birth-death backends) that ran or failed only in ``build()``.
     """
     example = copy.deepcopy({"run": SMOKE, "eval": MATRIX}[command])
     mutate(example, field.split("."), value)

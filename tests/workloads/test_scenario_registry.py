@@ -151,7 +151,8 @@ class TestThirdPartyBackendPlugin:
                 {
                     "rounds": 4,
                     "topology": {"num_peers": 20, "num_helpers": 4},
-                    "capacity": {"backend": "flat-test"},
+                    # One level: only the built-in backends need two.
+                    "capacity": {"backend": "flat-test", "levels": [900.0]},
                 }
             )
             trace = spec.run().trace
