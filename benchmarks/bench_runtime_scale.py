@@ -36,14 +36,6 @@ round loop.  ``--channels-guard`` is the CI gate: at C = 50 / 10k peers
 the fused bank must beat the per-channel dispatch (the two are
 bit-identical, so the comparison is pure overhead).
 
-``--shard-guard`` is the CI gate for the sharded runtime
-(:mod:`repro.runtime.sharded`): a 4-shard run must be trace-identical to
-the single-process system, and the 100k-peer guard config must hold the
-per-round latency and RSS budgets at every shard count; the parallel
-scaling floor is asserted only on machines with enough cores to make
-parallel speedup physically possible (the measurement is recorded either
-way).
-
 Usage::
 
     python benchmarks/bench_runtime_scale.py            # full: 10k peers
@@ -53,7 +45,6 @@ Usage::
     python benchmarks/bench_runtime_scale.py --capacity-guard
     python benchmarks/bench_runtime_scale.py --channels-guard
     python benchmarks/bench_runtime_scale.py --memory-guard
-    python benchmarks/bench_runtime_scale.py --shard-guard
 
 The JSON report lands in ``BENCH_runtime.json`` (repo root by default) as a
 *trajectory* — ``{"schema": 3, "runs": [...]}``, one entry appended per
@@ -668,213 +659,6 @@ def run_memory_guard(args) -> int:
     return 0
 
 
-def _shard_trace_identity(seed: int) -> dict:
-    """Small-scale gate: a 4-shard run must be trace-identical to the
-    single-process system (same config, same seed, every trace array
-    equal bit for bit)."""
-    from repro.runtime import ShardedSystem
-    from repro.sim import ChurnConfig
-
-    N, C, T = 2_000, 8, 25
-    config = SystemConfig(
-        num_peers=N,
-        num_helpers=2 * C,
-        num_channels=C,
-        channel_bitrates=100.0,
-        churn=ChurnConfig(
-            arrival_rate=2.0, mean_lifetime=25.0, initial_peer_lifetimes=True
-        ),
-    )
-    reference = VectorizedStreamingSystem(
-        config, bank_factory("r2hs", u_max=U_MAX), rng=seed
-    ).run(T)
-    with ShardedSystem(
-        config, bank_factory("r2hs", u_max=U_MAX), shards=4, rng=seed
-    ) as system:
-        trace = system.run(T)
-    identical = all(
-        np.array_equal(getattr(trace, field), getattr(reference, field))
-        for field in (
-            "welfare", "loads", "server_load", "capacities",
-            "min_deficit", "online_peers", "total_demand", "times",
-        )
-    )
-    return {"peers": N, "channels": C, "rounds": T, "identical": identical}
-
-
-def run_shard_guard(args) -> int:
-    """CI gate for the sharded runtime: bit identity, budgets, scaling.
-
-    (1) asserts small-scale trace identity between a 4-shard
-    :class:`ShardedSystem` and the single-process system under
-    churn — unconditional, bit identity is the sharding contract;
-    (2) drives the guard-scale config (100k peers across 50 width-2
-    channels by default) at each shard count in ``--shard-counts`` and
-    records rounds/s for the trajectory;
-    (3) fails if the sharded per-round time exceeds
-    ``--shard-round-budget-s`` or peak RSS (parent + reaped workers)
-    exceeds ``--shard-rss-budget-mb``; the 1 -> max-shards scaling
-    floor (``--shard-scaling-floor``) is asserted only on machines with
-    at least as many cores as the largest shard count — on smaller
-    machines shard workers time-slice one core and the measurement is
-    recorded without being gated.
-    """
-    import resource
-
-    from repro.runtime import ShardedSystem
-
-    identity = _shard_trace_identity(args.seed)
-    print(
-        f"shard guard: 4-shard trace identity at N={identity['peers']} "
-        f"C={identity['channels']}: "
-        f"{'OK' if identity['identical'] else 'FAIL'}"
-    )
-    failures = []
-    if not identity["identical"]:
-        failures.append("4-shard trace differs from the single-process system")
-
-    counts = [int(c) for c in args.shard_counts.split(",") if c]
-    peers, channels = args.shard_peers, args.guard_channels
-    rounds = max(3, args.rounds)
-    config = SystemConfig(
-        num_peers=peers,
-        num_helpers=2 * channels,
-        num_channels=channels,
-        channel_bitrates=100.0,
-    )
-    rows = []
-    for shards in counts:
-        gc.collect()
-        t0 = time.perf_counter()
-        system = ShardedSystem(
-            config,
-            bank_factory("r2hs", u_max=U_MAX),
-            shards=shards,
-            rng=args.seed,
-        )
-        build_s = time.perf_counter() - t0
-        try:
-            system.run(1)  # warmup
-            t0 = time.perf_counter()
-            system.run(rounds)
-            per_round = (time.perf_counter() - t0) / rounds
-            welfare = float(system.trace.welfare[-1])
-        finally:
-            system.close()
-        rows.append(
-            {
-                "shards": shards,
-                "build_s": build_s,
-                "seconds_per_round": per_round,
-                "rounds_per_s": 1.0 / per_round,
-                "final_welfare": welfare,
-            }
-        )
-        print(
-            f"  shards={shards}: build {build_s:.2f} s, "
-            f"{per_round * 1e3:.2f} ms/round ({1.0 / per_round:.1f} rounds/s)"
-        )
-    welfares = {r["final_welfare"] for r in rows}
-    if len(welfares) != 1:
-        failures.append(
-            f"guard-scale runs disagree across shard counts: {welfares}"
-        )
-
-    by_shards = {r["shards"]: r for r in rows}
-    scaling = None
-    if 1 in by_shards and max(counts) > 1:
-        scaling = (
-            by_shards[1]["seconds_per_round"]
-            / by_shards[max(counts)]["seconds_per_round"]
-        )
-    cores = os.cpu_count() or 1
-    scaling_gated = cores >= max(counts)
-    if scaling is not None:
-        print(
-            f"  scaling 1 -> {max(counts)} shards: {scaling:.2f}x "
-            f"({cores} cores; floor {args.shard_scaling_floor:.1f}x "
-            f"{'enforced' if scaling_gated else 'recorded only'})"
-        )
-        if scaling_gated and scaling < args.shard_scaling_floor:
-            failures.append(
-                f"1 -> {max(counts)} shard scaling {scaling:.2f}x below the "
-                f"{args.shard_scaling_floor:.1f}x floor on a {cores}-core "
-                "machine"
-            )
-
-    child_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    if sys.platform != "darwin":
-        child_peak /= 1024
-    else:
-        child_peak /= 1024 * 1024
-    peak_mb = _peak_rss_mb()
-    print(
-        f"  peak RSS: parent {peak_mb:.0f} MiB, worst worker "
-        f"{child_peak:.0f} MiB (budget {args.shard_rss_budget_mb:.0f} MiB)"
-    )
-    if peak_mb + child_peak > args.shard_rss_budget_mb:
-        failures.append(
-            f"peak RSS {peak_mb + child_peak:.0f} MiB exceeds budget "
-            f"{args.shard_rss_budget_mb:.0f} MiB"
-        )
-    worst_round = max(r["seconds_per_round"] for r in rows)
-    if worst_round > args.shard_round_budget_s:
-        failures.append(
-            f"round time {worst_round:.3f} s exceeds budget "
-            f"{args.shard_round_budget_s:.3f} s"
-        )
-
-    append_run(
-        args.output,
-        {
-            "kind": "shard_guard",
-            "config": {
-                "peers": peers,
-                "channels": channels,
-                "helpers": 2 * channels,
-                "rounds": rounds,
-                "seed": args.seed,
-                "learner": "r2hs",
-                "shard_counts": counts,
-                "round_budget_s": args.shard_round_budget_s,
-                "rss_budget_mb": args.shard_rss_budget_mb,
-                "scaling_floor": args.shard_scaling_floor,
-                "scaling_gated": scaling_gated,
-            },
-            "results": {
-                "trace_identity": identity,
-                "by_shards": rows,
-                "scaling": scaling,
-                "peak_rss_mb": peak_mb,
-                "worker_peak_rss_mb": child_peak,
-            },
-            "passed": not failures,
-        },
-    )
-    print(f"  wrote {args.output}")
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "bench_shard_guard.txt").write_text(
-        "\n".join(
-            f"shards={r['shards']}: {r['seconds_per_round'] * 1e3:.2f} "
-            f"ms/round ({r['rounds_per_s']:.1f} rounds/s)"
-            for r in rows
-        )
-        + (
-            f"\nscaling 1 -> {max(counts)}: {scaling:.2f}x"
-            if scaling is not None
-            else ""
-        )
-        + "\n"
-    )
-    if failures:
-        print("FAIL:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print("OK: sharded runtime holds bit identity and the guard budgets")
-    return 0
-
-
 def run_capacity_guard(seed: int) -> int:
     """CI gate: vectorized capacity advancement must beat scalar at H=1000."""
     result = bench_capacity_advance(1000, seed)
@@ -971,36 +755,6 @@ def main(argv=None) -> int:
         "budgets (dense is skipped as infeasible), and topk with k=H must "
         "be trace-identical to dense at small H",
     )
-    parser.add_argument(
-        "--shard-guard",
-        action="store_true",
-        help="CI gate for the sharded runtime: 4-shard trace identity with "
-        "the single-process system, then the --shard-peers run at each "
-        "--shard-counts shard count under the latency/RSS budgets (appends "
-        "a shard_guard point to the trajectory; the scaling floor is only "
-        "enforced when the machine has enough cores)",
-    )
-    parser.add_argument(
-        "--shard-peers", type=int, default=100_000,
-        help="population for the --shard-guard scale runs",
-    )
-    parser.add_argument(
-        "--shard-counts", type=str, default="1,2,4",
-        help="comma-separated shard counts for --shard-guard",
-    )
-    parser.add_argument(
-        "--shard-round-budget-s", type=float, default=0.5,
-        help="per-round wall-clock ceiling for --shard-guard",
-    )
-    parser.add_argument(
-        "--shard-rss-budget-mb", type=float, default=4096.0,
-        help="combined parent+worker peak-RSS ceiling for --shard-guard",
-    )
-    parser.add_argument(
-        "--shard-scaling-floor", type=float, default=2.0,
-        help="minimum 1 -> max-shards speedup for --shard-guard (enforced "
-        "only when cpu_count covers the largest shard count)",
-    )
     parser.add_argument("--guard-peers", type=int, default=20_000)
     parser.add_argument("--guard-helpers", type=int, default=2_000)
     parser.add_argument("--guard-topk", type=int, default=32)
@@ -1028,8 +782,6 @@ def main(argv=None) -> int:
         return run_network_guard(args)
     if args.memory_guard:
         return run_memory_guard(args)
-    if args.shard_guard:
-        return run_shard_guard(args)
     if args.quick:
         args.peers, args.helpers, args.rounds = 2_000, 20, 3
         if args.helpers_grid == "100,1000,5000":

@@ -13,12 +13,7 @@
 * :mod:`repro.analysis.chaos` — fault injection for the supervised path.
 """
 
-from repro.analysis.parallel import (
-    CellFunction,
-    ParallelRunner,
-    SharedArrayHandle,
-    share_array,
-)
+from repro.analysis.parallel import CellFunction, ParallelRunner
 from repro.analysis.sweeps import (
     SweepResult,
     sweep_environment_speed,
@@ -43,8 +38,6 @@ __all__ = [
     "sweep_environment_speed",
     "ParallelRunner",
     "CellFunction",
-    "SharedArrayHandle",
-    "share_array",
 ]
 
 # Note: repro.analysis.experiments is intentionally not imported here — it

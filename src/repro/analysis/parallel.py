@@ -18,18 +18,14 @@ each result pickled home through that worker's own pipe.
 Cell functions must be picklable (module-level functions, or
 :func:`functools.partial` over one); the CLI's ``repro run`` command and
 :func:`repro.analysis.sweeps.sweep_learner_parameters` both route through
-this runner.  :func:`share_array` places an array where other processes
-map it without pickling; the sharded runtime's exchange lanes use it.
+this runner.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import traceback
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro.analysis.sweeps import SweepCell, SweepResult
 from repro.util.logconfig import get_logger
@@ -42,163 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: A cell evaluator: ``(parameters, seed) -> {metric_name: value}``.
 CellFunction = Callable[[Mapping[str, object], int], Mapping[str, float]]
-
-#: Placements accepted by :func:`share_array`.
-SHARE_MODES = ("auto", "shm", "file")
-
-
-class SharedArrayHandle:
-    """A cheap-to-pickle reference to an array shared with other processes.
-
-    A handle carries only placement metadata (a
-    :mod:`multiprocessing.shared_memory` segment name, or an on-disk
-    ``.npy`` path); other processes re-materialize the array zero-copy
-    with :meth:`load`.
-
-    The creating process owns the backing storage: call :meth:`cleanup`
-    (or use the handle as a context manager) once it is no longer needed.
-    Arrays returned by :meth:`load` are views into the shared backing and
-    stay valid as long as the handle they came from is alive.
-    """
-
-    def __init__(self, mode: str, shape, dtype: str, *, shm_name=None,
-                 path=None) -> None:
-        self._mode = mode
-        self._shape = tuple(shape)
-        self._dtype = str(dtype)
-        self._shm_name = shm_name
-        self._path = path
-        self._owner = True
-        self._attached = None
-
-    @property
-    def mode(self) -> str:
-        """Placement: ``"shm"`` or ``"file"``."""
-        return self._mode
-
-    @property
-    def shape(self) -> tuple:
-        """Shape of the shared array."""
-        return self._shape
-
-    def __getstate__(self):
-        return {
-            "mode": self._mode,
-            "shape": self._shape,
-            "dtype": self._dtype,
-            "shm_name": self._shm_name,
-            "path": self._path,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["mode"], state["shape"], state["dtype"],
-            shm_name=state["shm_name"], path=state["path"],
-        )
-        self._owner = False  # unpickled copies must never unlink
-
-    def load(self, writable: bool = False) -> np.ndarray:
-        """Materialize the array, zero-copy.
-
-        By default the result is read-only: the backing is shared across
-        processes, so an in-place mutation would corrupt every other
-        consumer silently.  ``writable=True`` opts into a mutable view for
-        deliberate cross-process exchange buffers (the sharded runtime's
-        per-round row/action/utility lanes).
-        """
-        if self._mode == "file":
-            return np.load(self._path, mmap_mode="r+" if writable else "r")
-        if self._attached is None:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(name=self._shm_name)
-            if not self._owner:
-                # Attaching registers the segment with this process's
-                # resource tracker, which would try to unlink it again at
-                # exit (the creator already owns cleanup).  Deregister;
-                # private API, so best-effort.
-                try:  # pragma: no cover - tracker layout varies
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(shm._name, "shared_memory")
-                except Exception:
-                    pass
-            self._attached = shm
-        view = np.ndarray(
-            self._shape, dtype=np.dtype(self._dtype), buffer=self._attached.buf
-        )
-        view.flags.writeable = bool(writable)
-        return view
-
-    def close(self) -> None:
-        """Drop this process's attachment (keeps the backing alive)."""
-        if self._attached is not None:
-            self._attached.close()
-            self._attached = None
-
-    def cleanup(self) -> None:
-        """Release the backing storage (owner side; idempotent)."""
-        if self._mode == "shm":
-            self.close()
-            if self._owner and self._shm_name is not None:
-                from multiprocessing import shared_memory
-
-                try:
-                    seg = shared_memory.SharedMemory(name=self._shm_name)
-                except FileNotFoundError:
-                    pass
-                else:
-                    seg.close()
-                    seg.unlink()
-                self._shm_name = None
-        elif self._mode == "file":
-            if self._owner and self._path is not None:
-                try:
-                    os.unlink(self._path)
-                except FileNotFoundError:
-                    pass
-                self._path = None
-
-    def __enter__(self) -> "SharedArrayHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cleanup()
-
-
-def share_array(array: np.ndarray, mode: str = "auto") -> SharedArrayHandle:
-    """Place ``array`` where other processes can map it without pickling.
-
-    ``mode``:
-
-    * ``"shm"`` — a :mod:`multiprocessing.shared_memory` segment (fastest;
-      lives in RAM/tmpfs);
-    * ``"file"`` — an on-disk ``.npy`` other processes memory-map
-      (survives tmpfs-starved hosts);
-    * ``"auto"`` — ``"shm"`` when available, else ``"file"``.
-    """
-    arr = np.ascontiguousarray(array)
-    if mode not in SHARE_MODES:
-        raise ValueError(f"mode must be one of {SHARE_MODES}, got {mode!r}")
-    if mode in ("auto", "shm"):
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            handle = SharedArrayHandle(
-                "shm", arr.shape, arr.dtype.str, shm_name=shm.name
-            )
-            handle._attached = shm
-            return handle
-        except (ImportError, OSError):
-            if mode == "shm":
-                raise
-    fd, path = tempfile.mkstemp(suffix=".npy", prefix="repro-trace-")
-    os.close(fd)
-    np.save(path, arr)
-    return SharedArrayHandle("file", arr.shape, arr.dtype.str, path=path)
 
 
 def _invoke(cell_fn, params, seed, index, spec_digest):

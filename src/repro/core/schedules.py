@@ -19,7 +19,7 @@ algorithm's memory:
 A schedule is a callable mapping the 1-based stage index ``n`` to a step in
 ``(0, 1]``.  The factories below return small callable *objects* rather
 than closures so schedules pickle — learner state crosses process
-boundaries (sharded-run worker checkpoints, spawn-method sweeps).
+boundaries in spawn-method sweeps.
 """
 
 from __future__ import annotations

@@ -31,14 +31,12 @@ from repro.game.baselines import (
 )
 from repro.game.best_response import (
     BestResponseLearner,
-    sequential_best_response,
     simultaneous_best_response_path,
 )
 from repro.game.helper_selection import HelperSelectionGame, loads_from_profile
 from repro.game.interfaces import Learner
 from repro.game.nash import (
     enumerate_pure_nash,
-    greedy_balanced_assignment,
     is_pure_nash,
 )
 from repro.game.repeated_game import RepeatedGameDriver, StageRecord, Trajectory
@@ -51,10 +49,8 @@ __all__ = [
     "HelperSelectionGame",
     "loads_from_profile",
     "enumerate_pure_nash",
-    "greedy_balanced_assignment",
     "is_pure_nash",
     "BestResponseLearner",
-    "sequential_best_response",
     "simultaneous_best_response_path",
     "UniformRandomLearner",
     "StickyLearner",

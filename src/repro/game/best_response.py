@@ -7,8 +7,6 @@ overloading it, and the population oscillates forever.  This module provides
 
 * :func:`simultaneous_best_response_path` — the pathological dynamic, used
   by the oscillation ablation bench;
-* :func:`sequential_best_response` — one-peer-at-a-time better-response,
-  which *does* converge (finite improvement property of congestion games);
 * :class:`BestResponseLearner` — a myopic learner usable inside the repeated
   game driver: it estimates each helper's attainable rate from its own past
   observations and deterministically picks the best estimate.
@@ -16,7 +14,7 @@ overloading it, and the population oscillates forever.  This module provides
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,41 +53,6 @@ def simultaneous_best_response_path(
         profile = np.where(switch, best, profile)
         path[t] = profile
     return path
-
-
-def sequential_best_response(
-    game: HelperSelectionGame,
-    initial_profile: Sequence[int],
-    max_rounds: int = 1000,
-) -> Tuple[np.ndarray, int, bool]:
-    """Round-robin better-response until no peer wants to move.
-
-    Returns ``(profile, rounds_used, converged)``.  Convergence is
-    guaranteed in finitely many steps for congestion games; ``max_rounds``
-    is a safety valve.
-    """
-    profile = np.asarray(initial_profile, dtype=int).copy()
-    caps = np.asarray(game.capacities, dtype=float)
-    costs = np.asarray(game.connection_costs, dtype=float)
-    loads = loads_from_profile(profile, game.num_helpers)
-    for round_idx in range(max_rounds):
-        moved = False
-        for i in range(profile.size):
-            j = profile[i]
-            current = caps[j] / loads[j] - costs[j]
-            # Evaluate deviations against loads with peer i removed.
-            loads[j] -= 1
-            anticipated = caps / (loads + 1) - costs
-            best = int(np.argmax(anticipated))
-            if anticipated[best] > current + 1e-12:
-                profile[i] = best
-                loads[best] += 1
-                moved = True
-            else:
-                loads[j] += 1
-        if not moved:
-            return profile, round_idx + 1, True
-    return profile, max_rounds, False
 
 
 def oscillation_period(path: np.ndarray) -> Optional[int]:

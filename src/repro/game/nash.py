@@ -6,10 +6,7 @@ peer gains by switching:
     for every j with n_j > 0 and every k != j:
         C_j / n_j  >=  C_k / (n_k + 1)
 
-(player-specific congestion games always admit one; Milchtaich [16]).  The
-greedy water-filling construction below — repeatedly assigning the next peer
-to the helper offering the best marginal rate — yields such an equilibrium
-and is also used as the "balanced assignment" reference in the figures.
+(player-specific congestion games always admit one; Milchtaich [16]).
 """
 
 from __future__ import annotations
@@ -76,26 +73,6 @@ def enumerate_pure_nash(
     for profile in itertools.product(range(game.num_helpers), repeat=game.num_players):
         if is_pure_nash(game, profile):
             yield profile
-
-
-def greedy_balanced_assignment(game: HelperSelectionGame) -> np.ndarray:
-    """Water-filling assignment: peers join the helper with the best marginal rate.
-
-    Processing peers one at a time and giving each the helper maximizing
-    ``C_k / (n_k + 1) - cost_k`` produces a pure Nash equilibrium of the
-    stage game and (costs aside) the most even capacity-proportional split
-    achievable with integral loads.  Ties break toward the lowest index.
-    """
-    caps = np.asarray(game.capacities, dtype=float)
-    costs = np.asarray(game.connection_costs, dtype=float)
-    loads = np.zeros(game.num_helpers, dtype=int)
-    profile = np.empty(game.num_players, dtype=int)
-    for i in range(game.num_players):
-        marginal = caps / (loads + 1) - costs
-        j = int(np.argmax(marginal))
-        profile[i] = j
-        loads[j] += 1
-    return profile
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:

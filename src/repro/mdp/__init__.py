@@ -24,7 +24,6 @@ from repro.mdp.markov_chain import (
     MarkovChain,
     birth_death_chain,
     birth_death_transition,
-    lazy_uniform_chain,
 )
 from repro.mdp.occupation_lp import (
     CentralizedMDPSolution,
@@ -44,7 +43,6 @@ __all__ = [
     "BatchMarkovChains",
     "birth_death_chain",
     "birth_death_transition",
-    "lazy_uniform_chain",
     "CentralizedMDPSolution",
     "solve_occupation_lp",
     "decomposed_optimum",

@@ -3,13 +3,9 @@
 The paper models each helper's available upload bandwidth as an independent
 ergodic finite Markov chain over the levels ``[700, 800, 900]`` that switches
 "according to a slowly changing random process" (Sec. IV).  This module
-provides the chain abstraction plus the two canned constructors used by the
-experiments:
-
-* :func:`birth_death_chain` — nearest-neighbour transitions with a large
-  self-loop probability (the "slowly changing" process);
-* :func:`lazy_uniform_chain` — a lazy chain that jumps uniformly on change,
-  used in ablations.
+provides the chain abstraction plus the canned constructor the experiments
+use, :func:`birth_death_chain`: nearest-neighbour transitions with a large
+self-loop probability (the "slowly changing" process).
 """
 
 from __future__ import annotations
@@ -191,22 +187,6 @@ def birth_death_chain(
         raise ValueError("levels must be a 1-D sequence of at least two values")
     p = birth_death_transition(values.size, stay_probability)
     return MarkovChain(transition=p, states=values, rng=rng, initial=initial)
-
-
-def lazy_uniform_chain(
-    levels: Sequence[float],
-    stay_probability: float = 0.9,
-    rng: Seedish = None,
-) -> MarkovChain:
-    """Lazy chain that, when it moves, jumps uniformly over the other levels."""
-    values = np.asarray(levels, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("levels must be a 1-D sequence of at least two values")
-    stay = require_in_closed_unit_interval(stay_probability, "stay_probability")
-    n = values.size
-    p = np.full((n, n), (1.0 - stay) / (n - 1))
-    np.fill_diagonal(p, stay)
-    return MarkovChain(transition=p, states=values, rng=rng)
 
 
 class BatchMarkovChains:

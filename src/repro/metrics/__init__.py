@@ -2,8 +2,8 @@
 
 * :mod:`repro.metrics.fairness` — Jain's index, max/min ratio, coefficient
   of variation (Figs. 3 and 4).
-* :mod:`repro.metrics.convergence` — regret trajectories, smoothing,
-  convergence detection (Fig. 1).
+* :mod:`repro.metrics.convergence` — the time-averaged regret series,
+  smoothing, convergence detection (Fig. 1).
 * :mod:`repro.metrics.server_load` — server workload vs. the minimum
   bandwidth deficit of helpers (Fig. 5).
 * :mod:`repro.metrics.distributions` — helper-load distribution statistics
@@ -17,7 +17,6 @@ from repro.metrics.convergence import (
     convergence_stage,
     exponential_smooth,
     moving_average,
-    regret_trajectory,
     time_averaged_regret_series,
 )
 from repro.metrics.distributions import (
@@ -32,7 +31,6 @@ __all__ = [
     "jain_index",
     "max_min_ratio",
     "coefficient_of_variation",
-    "regret_trajectory",
     "time_averaged_regret_series",
     "moving_average",
     "exponential_smooth",

@@ -9,11 +9,9 @@ stays inside a band around its terminal level.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-
-from repro.game.repeated_game import CapacityProcess
 
 
 def moving_average(series: np.ndarray, window: int) -> np.ndarray:
@@ -72,35 +70,6 @@ def convergence_stage(
     return last_outside + 1
 
 
-def regret_trajectory(
-    population,
-    capacity_process: CapacityProcess,
-    num_stages: int,
-    sample_every: int = 1,
-) -> np.ndarray:
-    """Worst-player *tracking*-regret samples while running a population.
-
-    ``population`` is a :class:`repro.core.population.LearnerPopulation`;
-    returns the worst player's played-action tracking regret sampled every
-    ``sample_every`` stages.  Note this quantity has a noise floor of order
-    ``eps * u / delta`` by construction (constant-step importance-weighted
-    estimates keep reacting to exploration); the decaying Fig. 1 curve is
-    the *time-averaged* regret of :func:`time_averaged_regret_series`.
-    """
-    if num_stages < 1:
-        raise ValueError("num_stages must be >= 1")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    samples: List[float] = []
-
-    def callback(stage: int, _: np.ndarray) -> None:
-        if (stage + 1) % sample_every == 0:
-            samples.append(population.worst_player_regret())
-
-    population.run(capacity_process, num_stages, stage_callback=callback)
-    return np.asarray(samples)
-
-
 def time_averaged_regret_series(
     trajectory,
     sample_every: int = 1,
@@ -151,16 +120,3 @@ def time_averaged_regret_series(
                 float(np.clip(cum, 0.0, None).max(initial=0.0)) / ((t + 1) * scale)
             )
     return np.asarray(samples)
-
-
-def per_learner_regret_trajectory(
-    learners: Sequence,
-    driver_run: Callable[[], None],
-) -> np.ndarray:
-    """Snapshot max-regret of object learners after running ``driver_run``.
-
-    Convenience for small object-based populations: executes the run
-    callable, then reports each learner's final max regret.
-    """
-    driver_run()
-    return np.array([learner.max_regret() for learner in learners])

@@ -20,11 +20,7 @@ on dense arrays:
   regret banks behind the same API;
 * :mod:`repro.runtime.system` — :class:`VectorizedStreamingSystem`, whose
   learning round is a handful of numpy ops (one learner draw,
-  ``np.bincount`` loads, masked deficit accounting, one learner update);
-* :mod:`repro.runtime.sharded` — :class:`ShardedSystem`, the same facade
-  with the learner banks channel-partitioned across worker processes
-  (shared-memory exchange lanes, heartbeat/replay shard-death
-  containment), traces bit-identical to the single-process system.
+  ``np.bincount`` loads, masked deficit accounting, one learner update).
 
 Pick a backend per experiment: the scalar system for per-peer
 introspection and plug-in scalar learners, the vectorized runtime for
@@ -50,7 +46,6 @@ from repro.runtime.learner_bank import (
     bank_factory,
 )
 from repro.runtime.peer_store import PeerStore
-from repro.runtime.sharded import ShardedGroupedBank, ShardedSystem
 from repro.runtime.system import VectorizedStreamingSystem
 
 __all__ = [
@@ -70,6 +65,4 @@ __all__ = [
     "build_per_channel_banks",
     "bank_factory",
     "VectorizedStreamingSystem",
-    "ShardedGroupedBank",
-    "ShardedSystem",
 ]

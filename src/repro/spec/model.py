@@ -577,14 +577,8 @@ class LearnerSpec:
     unlock for giant helper counts).  ``engine`` is parse-only:
     ``"auto"`` and ``"grouped"`` are accepted and have no effect (every
     family has one bank contract); the removed ``"per_channel"`` raises.
-
-    ``shards`` > 1 channel-partitions the learner banks across that many
-    worker processes (:class:`~repro.runtime.sharded.ShardedSystem`) —
-    the single-run parallelism unlock.  Traces are bit-identical to the
-    single-process system for any shard count, so ``shards`` is a pure
-    execution knob: it is excluded from the result digest and composes
-    with every other learner field (vectorized backend,
-    ``shards <= num_channels``).
+    ``shards`` is parse-only too: a run is one process, so only ``1`` is
+    accepted (older spec files carry it).
     """
 
     name: str = "r2hs"
@@ -622,9 +616,10 @@ class LearnerSpec:
             raise ValueError(
                 f"topk must be an integer >= 2, got {self.topk!r}"
             )
-        if not _is_int(self.shards) or self.shards < 1:
+        if not _is_int(self.shards) or self.shards != 1:
             raise ValueError(
-                f"shards must be an integer >= 1, got {self.shards!r}"
+                "shards must be 1: a run is one process (the field is "
+                f"parse-only), got {self.shards!r}"
             )
         if not 0 < self.epsilon <= 1 or not 0 < self.delta < 1:
             raise ValueError("epsilon in (0,1], delta in (0,1) required")
@@ -1030,19 +1025,6 @@ class ExperimentSpec:
                     "bank; families registered with sparse=True: "
                     f"{[n for n in LEARNERS if LEARNERS.get(n).sparse]}"
                 )
-        if self.learner.shards > 1:
-            if self.backend != "vectorized":
-                raise ValueError(
-                    "learner.shards applies to the vectorized backend "
-                    "(sharding partitions the learner banks); use "
-                    'backend="vectorized" or shards=1'
-                )
-            if self.learner.shards > self.topology.num_channels:
-                raise ValueError(
-                    "learner.shards partitions channels, so it must not "
-                    f"exceed num_channels={self.topology.num_channels}; "
-                    f"got {self.learner.shards}"
-                )
         # Cross-section checks the sections cannot do alone: explicit
         # helper placement must cover exactly the topology's helpers.
         if (
@@ -1154,10 +1136,8 @@ class ExperimentSpec:
         data = self.to_dict()
         data.pop("sweep", None)
         data.pop("execution", None)
-        # Shard count is a pure execution knob: the sharded system is
-        # bit-identical to the single-process one, so results keyed
-        # without it stay cache hits across shard-count changes.  The
-        # parse-only engine field changes nothing either.
+        # The parse-only shards and engine fields change nothing, so
+        # results keyed without them stay cache hits.
         data["learner"].pop("shards", None)
         data["learner"].pop("engine", None)
         canonical = json.dumps(data, sort_keys=True, default=str)
@@ -1345,17 +1325,6 @@ class ExperimentSpec:
         if capacity_process is None:
             capacity_process = self.build_capacity_process(rng=spawn(parent))
         if self.backend == "vectorized":
-            if self.learner.shards > 1:
-                from repro.runtime import ShardedSystem
-
-                return ShardedSystem(
-                    config,
-                    self.bank_factory(),
-                    shards=self.learner.shards,
-                    rng=parent,
-                    capacity_process=capacity_process,
-                    dtype=np.dtype(self.learner.dtype),
-                )
             from repro.runtime import VectorizedStreamingSystem
 
             return VectorizedStreamingSystem(
@@ -1399,8 +1368,7 @@ class ExperimentSpec:
                 trace = system.run(self.rounds)
             finally:
                 # Frees the system now rather than at the next garbage
-                # collection (and a sharded system's workers and shared
-                # memory); the trace stays readable.
+                # collection; the trace stays readable.
                 system.close()
             return RunResult(
                 spec=self, trace=trace, metrics=self.metrics_of(trace)

@@ -103,80 +103,6 @@ class TestSweepIntegration:
         assert result.cells[0].metrics == {"stages": 10.0}
 
 
-def trace_sum_cell(params, seed):
-    """Module-level cell loading a shared-array handle inside the worker."""
-    arr = params["trace"].load()
-    return {"total": float(arr.sum()), "seed_mod": float(seed % 7)}
-
-
-class TestSharedArrayHandle:
-    @pytest.mark.parametrize("mode", ["shm", "file"])
-    def test_roundtrip_through_pickle(self, mode):
-        import pickle
-
-        from repro.analysis.parallel import share_array
-
-        arr = np.arange(24, dtype=float).reshape(6, 4)
-        with share_array(arr, mode=mode) as handle:
-            clone = pickle.loads(pickle.dumps(handle))
-            got = clone.load()
-            assert np.array_equal(np.asarray(got), arr)
-            assert handle.shape == (6, 4)
-            clone.close()
-
-    def test_handle_is_small_on_the_wire(self):
-        import pickle
-
-        from repro.analysis.parallel import share_array
-
-        arr = np.zeros((500, 200))
-        with share_array(arr, mode="auto") as handle:
-            assert len(pickle.dumps(handle)) < 1024  # metadata, not the array
-
-    def test_file_cleanup_removes_backing(self):
-        import os
-
-        from repro.analysis.parallel import share_array
-
-        handle = share_array(np.ones((3, 3)), mode="file")
-        path = handle._path
-        assert os.path.exists(path)
-        handle.cleanup()
-        assert not os.path.exists(path)
-        handle.cleanup()  # idempotent
-
-    def test_shm_cleanup_releases_segment(self):
-        from multiprocessing import shared_memory
-
-        from repro.analysis.parallel import share_array
-
-        handle = share_array(np.ones((3, 3)), mode="shm")
-        name = handle._shm_name
-        handle.cleanup()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_bad_mode_rejected(self):
-        from repro.analysis.parallel import share_array
-
-        with pytest.raises(ValueError, match="mode"):
-            share_array(np.ones(3), mode="carrier-pigeon")
-
-    @pytest.mark.parametrize("mode", ["shm", "file"])
-    def test_workers_resolve_without_pickling_the_array(self, mode):
-        from repro.analysis.parallel import share_array
-
-        arr = np.random.default_rng(0).uniform(size=(40, 5))
-        with share_array(arr, mode=mode) as handle:
-            runner = ParallelRunner(workers=2)
-            cells = runner.map_cells(
-                trace_sum_cell, [{"trace": handle, "i": i} for i in range(4)],
-                rng=0,
-            )
-        expected = float(arr.sum())
-        assert all(abs(c.metrics["total"] - expected) < 1e-9 for c in cells)
-
-
 class TestSweepTraceHandoff:
     def test_parallel_matches_serial(self):
         grid = {"epsilon": [0.02, 0.08]}
@@ -188,14 +114,3 @@ class TestSweepTraceHandoff:
             assert a.parameters == b.parameters
             for name in a.metrics:
                 assert a.metrics[name] == b.metrics[name]
-
-    @pytest.mark.parametrize("mode", ["shm", "file"])
-    def test_loaded_views_are_read_only(self, mode):
-        from repro.analysis.parallel import share_array
-
-        arr = np.ones((4, 4))
-        with share_array(arr, mode=mode) as handle:
-            view = handle.load()
-            with pytest.raises(ValueError):
-                view[0, 0] = 7.0
-        arr[0, 0] = 7.0  # the caller's own array stays writable

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.analysis.parallel import ParallelRunner, SharedArrayHandle
+from repro.analysis.parallel import ParallelRunner
 
 
 def array_cell(params, seed):
@@ -31,7 +31,6 @@ class TestResultArrayHandoff:
         for i, cell in enumerate(cells):
             big = cell.metrics["big_series"]
             assert isinstance(big, np.ndarray)
-            assert not isinstance(big, SharedArrayHandle)
             assert big.shape == (64, 64)
             assert np.all(big == float(i))
             assert np.array_equal(

@@ -6,11 +6,9 @@ import pytest
 from repro.game.best_response import (
     BestResponseLearner,
     oscillation_period,
-    sequential_best_response,
     simultaneous_best_response_path,
 )
 from repro.game.helper_selection import HelperSelectionGame
-from repro.game.nash import is_pure_nash
 
 
 class TestSimultaneousBestResponse:
@@ -37,32 +35,6 @@ class TestSimultaneousBestResponse:
         game = HelperSelectionGame(3, [800.0, 800.0])
         with pytest.raises(ValueError):
             simultaneous_best_response_path(game, [0, 0], num_stages=2)
-
-
-class TestSequentialBestResponse:
-    def test_converges_to_nash_from_herd(self):
-        game = HelperSelectionGame(6, [800.0, 800.0])
-        profile, rounds, converged = sequential_best_response(game, [0] * 6)
-        assert converged
-        assert is_pure_nash(game, tuple(profile))
-
-    def test_converges_with_heterogeneous_capacities(self):
-        game = HelperSelectionGame(9, [600.0, 1200.0, 300.0])
-        profile, _, converged = sequential_best_response(game, [0] * 9)
-        assert converged
-        assert is_pure_nash(game, tuple(profile))
-
-    def test_already_nash_takes_one_round(self):
-        game = HelperSelectionGame(4, [800.0, 800.0])
-        profile, rounds, converged = sequential_best_response(game, [0, 0, 1, 1])
-        assert converged
-        assert rounds == 1
-        assert profile.tolist() == [0, 0, 1, 1]
-
-    def test_max_rounds_safety(self):
-        game = HelperSelectionGame(4, [800.0, 800.0])
-        _, _, converged = sequential_best_response(game, [0] * 4, max_rounds=0)
-        assert not converged
 
 
 class TestBestResponseLearner:

@@ -2,14 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.game.helper_selection import HelperSelectionGame
 from repro.game.nash import (
     compositions,
     enumerate_pure_nash,
-    greedy_balanced_assignment,
     is_pure_nash,
     nash_load_vectors,
     price_of_anarchy,
@@ -59,6 +57,24 @@ class TestNashLoadVectors:
                 profile.extend([j] * int(n))
             assert is_pure_nash(game, tuple(profile))
 
+    def test_double_capacity_takes_double_load(self):
+        # Loads (3, 6) give both groups 200; a deviator would get 150 or
+        # 1200/7.  (4, 5) and (2, 7) each leave a peer a better helper.
+        game = HelperSelectionGame(9, [600.0, 1200.0])
+        vectors = {tuple(v) for v in nash_load_vectors(game)}
+        assert vectors == {(3, 6)}
+
+    def test_three_heterogeneous_helpers_have_an_equilibrium(self):
+        game = HelperSelectionGame(9, [600.0, 1200.0, 300.0])
+        vectors = list(nash_load_vectors(game))
+        assert vectors
+        for loads in vectors:
+            assert sum(int(n) for n in loads) == 9
+            profile = []
+            for j, n in enumerate(loads):
+                profile.extend([j] * int(n))
+            assert is_pure_nash(game, tuple(profile))
+
 
 class TestEnumeratePureNash:
     def test_matches_anonymous_enumeration(self):
@@ -77,23 +93,6 @@ class TestEnumeratePureNash:
         game = HelperSelectionGame(30, [800.0, 400.0])
         with pytest.raises(ValueError):
             list(enumerate_pure_nash(game, limit=10))
-
-
-class TestGreedyBalancedAssignment:
-    def test_produces_nash(self):
-        game = HelperSelectionGame(7, [700.0, 800.0, 900.0])
-        profile = greedy_balanced_assignment(game)
-        assert is_pure_nash(game, tuple(profile))
-
-    def test_proportional_for_double_capacity(self):
-        game = HelperSelectionGame(9, [600.0, 1200.0])
-        profile = greedy_balanced_assignment(game)
-        loads = np.bincount(profile, minlength=2)
-        assert loads.tolist() == [3, 6]
-
-    def test_all_peers_assigned(self):
-        game = HelperSelectionGame(11, [700.0, 800.0, 900.0])
-        assert greedy_balanced_assignment(game).shape == (11,)
 
 
 class TestCompositions:

@@ -7,7 +7,6 @@ from repro.mdp.markov_chain import (
     MarkovChain,
     birth_death_chain,
     birth_death_transition,
-    lazy_uniform_chain,
     product_stationary,
     stationary_distribution,
 )
@@ -128,16 +127,6 @@ class TestBirthDeathChain:
     def test_state_values_are_levels(self):
         chain = birth_death_chain(PAPER_LEVELS, 0.9, rng=0)
         assert chain.state_value in PAPER_LEVELS
-
-
-class TestLazyUniformChain:
-    def test_uniform_stationary(self):
-        chain = lazy_uniform_chain(PAPER_LEVELS, 0.8)
-        assert np.allclose(chain.stationary_distribution(), 1 / 3)
-
-    def test_off_diagonal_mass(self):
-        chain = lazy_uniform_chain(PAPER_LEVELS, 0.8)
-        assert chain.transition[0, 1] == pytest.approx(0.1)
 
 
 class TestProductStationary:

@@ -1,8 +1,13 @@
-"""Spec/CLI surface of the removed engine switch and capacity options.
+"""Spec/CLI surface of the removed engine switch, shard count and
+capacity options.
 
 ``LearnerSpec.engine`` is parse-only: ``"auto"`` and ``"grouped"``
 round-trip and change nothing, the removed ``"per_channel"`` fails with
 one clean message, and the CLI no longer has ``--engine``.
+``LearnerSpec.shards`` is parse-only too: ``1`` round-trips, builds
+the one-process system on either backend and stays out of the result
+digest; any other value fails at construction, and at the CLI as one
+``repro: error:`` line.
 ``CapacitySpec.options`` is gone: options travel on the capacity
 transform stage that consumes them.
 """
@@ -85,6 +90,78 @@ class TestEngineSpecField:
         assert system.banks[0].k == 3
 
 
+class TestShardsSpecField:
+    BASE = {
+        "rounds": 5,
+        "topology": {"num_peers": 12, "num_helpers": 6, "num_channels": 2},
+    }
+
+    def test_shards_excluded_from_result_digest(self):
+        plain = ExperimentSpec.from_dict(self.BASE)
+        spec = ExperimentSpec.from_dict(dict(self.BASE, learner={"shards": 1}))
+        clone = ExperimentSpec.from_json(spec.to_json())
+        assert clone == spec
+        assert clone.to_dict()["learner"]["shards"] == 1
+        assert spec.result_digest() == plain.result_digest()
+
+    def test_missing_field_defaults_to_one_and_is_still_written(self):
+        # Readers of dumped specs find the field whether or not the
+        # source file carried it.
+        spec = ExperimentSpec.from_dict(self.BASE)
+        assert spec.learner.shards == 1
+        assert spec.to_dict()["learner"]["shards"] == 1
+
+    @pytest.mark.parametrize(
+        "value", [0, 2, 9, -1, 1.0, 1.5, "1", None, True], ids=repr
+    )
+    def test_only_one_shard_is_accepted(self, value):
+        # 2 and 9 were valid shard counts once; 1.0, "1" and True are
+        # not the integer 1.
+        with pytest.raises(ValueError, match="shards must be 1"):
+            ExperimentSpec.from_dict(
+                dict(self.BASE, learner={"shards": value})
+            )
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_one_shard_builds_and_runs_on_every_backend(self, backend):
+        spec = ExperimentSpec.from_dict(
+            dict(self.BASE, backend=backend, learner={"shards": 1})
+        )
+        plain = ExperimentSpec.from_dict(dict(self.BASE, backend=backend))
+        assert spec.run().metrics == plain.run().metrics
+
+
+class TestShardsCli:
+    def test_set_two_shards_is_one_error_before_dump(self, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["run", "--spec", str(SMOKE), "--set", "learner.shards=2",
+                 "--dump-spec"],
+                out=out,
+            )
+        assert excinfo.value.code == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro: error: ")
+        assert "shards must be" in errors[0]
+
+    def test_set_one_shard_leaves_dump_unchanged(self):
+        plain, one = io.StringIO(), io.StringIO()
+        assert main(["run", "--spec", str(SMOKE), "--dump-spec"],
+                    out=plain) == 0
+        assert main(
+            ["run", "--spec", str(SMOKE), "--set", "learner.shards=1",
+             "--dump-spec"],
+            out=one,
+        ) == 0
+        assert one.getvalue() == plain.getvalue()
+        assert json.loads(plain.getvalue())["learner"]["shards"] == 1
+
+
 class TestCapacityOptions:
     def test_options_roundtrip(self):
         # Options live on the transform stage that consumes them.
@@ -132,6 +209,7 @@ class TestEngineCli:
             ("capacity", {"backend": "failures"}),
             ("capacity", {"options": {"failure_rate": 0.5}}),
             ("learner", {"engine": "per_channel"}),
+            ("learner", {"shards": 2}),
         ],
     )
     def test_removed_names_fail_with_one_clean_error(

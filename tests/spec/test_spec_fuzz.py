@@ -224,6 +224,7 @@ BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True]
         ("run", "topology.channel_bitrates", [100, 200, 300]),
         ("run", "topology.channel_bitrates", [100]),
         ("run", "capacity.levels", [700]),
+        ("run", "learner.shards", 2),
     ]
     + [("run", leaf, bad) for leaf in RUN_FLOAT_LEAVES for bad in BAD_FLOATS]
     + [("eval", leaf, bad) for leaf in EVAL_FLOAT_LEAVES for bad in BAD_FLOATS],
