@@ -383,9 +383,15 @@ class LearnerPopulation:
         self._n = int(capacity)
         self._peer_index = np.arange(self._n)
 
-    def reset_slots(self, slots: np.ndarray) -> None:
-        """Reinitialize ``slots`` to the fresh-learner state."""
-        slots = np.asarray(slots, dtype=np.intp)
+    def reset_slots(self, slots) -> None:
+        """Reinitialize ``slots`` to the fresh-learner state.
+
+        ``slots`` is one slot index or an index array; one index (a
+        joining peer's row) is served by basic indexing, with no index
+        array built.
+        """
+        if not isinstance(slots, (int, np.integer)):
+            slots = np.asarray(slots, dtype=np.intp)
         self._s[slots] = 0.0
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h

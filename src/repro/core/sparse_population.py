@@ -365,8 +365,9 @@ class TopKPopulation:
         self._n = int(capacity)
         self._peer_index = np.arange(self._n)
 
-    def set_slot_groups(self, slots: np.ndarray, group: int) -> None:
-        """Assign ``slots`` to popularity domain ``group``.
+    def set_slot_groups(self, slots, group: int) -> None:
+        """Assign ``slots`` (one index or an index array) to popularity
+        domain ``group``.
 
         Called by the channel-grouped bank when a row is (re)acquired for
         a channel, so re-selection reads that channel's EWMA.  No regret
@@ -378,14 +379,16 @@ class TopKPopulation:
             )
         self._slot_group[np.asarray(slots, dtype=np.intp)] = int(group)
 
-    def reset_slots(self, slots: np.ndarray) -> None:
+    def reset_slots(self, slots) -> None:
         """Reinitialize ``slots`` to the fresh-learner state.
 
         The tracked index block is rewound to the first ``k`` arms and the
         value block zeroed, so a recycled slot carries no stale indices or
-        regret from its previous occupant.
+        regret from its previous occupant.  ``slots`` is one slot index
+        (served by basic indexing) or an index array.
         """
-        slots = np.asarray(slots, dtype=np.intp)
+        if not isinstance(slots, (int, np.integer)):
+            slots = np.asarray(slots, dtype=np.intp)
         self._ids[slots] = np.arange(self._k, dtype=np.int32)
         self._pos[slots] = np.arange(self._k, dtype=np.int32)
         self._s[slots] = 0.0

@@ -37,7 +37,6 @@ from repro.eval.metrics import (
 )
 from repro.eval.windows import (
     window_lengths,
-    window_means,
     window_ratios,
     window_starts,
     window_sums,
@@ -54,7 +53,6 @@ __all__ = [
     "WINDOW_METRICS",
     "prequential_metrics",
     "window_lengths",
-    "window_means",
     "window_ratios",
     "window_starts",
     "window_sums",

@@ -48,18 +48,6 @@ def window_sums(series: np.ndarray, window: int) -> np.ndarray:
     return np.add.reduceat(arr, starts)
 
 
-def window_means(series: np.ndarray, window: int) -> np.ndarray:
-    """Per-window means of a ``(T,)`` series (last window partial).
-
-    The partial last window averages over its *own* length, not the
-    nominal window size — a half-full window is not diluted.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("series must be a non-empty 1-D array")
-    return window_sums(arr, window) / window_lengths(arr.size, window)
-
-
 def window_ratios(
     numerator: np.ndarray, denominator: np.ndarray, window: int
 ) -> np.ndarray:

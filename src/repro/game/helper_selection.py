@@ -44,23 +44,6 @@ def loads_from_profile(profile: Sequence[int], num_helpers: int) -> np.ndarray:
     return np.bincount(active, minlength=num_helpers).astype(int)
 
 
-def rates_from_profile(
-    profile: Sequence[int], capacities: Sequence[float]
-) -> np.ndarray:
-    """Per-peer received rate under even capacity splitting.
-
-    Offline peers (action ``-1``) receive rate 0.
-    """
-    arr = np.asarray(profile, dtype=int)
-    caps = np.asarray(capacities, dtype=float)
-    loads = loads_from_profile(arr, caps.size)
-    rates = np.zeros(arr.size, dtype=float)
-    online = arr >= 0
-    chosen = arr[online]
-    rates[online] = caps[chosen] / loads[chosen]
-    return rates
-
-
 class HelperSelectionGame(NormalFormGame):
     """Stage game: ``num_peers`` peers choose among ``len(capacities)`` helpers.
 

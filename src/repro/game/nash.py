@@ -88,28 +88,3 @@ def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
-
-def price_of_anarchy(game: HelperSelectionGame) -> float:
-    """Worst-NE welfare divided by optimal welfare (anonymous enumeration).
-
-    With the pure even-split utility, welfare of a load vector is the summed
-    capacity of occupied helpers, so the optimum occupies every helper when
-    ``N >= H``.  Returns 1.0 when every NE is welfare-optimal.
-    """
-    nash_vectors = nash_load_vectors(game)
-    if not nash_vectors:
-        raise RuntimeError("congestion game unexpectedly has no anonymous pure NE")
-    caps = np.asarray(game.capacities, dtype=float)
-    costs = np.asarray(game.connection_costs, dtype=float)
-
-    def welfare_of_loads(loads: np.ndarray) -> float:
-        occupied = loads > 0
-        return float((caps[occupied]).sum() - (loads[occupied] * costs[occupied]).sum())
-
-    best = max(
-        welfare_of_loads(np.asarray(v)) for v in compositions(game.num_players, game.num_helpers)
-    )
-    worst_nash = min(welfare_of_loads(v) for v in nash_vectors)
-    if best <= 0:
-        return 1.0
-    return worst_nash / best

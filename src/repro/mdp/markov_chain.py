@@ -473,16 +473,3 @@ class BatchMarkovChains:
             initial_states=[c.state_index for c in chains],
         )
 
-
-def product_stationary(chains: Sequence[MarkovChain]) -> np.ndarray:
-    """Joint stationary distribution of independent chains.
-
-    Returns an array of shape ``(S_1, ..., S_H)`` with
-    ``pi(y) = prod_i pi_i(y_i)`` — the ``pi(x)`` of paper Sec. IV-A.
-    """
-    if not chains:
-        raise ValueError("need at least one chain")
-    joint = np.array([1.0])
-    for chain in chains:
-        joint = np.multiply.outer(joint, chain.stationary_distribution())
-    return joint[0] if joint.ndim > len(chains) else joint

@@ -15,7 +15,6 @@ optimum from :mod:`repro.mdp`.
 
 from repro.metrics.convergence import (
     convergence_stage,
-    exponential_smooth,
     moving_average,
     time_averaged_regret_series,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "coefficient_of_variation",
     "time_averaged_regret_series",
     "moving_average",
-    "exponential_smooth",
     "convergence_stage",
     "mean_loads",
     "load_balance_report",

@@ -31,20 +31,6 @@ def moving_average(series: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def exponential_smooth(series: np.ndarray, alpha: float = 0.1) -> np.ndarray:
-    """First-order exponential smoothing."""
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("series must be non-empty 1-D")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    out = np.empty_like(arr)
-    out[0] = arr[0]
-    for t in range(1, arr.size):
-        out[t] = out[t - 1] + alpha * (arr[t] - out[t - 1])
-    return out
-
-
 def convergence_stage(
     series: np.ndarray,
     tolerance: float,

@@ -20,18 +20,6 @@ import numpy as np
 from repro.sim.trace import SystemTrace
 
 
-def minimum_bandwidth_deficit(
-    total_demand: float, minimum_capacities: np.ndarray
-) -> float:
-    """``max(0, D - sum_j C_j^min)``."""
-    if total_demand < 0:
-        raise ValueError("total_demand must be >= 0")
-    caps = np.asarray(minimum_capacities, dtype=float)
-    if np.any(caps < 0):
-        raise ValueError("capacities must be non-negative")
-    return max(0.0, float(total_demand - caps.sum()))
-
-
 @dataclass(frozen=True)
 class ServerLoadReport:
     """Fig. 5 summary.

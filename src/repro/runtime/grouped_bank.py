@@ -222,7 +222,7 @@ class _GroupRows(_RowBank):
     def _grow_rows(self, new_rows: int) -> None:
         self._pop.ensure_capacity(new_rows)
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
+    def _reset_rows(self, rows) -> None:
         self._pop.reset_slots(rows)
 
 
@@ -403,9 +403,7 @@ class GroupedRegretBank:
         group = self._groups[self._group_of[channel]]
         row = group.rows.acquire()
         if self._sparse:
-            group.population.set_slot_groups(
-                np.array([row], dtype=np.int64), int(self._domain_of[channel])
-            )
+            group.population.set_slot_groups(row, int(self._domain_of[channel]))
         return row
 
     def acquire_many(self, channel: int, count: int) -> np.ndarray:

@@ -102,8 +102,9 @@ class _RowBank:
         """Extend backing storage to ``new_rows`` (subclass hook)."""
         raise NotImplementedError
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
-        """Restore ``rows`` to the fresh-learner state (subclass hook)."""
+    def _reset_rows(self, rows) -> None:
+        """Restore ``rows`` -- one row index or an index array -- to the
+        fresh-learner state (subclass hook)."""
         raise NotImplementedError
 
     def _ensure_free(self, count: int) -> None:
@@ -118,7 +119,7 @@ class _RowBank:
     def acquire(self) -> int:
         self._ensure_free(1)
         row = self._free.pop()
-        self._reset_rows(np.array([row], dtype=np.int64))
+        self._reset_rows(row)
         return row
 
     def acquire_many(self, count: int) -> np.ndarray:
@@ -180,7 +181,7 @@ class RegretBank(_RowBank):
     def _grow_rows(self, new_rows: int) -> None:
         self._pop.ensure_capacity(new_rows)
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
+    def _reset_rows(self, rows) -> None:
         self._pop.reset_slots(rows)
 
     def act(self, rows: np.ndarray) -> np.ndarray:
@@ -289,7 +290,7 @@ class TopKRegretBank(_RowBank):
     def _grow_rows(self, new_rows: int) -> None:
         self._pop.ensure_capacity(new_rows)
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
+    def _reset_rows(self, rows) -> None:
         self._pop.reset_slots(rows)
 
     def act(self, rows: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ class UniformBank(_RowBank):
     def _grow_rows(self, new_rows: int) -> None:
         pass  # stateless per row
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
+    def _reset_rows(self, rows) -> None:
         pass
 
     def act(self, rows: np.ndarray) -> np.ndarray:
@@ -366,8 +367,11 @@ class StickyBank(_RowBank):
         extra = self._rng.integers(0, self._m, size=new_rows - self._current.size)
         self._current = np.concatenate([self._current, extra])
 
-    def _reset_rows(self, rows: np.ndarray) -> None:
-        self._current[rows] = self._rng.integers(0, self._m, size=rows.shape[0])
+    def _reset_rows(self, rows) -> None:
+        # One row draws one scalar: the same value, and the same stream
+        # position, as a one-element draw.
+        size = rows.shape[0] if isinstance(rows, np.ndarray) else None
+        self._current[rows] = self._rng.integers(0, self._m, size=size)
 
     def act(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)

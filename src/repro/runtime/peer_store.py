@@ -182,12 +182,11 @@ class PeerStore:
         sorted_slots = online[order]
         sorted_channels = channels[order]
         self._members = {}
-        uniques, starts = np.unique(sorted_channels, return_index=True)
-        bounds = list(starts) + [sorted_slots.size]
-        for i, channel in enumerate(uniques):
-            self._members[int(channel)] = sorted_slots[
-                bounds[i]: bounds[i + 1]
-            ].tolist()
+        # Split where the sorted channel changes (not ``np.unique``, whose
+        # first call imports ``numpy.ma``).
+        starts = np.flatnonzero(np.diff(sorted_channels)) + 1
+        for segment in np.split(sorted_slots, starts) if sorted_slots.size else ():
+            self._members[int(self.channel[segment[0]])] = segment.tolist()
         self._member_arrays = {}
         self._dirty_channels = set(self._members)
         self._index_valid = True
@@ -309,6 +308,8 @@ class PeerStore:
             raise ValueError("channels and demands must align")
         if np.any(demands <= 0):
             raise ValueError("demands must be positive")
+        if k and channels.min() < 0:
+            raise ValueError("channels must be non-negative")
         if self._free:
             raise RuntimeError("allocate_many requires an empty free-list")
         start = self._size
@@ -326,8 +327,10 @@ class PeerStore:
         self._num_online += k
         if self._index_valid:
             # Fresh slots are a block past every existing index entry, so
-            # per-channel extends preserve sortedness.
-            for channel in np.unique(channels):
+            # per-channel extends preserve sortedness.  Channels come from
+            # bincount, not ``np.unique`` (whose first call imports
+            # ``numpy.ma``): the same ascending ids.
+            for channel in np.flatnonzero(np.bincount(channels)):
                 members = self._members.setdefault(int(channel), [])
                 members.extend(slots[channels == channel].tolist())
                 self._dirty_channels.add(int(channel))

@@ -46,6 +46,7 @@ from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
 from repro.sim.entities import Channel, StreamingServer
 from repro.sim.system import (
+    ChannelSampler,
     SystemConfig,
     drive_rounds,
     install_channel_switching,
@@ -149,8 +150,10 @@ class VectorizedStreamingSystem:
         )
 
         # Channels, popularity, helper partition (identical to scalar).
-        self._channel_weights = normalized_channel_weights(
-            config.num_channels, config.channel_popularity
+        self._sampler = ChannelSampler(
+            normalized_channel_weights(
+                config.num_channels, config.channel_popularity
+            )
         )
         # Per-channel playback bitrates as a lookup table: demand vectors
         # for whole populations (and single join events) become one
@@ -160,7 +163,7 @@ class VectorizedStreamingSystem:
             Channel(
                 channel_id=c,
                 bitrate=config.bitrate_of(c),
-                popularity=float(self._channel_weights[c]),
+                popularity=float(self._sampler.weights[c]),
             )
             for c in range(config.num_channels)
         ]
@@ -211,9 +214,9 @@ class VectorizedStreamingSystem:
             ):
                 raise ValueError("initial channel out of range")
         else:
-            channels = self._rng.choice(
-                config.num_channels, size=config.num_peers, p=self._channel_weights
-            ).astype(np.int64)
+            channels = self._sampler.draw(self._rng, config.num_peers).astype(
+                np.int64
+            )
         demands = self._bitrate_table[channels]
         slots = self._store.allocate_many(channels, demands, now=self._sim.now)
         for c in range(config.num_channels):
@@ -255,10 +258,7 @@ class VectorizedStreamingSystem:
         # switches draw from.  The child generator is only spawned when
         # drift is on, so drift-free configs keep their RNG streams.
         if config.popularity_drift_rate > 0:
-            install_popularity_drift(
-                self._sim, config, spawn(self._rng),
-                lambda: self._channel_weights, self._set_channel_weights,
-            )
+            install_popularity_drift(self._sim, config, spawn(self._rng), self._sampler)
 
         # Telemetry instruments bind once, here: when the process-wide
         # registry is disabled every handle below is the shared null
@@ -295,9 +295,7 @@ class VectorizedStreamingSystem:
     def _create_peer(self, channel_id: Optional[int] = None) -> int:
         """Bring one peer online; returns its uid."""
         if channel_id is None:
-            channel_id = int(
-                self._rng.choice(self._config.num_channels, p=self._channel_weights)
-            )
+            channel_id = int(self._sampler.draw(self._rng))
         row = self._bank.acquire(channel_id)
         slot, _ = self._store.allocate(
             channel_id,
@@ -346,9 +344,6 @@ class VectorizedStreamingSystem:
         self._grouping = None
         self._ctr_switches.inc()
         return uid
-
-    def _set_channel_weights(self, weights: np.ndarray) -> None:
-        self._channel_weights = weights
 
     # ------------------------------------------------------------------
     # Introspection
@@ -402,7 +397,7 @@ class VectorizedStreamingSystem:
     @property
     def channel_weights(self) -> np.ndarray:
         """Current channel popularity weights (drift updates them)."""
-        return self._channel_weights.copy()
+        return self._sampler.weights.copy()
 
     @property
     def server(self) -> StreamingServer:

@@ -3,9 +3,11 @@
 The streaming system (helpers, peers, churn, bandwidth switches, learning
 rounds) runs on this engine.  It is a classic calendar-queue design:
 
-* events are ``(time, priority, sequence, callback)`` tuples in a binary
-  heap; ties break by priority, then FIFO by insertion sequence, so runs
-  are fully deterministic;
+* events are ``(time, priority, sequence, event)`` tuples in a binary
+  heap, where ``event`` holds the callback and its cancellation flag; ties
+  break by priority, then FIFO by insertion sequence, so runs are fully
+  deterministic.  ``sequence`` is unique, so heap ordering is plain tuple
+  comparison and never reaches the event object;
 * callbacks receive the :class:`Simulator` and may schedule further events;
 * :meth:`Simulator.schedule_periodic` installs recurring events (learning
   rounds, metric sampling) at drift-free absolute times;
@@ -22,8 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.telemetry import get_telemetry
 
@@ -34,14 +35,20 @@ EventCallback = Callable[["Simulator"], None]
 _COMPACT_MIN_QUEUE = 16
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    priority: int
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    in_queue: bool = field(compare=False, default=True)
+    """A queued callback with its cancellation state."""
+
+    __slots__ = ("time", "callback", "cancelled", "in_queue")
+
+    def __init__(self, time: float, callback: EventCallback) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.in_queue = True
+
+
+#: A heap entry: ``(time, priority, sequence, event)``.
+_Entry = Tuple[float, int, int, _ScheduledEvent]
 
 
 class EventHandle:
@@ -78,7 +85,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[_ScheduledEvent] = []
+        self._queue: List[_Entry] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._live = 0       # non-cancelled events currently in the heap
@@ -124,17 +131,20 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (ordering is preserved
         because entries compare by ``(time, priority, sequence)``)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.in_queue = False
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        live = []
+        for entry in self._queue:
+            if entry[3].cancelled:
+                entry[3].in_queue = False
+            else:
+                live.append(entry)
+        heapq.heapify(live)
+        self._queue = live
         self._dead = 0
 
     def _pop(self) -> Optional[_ScheduledEvent]:
         """Pop the next live event, discarding stale cancelled entries."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             event.in_queue = False
             if event.cancelled:
                 self._dead -= 1
@@ -155,13 +165,11 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        event = _ScheduledEvent(
-            time=float(time),
-            priority=int(priority),
-            sequence=next(self._sequence),
-            callback=callback,
+        time = float(time)
+        event = _ScheduledEvent(time, callback)
+        heapq.heappush(
+            self._queue, (time, int(priority), next(self._sequence), event)
         )
-        heapq.heappush(self._queue, event)
         self._live += 1
         return EventHandle(event, self)
 
@@ -200,7 +208,8 @@ class Simulator:
         simulator, so a pending event keeps its owner in a reference
         cycle.  Owners call this when their run is over.
         """
-        for event in self._queue:
+        for entry in self._queue:
+            event = entry[3]
             event.in_queue = False
             event.cancelled = True
             event.callback = None
@@ -232,12 +241,12 @@ class Simulator:
         budget = max_events
         while self._queue:
             head = self._queue[0]
-            if head.cancelled:
+            if head[3].cancelled:
                 heapq.heappop(self._queue)
-                head.in_queue = False
+                head[3].in_queue = False
                 self._dead -= 1
                 continue
-            if head.time > end_time:
+            if head[0] > end_time:
                 break
             if budget is not None:
                 if budget <= 0:

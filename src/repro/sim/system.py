@@ -116,14 +116,12 @@ def install_popularity_drift(
     sim: Simulator,
     config: "SystemConfig",
     drift_rng: np.random.Generator,
-    get_weights: Callable[[], np.ndarray],
-    set_weights: Callable[[np.ndarray], None],
+    sampler: ChannelSampler,
 ) -> None:
     """Install the periodic popularity-drift process (diurnal skew).
 
     Every ``config.popularity_drift_period`` simulation-time units the
-    backend's channel weights (read through ``get_weights``, written back
-    through ``set_weights``) are re-mixed with
+    backend's channel weights (held by its ``sampler``) are re-mixed with
     :func:`repro.workloads.popularity.popularity_drift` at rate
     ``config.popularity_drift_rate`` — so churn joins and viewer channel
     switches gradually shift toward a new popularity profile, the way
@@ -138,9 +136,9 @@ def install_popularity_drift(
         # which reaches back into the systems.
         from repro.workloads.popularity import popularity_drift
 
-        set_weights(
+        sampler.set_weights(
             popularity_drift(
-                get_weights(), config.popularity_drift_rate, rng=drift_rng
+                sampler.weights, config.popularity_drift_rate, rng=drift_rng
             )
         )
 
@@ -165,6 +163,38 @@ def normalized_channel_weights(
             "with a positive sum"
         )
     return weights / weights.sum()
+
+
+class ChannelSampler:
+    """Popularity-weighted channel draws from a cached CDF.
+
+    :meth:`draw` runs the inverse-CDF algorithm numpy's weighted
+    ``Generator.choice`` runs: one ``rng.random`` double per draw,
+    searched in the normalized cumulative weights.  It returns the same
+    channels and leaves the generator in the same state, but builds the
+    CDF once per weight vector instead of validating and re-summing the
+    weights on every join and switch.  Both systems draw their initial
+    population, churn joins and viewer switches through it.
+    """
+
+    def __init__(self, weights: np.ndarray) -> None:
+        self.set_weights(weights)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The current (normalized) channel weights."""
+        return self._weights
+
+    def set_weights(self, weights: np.ndarray) -> None:
+        """Replace the weights (popularity drift) and rebuild the CDF."""
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        self._weights = weights
+        self._cdf = cdf
+
+    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
+        """One channel id (``size=None``) or an array of ``size`` ids."""
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
 
 @dataclass(frozen=True)
@@ -296,14 +326,16 @@ class StreamingSystem:
         self._capacity_process = capacity_process
 
         # Channels and their popularity weights.
-        self._channel_weights = normalized_channel_weights(
-            config.num_channels, config.channel_popularity
+        self._sampler = ChannelSampler(
+            normalized_channel_weights(
+                config.num_channels, config.channel_popularity
+            )
         )
         self._channels = [
             Channel(
                 channel_id=c,
                 bitrate=config.bitrate_of(c),
-                popularity=float(self._channel_weights[c]),
+                popularity=float(self._sampler.weights[c]),
             )
             for c in range(config.num_channels)
         ]
@@ -357,29 +389,20 @@ class StreamingSystem:
         # Diurnal popularity drift (only spawns its generator when on, so
         # drift-free configs keep their RNG streams bit-identical).
         if config.popularity_drift_rate > 0:
-            install_popularity_drift(
-                self._sim, config, spawn(self._rng),
-                lambda: self._channel_weights, self._set_channel_weights,
-            )
+            install_popularity_drift(self._sim, config, spawn(self._rng), self._sampler)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def _draw_channel(self) -> int:
-        return int(self._rng.choice(self._config.num_channels, p=self._channel_weights))
-
-    def _set_channel_weights(self, weights: np.ndarray) -> None:
-        self._channel_weights = weights
-
     @property
     def channel_weights(self) -> np.ndarray:
         """Current channel popularity weights (drift updates them)."""
-        return self._channel_weights.copy()
+        return self._sampler.weights.copy()
 
     def _create_peer(self, channel_id: Optional[int] = None) -> Peer:
         if channel_id is None:
-            channel_id = self._draw_channel()
+            channel_id = int(self._sampler.draw(self._rng))
         helpers = self._tracker.helpers_for(channel_id)
         learner = self._factory(len(helpers), spawn(self._rng))
         if learner.num_actions != len(helpers):

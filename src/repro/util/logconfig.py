@@ -13,7 +13,6 @@ application does.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 #: Valid ``--log-level`` choices, in increasing severity.
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -59,8 +58,3 @@ def configure_logging(
     logger.propagate = False
     return logger
 
-
-def logging_level_name(logger: Optional[logging.Logger] = None) -> str:
-    """The effective level of the ``repro`` hierarchy, lowercased."""
-    logger = logger if logger is not None else logging.getLogger("repro")
-    return logging.getLevelName(logger.getEffectiveLevel()).lower()

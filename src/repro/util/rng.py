@@ -13,7 +13,7 @@ The repository convention is:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -53,22 +53,6 @@ def spawn_many(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
         raise ValueError(f"cannot spawn a negative number of generators: {n}")
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def stable_choice(rng: np.random.Generator, weights: Iterable[float]) -> int:
-    """Sample an index proportionally to ``weights`` (need not be normalized).
-
-    Raises :class:`ValueError` on negative or all-zero weights.
-    """
-    w = np.asarray(list(weights), dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return int(rng.choice(w.size, p=w / total))
 
 
 def derive_seed(rng: np.random.Generator) -> Optional[int]:

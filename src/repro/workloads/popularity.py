@@ -28,23 +28,6 @@ def zipf_popularity(num_channels: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sample_channel_sizes(
-    num_peers: int,
-    popularity: np.ndarray,
-    rng: Seedish = None,
-) -> np.ndarray:
-    """Multinomial split of ``num_peers`` across channels by popularity."""
-    require_positive_int(num_peers, "num_peers")
-    weights = np.asarray(popularity, dtype=float)
-    if weights.ndim != 1 or weights.size == 0 or np.any(weights < 0):
-        raise ValueError("popularity must be a non-negative 1-D vector")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("popularity must not be all zero")
-    gen = as_generator(rng)
-    return gen.multinomial(num_peers, weights / total)
-
-
 def popularity_drift(
     popularity: np.ndarray,
     rate: float,

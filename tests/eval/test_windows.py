@@ -5,7 +5,6 @@ import pytest
 
 from repro.eval.windows import (
     window_lengths,
-    window_means,
     window_ratios,
     window_starts,
     window_sums,
@@ -53,12 +52,6 @@ class TestWindowSums:
     def test_2d_series_raises(self):
         with pytest.raises(ValueError):
             window_sums(np.ones((4, 2)), 2)
-
-
-class TestWindowMeans:
-    def test_partial_window_averages_over_its_own_length(self):
-        series = np.array([2.0, 2.0, 2.0, 8.0])  # window 3 -> [2.0, 8.0]
-        assert window_means(series, 3).tolist() == [2.0, 8.0]
 
 
 class TestWindowRatios:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.game.helper_selection import (
-    HelperSelectionGame,
-    loads_from_profile,
-    rates_from_profile,
-)
+from repro.game.helper_selection import HelperSelectionGame, loads_from_profile
 
 
 class TestLoadsFromProfile:
@@ -23,16 +19,6 @@ class TestLoadsFromProfile:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             loads_from_profile([[0, 1]], 2)
-
-
-class TestRatesFromProfile:
-    def test_even_split(self):
-        rates = rates_from_profile([0, 0, 1], [800.0, 900.0])
-        assert rates.tolist() == [400.0, 400.0, 900.0]
-
-    def test_offline_peer_gets_zero(self):
-        rates = rates_from_profile([0, -1], [800.0, 900.0])
-        assert rates.tolist() == [800.0, 0.0]
 
 
 class TestHelperSelectionGame:

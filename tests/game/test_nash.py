@@ -10,7 +10,6 @@ from repro.game.nash import (
     enumerate_pure_nash,
     is_pure_nash,
     nash_load_vectors,
-    price_of_anarchy,
 )
 
 
@@ -116,19 +115,3 @@ class TestCompositions:
         with pytest.raises(ValueError):
             list(compositions(-1, 2))
 
-
-class TestPriceOfAnarchy:
-    def test_equal_helpers_poa_is_one(self):
-        # With N >= H every NE occupies all helpers -> welfare optimal.
-        game = HelperSelectionGame(4, [800.0, 800.0])
-        assert price_of_anarchy(game) == pytest.approx(1.0)
-
-    def test_poa_below_one_when_nash_skips_a_helper(self):
-        # One strong and one weak helper, 1 peer: the single NE uses only
-        # the strong helper; optimum (1 peer) is also just the strong one.
-        game = HelperSelectionGame(1, [900.0, 100.0])
-        assert price_of_anarchy(game) == pytest.approx(1.0)
-        # 2 peers, very weak second helper: NE (2,0) has welfare 900 while
-        # the optimum (1,1) has 1000.
-        game2 = HelperSelectionGame(2, [900.0, 100.0])
-        assert price_of_anarchy(game2) == pytest.approx(0.9)

@@ -7,7 +7,6 @@ from repro.mdp.markov_chain import (
     MarkovChain,
     birth_death_chain,
     birth_death_transition,
-    product_stationary,
     stationary_distribution,
 )
 
@@ -128,20 +127,3 @@ class TestBirthDeathChain:
         chain = birth_death_chain(PAPER_LEVELS, 0.9, rng=0)
         assert chain.state_value in PAPER_LEVELS
 
-
-class TestProductStationary:
-    def test_shape_and_sum(self):
-        chains = [birth_death_chain(PAPER_LEVELS, 0.9, rng=i) for i in range(3)]
-        joint = product_stationary(chains)
-        assert joint.shape == (3, 3, 3)
-        assert joint.sum() == pytest.approx(1.0)
-
-    def test_factorizes(self):
-        chains = [birth_death_chain(PAPER_LEVELS, 0.9, rng=i) for i in range(2)]
-        joint = product_stationary(chains)
-        pi = chains[0].stationary_distribution()
-        assert joint[1, 1] == pytest.approx(pi[1] * pi[1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            product_stationary([])

@@ -10,10 +10,7 @@ from repro.metrics.distributions import (
     load_distance_to_proportional,
     mean_loads,
 )
-from repro.metrics.server_load import (
-    minimum_bandwidth_deficit,
-    server_load_report,
-)
+from repro.metrics.server_load import server_load_report
 from repro.sim.system import StreamingSystem, SystemConfig
 
 
@@ -84,20 +81,6 @@ class TestLoadBalanceReport:
         traj = fixed_trajectory([[2, 2]] * 8, [800.0, 800.0])
         report = load_balance_report(traj, tail_fraction=0.5)
         assert report.per_stage_cv.shape == (4,)
-
-
-class TestMinimumBandwidthDeficit:
-    def test_positive_regime(self):
-        assert minimum_bandwidth_deficit(4000.0, np.full(4, 700.0)) == 1200.0
-
-    def test_zero_when_capacity_sufficient(self):
-        assert minimum_bandwidth_deficit(1000.0, np.full(4, 700.0)) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            minimum_bandwidth_deficit(-1.0, np.ones(2))
-        with pytest.raises(ValueError):
-            minimum_bandwidth_deficit(1.0, np.array([-1.0]))
 
 
 class TestServerLoadReport:

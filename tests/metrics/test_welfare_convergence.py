@@ -6,7 +6,6 @@ import pytest
 from repro.game.repeated_game import Trajectory
 from repro.metrics.convergence import (
     convergence_stage,
-    exponential_smooth,
     moving_average,
     time_averaged_regret_series,
 )
@@ -40,22 +39,6 @@ class TestMovingAverage:
             moving_average(np.ones((2, 2)), 2)
         with pytest.raises(ValueError):
             moving_average(np.ones(3), 0)
-
-
-class TestExponentialSmooth:
-    def test_constant_series_unchanged(self):
-        series = np.full(10, 3.0)
-        assert np.allclose(exponential_smooth(series, 0.3), 3.0)
-
-    def test_alpha_one_is_identity(self):
-        series = np.array([1.0, 9.0, 2.0])
-        assert np.array_equal(exponential_smooth(series, 1.0), series)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            exponential_smooth(np.array([]), 0.5)
-        with pytest.raises(ValueError):
-            exponential_smooth(np.ones(3), 0.0)
 
 
 class TestConvergenceStage:

@@ -257,6 +257,34 @@ class TestIncrementalChannelGrouping:
         store.invalidate_channel_index()
         self.assert_matches(store, 2)
 
+    def test_rebuild_over_sparse_channel_ids(self):
+        """A full index rebuild segments the sorted channels correctly
+        when some channel ids hold no online peer."""
+        store = PeerStore()
+        slots = store.allocate_many(
+            np.array([3, 0, 3, 5, 0, 3]), np.full(6, 100.0)
+        )
+        store.release(int(slots[1]))
+        store.invalidate_channel_index()
+        self.assert_matches(store, 6)
+        store.allocate(1, 100.0)
+        self.assert_matches(store, 6)
+
+    def test_rebuild_with_every_peer_offline(self):
+        store = PeerStore()
+        slots = store.allocate_many(np.array([2, 0]), np.full(2, 100.0))
+        for slot in slots:
+            store.release(int(slot))
+        store.invalidate_channel_index()
+        slots_sorted, offsets = store.channel_grouping(3)
+        assert slots_sorted.size == 0 and offsets.tolist() == [0, 0, 0, 0]
+
+    def test_bulk_allocation_over_sparse_channel_ids(self):
+        store = PeerStore()
+        store.channel_grouping(8)  # a valid, empty index to extend
+        store.allocate_many(np.array([7, 2, 7, 4, 2]), np.full(5, 100.0))
+        self.assert_matches(store, 8)
+
     def test_out_of_range_channel_rejected(self):
         store = PeerStore()
         store.allocate(5, 100.0)

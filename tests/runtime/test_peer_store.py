@@ -52,6 +52,10 @@ class TestAllocate:
         with pytest.raises(RuntimeError):
             store.allocate_many(np.array([0]), np.array([100.0]))
 
+    def test_allocate_many_rejects_negative_channels(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PeerStore().allocate_many(np.array([0, -1]), np.full(2, 100.0))
+
 
 class TestRelease:
     def test_release_takes_peer_offline(self):

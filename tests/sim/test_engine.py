@@ -204,6 +204,63 @@ class TestHeapHygiene:
         assert fired == sorted(fired)
 
 
+class _Unordered:
+    """A callback that fails the test if the heap ever compares it."""
+
+    __hash__ = object.__hash__
+
+    def __init__(self, fired, tag):
+        self.fired = fired
+        self.tag = tag
+
+    def __call__(self, sim):
+        self.fired.append(self.tag)
+
+    def _refuse(self, other):
+        raise AssertionError("the event heap compared two callbacks")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+
+
+class TestTieOrder:
+    """Heap entries are ``(time, priority, sequence, event)`` tuples: the
+    unique sequence settles every tie, so events are never compared."""
+
+    COUNT = 10_000
+
+    def schedule_ties(self, sim, fired):
+        return [
+            sim.schedule_at(1.0, _Unordered(fired, i), priority=3)
+            for i in range(self.COUNT)
+        ]
+
+    def test_ties_fire_fifo(self):
+        sim = Simulator()
+        fired = []
+        self.schedule_ties(sim, fired)
+        sim.run()
+        assert fired == list(range(self.COUNT))
+
+    def test_cancellation_and_compaction_keep_fifo(self):
+        sim = Simulator()
+        fired = []
+        handles = self.schedule_ties(sim, fired)
+        for i, handle in enumerate(handles):
+            if i % 3:
+                handle.cancel()
+        assert sim.pending == len(range(0, self.COUNT, 3))
+        assert sim.queue_size < self.COUNT  # compaction dropped the dead
+        late = [
+            sim.schedule_at(1.0, _Unordered(fired, self.COUNT + i), priority=3)
+            for i in range(5)
+        ]
+        late[2].cancel()
+        sim.run_until(1.0)
+        kept = list(range(0, self.COUNT, 3))
+        assert fired == kept + [self.COUNT + i for i in (0, 1, 3, 4)]
+        assert sim.pending == 0
+
+
 class TestPeriodicDrift:
     def test_firings_land_on_absolute_grid(self):
         """Successive firings must sit at start + k*period exactly, not at

@@ -3,8 +3,10 @@
 ``solve_ce_lp`` and ``solve_occupation_lp`` import ``scipy.optimize`` on
 their first call.  Every other path -- ``import repro``, the CLI, a spec
 run, ``repro profile``, ``repro eval`` -- must neither load scipy nor
-need it installed.  Each check runs in a fresh interpreter, so modules
-the pytest process already imported cannot hide a regression.
+need it installed.  A system build and run must not load ``numpy.ma``
+either (numpy imports it on the first ``np.unique`` call).  Each check
+runs in a fresh interpreter, so modules the pytest process already
+imported cannot hide a regression.
 """
 
 import json
@@ -54,3 +56,29 @@ def test_cli_commands_run_without_scipy_installed(tmp_path):
         "    print(argv[0], repro.cli.main(argv, out=io.StringIO()))\n"
     )
     assert out.split() == ["run", "0", "profile", "0", "eval", "0"]
+
+
+def test_runs_and_eval_load_no_numpy_ma(tmp_path):
+    small = tmp_path / "eval_small.json"
+    matrix = json.loads((ROOT / "examples" / "eval_matrix.json").read_text())
+    for options in matrix["scenario_options"].values():
+        options.update(num_peers=20, num_stages=30)
+    small.write_text(json.dumps(matrix))
+    commands = [
+        ["run", "--spec", "examples/smoke.json"],
+        ["run", "--spec", "examples/smoke.json",
+         "--set", "learner.bank=topk", "--set", "learner.topk=4"],
+        ["eval", "--spec", str(small)],
+    ]
+    out = run_python(
+        "import io, sys\n"
+        "import repro.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    code = repro.cli.main(argv, out=io.StringIO())\n"
+        "    print(argv[-1], code, 'numpy.ma' in sys.modules)\n"
+    )
+    assert out.split() == [
+        "examples/smoke.json", "0", "False",
+        "learner.topk=4", "0", "False",
+        str(small), "0", "False",
+    ]

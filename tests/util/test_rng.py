@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_generator, derive_seed, spawn, spawn_many, stable_choice
+from repro.util.rng import as_generator, derive_seed, spawn, spawn_many
 
 
 class TestAsGenerator:
@@ -68,34 +68,6 @@ class TestSpawn:
         first = spawn(parent).random(3)
         second = spawn(parent).random(3)
         assert not np.array_equal(first, second)
-
-
-class TestStableChoice:
-    def test_degenerate_weight_always_chosen(self):
-        gen = as_generator(0)
-        assert all(stable_choice(gen, [0.0, 1.0, 0.0]) == 1 for _ in range(20))
-
-    def test_respects_proportions(self):
-        gen = as_generator(0)
-        draws = [stable_choice(gen, [1.0, 3.0]) for _ in range(4000)]
-        frac = sum(draws) / len(draws)
-        assert 0.7 < frac < 0.8
-
-    def test_unnormalized_weights_accepted(self):
-        gen = as_generator(0)
-        assert stable_choice(gen, [5.0, 0.0]) == 0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            stable_choice(as_generator(0), [0.5, -0.1])
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            stable_choice(as_generator(0), [0.0, 0.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stable_choice(as_generator(0), [])
 
 
 def test_derive_seed_in_range():

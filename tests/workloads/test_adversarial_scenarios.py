@@ -1,5 +1,6 @@
 """Tests for the adversarial scenario corpus (spec factories + registry)."""
 
+import numpy as np
 import pytest
 
 import repro.workloads  # noqa: F401  (registration side effect)
@@ -83,3 +84,55 @@ class TestCorpusRuns:
     def test_same_seed_reproduces(self):
         spec = correlated_failures_spec(**SMALL)
         assert spec.run().metrics == spec.run().metrics
+
+
+#: A small ``diurnal_mix`` run, pinned per backend: its headline metrics
+#: (rtol 1e-6) and each helper's load summed over the run (exact).  The
+#: run has churn, viewer switching and popularity drift, so the pin
+#: covers the channel draws after each drift step, which no other pinned
+#: result does.
+DRIFT_RUN = {
+    "num_peers": 200,
+    "num_helpers": 12,
+    "num_channels": 4,
+    "num_stages": 80,
+}
+DRIFT_METRICS = [
+    "rounds", "mean_welfare", "final_welfare", "tail_welfare",
+    "mean_server_load", "mean_min_deficit", "mean_online_peers", "load_jain",
+]
+DRIFT_PIN = {
+    "vectorized": (
+        [80.0, 7155.0, 6850.0, 7115.0, 10000.0, 52638.75, 568.3875,
+         0.7831141465597051],
+        [6556, 3512, 2694, 1771, 7656, 3536, 3012, 1812, 6824, 3776, 2741, 1581],
+    ),
+    "scalar": (
+        [80.0, 7155.0, 6850.0, 7115.0, 10000.0, 50610.0, 548.1,
+         0.7472291156623193],
+        [7497, 3425, 2086, 1863, 6988, 3278, 2423, 1825, 7131, 3253, 2295, 1784],
+    ),
+}
+
+
+def drift_run(backend, **overrides):
+    spec = diurnal_mix_spec(**DRIFT_RUN, backend=backend).with_overrides(
+        {"metrics.metrics": DRIFT_METRICS, **overrides}
+    )
+    return spec.run()
+
+
+class TestDiurnalMixPin:
+    @pytest.mark.parametrize("backend", sorted(DRIFT_PIN))
+    def test_metrics_and_loads_are_pinned(self, backend):
+        result = drift_run(backend)
+        metrics, loads = DRIFT_PIN[backend]
+        got = [result.metrics[name] for name in DRIFT_METRICS]
+        np.testing.assert_allclose(got, metrics, rtol=1e-6)
+        assert result.trace.loads.sum(axis=0).tolist() == loads
+
+    def test_pin_sees_the_drift(self):
+        """Without drift the same run loads the helpers differently, so
+        the pinned loads do depend on the drifted channel draws."""
+        result = drift_run("vectorized", **{"topology.popularity_drift_rate": 0.0})
+        assert result.trace.loads.sum(axis=0).tolist() != DRIFT_PIN["vectorized"][1]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.workloads.popularity import (
     popularity_drift,
-    sample_channel_sizes,
     zipf_popularity,
 )
 
@@ -32,26 +31,6 @@ class TestZipfPopularity:
             zipf_popularity(0)
         with pytest.raises(ValueError):
             zipf_popularity(3, -0.5)
-
-
-class TestSampleChannelSizes:
-    def test_sizes_sum_to_population(self):
-        sizes = sample_channel_sizes(100, zipf_popularity(5), rng=0)
-        assert sizes.sum() == 100
-
-    def test_popular_channels_get_more(self):
-        sizes = sample_channel_sizes(5000, zipf_popularity(4, 1.5), rng=1)
-        assert sizes[0] > sizes[-1]
-
-    def test_unnormalized_weights_accepted(self):
-        sizes = sample_channel_sizes(10, np.array([3.0, 1.0]), rng=0)
-        assert sizes.sum() == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_channel_sizes(10, np.array([0.0, 0.0]), rng=0)
-        with pytest.raises(ValueError):
-            sample_channel_sizes(10, np.array([-1.0, 2.0]), rng=0)
 
 
 class TestPopularityDrift:
