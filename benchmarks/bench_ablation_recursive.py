@@ -2,9 +2,11 @@
 
 The paper introduces R2HS because evaluating Eq. (3-3) directly "will
 consume too much resource".  This bench quantifies that: per-stage cost of
-the exact history-based estimator grows linearly with the horizon, while
-the recursive form is O(H^2) flat.  Both produce identical decisions
-(asserted in the unit tests); here we measure runtime only.
+the exact history-based estimator (the reference oracle
+:class:`~repro.core.proxy_regret.ExactProxyRegret`, driven by a
+:class:`~repro.core.regret_learner.RegretLearner`) grows linearly with the
+horizon, while the recursive form is O(H^2) flat.  Both produce identical
+decisions (asserted in the unit tests); here we measure runtime only.
 
 Expected shape: the recursive learner is orders of magnitude faster at
 moderate horizons, and its per-stage cost does not grow with n.
@@ -13,12 +15,20 @@ moderate horizons, and its per-stage cost does not grow with n.
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core import R2HSLearner, RTHSLearner
+from repro.core import ExactProxyRegret, R2HSLearner
+from repro.core.regret_learner import RegretLearner
 
 from conftest import write_artifact
 
 NUM_HELPERS = 4
 HORIZON = 300
+
+
+def exact_rths(num_actions, rng, u_max):
+    """Algorithm 1 with its literal history sums."""
+    return RegretLearner(
+        num_actions, ExactProxyRegret(num_actions), rng=rng, u_max=u_max
+    )
 
 
 def drive(learner, stages, seed=0):
@@ -39,7 +49,7 @@ def test_recursive_r2hs_runtime(benchmark):
 
 def test_exact_rths_runtime(benchmark):
     def run():
-        learner = RTHSLearner(NUM_HELPERS, rng=1, u_max=900.0)
+        learner = exact_rths(NUM_HELPERS, rng=1, u_max=900.0)
         drive(learner, HORIZON)
         return learner
 
@@ -54,7 +64,7 @@ def test_ablation_recursive_speedup_summary(benchmark):
     def run():
         timings = {}
         for label, cls in [("R2HS (recursive)", R2HSLearner),
-                           ("RTHS (direct sums)", RTHSLearner)]:
+                           ("RTHS (direct sums)", exact_rths)]:
             learner = cls(NUM_HELPERS, rng=1, u_max=900.0)
             start = time.perf_counter()
             drive(learner, HORIZON)

@@ -75,7 +75,7 @@ import numpy as np  # noqa: E402
 from repro.core.r2hs import R2HSLearner  # noqa: E402
 from repro.runtime import (  # noqa: E402
     PerChannelGroupedBank,
-    R2HSBank,
+    RegretBank,
     VectorizedStreamingSystem,
     bank_factory,
     build_per_channel_banks,
@@ -248,10 +248,10 @@ def bench_helpers_scale(
 
 
 def _per_channel_r2hs(widths, rngs):
-    """The per-channel reference: one private R2HS bank per channel."""
+    """The per-channel reference: one private regret bank per channel."""
     return PerChannelGroupedBank(
         build_per_channel_banks(
-            lambda h, rng: R2HSBank(h, rng=rng, u_max=U_MAX), widths, rngs
+            lambda h, rng: RegretBank(h, rng=rng, u_max=U_MAX), widths, rngs
         )
     )
 

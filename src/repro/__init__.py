@@ -28,7 +28,6 @@ for the system inventory and the scalar-vs-vectorized backend guide.
 from repro.core import (
     LearnerPopulation,
     R2HSLearner,
-    RTHSLearner,
     empirical_ce_regret,
     empirical_ce_regret_report,
     is_epsilon_correlated_equilibrium,
@@ -56,8 +55,6 @@ from repro.analysis import ParallelRunner
 from repro.metrics import jain_index, load_balance_report, server_load_report
 from repro.runtime import (
     PeerStore,
-    R2HSBank,
-    RTHSBank,
     StickyBank,
     UniformBank,
     VectorizedStreamingSystem,
@@ -101,7 +98,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # core
-    "RTHSLearner",
     "R2HSLearner",
     "regret_matching_learner",
     "LearnerPopulation",
@@ -139,8 +135,6 @@ __all__ = [
     "server_load_report",
     # runtime
     "PeerStore",
-    "RTHSBank",
-    "R2HSBank",
     "UniformBank",
     "StickyBank",
     "bank_factory",

@@ -218,8 +218,7 @@ class ParallelRunner:
 
         Expands the sweep's grid × replications in declaration order and
         maps ``cell_fn`` over the override sets; the spec layer's
-        ``ExperimentSpec.sweep`` and the grid/replication helpers below
-        all route through here.  ``execution``/``store``/``spec_digest``
+        ``ExperimentSpec.sweep`` routes through here.  ``execution``/``store``/``spec_digest``
         select fault-tolerant execution (see :meth:`map_cells`); cells
         that fail beyond recovery under ``on_failure="record"`` surface
         on :attr:`SweepResult.failures` with ``None`` holes in the cell
@@ -236,30 +235,3 @@ class ParallelRunner:
             failures_out=failures,
         )
         return SweepResult(cells=cells, failures=failures)
-
-    def run_grid(
-        self,
-        grid: Mapping[str, Sequence[object]],
-        cell_fn: CellFunction,
-        rng: Seedish = None,
-    ) -> SweepResult:
-        """Cross-product sweep over ``grid``, returned as a
-        :class:`~repro.analysis.sweeps.SweepResult`."""
-        from repro.spec.model import SweepSpec
-
-        if not grid:
-            raise ValueError("grid must not be empty")
-        return self.run_sweep(SweepSpec(grid=grid), cell_fn, rng=rng)
-
-    def run_replications(
-        self,
-        cell_fn: CellFunction,
-        parameters: Mapping[str, object],
-        replications: int,
-        rng: Seedish = None,
-    ) -> List[SweepCell]:
-        """Run the same cell ``replications`` times with derived seeds."""
-        if replications < 1:
-            raise ValueError("replications must be >= 1")
-        sets = [dict(parameters, replication=i) for i in range(replications)]
-        return self.map_cells(cell_fn, sets, rng=rng)

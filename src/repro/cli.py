@@ -745,11 +745,16 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "list":
         _run_list(out)
         return 0
-    if args.command == "figure":
-        _run_figure(args.which, args.seed, out)
-        return 0
-    if args.command == "scenario":
-        _run_scenario(args, out)
+    if args.command in ("figure", "scenario"):
+        # A bad flag value (``--peers 0``, ``--seed -1``) surfaces as a
+        # ValueError from the constructors it reaches: one usage line.
+        try:
+            if args.command == "figure":
+                _run_figure(args.which, args.seed, out)
+            else:
+                _run_scenario(args, out)
+        except ValueError as exc:
+            parser.error(str(exc))
         return 0
     if args.command == "store":
         return _run_store(args, out)

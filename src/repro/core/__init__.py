@@ -3,21 +3,22 @@
 Layout
 ------
 
-* :mod:`repro.core.schedules` — step-size schedules.  The paper's regret
-  *tracking* is the constant-step-size member of a family that also contains
-  classic Hart & Mas-Colell regret *matching* (harmonic step 1/n); a single
-  implementation parameterized by the schedule covers both.
+* :mod:`repro.core.schedules` — step-size schedules for the scalar
+  proxy-regret estimators.  The paper's regret *tracking* is the
+  constant-step-size member of a family that also contains classic Hart &
+  Mas-Colell regret *matching* (harmonic step 1/n); one recursion
+  parameterized by the schedule covers both.
 * :mod:`repro.core.proxy_regret` — the bandit (proxy) regret estimators of
-  Eqs. (3-2)–(3-6): an exact history-based form (Algorithm 1 / RTHS) and the
-  O(H^2)-per-stage recursive form (Algorithm 2 / R2HS), proven equivalent in
-  the tests.
+  Eqs. (3-2)–(3-6): the O(H^2)-per-stage recursive form (Algorithm 2) every
+  learner runs, and the literal Algorithm 1 history sums kept as its
+  reference oracle, proven equivalent in the tests.
 * :mod:`repro.core.probability` — the play-probability update
   ``p(k) = (1-delta) * min(Q(j,k)/mu, 1/(m-1)) + delta/m``.
-* :mod:`repro.core.rths` — :class:`RTHSLearner` (Algorithm 1, exact sums)
-  and :func:`regret_matching_learner` (uniform-average ancestor).
-* :mod:`repro.core.r2hs` — :class:`R2HSLearner` (Algorithm 2, recursive).
+* :mod:`repro.core.r2hs` — :class:`R2HSLearner`, the scalar learner of both
+  ``rths`` and ``r2hs`` (one constant step), and
+  :func:`regret_matching_learner` (uniform-average ancestor).
 * :mod:`repro.core.population` — vectorized population of R2HS learners for
-  large-scale runs (paper Fig. 1).
+  large-scale runs (paper Fig. 1), with one constant step.
 * :mod:`repro.core.sparse_population` — sparse top-k variant of the
   population: exact ``(k, k)`` regret blocks plus an aggregated tail
   bucket, ``O(N k^2)`` memory for giant helper counts (``H >> 10^3``).
@@ -42,18 +43,15 @@ from repro.core.population import LearnerPopulation
 from repro.core.probability import update_play_probabilities
 from repro.core.sparse_population import TopKPopulation
 from repro.core.proxy_regret import ExactProxyRegret, RecursiveProxyRegret
-from repro.core.r2hs import R2HSLearner
-from repro.core.rths import RTHSLearner, regret_matching_learner
-from repro.core.schedules import constant_step, harmonic_step, polynomial_step
+from repro.core.r2hs import R2HSLearner, regret_matching_learner
+from repro.core.schedules import constant_step, harmonic_step
 
 __all__ = [
     "constant_step",
     "harmonic_step",
-    "polynomial_step",
     "ExactProxyRegret",
     "RecursiveProxyRegret",
     "update_play_probabilities",
-    "RTHSLearner",
     "R2HSLearner",
     "regret_matching_learner",
     "LearnerPopulation",

@@ -49,11 +49,12 @@ in ``tests/core/test_kernel_reference.py``) — and from 8 items on sums
 pairwise, so wider rows keep the axis-1 calls.
 
 **Slot API.**  ``act_slots`` / ``observe_slots`` / ``reset_slots`` /
-``ensure_capacity`` advance an arbitrary *subset* of rows with per-slot
-stage counters, which is what :mod:`repro.runtime` needs to host churning
-populations (a freed slot is reset and handed to the next arrival).  The
-classic whole-population API (``act_all`` / ``observe_all`` / ``run``) is a
-thin wrapper over the slot API.
+``ensure_capacity`` advance an arbitrary *subset* of rows, which is what
+:mod:`repro.runtime` needs to host churning populations (a freed slot is
+reset and handed to the next arrival).  The step is one constant ``eps``
+for every slot, so a slot needs no stage counter: a reset row is exactly
+a fresh learner.  The classic whole-population API (``act_all`` /
+``observe_all`` / ``run``) is a thin wrapper over the slot API.
 """
 
 from __future__ import annotations
@@ -63,10 +64,13 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.core.probability import default_mu
-from repro.core.schedules import StepSchedule, constant_step
 from repro.game.repeated_game import CapacityProcess, Trajectory
 from repro.util.rng import Seedish, as_generator
-from repro.util.validation import require_positive, require_positive_int
+from repro.util.validation import (
+    require_in_closed_unit_interval,
+    require_positive,
+    require_positive_int,
+)
 
 # Renormalize a slot's lazy scale into its stored tensor below this value.
 # With eps = 0.05 it triggers roughly every 4500 stages — far from the
@@ -97,6 +101,14 @@ _OBSERVE_TARGET_ELEMS = _OBSERVE_BLOCK * 64
 # (see "Narrow rows" above).  numpy's summation rule fixes the value; it
 # is not a tuning knob.
 _NARROW_WIDTH = 8
+
+
+def _require_step(epsilon: float) -> float:
+    """``epsilon`` as a float if it is a valid constant step in ``(0, 1]``."""
+    epsilon = require_in_closed_unit_interval(epsilon, "epsilon")
+    if epsilon == 0:
+        raise ValueError("epsilon must be strictly positive")
+    return epsilon
 
 
 def _items(rows: np.ndarray, item: np.dtype) -> np.ndarray:
@@ -163,36 +175,6 @@ class _Scratch:
         return buf[:count]
 
 
-class _EpsTable:
-    """Dense stage → step-size lookup, grown on demand.
-
-    Stage counters are 1-based and only ever advance by one per observe,
-    so a flat table indexed by stage is both exact and amortized O(1) to
-    maintain — it replaces the old per-unique-value ``np.unique`` +
-    boolean-mask loop (O(k log k) per block plus a Python loop) with one
-    fancy gather.  Index 0 is a NaN sentinel (no stage 0 is ever looked
-    up after the pre-increment in the stage update).
-    """
-
-    __slots__ = ("_schedule", "_table")
-
-    def __init__(self, schedule: StepSchedule) -> None:
-        self._schedule = schedule
-        self._table = np.full(1, np.nan)
-
-    def __call__(self, stages: np.ndarray) -> np.ndarray:
-        table = self._table
-        top = int(stages.max(initial=1))
-        if top >= table.shape[0]:
-            size = max(top + 1, 2 * table.shape[0])
-            grown = np.empty(size)
-            grown[: table.shape[0]] = table
-            for n in range(table.shape[0], size):
-                grown[n] = float(self._schedule(n))
-            self._table = table = grown
-        return table[stages]
-
-
 class LearnerPopulation:
     """``N`` regret-tracking learners advanced in lock-step with numpy ops.
 
@@ -201,7 +183,7 @@ class LearnerPopulation:
     num_peers, num_helpers:
         Population and action-set sizes.
     epsilon:
-        Constant tracking step size (or pass ``schedule``).
+        Constant tracking step size, in ``(0, 1]``.
     mu, delta, u_max:
         As in :class:`repro.core.regret_learner.RegretLearner`; ``mu`` is in
         normalized utility units.
@@ -228,7 +210,6 @@ class LearnerPopulation:
         delta: float = 0.1,
         u_max: float = 1.0,
         rng: Seedish = None,
-        schedule: Optional[StepSchedule] = None,
         dtype=np.float64,
     ) -> None:
         self._n = require_positive_int(num_peers, "num_peers")
@@ -237,11 +218,7 @@ class LearnerPopulation:
             raise ValueError("need at least two helpers")
         if not 0 < delta < 1:
             raise ValueError("delta must lie strictly in (0, 1)")
-        self._schedule = schedule if schedule is not None else constant_step(epsilon)
-        self._constant_eps: Optional[float] = getattr(
-            self._schedule, "constant_value", None
-        )
-        self._eps_table = _EpsTable(self._schedule)
+        self._epsilon = _require_step(epsilon)
         self._mu = require_positive(
             mu if mu is not None else default_mu(num_helpers), "mu"
         )
@@ -261,7 +238,6 @@ class LearnerPopulation:
         self._scale = np.ones(self._n)
         self._probs = np.full((self._n, self._h), 1.0 / self._h, dtype=self._dtype)
         self._stage = 0
-        self._stages = np.zeros(self._n, dtype=np.int64)
         self._peer_index = np.arange(self._n)
         self._last_played_regrets = np.zeros((self._n, self._h), dtype=self._dtype)
         # Maintained strategy CDF: row i always holds cumsum(_probs[i]).
@@ -304,10 +280,6 @@ class LearnerPopulation:
         """Storage dtype of the regret tensor and strategies."""
         return self._dtype
 
-    def slot_stages(self) -> np.ndarray:
-        """Per-slot stage counters, shape ``(N,)`` (copy)."""
-        return self._stages.copy()
-
     def strategies(self) -> np.ndarray:
         """All mixed strategies, shape ``(N, H)`` (copy)."""
         return self._probs.copy()
@@ -335,10 +307,9 @@ class LearnerPopulation:
         play converges to the CE set.  (Rows of rarely-played actions stay
         noisy by construction — the importance weights divide by small
         probabilities — so the full-matrix max of :meth:`max_regrets` is
-        not the convergence diagnostic.)
+        not the convergence diagnostic.)  Zero before any slot has
+        observed.
         """
-        if self._stage == 0 and not self._stages.any():
-            return 0.0
         return float(self._last_played_regrets.max())
 
     def played_regrets(self) -> np.ndarray:
@@ -352,7 +323,7 @@ class LearnerPopulation:
     def ensure_capacity(self, capacity: int) -> None:
         """Grow the population to at least ``capacity`` slots.
 
-        New slots start fresh (uniform strategy, zero regret, stage 0).
+        New slots start fresh (uniform strategy, zero regret).
         Existing slots keep their state and indices.
         """
         if capacity <= self._n:
@@ -367,9 +338,6 @@ class LearnerPopulation:
                 self._probs,
                 np.full((capacity - old, self._h), 1.0 / self._h, dtype=self._dtype),
             ]
-        )
-        self._stages = np.concatenate(
-            [self._stages, np.zeros(capacity - old, dtype=np.int64)]
         )
         self._last_played_regrets = np.concatenate(
             [
@@ -396,7 +364,6 @@ class LearnerPopulation:
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h
         self._cdf[slots] = self._uniform_cdf
-        self._stages[slots] = 0
         self._last_played_regrets[slots] = 0.0
 
     def act_slots(
@@ -444,9 +411,7 @@ class LearnerPopulation:
 
         ``slots`` must not contain duplicates (each peer plays once per
         round); callers in :mod:`repro.runtime` guarantee this by
-        construction.  Per-slot stage counters drive the step schedule, so
-        a peer that joined late sees the same early-stage steps a fresh
-        learner would.
+        construction.
         """
         slots = np.asarray(slots, dtype=np.intp)
         actions = np.asarray(actions, dtype=int)
@@ -474,10 +439,7 @@ class LearnerPopulation:
         k = slots.shape[0]
         h = self._h
         ws = self._scratch
-        stages = self._stages[slots]
-        stages += 1
-        self._stages[slots] = stages
-        eps = self._eps_for(stages)
+        eps = self._epsilon
         normalized = np.divide(
             utilities, self._u_max, out=ws.vec("norm", k, np.float64)
         )
@@ -490,21 +452,13 @@ class LearnerPopulation:
         # scale the round cost is memory traffic and numpy dispatch, not
         # flops.)
         decay = 1.0 - eps
-        if np.ndim(decay) == 0:
-            if decay < self._scale_floor:
-                # eps ≈ 1 (e.g. harmonic_step at stage 1) erases all
-                # history: the recursion degenerates to S = eps *
-                # increment.  Reset the affected slots instead of zeroing
-                # `scale`, which the weight below divides by.
-                self._s[slots] = 0.0
-                self._scale[slots] = 1.0
-                decay = 1.0
-        else:
-            wiped = decay < self._scale_floor
-            if wiped.any():
-                self._s[slots[wiped]] = 0.0
-                self._scale[slots[wiped]] = 1.0
-                decay = np.where(wiped, 1.0, decay)
+        if decay < self._scale_floor:
+            # eps ≈ 1 erases all history: the recursion degenerates to
+            # S = eps * increment.  Reset the slots instead of zeroing
+            # `scale`, which the weight below divides by.
+            self._s[slots] = 0.0
+            self._scale[slots] = 1.0
+            decay = 1.0
         scale = ws.vec("scale", k, np.float64)
         np.take(self._scale, slots, out=scale)
         scale *= decay
@@ -587,12 +541,6 @@ class LearnerPopulation:
             idx = slots[tiny]
             self._s[idx] *= self._scale[idx][:, None, None]
             self._scale[idx] = 1.0
-
-    def _eps_for(self, stages: np.ndarray) -> np.ndarray | float:
-        """Step sizes for the given (1-based) stage indices."""
-        if self._constant_eps is not None:
-            return self._constant_eps
-        return self._eps_table(stages)
 
     # ------------------------------------------------------------------
     # Whole-population dynamics (classic API)

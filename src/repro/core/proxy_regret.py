@@ -16,12 +16,15 @@ with exponential weights ``w_tau = eps * (1-eps)^{n-tau}`` (uniform weights
 
 Two interchangeable implementations:
 
-* :class:`ExactProxyRegret` stores the full private history and evaluates
-  the sums verbatim each stage — the literal reading of Algorithm 1
-  (O(n) memory, O(n·H) per stage).  Used for validation and small runs.
 * :class:`RecursiveProxyRegret` maintains the matrix ``T`` of Eq. (3-4) via
   the rank-one recursion of Eq. (3-5) — Algorithm 2's trick — in O(H^2)
-  per stage and O(H^2) memory.
+  per stage and O(H^2) memory.  Every learner runs it: the scalar
+  :class:`~repro.core.r2hs.R2HSLearner` (for both ``rths`` and ``r2hs``)
+  and, batched, the vectorized populations.
+* :class:`ExactProxyRegret` stores the full private history and evaluates
+  the sums verbatim each stage — the literal reading of Algorithm 1
+  (O(n) memory, O(n·H²) per stage).  It is the reference oracle the
+  recursion is tested against, not a path any run takes.
 
 Faithfulness note: as printed, Eq. (3-5) lacks the ``(1-eps)`` forgetting
 factor, while Eq. (3-3) is an exponentially weighted sum.  We include the
@@ -32,8 +35,9 @@ normalized accumulator ``S = eps * T`` the recursion reads
     S^n = (1 - eps_n) * S^{n-1} + eps_n * (u^n / p^n(a^n)) * P^n (x) e_{a^n}
 
 and ``Q^n(j,k) = (S^n(j,k) - S^n(j,j))^+`` — the paper's Eq. (3-6) with the
-``eps`` factor absorbed.  Time-varying schedules (see
-:mod:`repro.core.schedules`) then cover regret matching too.
+``eps`` factor absorbed.  Both estimators take any step schedule (see
+:mod:`repro.core.schedules`), so the harmonic step covers regret matching
+too.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ from repro.util.validation import require_positive_int, require_probability_vect
 
 class ExactProxyRegret:
     """History-based proxy regret (Algorithm 1 sums, computed literally).
+
+    The reference oracle for :class:`RecursiveProxyRegret`; drive it
+    through ``RegretLearner(h, ExactProxyRegret(h), ...)`` to get the
+    literal Algorithm 1 learner.
 
     Parameters
     ----------

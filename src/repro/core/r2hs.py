@@ -1,12 +1,20 @@
-"""R2HS — Recursive Regret-Tracking Helper Selection (paper Algorithm 2).
+"""R2HS — the paper's regret-tracking recursion (Algorithms 1 and 2).
 
-Identical decisions to :class:`repro.core.rths.RTHSLearner` (asserted to
-floating-point tolerance in the tests), but the proxy regrets are carried
-by the rank-one recursion on the ``T`` matrix (Eqs. 3-4/3-5/3-6): O(H^2)
-time and memory per stage regardless of the horizon.  This is the form to
-deploy and the one the vectorized population
-(:class:`repro.core.population.LearnerPopulation`) replicates for
-large-scale runs.
+Algorithm 2 is Algorithm 1 with its history sums carried by the rank-one
+recursion on the ``T`` matrix (Eqs. 3-4/3-5/3-6): O(H^2) time and memory
+per stage regardless of the horizon.  With one constant step the two are
+the same algorithm, so :class:`R2HSLearner` is the scalar learner of both
+``rths`` and ``r2hs``; the literal Algorithm 1 sums survive only as the
+reference oracle :class:`repro.core.proxy_regret.ExactProxyRegret`, which
+``tests/core/test_proxy_regret.py`` compares the recursion against.  The
+vectorized population
+(:class:`repro.core.population.LearnerPopulation`) replicates this
+learner for large-scale runs.
+
+:func:`regret_matching_learner` builds the uniform-average ancestor of the
+algorithm (Hart & Mas-Colell's reinforcement procedure): the same
+recursion with the harmonic step schedule.  The tracking-vs-matching
+ablation bench contrasts the two under bandwidth drift.
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ import numpy as np
 
 from repro.core.proxy_regret import RecursiveProxyRegret
 from repro.core.regret_learner import RegretLearner
-from repro.core.schedules import StepSchedule, constant_step
+from repro.core.schedules import constant_step, harmonic_step
 from repro.util.rng import Seedish
 
 
 class R2HSLearner(RegretLearner):
-    """Algorithm 2: recursive regret tracking.
+    """Regret tracking with the recursive proxy regrets of Algorithm 2.
 
     Parameters
     ----------
@@ -32,9 +40,6 @@ class R2HSLearner(RegretLearner):
         Constant step size of the tracking recursion (paper's ``eps``).
     mu, delta, u_max:
         As in :class:`repro.core.regret_learner.RegretLearner`.
-    schedule:
-        Optional custom step schedule overriding ``epsilon`` (used to build
-        the regret-matching ancestor and stochastic-approximation variants).
     """
 
     def __init__(
@@ -45,11 +50,8 @@ class R2HSLearner(RegretLearner):
         mu: Optional[float] = None,
         delta: float = 0.1,
         u_max: float = 1.0,
-        schedule: Optional[StepSchedule] = None,
     ) -> None:
-        if schedule is None:
-            schedule = constant_step(epsilon)
-        estimator = RecursiveProxyRegret(num_actions, schedule=schedule)
+        estimator = RecursiveProxyRegret(num_actions, schedule=constant_step(epsilon))
         super().__init__(
             num_actions,
             estimator,
@@ -62,10 +64,34 @@ class R2HSLearner(RegretLearner):
 
     @property
     def epsilon(self) -> float:
-        """The constant step size (ignored if a custom schedule was given)."""
+        """The constant step size."""
         return self._epsilon
 
     @property
     def accumulator(self) -> np.ndarray:
         """The normalized ``S = eps * T`` matrix of the recursion."""
         return self._estimator.accumulator  # type: ignore[attr-defined]
+
+
+def regret_matching_learner(
+    num_actions: int,
+    rng: Seedish = None,
+    mu: Optional[float] = None,
+    delta: float = 0.1,
+    u_max: float = 1.0,
+) -> RegretLearner:
+    """Classic regret matching (uniform averaging over all history).
+
+    This is the Hart & Mas-Colell reinforcement procedure the paper builds
+    on: the same proxy-regret recursion with step schedule ``1/n``.  It
+    converges to the CE set in stationary environments but cannot track a
+    drifting one — the property the tracking ablation demonstrates.
+    """
+    return RegretLearner(
+        num_actions,
+        RecursiveProxyRegret(num_actions, schedule=harmonic_step()),
+        rng=rng,
+        mu=mu,
+        delta=delta,
+        u_max=u_max,
+    )

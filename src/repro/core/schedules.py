@@ -13,20 +13,22 @@ algorithm's memory:
   ``eps * (1 - eps)^{n - tau}``.
 * ``eps_n = 1/n`` — uniform averaging over all history; this recovers
   classic **regret matching** (Hart & Mas-Colell), rigid under drift.
-* ``eps_n = c / n^rho`` with ``rho`` in (0.5, 1] — the usual
-  stochastic-approximation middle ground.
 
 A schedule is a callable mapping the 1-based stage index ``n`` to a step in
-``(0, 1]``.  The factories below return small callable *objects* rather
-than closures so schedules pickle — learner state crosses process
-boundaries in spawn-method sweeps.
+``(0, 1]``.  Only the scalar proxy-regret estimators
+(:mod:`repro.core.proxy_regret`) take one, and they accept any such
+callable; :class:`~repro.core.r2hs.R2HSLearner`, the vectorized
+populations and the banks take the constant ``epsilon`` itself.  The
+factories below return small callable *objects* rather than closures so
+schedules pickle — learner state crosses process boundaries in
+spawn-method sweeps.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.util.validation import require_in_closed_unit_interval, require_positive
+from repro.util.validation import require_in_closed_unit_interval
 
 StepSchedule = Callable[[int], float]
 
@@ -34,20 +36,17 @@ StepSchedule = Callable[[int], float]
 class _ConstantStep:
     """Constant ``eps_n = eps`` (picklable callable)."""
 
-    __slots__ = ("constant_value",)
+    __slots__ = ("eps",)
 
     def __init__(self, eps: float) -> None:
-        # ``constant_value`` is the marker vectorized consumers
-        # (LearnerPopulation) read to skip per-slot schedule evaluation
-        # in their hot loop.
-        self.constant_value = eps
+        self.eps = eps
 
     def __call__(self, n: int) -> float:
-        return self.constant_value
+        return self.eps
 
     @property
     def __name__(self) -> str:
-        return f"constant_step({self.constant_value})"
+        return f"constant_step({self.eps})"
 
     def __repr__(self) -> str:
         return self.__name__
@@ -68,28 +67,6 @@ class _HarmonicStep:
         return self.__name__
 
 
-class _PolynomialStep:
-    """``eps_n = min(1, scale / n**exponent)`` (picklable callable)."""
-
-    __slots__ = ("exponent", "scale")
-
-    def __init__(self, exponent: float, scale: float) -> None:
-        self.exponent = exponent
-        self.scale = scale
-
-    def __call__(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"stage index must be >= 1, got {n}")
-        return min(1.0, self.scale / float(n) ** self.exponent)
-
-    @property
-    def __name__(self) -> str:
-        return f"polynomial_step({self.exponent}, {self.scale})"
-
-    def __repr__(self) -> str:
-        return self.__name__
-
-
 def constant_step(eps: float) -> StepSchedule:
     """Constant step size: regret *tracking* (the paper's RTHS/R2HS)."""
     eps = require_in_closed_unit_interval(eps, "eps")
@@ -101,10 +78,3 @@ def constant_step(eps: float) -> StepSchedule:
 def harmonic_step() -> StepSchedule:
     """``eps_n = 1/n``: uniform averaging, i.e. classic regret matching."""
     return _HarmonicStep()
-
-
-def polynomial_step(exponent: float = 0.75, scale: float = 1.0) -> StepSchedule:
-    """``eps_n = min(1, scale / n**exponent)`` — decaying but slower than 1/n."""
-    require_positive(exponent, "exponent")
-    require_positive(scale, "scale")
-    return _PolynomialStep(exponent, scale)

@@ -65,21 +65,20 @@ from typing import Optional
 import numpy as np
 
 from repro.core.probability import default_mu
-from repro.core.schedules import StepSchedule, constant_step
 from repro.util.rng import Seedish, as_generator
 from repro.util.validation import require_positive, require_positive_int
 
-# Lazy-decay renorm floors, the observe blocking rule and the scratch /
-# step-table machinery are shared with the dense kernel: the two
+# Lazy-decay renorm floors, the observe blocking rule, the step check and
+# the scratch machinery are shared with the dense kernel: the two
 # recursions must renormalize and block at the same points to stay
 # bit-identical at k >= H, so there is exactly one source of truth.
 from repro.core.population import (
     _SCALE_FLOOR,
     _SCALE_FLOOR32,
-    _EpsTable,
     _Scratch,
     _items,
     _observe_block_rows,
+    _require_step,
 )
 
 #: Decay of the bank-wide play-popularity EWMA driving re-selection.
@@ -113,7 +112,7 @@ class TopKPopulation:
         Tracked arms per peer; clamped to ``num_helpers``.  At
         ``k >= num_helpers`` the dynamics are bit-identical to the dense
         population.
-    epsilon, mu, delta, u_max, rng, schedule, dtype:
+    epsilon, mu, delta, u_max, rng, dtype:
         As in :class:`~repro.core.population.LearnerPopulation`.
     reselect_every:
         Period (in per-slot stages) of the popularity-driven tracked-set
@@ -142,7 +141,6 @@ class TopKPopulation:
         delta: float = 0.1,
         u_max: float = 1.0,
         rng: Seedish = None,
-        schedule: Optional[StepSchedule] = None,
         dtype=np.float64,
         reselect_every: int = 32,
         num_channel_groups: int = 1,
@@ -162,11 +160,7 @@ class TopKPopulation:
         if reselect_every < 0:
             raise ValueError("reselect_every must be >= 0")
         self._reselect_every = int(reselect_every)
-        self._schedule = schedule if schedule is not None else constant_step(epsilon)
-        self._constant_eps: Optional[float] = getattr(
-            self._schedule, "constant_value", None
-        )
-        self._eps_table = _EpsTable(self._schedule)
+        self._epsilon = _require_step(epsilon)
         self._mu = require_positive(
             mu if mu is not None else default_mu(num_helpers), "mu"
         )
@@ -259,14 +253,6 @@ class TopKPopulation:
     def num_channel_groups(self) -> int:
         """Independent popularity domains (per-group play EWMAs)."""
         return self._num_groups
-
-    def slot_groups(self) -> np.ndarray:
-        """Per-slot channel-group ids, shape ``(N,)`` (copy)."""
-        return self._slot_group.copy()
-
-    def play_popularity(self) -> np.ndarray:
-        """Per-group play-popularity EWMAs, shape ``(G, H)`` (copy)."""
-        return self._play_ewma.copy()
 
     def nbytes(self) -> int:
         """Bytes held by the per-slot arrays (blocks, rows and counters)."""
@@ -621,7 +607,7 @@ class TopKPopulation:
         ws = self._scratch
         item = self._item
         self._stages[slots] += 1
-        eps = self._eps_for(self._stages[slots])
+        eps = self._epsilon
         normalized = np.divide(
             utilities, self._u_max, out=ws.vec("norm", count, np.float64)
         )
@@ -629,17 +615,10 @@ class TopKPopulation:
         # Lazy decay, mirrored operation-for-operation from the dense
         # kernel (bit-identical at k >= H).
         decay = 1.0 - eps
-        if np.ndim(decay) == 0:
-            if decay < self._scale_floor:
-                self._s[slots] = 0.0
-                self._scale[slots] = 1.0
-                decay = 1.0
-        else:
-            wiped = decay < self._scale_floor
-            if wiped.any():
-                self._s[slots[wiped]] = 0.0
-                self._scale[slots[wiped]] = 1.0
-                decay = np.where(wiped, 1.0, decay)
+        if decay < self._scale_floor:
+            self._s[slots] = 0.0
+            self._scale[slots] = 1.0
+            decay = 1.0
         scale = ws.vec("scale", count, np.float64)
         np.take(self._scale, slots, out=scale)
         scale *= decay
@@ -737,12 +716,6 @@ class TopKPopulation:
             due = self._stages[slots] % self._reselect_every == 0
             if np.any(due):
                 self._reselect(slots[due])
-
-    def _eps_for(self, stages: np.ndarray) -> "np.ndarray | float":
-        """Step sizes for the given (1-based) stage indices."""
-        if self._constant_eps is not None:
-            return self._constant_eps
-        return self._eps_table(stages)
 
     # ------------------------------------------------------------------
     # Whole-population API (tests / bare repeated-game use)

@@ -413,12 +413,11 @@ class BatchMarkovChains:
     def to_chains(self, rng: Seedish = None) -> list:
         """Materialize scalar :class:`MarkovChain` views of every chain.
 
-        The inverse of :meth:`from_chains`: each returned chain carries its
-        group's transition matrix and values and starts in the batch's
-        *current* state.  Use for analysis code written against scalar
-        chains (e.g. the symmetric-optimum solver); the returned chains get
-        fresh child generators from ``rng``, so stepping them does not
-        touch the batch stream.
+        Each returned chain carries its group's transition matrix and
+        values and starts in the batch's *current* state.  Use for analysis
+        code written against scalar chains (e.g. the symmetric-optimum
+        solver); the returned chains get fresh child generators from
+        ``rng``, so stepping them does not touch the batch stream.
         """
         parent = as_generator(rng)
         children = spawn_many(parent, self._h)
@@ -433,43 +432,3 @@ class BatchMarkovChains:
             chain.set_state(int(self._state[i]))
             chains.append(chain)
         return chains
-
-    @classmethod
-    def from_chains(
-        cls,
-        chains: Sequence[MarkovChain],
-        rng: Seedish = None,
-    ) -> "BatchMarkovChains":
-        """Batch a bank of scalar chains, preserving their current states.
-
-        Chains with identical ``(transition, states)`` pairs collapse into
-        one group; all chains must have the same number of states.  The
-        scalar chains' generators are *not* carried over — pass ``rng`` for
-        the batch stream.
-        """
-        if not chains:
-            raise ValueError("need at least one chain")
-        num_states = chains[0].num_states
-        if any(c.num_states != num_states for c in chains):
-            raise ValueError("all chains must have the same number of states")
-        keys: dict = {}
-        transitions: list = []
-        values: list = []
-        group = np.empty(len(chains), dtype=np.intp)
-        for i, chain in enumerate(chains):
-            key = (chain.transition.tobytes(), chain.states.tobytes())
-            g = keys.get(key)
-            if g is None:
-                g = len(transitions)
-                keys[key] = g
-                transitions.append(chain.transition)
-                values.append(chain.states)
-            group[i] = g
-        return cls(
-            np.stack(transitions),
-            np.stack(values),
-            groups=group,
-            rng=rng,
-            initial_states=[c.state_index for c in chains],
-        )
-

@@ -40,16 +40,6 @@ class ServerLoadReport:
     no_helper_load: np.ndarray
 
     @property
-    def mean_gap(self) -> float:
-        """Mean excess of realized server load over the lower bound."""
-        return float((self.server_load - self.min_deficit).mean())
-
-    @property
-    def mean_saving(self) -> float:
-        """Mean load removed from the server by the helper layer."""
-        return float((self.no_helper_load - self.server_load).mean())
-
-    @property
     def saving_fraction(self) -> float:
         """Fraction of demand the helpers absorbed (steady-state mean)."""
         demand = self.no_helper_load.mean()

@@ -112,11 +112,6 @@ class LinkEffectProcess:
         """Current per-helper RTT (latency plus this stage's jitter draw)."""
         return self._rtt.copy()
 
-    @property
-    def throughput_factors(self) -> np.ndarray:
-        """Current per-helper goodput factor in ``(0, 1] * capacity_scale``."""
-        return self._factors.copy()
-
     def capacities(self) -> np.ndarray:
         """Base capacities scaled by the per-link throughput factors."""
         caps = np.asarray(self._base.capacities(), dtype=float)

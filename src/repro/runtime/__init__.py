@@ -10,8 +10,9 @@ on dense arrays:
 * :mod:`repro.runtime.peer_store` — struct-of-arrays peer table with an
   O(1) free-list for churn and generation counters against slot aliasing;
 * :mod:`repro.runtime.learner_bank` — per-channel vectorized strategy
-  blocks (RTHS / R2HS via :class:`repro.core.population.LearnerPopulation`,
-  plus uniform and sticky baselines) and :func:`bank_factory`;
+  blocks (the regret recursion via
+  :class:`repro.core.population.LearnerPopulation`, plus uniform and
+  sticky baselines) and :func:`bank_factory`;
 * :mod:`repro.runtime.grouped_bank` — the one bank contract: a
   :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` owns every
   channel's rows and advances them with a single ``act_all`` /
@@ -37,9 +38,7 @@ from repro.runtime.grouped_bank import (
 from repro.runtime.learner_bank import (
     BankFactory,
     LearnerBank,
-    R2HSBank,
     RegretBank,
-    RTHSBank,
     StickyBank,
     TopKRegretBank,
     UniformBank,
@@ -53,8 +52,6 @@ __all__ = [
     "LearnerBank",
     "BankFactory",
     "RegretBank",
-    "RTHSBank",
-    "R2HSBank",
     "TopKRegretBank",
     "UniformBank",
     "StickyBank",

@@ -54,7 +54,6 @@ from typing import List, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.population import LearnerPopulation
-from repro.core.schedules import StepSchedule
 from repro.core.sparse_population import TopKPopulation
 from repro.runtime.learner_bank import _INITIAL_ROWS, LearnerBank, _RowBank
 from repro.telemetry import get_telemetry
@@ -283,7 +282,7 @@ class GroupedRegretBank:
         One child generator per channel, spawned in channel order — the
         same streams the per-channel banks would own, consumed one
         ``random(n_c)`` call per non-empty channel per round.
-    epsilon, mu, delta, u_max, schedule, dtype:
+    epsilon, mu, delta, u_max, dtype:
         As in :class:`~repro.runtime.learner_bank.RegretBank`; ``mu=None``
         resolves to each width's own default, exactly like per-channel
         banks.
@@ -302,7 +301,6 @@ class GroupedRegretBank:
         mu: Optional[float] = None,
         delta: float = 0.1,
         u_max: float = 1.0,
-        schedule: Optional[StepSchedule] = None,
         dtype=np.float64,
         bank: str = "dense",
         topk: int = 32,
@@ -337,7 +335,6 @@ class GroupedRegretBank:
                         mu=mu,
                         delta=delta,
                         u_max=u_max,
-                        schedule=schedule,
                         dtype=dtype,
                         reselect_every=reselect_every,
                         num_channel_groups=len(channels),
@@ -350,7 +347,6 @@ class GroupedRegretBank:
                         mu=mu,
                         delta=delta,
                         u_max=u_max,
-                        schedule=schedule,
                         dtype=dtype,
                     )
             except ValueError as exc:

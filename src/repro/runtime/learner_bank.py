@@ -11,8 +11,9 @@ baselines' storage behind that fused API and the reference oracle the
 fused regret bank is asserted bit-identical against.
 
 The regret banks do **not** reimplement the paper's math: they wrap the
-slot API of :class:`repro.core.population.LearnerPopulation`, which is the
-single vectorized implementation of the RTHS/R2HS recursion (with a
+slot API of :class:`repro.core.population.LearnerPopulation` (or its
+top-k variant), the single vectorized implementation of the paper's one
+constant-step recursion, which ``rths`` and ``r2hs`` both run (with a
 constant step the recursion equals the literal RTHS history sums — see the
 exact/recursive equivalence in ``tests/core/test_proxy_regret.py``).
 :class:`UniformBank` and :class:`StickyBank` vectorize the corresponding
@@ -34,7 +35,6 @@ from typing import (
 import numpy as np
 
 from repro.core.population import LearnerPopulation
-from repro.core.schedules import StepSchedule
 from repro.core.sparse_population import TopKPopulation
 from repro.util.rng import Seedish, as_generator
 
@@ -135,13 +135,13 @@ class _RowBank:
 
 
 class RegretBank(_RowBank):
-    """Vectorized regret-tracking block (the RTHS/R2HS recursion).
+    """Vectorized regret-tracking block (the recursion ``rths`` and
+    ``r2hs`` both run).
 
     Thin ownership wrapper over the slot API of
     :class:`~repro.core.population.LearnerPopulation`: ``acquire`` resets a
-    population slot, ``act``/``observe`` advance the listed slots with
-    per-slot stage counters (late joiners start at stage 0, exactly like a
-    fresh scalar learner).
+    population slot to a fresh learner, ``act``/``observe`` advance the
+    listed slots.
     """
 
     def __init__(
@@ -152,7 +152,6 @@ class RegretBank(_RowBank):
         mu: Optional[float] = None,
         delta: float = 0.1,
         u_max: float = 1.0,
-        schedule: Optional[StepSchedule] = None,
         initial_rows: int = _INITIAL_ROWS,
         dtype=np.float64,
     ) -> None:
@@ -165,7 +164,6 @@ class RegretBank(_RowBank):
             delta=delta,
             u_max=u_max,
             rng=rng,
-            schedule=schedule,
             dtype=dtype,
         )
 
@@ -193,48 +191,10 @@ class RegretBank(_RowBank):
         self._pop.observe_slots(rows, actions, utilities)
 
 
-class RTHSBank(RegretBank):
-    """Vectorized RTHS (Algorithm 1): constant-step regret tracking.
-
-    With a constant step size the recursive update carried by the backing
-    population is *exactly* the literal RTHS history sums, so this bank and
-    a population of :class:`~repro.core.rths.RTHSLearner` objects follow
-    the same dynamics.
-    """
-
-    def __init__(
-        self,
-        num_actions: int,
-        rng: Seedish = None,
-        epsilon: float = 0.05,
-        mu: Optional[float] = None,
-        delta: float = 0.1,
-        u_max: float = 1.0,
-        initial_rows: int = _INITIAL_ROWS,
-        dtype=np.float64,
-    ) -> None:
-        super().__init__(
-            num_actions,
-            rng=rng,
-            epsilon=epsilon,
-            mu=mu,
-            delta=delta,
-            u_max=u_max,
-            schedule=None,
-            initial_rows=initial_rows,
-            dtype=dtype,
-        )
-
-
-class R2HSBank(RegretBank):
-    """Vectorized R2HS (Algorithm 2): the recursive form, custom schedules
-    allowed (a harmonic schedule recovers classic regret matching)."""
-
-
 class TopKRegretBank(_RowBank):
     """Sparse top-k regret block for giant helper counts (``H >> 10^3``).
 
-    Same slot API and the same RTHS/R2HS recursion as :class:`RegretBank`,
+    Same slot API and the same recursion as :class:`RegretBank`,
     but backed by :class:`~repro.core.sparse_population.TopKPopulation`:
     each row tracks an exact ``(k, k)`` regret block over its top-k helper
     arms plus an aggregated tail bucket, so a channel's memory is
@@ -253,7 +213,6 @@ class TopKRegretBank(_RowBank):
         mu: Optional[float] = None,
         delta: float = 0.1,
         u_max: float = 1.0,
-        schedule: Optional[StepSchedule] = None,
         initial_rows: int = _INITIAL_ROWS,
         dtype=np.float64,
         reselect_every: int = 32,
@@ -268,7 +227,6 @@ class TopKRegretBank(_RowBank):
             delta=delta,
             u_max=u_max,
             rng=rng,
-            schedule=schedule,
             dtype=dtype,
             reselect_every=reselect_every,
         )
@@ -436,8 +394,7 @@ def bank_factory(
     if bank not in ("dense", "topk"):
         raise ValueError(f"bank must be 'dense' or 'topk', got {bank!r}")
     if kind in ("rths", "r2hs"):
-        # RTHS is the constant-step member of the family; with the spec
-        # layer's constant epsilon both kinds share one recursion.
+        # Both kinds name the paper's one constant-step recursion.
         def build_regret(arm_counts, rngs):
             return GroupedRegretBank(
                 arm_counts, rngs, epsilon=epsilon, mu=mu, delta=delta,

@@ -5,7 +5,7 @@ implementation of the full multi-channel streaming system of
 :class:`repro.sim.system.StreamingSystem`: same
 :class:`~repro.sim.system.SystemConfig`, same discrete-event engine
 driving rounds and churn, same origin-server semantics, and the same
-:class:`~repro.sim.trace.SystemTrace` / RoundRecord schema — so every
+:class:`~repro.sim.trace.SystemTrace` columns — so every
 existing metric, analysis and reporting path works unchanged.  Only the
 *representation* differs: peers live in a :class:`~repro.runtime.peer_store.PeerStore`
 (struct-of-arrays with a free-list) and strategies in one

@@ -30,7 +30,7 @@ from repro.sim.adversarial import OscillatingCapacityProcess
 from repro.sim.failures import CorrelatedFailureProcess, FailureInjectingProcess
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
 from repro.sim.system import LearnerFactory, StreamingSystem, SystemConfig
-from repro.sim.trace import RoundRecord, SystemTrace
+from repro.sim.trace import SystemTrace
 from repro.sim.tracker import Tracker
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "StreamingSystem",
     "SystemConfig",
     "LearnerFactory",
-    "RoundRecord",
     "SystemTrace",
     "Tracker",
     "FailureInjectingProcess",

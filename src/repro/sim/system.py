@@ -33,7 +33,7 @@ from repro.sim.bandwidth import (
 from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.engine import Simulator
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
-from repro.sim.trace import RoundRecord, SystemTrace
+from repro.sim.trace import SystemTrace
 from repro.sim.tracker import Tracker
 from repro.util.rng import Seedish, as_generator, spawn
 
@@ -543,7 +543,7 @@ class StreamingSystem:
         total_demand = float(sum(p.demand for p in online))
         min_caps = self._capacity_process.minimum_capacities()
         min_deficit = max(0.0, total_demand - float(min_caps.sum()))
-        record = RoundRecord(
+        self._trace.append_round(
             time=self._sim.now,
             capacities=caps,
             loads=loads,
@@ -553,7 +553,6 @@ class StreamingSystem:
             online_peers=len(online),
             total_demand=total_demand,
         )
-        self._trace.append(record)
 
         if config.record_peers:
             if self._population_changed:

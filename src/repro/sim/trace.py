@@ -11,14 +11,12 @@ Storage is *columnar*: rounds land in preallocated block arrays (scalar
 columns plus ``(block, H)`` capacity/load panels) that roll over to a
 completed-block list every :data:`_TRACE_BLOCK` rounds, so the per-round
 append cost is a handful of array element writes instead of a Python
-object construction.  The legacy ``rounds`` list of
-:class:`RoundRecord` objects is materialized lazily (and cached) for
-callers that still want row-oriented access.
+object construction.  Both systems write through :meth:`append_round`,
+and readers take whole columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -42,26 +40,11 @@ _SCALAR_COLUMNS = (
 )
 
 
-@dataclass
-class RoundRecord:
-    """Aggregates of one learning round."""
-
-    time: float
-    capacities: np.ndarray          # (H,) helper capacities this round
-    loads: np.ndarray               # (H,) connected-peer counts
-    welfare: float                  # sum of helper shares delivered
-    server_load: float              # total server top-up requested
-    min_deficit: float              # Fig. 5 lower bound this round
-    online_peers: int
-    total_demand: float
-
-
 class SystemTrace:
     """Dense per-round history of a system run (columnar storage)."""
 
     def __init__(
         self,
-        rounds: Optional[List[RoundRecord]] = None,
         actions: Optional[List[np.ndarray]] = None,
         utilities: Optional[List[np.ndarray]] = None,
     ) -> None:
@@ -72,10 +55,7 @@ class SystemTrace:
         self._full: List[Dict[str, np.ndarray]] = []
         self._active: Optional[Dict[str, np.ndarray]] = None
         self._fill = 0
-        self._rounds_cache: Optional[List[RoundRecord]] = None
         self._ctr_appends = get_telemetry().counter("trace.appends")
-        for record in rounds or ():
-            self.append(record)
 
     # ------------------------------------------------------------------
     # Appending
@@ -103,10 +83,8 @@ class SystemTrace:
     ) -> None:
         """Record one round straight into the column blocks.
 
-        The fast path for the vectorized round loop: no
-        :class:`RoundRecord` is constructed, and the capacity/load rows
-        are copied into the preallocated panels (so callers may reuse
-        their buffers).
+        The capacity/load rows are copied into the preallocated panels,
+        so callers may reuse their buffers.
         """
         if self._active is None or self._fill == _TRACE_BLOCK:
             if self._active is not None:
@@ -127,21 +105,7 @@ class SystemTrace:
         block["loads"][i] = loads
         self._fill = i + 1
         self._count += 1
-        self._rounds_cache = None
         self._ctr_appends.inc()
-
-    def append(self, record: RoundRecord) -> None:
-        """Add one round."""
-        self.append_round(
-            record.time,
-            record.capacities,
-            record.loads,
-            record.welfare,
-            record.server_load,
-            record.min_deficit,
-            record.online_peers,
-            record.total_demand,
-        )
 
     # ------------------------------------------------------------------
     # Column views
@@ -207,32 +171,6 @@ class SystemTrace:
         if not self._count:
             raise ValueError("trace is empty")
         return self._column("capacities")
-
-    @property
-    def rounds(self) -> List[RoundRecord]:
-        """Row-oriented view: one :class:`RoundRecord` per round.
-
-        Materialized lazily from the column blocks and cached until the
-        next append; mutating the returned records does not write back.
-        """
-        if self._rounds_cache is None:
-            records: List[RoundRecord] = []
-            for block, fill in self._blocks():
-                for i in range(fill):
-                    records.append(
-                        RoundRecord(
-                            time=float(block["time"][i]),
-                            capacities=block["capacities"][i].copy(),
-                            loads=block["loads"][i].copy(),
-                            welfare=float(block["welfare"][i]),
-                            server_load=float(block["server_load"][i]),
-                            min_deficit=float(block["min_deficit"][i]),
-                            online_peers=int(block["online_peers"][i]),
-                            total_demand=float(block["total_demand"][i]),
-                        )
-                    )
-            self._rounds_cache = records
-        return self._rounds_cache
 
     def to_trajectory(self) -> Trajectory:
         """Dense trajectory for CE analysis (fixed population runs only)."""

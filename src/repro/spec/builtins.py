@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.r2hs import R2HSLearner
-from repro.core.rths import RTHSLearner
 from repro.game.baselines import StickyLearner, UniformRandomLearner
 from repro.metrics.fairness import jain_index
 from repro.runtime.learner_bank import bank_factory as _runtime_bank_factory
@@ -244,8 +243,10 @@ def _sticky_bank(epsilon, delta, mu, u_max, dtype):
     return _runtime_bank_factory("sticky")
 
 
+# RTHS and R2HS are one algorithm: Alg. 2 is the recursive form of Alg. 1's
+# history sums, so both names run the same constant-step recursion.
 register_learner(
-    "rths", scalar=_regret_scalar(RTHSLearner), bank=_regret_bank("rths"),
+    "rths", scalar=_regret_scalar(R2HSLearner), bank=_regret_bank("rths"),
     min_actions=2, sparse=True,
     description=(
         "Regret Tracking Helper Selection (the paper's Alg. 1): "
@@ -256,8 +257,8 @@ register_learner(
     "r2hs", scalar=_regret_scalar(R2HSLearner), bank=_regret_bank("r2hs"),
     min_actions=2, sparse=True,
     description=(
-        "Regret-based Reinforcement Helper Selection (Alg. 2): "
-        "time-averaged regrets, converges to the correlated-equilibrium set"
+        "Recursive Regret Tracking Helper Selection (Alg. 2): "
+        "the recursive form of rths, the same decisions"
     ),
 )
 # The baselines keep no regret state; their per-round cost is the

@@ -199,3 +199,27 @@ class TestCLIFigureCommand:
         text = out.getvalue()
         assert "fig3" in text
         assert "proportional target" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scenario", "--helpers", "1", "--stages", "10"], "two helpers"),
+        (["scenario", "--peers", "0"], "num_peers must be >= 1"),
+        (["scenario", "--stages", "0"], "num_stages must be >= 1"),
+        (["scenario", "--epsilon", "0"], "epsilon must be strictly positive"),
+        (["scenario", "--stay", "1.5"], "stay_probability must lie in [0, 1]"),
+        (["figure", "fig3", "--seed", "-1"], "seed must be >= 0"),
+    ],
+)
+def test_bad_flag_value_is_one_clean_error(argv, message, capsys):
+    """A bad ``scenario``/``figure`` flag value is one ``repro: error:``
+    line and exit code 2, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv, out=io.StringIO())
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("repro: error: ")
+    assert message in errors[0]

@@ -49,23 +49,6 @@ class TestParallelRunner:
             assert a.parameters == b.parameters
             assert a.metrics == b.metrics
 
-    def test_run_grid_cross_product(self):
-        runner = ParallelRunner(workers=1)
-        result = runner.run_grid(
-            {"x": [1, 2, 3]}, echo_cell, rng=0
-        )
-        assert result.column("value").tolist() == [10.0, 20.0, 30.0]
-        assert "value" in result.to_table()
-
-    def test_run_replications(self):
-        runner = ParallelRunner(workers=1)
-        cells = runner.run_replications(simulate_cell, {"x": 5}, 4, rng=1)
-        assert len(cells) == 4
-        assert all(c.parameters["x"] == 5 for c in cells)
-        assert [c.parameters["replication"] for c in cells] == [0, 1, 2, 3]
-        draws = [c.metrics["draw"] for c in cells]
-        assert len(set(draws)) == 4  # distinct seeds
-
 
 class TestSweepIntegration:
     def test_parallel_sweep_matches_serial(self):

@@ -1,11 +1,12 @@
 """Pre-rewrite reference bit-identity for the fused learner kernels.
 
 The kernel rewrite (preallocated workspaces, maintained strategy CDF,
-dense stage → eps table, fused decay/scatter) promised **bit identity**
-with the arithmetic it replaced.  ``_ReferenceLearner`` below is that
-pre-rewrite arithmetic transcribed verbatim — fresh temporaries each
-call, one cumsum per act, per-unique-stage schedule evaluation.  The
-property tests drive it and :class:`LearnerPopulation` through the same
+fused decay/scatter) promised **bit identity** with the arithmetic it
+replaced.  ``_ReferenceLearner`` below is that pre-rewrite arithmetic
+transcribed verbatim — fresh temporaries each call, one cumsum per act.
+Each kernel runs at the tracking step ``eps = 0.05`` and at ``eps = 1``,
+the step that wipes all history every stage (the lazy-decay wipe path).
+The property tests drive it and :class:`LearnerPopulation` through the same
 random operation sequences (observes, churn resets, capacity growth)
 with shared explicit draws and demand byte equality of every state
 array.  ``_ReferenceTopK`` does the same for the top-k kernel at
@@ -13,8 +14,8 @@ array.  ``_ReferenceTopK`` does the same for the top-k kernel at
 block on every promotion and re-selection, before blocks were indexed
 by storage slot.  Plus: blocking invariance (observe block boundaries must not
 leak into results) for the dense and top-k kernels, the maintained-CDF
-invariant, the numpy summation order the dense kernel's narrow-row
-column loops rely on, and the eps-table/schedule equivalence.
+invariant, and the numpy summation order the dense kernel's narrow-row
+column loops rely on.
 """
 
 import numpy as np
@@ -24,11 +25,9 @@ import repro.core.population as population_module
 from repro.core.population import (
     _SCALE_FLOOR,
     _SCALE_FLOOR32,
-    _EpsTable,
     LearnerPopulation,
 )
 from repro.core.probability import default_mu
-from repro.core.schedules import constant_step, harmonic_step, polynomial_step
 from repro.core.sparse_population import TopKPopulation
 
 U_MAX = 900.0
@@ -45,12 +44,10 @@ class _ReferenceLearner:
     """
 
     def __init__(self, num_peers, num_helpers, epsilon=0.05, mu=None,
-                 delta=0.1, u_max=1.0, schedule=None, dtype=np.float64):
+                 delta=0.1, u_max=1.0, dtype=np.float64):
         self._n = int(num_peers)
         self._h = int(num_helpers)
-        self._schedule = schedule if schedule is not None else constant_step(epsilon)
-        self._constant_eps = getattr(self._schedule, "constant_value", None)
-        self._eps_cache = {}
+        self._epsilon = float(epsilon)
         self._mu = float(mu if mu is not None else default_mu(num_helpers))
         self._delta = float(delta)
         self._u_max = float(u_max)
@@ -61,7 +58,6 @@ class _ReferenceLearner:
         self._s = np.zeros((self._n, self._h, self._h), dtype=self._dtype)
         self._scale = np.ones(self._n)
         self._probs = np.full((self._n, self._h), 1.0 / self._h, dtype=self._dtype)
-        self._stages = np.zeros(self._n, dtype=np.int64)
         self._last_played_regrets = np.zeros((self._n, self._h), dtype=self._dtype)
 
     def ensure_capacity(self, capacity):
@@ -76,7 +72,6 @@ class _ReferenceLearner:
         self._probs = np.concatenate(
             [self._probs, np.full((extra, self._h), 1.0 / self._h, dtype=self._dtype)]
         )
-        self._stages = np.concatenate([self._stages, np.zeros(extra, dtype=np.int64)])
         self._last_played_regrets = np.concatenate(
             [self._last_played_regrets, np.zeros((extra, self._h), dtype=self._dtype)]
         )
@@ -87,7 +82,6 @@ class _ReferenceLearner:
         self._s[slots] = 0.0
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h
-        self._stages[slots] = 0
         self._last_played_regrets[slots] = 0.0
 
     def act_slots(self, slots, draws):
@@ -98,35 +92,19 @@ class _ReferenceLearner:
         actions = (cdf < draws[:, None]).sum(axis=1)
         return np.minimum(actions, self._h - 1)
 
-    def _eps_for(self, stages):
-        if self._constant_eps is not None:
-            return self._constant_eps
-        out = np.empty(stages.shape)
-        for value in np.unique(stages):
-            n = int(value)
-            eps = self._eps_cache.get(n)
-            if eps is None:
-                eps = float(self._schedule(n))
-                self._eps_cache[n] = eps
-            out[stages == value] = eps
-        return out
-
     def observe_slots(self, slots, actions, utilities):
         slots = np.asarray(slots, dtype=np.intp)
         actions = np.asarray(actions, dtype=int)
         utilities = np.asarray(utilities, dtype=float)
         k = slots.shape[0]
-        self._stages[slots] += 1
-        eps = self._eps_for(self._stages[slots])
+        eps = self._epsilon
         normalized = utilities / self._u_max
 
         decay = 1.0 - eps
-        wiped = decay < self._scale_floor
-        if np.any(wiped):
-            wiped_slots = slots if np.ndim(wiped) == 0 else slots[wiped]
-            self._s[wiped_slots] = 0.0
-            self._scale[wiped_slots] = 1.0
-            decay = np.where(wiped, 1.0, decay)
+        if decay < self._scale_floor:
+            self._s[slots] = 0.0
+            self._scale[slots] = 1.0
+            decay = 1.0
         self._scale[slots] *= decay
         scale = self._scale[slots]
         row_index = np.arange(k)
@@ -194,7 +172,6 @@ def replay(pop, ops):
 
 
 def assert_states_identical(pop, ref):
-    assert np.array_equal(pop._stages, ref._stages)
     assert np.array_equal(pop._probs, ref._probs)
     assert np.array_equal(pop._scale, ref._scale)
     assert np.array_equal(pop._s, ref._s)
@@ -208,20 +185,20 @@ class TestDenseKernelReference:
         "width", [2, 3, 6, 7, 8, 9, 33], ids=lambda w: f"width{w}"
     )
     @pytest.mark.parametrize(
-        "dtype,make_schedule",
+        "dtype,epsilon",
         [
-            (np.float64, lambda: constant_step(0.05)),
-            (np.float32, lambda: constant_step(0.05)),
-            # harmonic's stage-1 eps = 1 exercises the history-wipe path.
-            (np.float64, harmonic_step),
-            (np.float64, lambda: polynomial_step(0.75, 1.0)),
+            (np.float64, 0.05),
+            (np.float32, 0.05),
+            # eps = 1 forgets all history every stage: the wipe path.
+            (np.float64, 1.0),
+            (np.float32, 1.0),
         ],
-        ids=["constant-f64", "constant-f32", "harmonic-f64", "polynomial-f64"],
+        ids=["constant-f64", "constant-f32", "eps1-f64", "eps1-f32"],
     )
-    def test_bit_identical_under_churn(self, dtype, make_schedule, width):
-        kwargs = dict(u_max=U_MAX, delta=0.1, dtype=dtype)
-        pop = LearnerPopulation(40, width, schedule=make_schedule(), rng=0, **kwargs)
-        ref = _ReferenceLearner(40, width, schedule=make_schedule(), **kwargs)
+    def test_bit_identical_under_churn(self, dtype, epsilon, width):
+        kwargs = dict(epsilon=epsilon, u_max=U_MAX, delta=0.1, dtype=dtype)
+        pop = LearnerPopulation(40, width, rng=0, **kwargs)
+        ref = _ReferenceLearner(40, width, **kwargs)
         ops = random_ops(np.random.default_rng(123), 40, 120)
         a, b = replay(pop, ops), replay(ref, ops)
         for x, y in zip(a, b):
@@ -252,14 +229,12 @@ class _ReferenceTopK:
     """
 
     def __init__(self, num_peers, num_helpers, k, epsilon=0.05, mu=None,
-                 delta=0.1, u_max=1.0, schedule=None, dtype=np.float64,
+                 delta=0.1, u_max=1.0, dtype=np.float64,
                  reselect_every=32, num_channel_groups=1):
         self._n = int(num_peers)
         self._h = int(num_helpers)
         self._k = min(int(k), self._h)
-        self._schedule = schedule if schedule is not None else constant_step(epsilon)
-        self._constant_eps = getattr(self._schedule, "constant_value", None)
-        self._eps_cache = {}
+        self._epsilon = float(epsilon)
         self._mu = float(mu if mu is not None else default_mu(num_helpers))
         self._delta = float(delta)
         self._u_max = float(u_max)
@@ -354,19 +329,6 @@ class _ReferenceTopK:
         actions[u_idx] = g
         return actions
 
-    def _eps_for(self, stages):
-        if self._constant_eps is not None:
-            return self._constant_eps
-        out = np.empty(stages.shape)
-        for value in np.unique(stages):
-            n = int(value)
-            eps = self._eps_cache.get(n)
-            if eps is None:
-                eps = float(self._schedule(n))
-                self._eps_cache[n] = eps
-            out[stages == value] = eps
-        return out
-
     def _locate(self, slots, actions):
         return (self._ids[slots] < actions[:, None]).sum(axis=1)
 
@@ -428,16 +390,14 @@ class _ReferenceTopK:
             self._play_ewma[np.unique(groups)] *= 1.0 - 0.05
             np.add.at(self._play_ewma, (groups, actions), 0.05)
         self._stages[slots] += 1
-        eps = self._eps_for(self._stages[slots])
+        eps = self._epsilon
         normalized = utilities / self._u_max
 
         decay = 1.0 - eps
-        wiped = decay < self._scale_floor
-        if np.any(wiped):
-            wiped_slots = slots if np.ndim(wiped) == 0 else slots[wiped]
-            self._s[wiped_slots] = 0.0
-            self._scale[wiped_slots] = 1.0
-            decay = np.where(wiped, 1.0, decay)
+        if decay < self._scale_floor:
+            self._s[slots] = 0.0
+            self._scale[slots] = 1.0
+            decay = 1.0
         self._scale[slots] *= decay
         scale = self._scale[slots]
         row_index = np.arange(count)
@@ -533,21 +493,21 @@ class TestTopKKernelReference:
     @pytest.mark.parametrize("groups", [1, 3], ids=lambda g: f"groups{g}")
     @pytest.mark.parametrize("k", [3, 9], ids=lambda k: f"k{k}")
     @pytest.mark.parametrize(
-        "dtype,make_schedule",
+        "dtype,epsilon",
         [
-            (np.float64, lambda: constant_step(0.05)),
-            (np.float32, lambda: constant_step(0.05)),
-            # harmonic's stage-1 eps = 1 exercises the history-wipe path.
-            (np.float64, harmonic_step),
-            (np.float32, harmonic_step),
+            (np.float64, 0.05),
+            (np.float32, 0.05),
+            # eps = 1 forgets all history every stage: the wipe path.
+            (np.float64, 1.0),
+            (np.float32, 1.0),
         ],
-        ids=["constant-f64", "constant-f32", "harmonic-f64", "harmonic-f32"],
+        ids=["constant-f64", "constant-f32", "eps1-f64", "eps1-f32"],
     )
-    def test_bit_identical_every_step(self, dtype, make_schedule, k, groups):
-        kwargs = dict(u_max=U_MAX, delta=0.1, dtype=dtype, reselect_every=4,
-                      num_channel_groups=groups)
-        pop = TopKPopulation(40, 14, k=k, schedule=make_schedule(), rng=0, **kwargs)
-        ref = _ReferenceTopK(40, 14, k=k, schedule=make_schedule(), **kwargs)
+    def test_bit_identical_every_step(self, dtype, epsilon, k, groups):
+        kwargs = dict(epsilon=epsilon, u_max=U_MAX, delta=0.1, dtype=dtype,
+                      reselect_every=4, num_channel_groups=groups)
+        pop = TopKPopulation(40, 14, k=k, rng=0, **kwargs)
+        ref = _ReferenceTopK(40, 14, k=k, **kwargs)
         rng = np.random.default_rng(17)
         ops = with_channel_groups(random_ops(rng, 40, 200), rng, 40, groups)
         for op in ops:
@@ -670,18 +630,3 @@ class TestNarrowRowSums:
                 prefix[:, j] += prefix[:, j - 1]
             assert np.array_equal(np.cumsum(q, axis=1), prefix), width
 
-
-class TestEpsTable:
-    def test_matches_direct_schedule_evaluation(self):
-        for schedule in (harmonic_step(), polynomial_step(0.6, 2.0)):
-            table = _EpsTable(schedule)
-            stages = np.array([1, 5, 3, 200, 1, 77])
-            got = table(stages)
-            want = np.array([float(schedule(int(n))) for n in stages])
-            assert np.array_equal(got, want)
-            # Growth keeps earlier entries stable.
-            assert np.array_equal(table(stages), want)
-            bigger = np.arange(1, 500)
-            assert np.array_equal(
-                table(bigger), [float(schedule(int(n))) for n in bigger]
-            )

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.r2hs import R2HSLearner
-from repro.core.rths import RTHSLearner, regret_matching_learner
+from repro.core.proxy_regret import ExactProxyRegret
+from repro.core.r2hs import R2HSLearner, regret_matching_learner
+from repro.core.regret_learner import RegretLearner
+from repro.core.schedules import constant_step, harmonic_step
 from repro.game.repeated_game import RepeatedGameDriver, StaticCapacities
+
+
+def exact_learner(num_actions, rng, schedule, u_max=1.0):
+    """Algorithm 1 with its literal history sums (the reference oracle)."""
+    return RegretLearner(
+        num_actions, ExactProxyRegret(num_actions, schedule=schedule),
+        rng=rng, u_max=u_max,
+    )
 
 
 class TestConstruction:
@@ -39,7 +49,7 @@ class TestRTHSEqualsR2HS:
     """Algorithm 1 and Algorithm 2 are the same algorithm."""
 
     def test_identical_decisions_and_strategies(self):
-        a = RTHSLearner(4, rng=42, epsilon=0.1, u_max=900.0)
+        a = exact_learner(4, rng=42, schedule=constant_step(0.1), u_max=900.0)
         b = R2HSLearner(4, rng=42, epsilon=0.1, u_max=900.0)
         env = np.random.default_rng(7)
         for stage in range(80):
@@ -51,7 +61,7 @@ class TestRTHSEqualsR2HS:
             assert np.allclose(a.strategy(), b.strategy(), atol=1e-10)
 
     def test_identical_regret_matrices(self):
-        a = RTHSLearner(3, rng=1, epsilon=0.05, u_max=1.0)
+        a = exact_learner(3, rng=1, schedule=constant_step(0.05))
         b = R2HSLearner(3, rng=1, epsilon=0.05, u_max=1.0)
         env = np.random.default_rng(2)
         for _ in range(50):
@@ -125,8 +135,8 @@ class TestRegretMatchingLearner:
         assert learner.num_actions == 3
 
     def test_recursive_and_exact_variants_agree(self):
-        a = regret_matching_learner(3, rng=11, recursive=True)
-        b = regret_matching_learner(3, rng=11, recursive=False)
+        a = regret_matching_learner(3, rng=11)
+        b = exact_learner(3, rng=11, schedule=harmonic_step())
         env = np.random.default_rng(12)
         for _ in range(40):
             ja, jb = a.act(), b.act()

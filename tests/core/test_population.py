@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.population import LearnerPopulation
 from repro.core.r2hs import R2HSLearner
-from repro.core.schedules import harmonic_step
+from repro.core.sparse_population import TopKPopulation
 from repro.game.repeated_game import StaticCapacities
 
 
@@ -30,6 +30,13 @@ class TestConstruction:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             LearnerPopulation(3, 2, delta=1.0, rng=0)
+
+    @pytest.mark.parametrize("cls", [LearnerPopulation, TopKPopulation])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, float("nan")])
+    def test_rejects_step_outside_unit_interval(self, cls, epsilon):
+        """Both kernels take one constant step in (0, 1] and check it."""
+        with pytest.raises(ValueError, match="epsilon"):
+            cls(3, 4, epsilon=epsilon, rng=0)
 
 
 class TestUpdateMatchesObjectLearner:
@@ -61,15 +68,15 @@ class TestUpdateMatchesObjectLearner:
                 pop.regret_matrices()[i], learner.regret_matrix(), atol=1e-10
             )
 
-    def test_harmonic_schedule_matches_object_learner(self):
-        """Regret matching (eps_1 = 1) must not degenerate: the stage-1
-        full-forgetting step is the regression guard for the lazy-decay
-        scale (eps = 1 would otherwise zero it and produce NaNs)."""
+    def test_full_step_matches_object_learner(self):
+        """eps = 1 must not degenerate: the full-forgetting step is the
+        regression guard for the lazy-decay scale (eps = 1 would
+        otherwise zero it and produce NaNs)."""
         pop = LearnerPopulation(
-            2, 3, schedule=harmonic_step(), delta=0.1, u_max=900.0, rng=0
+            2, 3, epsilon=1.0, delta=0.1, u_max=900.0, rng=0
         )
         learners = [
-            R2HSLearner(3, rng=0, schedule=harmonic_step(), delta=0.1, u_max=900.0)
+            R2HSLearner(3, rng=0, epsilon=1.0, delta=0.1, u_max=900.0)
             for _ in range(2)
         ]
         env = np.random.default_rng(8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.schedules import constant_step, harmonic_step, polynomial_step
+from repro.core.schedules import constant_step, harmonic_step
 
 
 class TestConstantStep:
@@ -33,23 +33,3 @@ class TestHarmonicStep:
         with pytest.raises(ValueError):
             harmonic_step()(0)
 
-
-class TestPolynomialStep:
-    def test_decay(self):
-        schedule = polynomial_step(exponent=0.5, scale=1.0)
-        assert schedule(1) == 1.0
-        assert schedule(4) == 0.5
-
-    def test_clipped_at_one(self):
-        schedule = polynomial_step(exponent=0.5, scale=10.0)
-        assert schedule(1) == 1.0
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            polynomial_step(exponent=0.0)
-        with pytest.raises(ValueError):
-            polynomial_step(scale=-1.0)
-
-    def test_rejects_stage_zero(self):
-        with pytest.raises(ValueError):
-            polynomial_step()(0)

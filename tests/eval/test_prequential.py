@@ -9,7 +9,7 @@ from repro.eval.metrics import (
     WINDOW_METRICS,
     prequential_metrics,
 )
-from repro.sim.trace import RoundRecord, SystemTrace
+from repro.sim.trace import SystemTrace
 
 NUM_HELPERS = 2
 
@@ -30,17 +30,15 @@ def make_trace(
     loads = loads if loads is not None else [[0.0] * NUM_HELPERS] * rounds
     trace = SystemTrace()
     for t in range(rounds):
-        trace.append(
-            RoundRecord(
-                time=float(t),
-                capacities=np.zeros(NUM_HELPERS),
-                loads=np.asarray(loads[t], dtype=float),
-                welfare=float(welfare[t]),
-                server_load=float(server_load[t]),
-                min_deficit=float(min_deficit[t]),
-                online_peers=int(online[t]),
-                total_demand=float(demand[t]),
-            )
+        trace.append_round(
+            time=float(t),
+            capacities=np.zeros(NUM_HELPERS),
+            loads=np.asarray(loads[t], dtype=float),
+            welfare=float(welfare[t]),
+            server_load=float(server_load[t]),
+            min_deficit=float(min_deficit[t]),
+            online_peers=int(online[t]),
+            total_demand=float(demand[t]),
         )
     if actions is not None:
         trace.actions = [np.asarray(a) for a in actions]

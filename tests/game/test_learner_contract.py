@@ -11,8 +11,9 @@ observations fed, seeded reproducibility, and a clean run under
 import numpy as np
 import pytest
 
-from repro.core.r2hs import R2HSLearner
-from repro.core.rths import RTHSLearner, regret_matching_learner
+from repro.core.proxy_regret import ExactProxyRegret
+from repro.core.r2hs import R2HSLearner, regret_matching_learner
+from repro.core.regret_learner import RegretLearner
 from repro.game.baselines import (
     EpsilonGreedyLearner,
     StickyLearner,
@@ -30,7 +31,10 @@ BASELINES = {
     "best_response": lambda h, seed: BestResponseLearner(h, rng=seed),
 }
 REGRET_LEARNERS = {
-    "rths": lambda h, seed: RTHSLearner(h, rng=seed, u_max=900.0),
+    # Algorithm 1 with its literal history sums (the reference oracle).
+    "rths": lambda h, seed: RegretLearner(
+        h, ExactProxyRegret(h), rng=seed, u_max=900.0
+    ),
     "r2hs": lambda h, seed: R2HSLearner(h, rng=seed, u_max=900.0),
     "regret_matching": lambda h, seed: regret_matching_learner(
         h, rng=seed, u_max=900.0

@@ -208,38 +208,6 @@ class TestStatisticalEquivalence:
         assert np.allclose(batch.minimum_values(), 700.0)
 
 
-class TestFromChains:
-    def test_groups_collapse_and_states_carry_over(self):
-        strong = [1400.0, 1600.0, 1800.0]
-        chains = [
-            birth_death_chain(PAPER_LEVELS, 0.9, rng=i) for i in range(3)
-        ] + [
-            birth_death_chain(strong, 0.9, rng=10 + i) for i in range(2)
-        ]
-        batch = BatchMarkovChains.from_chains(chains, rng=0)
-        assert batch.num_chains == 5
-        assert batch.num_groups == 2
-        assert np.array_equal(
-            batch.state_indices, [c.state_index for c in chains]
-        )
-        assert np.array_equal(
-            batch.state_values(), [c.state_value for c in chains]
-        )
-        assert np.allclose(batch.minimum_values(), [700.0] * 3 + [1400.0] * 2)
-
-    def test_rejects_mixed_state_counts(self):
-        chains = [
-            birth_death_chain(PAPER_LEVELS, 0.9, rng=0),
-            birth_death_chain([1.0, 2.0], 0.9, rng=1),
-        ]
-        with pytest.raises(ValueError, match="same number of states"):
-            BatchMarkovChains.from_chains(chains)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            BatchMarkovChains.from_chains([])
-
-
 class TestToChains:
     def test_round_trip_preserves_law_and_state(self):
         batch = BatchMarkovChains.birth_death(PAPER_LEVELS, num_chains=5, rng=4)

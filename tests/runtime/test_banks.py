@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.r2hs import R2HSLearner
 from repro.runtime.learner_bank import (
-    R2HSBank,
-    RTHSBank,
+    RegretBank,
     StickyBank,
     UniformBank,
     bank_factory,
@@ -26,12 +25,12 @@ class TestRowLifecycle:
         assert bank.acquire() == row
 
     def test_acquire_many(self):
-        bank = RTHSBank(3, rng=0, initial_rows=2, u_max=900.0)
+        bank = RegretBank(3, rng=0, initial_rows=2, u_max=900.0)
         rows = bank.acquire_many(6)
         assert len(set(rows.tolist())) == 6
 
     def test_regret_bank_rows_reset_on_reuse(self):
-        bank = R2HSBank(3, rng=0, u_max=900.0)
+        bank = RegretBank(3, rng=0, u_max=900.0)
         row = bank.acquire()
         rows = np.array([row])
         for _ in range(20):
@@ -43,7 +42,6 @@ class TestRowLifecycle:
         row2 = bank.acquire()
         assert row2 == row
         assert np.allclose(bank.population.strategies()[row2], 1 / 3)
-        assert bank.population.slot_stages()[row2] == 0
 
 
 class TestRegretBankDynamics:
@@ -51,7 +49,7 @@ class TestRegretBankDynamics:
         """Feed a bank row and a scalar learner identical (action, utility)
         sequences: strategies and regrets must coincide."""
         eps, delta, u_max = 0.1, 0.1, 900.0
-        bank = R2HSBank(3, rng=0, epsilon=eps, delta=delta, u_max=u_max)
+        bank = RegretBank(3, rng=0, epsilon=eps, delta=delta, u_max=u_max)
         row = bank.acquire()
         rows = np.array([row])
         learner = R2HSLearner(3, rng=0, epsilon=eps, delta=delta, u_max=u_max)
@@ -72,17 +70,6 @@ class TestRegretBankDynamics:
             bank.population.regret_matrices()[row],
             atol=1e-10,
         )
-
-    def test_late_joiner_starts_at_stage_zero(self):
-        bank = RTHSBank(3, rng=1, u_max=900.0)
-        early = bank.acquire()
-        for _ in range(10):
-            rows = np.array([early])
-            bank.observe(rows, bank.act(rows), np.array([500.0]))
-        late = bank.acquire()
-        stages = bank.population.slot_stages()
-        assert stages[early] == 10
-        assert stages[late] == 0
 
 
 class TestBaselineBanks:

@@ -18,8 +18,7 @@ from repro.runtime import (
     GroupedRegretBank,
     PeerStore,
     PerChannelGroupedBank,
-    R2HSBank,
-    RTHSBank,
+    RegretBank,
     TopKRegretBank,
     VectorizedStreamingSystem,
     bank_factory,
@@ -34,14 +33,13 @@ CHURN = ChurnConfig(
 )
 
 
-def per_channel_oracle(kind="r2hs", bank="dense", topk=32, dtype=np.float64):
+def per_channel_oracle(bank="dense", topk=32, dtype=np.float64):
     """Private per-channel regret banks behind the fused API."""
 
     def per_channel(h, rng):
         if bank == "topk":
             return TopKRegretBank(h, k=topk, rng=rng, u_max=U_MAX, dtype=dtype)
-        cls = RTHSBank if kind == "rths" else R2HSBank
-        return cls(h, rng=rng, u_max=U_MAX, dtype=dtype)
+        return RegretBank(h, rng=rng, u_max=U_MAX, dtype=dtype)
 
     return lambda widths, rngs: PerChannelGroupedBank(
         build_per_channel_banks(per_channel, widths, rngs)
@@ -54,7 +52,7 @@ def build(engine, config, *, kind="r2hs", bank="dense", topk=32, seed=42,
     factory = (
         bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk)
         if engine == "grouped"
-        else per_channel_oracle(kind, bank, topk)
+        else per_channel_oracle(bank, topk)
     )
     return VectorizedStreamingSystem(
         config, factory, rng=seed, initial_channels=initial_channels
@@ -169,7 +167,7 @@ class TestEngineSelection:
         config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
         with pytest.raises(TypeError, match="int"):
             VectorizedStreamingSystem(
-                config, lambda h, rng: RTHSBank(h, rng=rng, u_max=U_MAX), rng=0
+                config, lambda h, rng: RegretBank(h, rng=rng, u_max=U_MAX), rng=0
             )
 
     def test_unknown_engine_rejected(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.learner_bank import (
-    R2HSBank,
+    RegretBank,
     StickyBank,
     TopKRegretBank,
     UniformBank,
@@ -25,7 +25,7 @@ ROWS = 8
 
 def make_bank(kind, dtype=np.float64, seed=0):
     if kind == "dense":
-        return R2HSBank(HELPERS, rng=seed, u_max=900.0, dtype=dtype)
+        return RegretBank(HELPERS, rng=seed, u_max=900.0, dtype=dtype)
     if kind == "topk":
         return TopKRegretBank(
             HELPERS, k=3, rng=seed, u_max=900.0, dtype=dtype, reselect_every=4

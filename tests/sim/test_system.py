@@ -83,9 +83,8 @@ class TestSingleChannelRun:
         system = build()
         trace = system.run(10)
         # Each round's welfare must equal occupied capacity.
-        for r in trace.rounds:
-            occupied = r.loads > 0
-            assert r.welfare == pytest.approx(r.capacities[occupied].sum())
+        occupied = np.where(trace.loads > 0, trace.capacities, 0.0)
+        assert trace.welfare == pytest.approx(occupied.sum(axis=1))
 
     def test_server_covers_deficits(self):
         # Demand 100 each; shares C/n are mostly above demand for 12 peers
