@@ -7,11 +7,10 @@ optimality and empirical CE regret, demonstrating shape-robustness (every
 cell lands near the optimum) plus the documented trends:
 
 * eps well above delta/H degrades convergence (evidence about alternate
-  helpers evaporates between exploration visits — DESIGN.md Sec. 8);
+  helpers evaporates between exploration visits, see the
+  ``repro.core.proxy_regret`` docstring);
 * smaller mu converges tighter/faster (switching eagerness).
 """
-
-import numpy as np
 
 import repro
 from repro.analysis import render_table

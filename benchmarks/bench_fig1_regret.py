@@ -4,7 +4,8 @@ Runs the large-scale scenario (N=100 peers, H=10 helpers, Markov bandwidth
 over [700, 800, 900]) with the vectorized R2HS population and reports the
 worst player's *time-averaged* regret (the quantity Hart & Mas-Colell's
 theorem drives to zero) together with the instantaneous tracking regret
-(which settles on a small noise floor by construction; DESIGN.md §8).
+(which settles on a small noise floor by construction; see the
+``repro.core.proxy_regret`` docstring).
 
 Expected shape: the time-averaged curve decays steeply and flattens near
 zero — the paper's "regret value approaches zero as the algorithm

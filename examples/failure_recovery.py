@@ -6,7 +6,7 @@ converges a population on four healthy helpers, kills one, and uses the
 convergence diagnostics to show what happens:
 
 * loads drain off the dead helper within tens of stages (bounded by the
-  exploration re-entry trap documented in DESIGN.md §8);
+  exploration re-entry trap documented in ``repro.core.proxy_regret``);
 * the sliding-window CE regret spikes at the failure and settles again —
   the population re-converges to the CE set of the 3-helper game;
 * when the helper recovers, peers flow back.

@@ -25,140 +25,74 @@ See ``examples/`` for end-to-end scripts and the repository ``README.md``
 for the system inventory and the scalar-vs-vectorized backend guide.
 """
 
-from repro.core import (
-    LearnerPopulation,
-    R2HSLearner,
-    empirical_ce_regret,
-    empirical_ce_regret_report,
-    is_epsilon_correlated_equilibrium,
-    regret_matching_learner,
-    solve_ce_lp,
-)
-from repro.game import (
-    BestResponseLearner,
-    HelperSelectionGame,
-    RepeatedGameDriver,
-    StickyLearner,
-    Trajectory,
-    UniformRandomLearner,
-)
-from repro.game.repeated_game import StaticCapacities
-from repro.mdp import (
-    BatchMarkovChains,
-    MarkovChain,
-    birth_death_chain,
-    optimal_welfare_for_state,
-    solve_occupation_lp,
-    solve_symmetric_optimum,
-)
-from repro.analysis import ParallelRunner
-from repro.metrics import jain_index, load_balance_report, server_load_report
-from repro.runtime import (
-    PeerStore,
-    StickyBank,
-    UniformBank,
-    VectorizedStreamingSystem,
-    bank_factory,
-)
-from repro.sim import (
-    PAPER_BANDWIDTH_LEVELS,
-    ChurnConfig,
-    MarkovCapacityProcess,
-    StreamingSystem,
-    SystemConfig,
-    TraceCapacityProcess,
-    VectorizedCapacityProcess,
-    paper_bandwidth_process,
-)
-from repro.spec import (
-    CapacitySpec,
-    ChurnSpec,
-    ExperimentSpec,
-    LearnerSpec,
-    MetricsSpec,
-    SweepSpec,
-    TopologySpec,
-    UnknownComponentError,
-    register_capacity_backend,
-    register_learner,
-    register_metric,
-    register_scenario,
-)
-from repro.workloads import (
-    fig5_spec,
-    flash_crowd_spec,
-    large_scale_spec,
-    massive_scale_spec,
-    popularity_skew_spec,
-    small_scale_spec,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "R2HSLearner",
-    "regret_matching_learner",
-    "LearnerPopulation",
-    "empirical_ce_regret",
-    "empirical_ce_regret_report",
-    "is_epsilon_correlated_equilibrium",
-    "solve_ce_lp",
-    # game
-    "HelperSelectionGame",
-    "RepeatedGameDriver",
-    "Trajectory",
-    "StaticCapacities",
-    "BestResponseLearner",
-    "UniformRandomLearner",
-    "StickyLearner",
-    # mdp
-    "MarkovChain",
-    "birth_death_chain",
-    "solve_occupation_lp",
-    "solve_symmetric_optimum",
-    "optimal_welfare_for_state",
-    # sim
-    "PAPER_BANDWIDTH_LEVELS",
-    "MarkovCapacityProcess",
-    "TraceCapacityProcess",
-    "paper_bandwidth_process",
-    "VectorizedCapacityProcess",
-    "BatchMarkovChains",
-    "StreamingSystem",
-    "SystemConfig",
-    "ChurnConfig",
-    # metrics
-    "jain_index",
-    "load_balance_report",
-    "server_load_report",
-    # runtime
-    "PeerStore",
-    "UniformBank",
-    "StickyBank",
-    "bank_factory",
-    "VectorizedStreamingSystem",
-    # analysis
-    "ParallelRunner",
-    # spec
-    "ExperimentSpec",
-    "TopologySpec",
-    "CapacitySpec",
-    "LearnerSpec",
-    "ChurnSpec",
-    "MetricsSpec",
-    "SweepSpec",
-    "UnknownComponentError",
-    "register_capacity_backend",
-    "register_learner",
-    "register_metric",
-    "register_scenario",
-    # workloads
-    "small_scale_spec",
-    "large_scale_spec",
-    "fig5_spec",
-    "massive_scale_spec",
-    "popularity_skew_spec",
-    "flash_crowd_spec",
-]
+# Each name loads its defining module on first read (see repro._lazy):
+# ``import repro`` compiles no subpackage, and a command compiles only the
+# modules whose names it reads.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.r2hs": ["R2HSLearner", "regret_matching_learner"],
+    "repro.core.population": ["LearnerPopulation"],
+    "repro.core.equilibrium": [
+        "empirical_ce_regret",
+        "empirical_ce_regret_report",
+        "is_epsilon_correlated_equilibrium",
+        "solve_ce_lp",
+    ],
+    "repro.game.helper_selection": ["HelperSelectionGame"],
+    "repro.game.repeated_game": [
+        "RepeatedGameDriver", "Trajectory", "StaticCapacities",
+    ],
+    "repro.game.best_response": ["BestResponseLearner"],
+    "repro.game.baselines": ["UniformRandomLearner", "StickyLearner"],
+    "repro.mdp.markov_chain": [
+        "MarkovChain", "BatchMarkovChains", "birth_death_chain",
+    ],
+    "repro.mdp.occupation_lp": ["solve_occupation_lp"],
+    "repro.mdp.symmetric": [
+        "solve_symmetric_optimum", "optimal_welfare_for_state",
+    ],
+    "repro.sim.bandwidth": [
+        "PAPER_BANDWIDTH_LEVELS",
+        "MarkovCapacityProcess",
+        "TraceCapacityProcess",
+        "paper_bandwidth_process",
+        "VectorizedCapacityProcess",
+    ],
+    "repro.sim.system": ["StreamingSystem", "SystemConfig"],
+    "repro.sim.churn": ["ChurnConfig"],
+    "repro.metrics.fairness": ["jain_index"],
+    "repro.metrics.distributions": ["load_balance_report"],
+    "repro.metrics.server_load": ["server_load_report"],
+    "repro.runtime.peer_store": ["PeerStore"],
+    "repro.runtime.learner_bank": ["UniformBank", "StickyBank", "bank_factory"],
+    "repro.runtime.system": ["VectorizedStreamingSystem"],
+    "repro.analysis.parallel": ["ParallelRunner"],
+    "repro.spec.model": [
+        "ExperimentSpec",
+        "TopologySpec",
+        "CapacitySpec",
+        "LearnerSpec",
+        "ChurnSpec",
+        "MetricsSpec",
+        "SweepSpec",
+    ],
+    "repro.spec.registry": [
+        "UnknownComponentError",
+        "register_capacity_backend",
+        "register_learner",
+        "register_metric",
+        "register_scenario",
+    ],
+    "repro.workloads.scenarios": [
+        "small_scale_spec",
+        "large_scale_spec",
+        "fig5_spec",
+        "massive_scale_spec",
+        "popularity_skew_spec",
+        "flash_crowd_spec",
+    ],
+})
+__all__ = ["__version__", *__all__]

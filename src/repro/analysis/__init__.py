@@ -13,35 +13,18 @@
 * :mod:`repro.analysis.chaos` — fault injection for the supervised path.
 """
 
-from repro.analysis.parallel import CellFunction, ParallelRunner
-from repro.analysis.sweeps import (
-    SweepResult,
-    sweep_environment_speed,
-    sweep_learner_parameters,
-)
-from repro.analysis.reporting import (
-    downsample,
-    format_float,
-    render_series_table,
-    render_table,
-    sparkline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_table",
-    "render_series_table",
-    "sparkline",
-    "downsample",
-    "format_float",
-    "SweepResult",
-    "sweep_learner_parameters",
-    "sweep_environment_speed",
-    "ParallelRunner",
-    "CellFunction",
-]
-
-# Note: repro.analysis.experiments is intentionally not imported here — it
-# imports the top-level `repro` package for convenience, so pulling it in
-# eagerly would create an import cycle.  Import it explicitly:
-#   from repro.analysis.experiments import ALL_FIGURES
-
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.reporting": [
+        "render_table",
+        "render_series_table",
+        "sparkline",
+        "downsample",
+        "format_float",
+    ],
+    "repro.analysis.sweeps": [
+        "SweepResult", "sweep_learner_parameters", "sweep_environment_speed",
+    ],
+    "repro.analysis.parallel": ["ParallelRunner", "CellFunction"],
+})

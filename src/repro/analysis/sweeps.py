@@ -15,26 +15,24 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel imports us)
-    from repro.analysis.parallel import ParallelRunner
-
 from repro.analysis.reporting import render_table
-from repro.core.equilibrium import empirical_ce_regret
-from repro.core.population import LearnerPopulation
-from repro.game.repeated_game import Trajectory
-from repro.metrics.distributions import load_balance_report
-from repro.sim.bandwidth import (
-    TraceCapacityProcess,
-    paper_bandwidth_process,
-    record_capacity_trace,
-)
 from repro.util.rng import Seedish, as_generator, derive_seed
 
-MetricFunction = Callable[[Trajectory], float]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.analysis.parallel import ParallelRunner
+    from repro.game.repeated_game import Trajectory
+
+# SweepCell and SweepResult carry every sweep's results home, resumed
+# ones included; the learner and capacity code below loads only when a
+# learner sweep runs.
+MetricFunction = Callable[["Trajectory"], float]
 
 
 def default_metrics(u_max: float = 900.0) -> Dict[str, MetricFunction]:
     """The standard sweep metrics: welfare, CE regret, load balance."""
+    from repro.core.equilibrium import empirical_ce_regret
+    from repro.metrics.distributions import load_balance_report
+
     return {
         "tail_welfare": lambda t: float(t.tail(0.25).welfare.mean()),
         "ce_regret": lambda t: float(empirical_ce_regret(t, u_max=u_max)),
@@ -183,6 +181,9 @@ def _learner_cell(
     cell replays it read-only.  ``metrics`` ``None`` means
     :func:`default_metrics`, built where the cell runs.
     """
+    from repro.core.population import LearnerPopulation
+    from repro.sim.bandwidth import TraceCapacityProcess
+
     learner_params = {k: v for k, v in params.items() if k != "replication"}
     population = LearnerPopulation(
         num_peers, num_helpers, u_max=u_max, rng=seed, **learner_params
@@ -220,6 +221,7 @@ def sweep_learner_parameters(
     trace rides inside the cell function.
     """
     from repro.analysis.parallel import ParallelRunner
+    from repro.sim.bandwidth import paper_bandwidth_process, record_capacity_trace
     from repro.spec.model import SweepSpec
 
     sweep = grid if isinstance(grid, SweepSpec) else SweepSpec(grid=dict(grid))
@@ -260,6 +262,9 @@ def sweep_environment_speed(
     "slowly changing random process" assumption: tracking should hold up
     until the chain mixes faster than the learner's memory.
     """
+    from repro.core.population import LearnerPopulation
+    from repro.sim.bandwidth import paper_bandwidth_process
+
     if not stay_probabilities:
         raise ValueError("need at least one stay probability")
     parent = as_generator(rng)

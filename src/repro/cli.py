@@ -55,13 +55,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.experiments import ALL_FIGURES
-from repro.analysis.parallel import ParallelRunner
 from repro.analysis.reporting import render_table
-from repro.core import LearnerPopulation, empirical_ce_regret
-from repro.mdp import solve_symmetric_optimum
-from repro.metrics import jain_index, load_balance_report
-from repro.sim import paper_bandwidth_process
 from repro.spec import (
     CAPACITY_BACKENDS,
     CAPACITY_TRANSFORMS,
@@ -108,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate a paper figure")
     fig.add_argument(
         "which",
-        choices=sorted(ALL_FIGURES) + ["all"],
+        choices=sorted(FIGURE_DESCRIPTIONS) + ["all"],
         help="figure id, or 'all'",
     )
     fig.add_argument("--seed", type=int, default=0)
@@ -351,6 +345,7 @@ def _open_store(parser, args):
 
 
 def _run_system(parser, args, out) -> None:
+    from repro.analysis.parallel import ParallelRunner
     from repro.analysis.sweeps import SweepCell
     from repro.spec import run_spec_cell
 
@@ -441,6 +436,8 @@ def _report_failures(result, out) -> None:
 
 def _run_sweep_cmd(parser, args, out) -> int:
     """``repro sweep``: fan the spec's grid out, print the cell table."""
+    from repro.analysis.parallel import ParallelRunner
+
     if args.workers < 1:
         parser.error("--workers must be >= 1")
     store = _open_store(parser, args)
@@ -618,6 +615,8 @@ def _run_profile(parser, args, out) -> None:
 
 
 def _run_figure(which: str, seed: int, out) -> None:
+    from repro.analysis.experiments import ALL_FIGURES
+
     names = sorted(ALL_FIGURES) if which == "all" else [which]
     for name in names:
         result = ALL_FIGURES[name](seed=seed)
@@ -627,6 +626,11 @@ def _run_figure(which: str, seed: int, out) -> None:
 
 
 def _run_scenario(args, out) -> None:
+    from repro.core import LearnerPopulation, empirical_ce_regret
+    from repro.mdp import solve_symmetric_optimum
+    from repro.metrics import jain_index, load_balance_report
+    from repro.sim import paper_bandwidth_process
+
     process = paper_bandwidth_process(
         args.helpers, stay_probability=args.stay, rng=args.seed
     )
@@ -680,7 +684,7 @@ def _factory_options(factory) -> str:
 
 
 def _run_list(out) -> None:
-    for name in sorted(ALL_FIGURES):
+    for name in sorted(FIGURE_DESCRIPTIONS):
         print(f"{name}: {FIGURE_DESCRIPTIONS[name]}", file=out)
     print(file=out)
     print("registered components (repro.spec registries):", file=out)
@@ -759,15 +763,19 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "store":
         return _run_store(args, out)
     if args.command in ("run", "sweep", "eval"):
-        from repro.analysis.supervision import SweepError
-
         try:
             if args.command == "run":
                 return _run_system(parser, args, out) or 0
             if args.command == "eval":
                 return _run_eval(parser, args, out)
             return _run_sweep_cmd(parser, args, out)
-        except SweepError as exc:
+        except RuntimeError as exc:
+            # A SweepError comes from the runner, which has imported
+            # its module by then: the success path never loads it.
+            from repro.analysis.supervision import SweepError
+
+            if not isinstance(exc, SweepError):
+                raise
             # One structured line (spec digest + cell index + params)
             # instead of a worker traceback dump; the full trace stays
             # available under --log-level debug.

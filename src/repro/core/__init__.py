@@ -27,41 +27,23 @@ Layout
   for small tabular games.
 """
 
-from repro.core.diagnostics import (
-    sliding_ce_regret,
-    strategy_entropy,
-    switching_statistics,
-)
-from repro.core.equilibrium import (
-    CERegretReport,
-    empirical_ce_regret,
-    empirical_ce_regret_report,
-    is_epsilon_correlated_equilibrium,
-    solve_ce_lp,
-)
-from repro.core.population import LearnerPopulation
-from repro.core.probability import update_play_probabilities
-from repro.core.sparse_population import TopKPopulation
-from repro.core.proxy_regret import ExactProxyRegret, RecursiveProxyRegret
-from repro.core.r2hs import R2HSLearner, regret_matching_learner
-from repro.core.schedules import constant_step, harmonic_step
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "constant_step",
-    "harmonic_step",
-    "ExactProxyRegret",
-    "RecursiveProxyRegret",
-    "update_play_probabilities",
-    "R2HSLearner",
-    "regret_matching_learner",
-    "LearnerPopulation",
-    "TopKPopulation",
-    "empirical_ce_regret",
-    "empirical_ce_regret_report",
-    "CERegretReport",
-    "is_epsilon_correlated_equilibrium",
-    "solve_ce_lp",
-    "sliding_ce_regret",
-    "strategy_entropy",
-    "switching_statistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.schedules": ["constant_step", "harmonic_step"],
+    "repro.core.proxy_regret": ["ExactProxyRegret", "RecursiveProxyRegret"],
+    "repro.core.probability": ["update_play_probabilities"],
+    "repro.core.r2hs": ["R2HSLearner", "regret_matching_learner"],
+    "repro.core.population": ["LearnerPopulation"],
+    "repro.core.sparse_population": ["TopKPopulation"],
+    "repro.core.equilibrium": [
+        "empirical_ce_regret",
+        "empirical_ce_regret_report",
+        "CERegretReport",
+        "is_epsilon_correlated_equilibrium",
+        "solve_ce_lp",
+    ],
+    "repro.core.diagnostics": [
+        "sliding_ce_regret", "strategy_entropy", "switching_statistics",
+    ],
+})

@@ -38,6 +38,42 @@ and ``Q^n(j,k) = (S^n(j,k) - S^n(j,j))^+`` — the paper's Eq. (3-6) with the
 ``eps`` factor absorbed.  Both estimators take any step schedule (see
 :mod:`repro.core.schedules`), so the harmonic step covers regret matching
 too.
+
+What a constant step does to the learners
+-----------------------------------------
+
+The forgetting factor is what makes RTHS *track*: evidence older than
+about ``1/eps`` stages has faded, so the regrets follow a drifting
+environment.  Three consequences show in the figures, tests and benches.
+
+* **The instantaneous regret has a noise floor.**  ``S^n`` is an
+  exponentially weighted mean over an effective window of ``~1/eps``
+  stages, so the noise of its importance-weighted samples never averages
+  away: its standard deviation scales like ``sqrt(eps / 2)`` times the
+  per-sample spread, and the ratio ``p(j)/p(k) <= m/delta`` inflates that
+  spread.  The instantaneous worst-player regret therefore settles on a
+  small positive floor, even in a static game.  The time-averaged regret
+  of Hart & Mas-Colell's theorem (Fig. 1) is the quantity that decays
+  towards zero.
+* **Re-entering an abandoned helper is a trap of ``~1/delta`` stages.**
+  Row ``j`` of ``S`` learns about an alternative ``k`` only in proportion
+  to ``p(j)``, the probability of ``j`` when ``k`` was played.  Once a
+  peer has left ``j`` (a failed helper, say), ``p(j)`` sits at the floor
+  ``delta/m``, so row ``j`` goes stale with small regrets.  A peer whose
+  exploration lands it on ``j`` again reads that stale row: its switching
+  term ``min(Q(j, k)/mu, 1/(m-1))`` is small, and it leaves mostly by
+  exploring, with probability about ``delta (m-1)/m`` per stage.  A dead
+  helper therefore keeps a residual load above the exploration floor,
+  and loads drain off it over tens of stages, not one.
+* **``eps`` well above ``delta/m`` forgets the alternatives.**  A settled
+  peer plays an alternative helper about once every ``m/delta`` stages,
+  and only those plays refresh the estimate ``Uhat(k)``.  Between two
+  visits the accumulator decays by ``(1-eps)^(m/delta) ~ exp(-eps m/delta)``.
+  With ``eps >> delta/m`` almost nothing survives to the next visit, so
+  each regret rests on one noisy sample and play converges worse; with
+  ``eps`` of order ``delta/m`` or below, several visits overlap in
+  memory.  The ``mu`` trade-off, the other knob the parameter ablation
+  sweeps, is in :func:`repro.core.probability.default_mu`.
 """
 
 from __future__ import annotations

@@ -472,7 +472,12 @@ class TopKPopulation:
                 np.add.at(self._play_ewma[0], actions, _PLAY_EWMA_DECAY)
             else:
                 groups = self._slot_group[slots]
-                self._play_ewma[np.unique(groups)] *= 1.0 - _PLAY_EWMA_DECAY
+                # The groups present, ascending: np.unique without its
+                # sort (and without loading numpy.ma).
+                present = np.flatnonzero(
+                    np.bincount(groups, minlength=self._num_groups)
+                )
+                self._play_ewma[present] *= 1.0 - _PLAY_EWMA_DECAY
                 np.add.at(
                     self._play_ewma, (groups, actions), _PLAY_EWMA_DECAY
                 )
@@ -561,7 +566,7 @@ class TopKPopulation:
             self._reselect_in(slots, self._play_ewma[0])
             return
         groups = self._slot_group[slots]
-        for g in np.unique(groups):
+        for g in np.flatnonzero(np.bincount(groups, minlength=self._num_groups)):
             self._reselect_in(slots[groups == g], self._play_ewma[g])
 
     def _reselect_in(self, slots: np.ndarray, play_ewma: np.ndarray) -> None:

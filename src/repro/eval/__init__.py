@@ -22,38 +22,21 @@ lives in :mod:`repro.workloads.adversarial` (registered scenario names:
 ``diurnal_mix``).
 """
 
-from repro.eval.harness import (
-    EvalCell,
-    EvalResult,
-    EvalSpec,
-    Evaluator,
-    evaluate,
-    run_eval_cell,
-)
-from repro.eval.metrics import (
-    SCALAR_METRICS,
-    WINDOW_METRICS,
-    prequential_metrics,
-)
-from repro.eval.windows import (
-    window_lengths,
-    window_ratios,
-    window_starts,
-    window_sums,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EvalCell",
-    "EvalResult",
-    "EvalSpec",
-    "Evaluator",
-    "evaluate",
-    "run_eval_cell",
-    "SCALAR_METRICS",
-    "WINDOW_METRICS",
-    "prequential_metrics",
-    "window_lengths",
-    "window_ratios",
-    "window_starts",
-    "window_sums",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.eval.harness": [
+        "EvalCell",
+        "EvalResult",
+        "EvalSpec",
+        "Evaluator",
+        "evaluate",
+        "run_eval_cell",
+    ],
+    "repro.eval.metrics": [
+        "SCALAR_METRICS", "WINDOW_METRICS", "prequential_metrics",
+    ],
+    "repro.eval.windows": [
+        "window_lengths", "window_ratios", "window_starts", "window_sums",
+    ],
+})

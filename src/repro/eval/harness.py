@@ -224,16 +224,14 @@ def run_eval_cell(
 ) -> Dict[str, Any]:
     """Run one matrix cell; picklable for worker fan-out.
 
-    Rebuilds the :class:`EvalSpec` from its dict form (importing
-    :mod:`repro.workloads` first so scenario registrations exist under
-    the ``spawn`` start method too), runs the cell's experiment with the
-    derived seed, and reduces the trace to prequential metrics.  No
-    wall-clock fields — the return value is a pure function of
-    ``(eval_dict, params, seed)``, which is what makes cells cacheable
-    and bit-identical across worker counts and retries.
+    Rebuilds the :class:`EvalSpec` from its dict form (the scenario
+    registry loads its presets itself, under the ``spawn`` start method
+    too), runs the cell's experiment with the derived seed, and reduces
+    the trace to prequential metrics.  No wall-clock fields — the return
+    value is a pure function of ``(eval_dict, params, seed)``, which is
+    what makes cells cacheable and bit-identical across worker counts
+    and retries.
     """
-    import repro.workloads  # noqa: F401  (scenario registration side effect)
-
     spec = EvalSpec.from_dict(eval_dict)
     scenario, learner = params["scenario"], params["learner"]
     cell_spec = spec.build_cell_spec(scenario, learner)

@@ -24,38 +24,18 @@ This package contains:
   and records full trajectories.
 """
 
-from repro.game.baselines import (
-    EpsilonGreedyLearner,
-    StickyLearner,
-    UniformRandomLearner,
-)
-from repro.game.best_response import (
-    BestResponseLearner,
-    simultaneous_best_response_path,
-)
-from repro.game.helper_selection import HelperSelectionGame, loads_from_profile
-from repro.game.interfaces import Learner
-from repro.game.nash import (
-    enumerate_pure_nash,
-    is_pure_nash,
-)
-from repro.game.repeated_game import RepeatedGameDriver, StageRecord, Trajectory
-from repro.game.strategic_game import NormalFormGame, TabularGame
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Learner",
-    "NormalFormGame",
-    "TabularGame",
-    "HelperSelectionGame",
-    "loads_from_profile",
-    "enumerate_pure_nash",
-    "is_pure_nash",
-    "BestResponseLearner",
-    "simultaneous_best_response_path",
-    "UniformRandomLearner",
-    "StickyLearner",
-    "EpsilonGreedyLearner",
-    "RepeatedGameDriver",
-    "StageRecord",
-    "Trajectory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.game.interfaces": ["Learner"],
+    "repro.game.strategic_game": ["NormalFormGame", "TabularGame"],
+    "repro.game.helper_selection": ["HelperSelectionGame", "loads_from_profile"],
+    "repro.game.nash": ["enumerate_pure_nash", "is_pure_nash"],
+    "repro.game.best_response": [
+        "BestResponseLearner", "simultaneous_best_response_path",
+    ],
+    "repro.game.baselines": [
+        "UniformRandomLearner", "StickyLearner", "EpsilonGreedyLearner",
+    ],
+    "repro.game.repeated_game": ["RepeatedGameDriver", "StageRecord", "Trajectory"],
+})

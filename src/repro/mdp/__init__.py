@@ -19,36 +19,23 @@ same optimal average welfare as the closed form in :mod:`repro.mdp.symmetric`
 (``tests/mdp/test_cross_check.py``).
 """
 
-from repro.mdp.markov_chain import (
-    BatchMarkovChains,
-    MarkovChain,
-    birth_death_chain,
-    birth_death_transition,
-)
-from repro.mdp.occupation_lp import (
-    CentralizedMDPSolution,
-    decomposed_optimum,
-    solve_occupation_lp,
-)
-from repro.mdp.symmetric import (
-    SymmetricOptimum,
-    optimal_assignment_for_state,
-    optimal_welfare_for_state,
-    optimal_welfare_series,
-    solve_symmetric_optimum,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MarkovChain",
-    "BatchMarkovChains",
-    "birth_death_chain",
-    "birth_death_transition",
-    "CentralizedMDPSolution",
-    "solve_occupation_lp",
-    "decomposed_optimum",
-    "SymmetricOptimum",
-    "optimal_assignment_for_state",
-    "optimal_welfare_for_state",
-    "optimal_welfare_series",
-    "solve_symmetric_optimum",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.mdp.markov_chain": [
+        "MarkovChain",
+        "BatchMarkovChains",
+        "birth_death_chain",
+        "birth_death_transition",
+    ],
+    "repro.mdp.occupation_lp": [
+        "CentralizedMDPSolution", "solve_occupation_lp", "decomposed_optimum",
+    ],
+    "repro.mdp.symmetric": [
+        "SymmetricOptimum",
+        "optimal_assignment_for_state",
+        "optimal_welfare_for_state",
+        "optimal_welfare_series",
+        "solve_symmetric_optimum",
+    ],
+})

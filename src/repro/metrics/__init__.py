@@ -13,28 +13,17 @@ Fig. 2 needs no module here: it plots ``Trajectory.welfare`` against the
 optimum from :mod:`repro.mdp`.
 """
 
-from repro.metrics.convergence import (
-    convergence_stage,
-    moving_average,
-    time_averaged_regret_series,
-)
-from repro.metrics.distributions import (
-    load_balance_report,
-    load_distance_to_proportional,
-    mean_loads,
-)
-from repro.metrics.fairness import coefficient_of_variation, jain_index, max_min_ratio
-from repro.metrics.server_load import server_load_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "jain_index",
-    "max_min_ratio",
-    "coefficient_of_variation",
-    "time_averaged_regret_series",
-    "moving_average",
-    "convergence_stage",
-    "mean_loads",
-    "load_balance_report",
-    "load_distance_to_proportional",
-    "server_load_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.metrics.fairness": [
+        "jain_index", "max_min_ratio", "coefficient_of_variation",
+    ],
+    "repro.metrics.convergence": [
+        "time_averaged_regret_series", "moving_average", "convergence_stage",
+    ],
+    "repro.metrics.distributions": [
+        "mean_loads", "load_balance_report", "load_distance_to_proportional",
+    ],
+    "repro.metrics.server_load": ["server_load_report"],
+})

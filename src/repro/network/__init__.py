@@ -16,28 +16,20 @@ Everything composes through the capacity-transform pipeline
 the vectorized round loop stays free of per-helper Python work.
 """
 
-from repro.network.classes import (
-    HELPER_CLASSES,
-    HelperClassProfile,
-    assign_helper_classes,
-    register_helper_class,
-)
-from repro.network.links import (
-    ClampedCapacityProcess,
-    LinkEffectProcess,
-    LinkParameters,
-    compile_link_parameters,
-)
-from repro.network.regions import RegionTopology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClampedCapacityProcess",
-    "LinkEffectProcess",
-    "LinkParameters",
-    "compile_link_parameters",
-    "RegionTopology",
-    "HELPER_CLASSES",
-    "HelperClassProfile",
-    "assign_helper_classes",
-    "register_helper_class",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.network.links": [
+        "ClampedCapacityProcess",
+        "LinkEffectProcess",
+        "LinkParameters",
+        "compile_link_parameters",
+    ],
+    "repro.network.regions": ["RegionTopology"],
+    "repro.network.classes": [
+        "HELPER_CLASSES",
+        "HelperClassProfile",
+        "assign_helper_classes",
+        "register_helper_class",
+    ],
+})

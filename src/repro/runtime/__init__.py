@@ -28,38 +28,25 @@ introspection and plug-in scalar learners, the vectorized runtime for
 scale (see README for the decision guide and measured speedups).
 """
 
-from repro.runtime.grouped_bank import (
-    GroupedChannelView,
-    GroupedLearnerBank,
-    GroupedRegretBank,
-    PerChannelGroupedBank,
-    build_per_channel_banks,
-)
-from repro.runtime.learner_bank import (
-    BankFactory,
-    LearnerBank,
-    RegretBank,
-    StickyBank,
-    TopKRegretBank,
-    UniformBank,
-    bank_factory,
-)
-from repro.runtime.peer_store import PeerStore
-from repro.runtime.system import VectorizedStreamingSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PeerStore",
-    "LearnerBank",
-    "BankFactory",
-    "RegretBank",
-    "TopKRegretBank",
-    "UniformBank",
-    "StickyBank",
-    "GroupedLearnerBank",
-    "GroupedRegretBank",
-    "GroupedChannelView",
-    "PerChannelGroupedBank",
-    "build_per_channel_banks",
-    "bank_factory",
-    "VectorizedStreamingSystem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runtime.peer_store": ["PeerStore"],
+    "repro.runtime.learner_bank": [
+        "LearnerBank",
+        "BankFactory",
+        "RegretBank",
+        "TopKRegretBank",
+        "UniformBank",
+        "StickyBank",
+        "bank_factory",
+    ],
+    "repro.runtime.grouped_bank": [
+        "GroupedLearnerBank",
+        "GroupedRegretBank",
+        "GroupedChannelView",
+        "PerChannelGroupedBank",
+        "build_per_channel_banks",
+    ],
+    "repro.runtime.system": ["VectorizedStreamingSystem"],
+})

@@ -54,7 +54,6 @@ from typing import List, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.population import LearnerPopulation
-from repro.core.sparse_population import TopKPopulation
 from repro.runtime.learner_bank import _INITIAL_ROWS, LearnerBank, _RowBank
 from repro.telemetry import get_telemetry
 from repro.util.rng import as_generator
@@ -327,6 +326,8 @@ class GroupedRegretBank:
             channels = by_width[width]
             try:
                 if self._sparse:
+                    from repro.core.sparse_population import TopKPopulation
+
                     population = TopKPopulation(
                         initial_rows,
                         width,

@@ -35,10 +35,10 @@ from typing import (
 import numpy as np
 
 from repro.core.population import LearnerPopulation
-from repro.core.sparse_population import TopKPopulation
 from repro.util.rng import Seedish, as_generator
 
 if TYPE_CHECKING:  # grouped_bank imports this module
+    from repro.core.sparse_population import TopKPopulation
     from repro.runtime.grouped_bank import GroupedLearnerBank
 
 #: Builds the one bank owning every channel's rows, called with the
@@ -217,6 +217,8 @@ class TopKRegretBank(_RowBank):
         dtype=np.float64,
         reselect_every: int = 32,
     ) -> None:
+        from repro.core.sparse_population import TopKPopulation
+
         super().__init__(initial_rows)
         self._pop = TopKPopulation(
             self.rows,

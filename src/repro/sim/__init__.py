@@ -15,46 +15,24 @@
 * :mod:`repro.sim.trace` — per-round metric recording.
 """
 
-from repro.sim.bandwidth import (
-    CAPACITY_BACKENDS,
-    PAPER_BANDWIDTH_LEVELS,
-    MarkovCapacityProcess,
-    TraceCapacityProcess,
-    VectorizedCapacityProcess,
-    paper_bandwidth_process,
-    record_capacity_trace,
-)
-from repro.sim.churn import ChurnConfig, ChurnProcess
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.adversarial import OscillatingCapacityProcess
-from repro.sim.failures import CorrelatedFailureProcess, FailureInjectingProcess
-from repro.sim.entities import Channel, Helper, Peer, StreamingServer
-from repro.sim.system import LearnerFactory, StreamingSystem, SystemConfig
-from repro.sim.trace import SystemTrace
-from repro.sim.tracker import Tracker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "PAPER_BANDWIDTH_LEVELS",
-    "MarkovCapacityProcess",
-    "VectorizedCapacityProcess",
-    "CAPACITY_BACKENDS",
-    "TraceCapacityProcess",
-    "paper_bandwidth_process",
-    "record_capacity_trace",
-    "ChurnConfig",
-    "ChurnProcess",
-    "Channel",
-    "Helper",
-    "Peer",
-    "StreamingServer",
-    "StreamingSystem",
-    "SystemConfig",
-    "LearnerFactory",
-    "SystemTrace",
-    "Tracker",
-    "FailureInjectingProcess",
-    "CorrelatedFailureProcess",
-    "OscillatingCapacityProcess",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.engine": ["Simulator", "EventHandle"],
+    "repro.sim.bandwidth": [
+        "PAPER_BANDWIDTH_LEVELS",
+        "MarkovCapacityProcess",
+        "VectorizedCapacityProcess",
+        "CAPACITY_BACKENDS",
+        "TraceCapacityProcess",
+        "paper_bandwidth_process",
+        "record_capacity_trace",
+    ],
+    "repro.sim.churn": ["ChurnConfig", "ChurnProcess"],
+    "repro.sim.entities": ["Channel", "Helper", "Peer", "StreamingServer"],
+    "repro.sim.system": ["StreamingSystem", "SystemConfig", "LearnerFactory"],
+    "repro.sim.trace": ["SystemTrace"],
+    "repro.sim.tracker": ["Tracker"],
+    "repro.sim.failures": ["FailureInjectingProcess", "CorrelatedFailureProcess"],
+    "repro.sim.adversarial": ["OscillatingCapacityProcess"],
+})

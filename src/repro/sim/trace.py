@@ -17,12 +17,14 @@ and readers take whole columns.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.game.repeated_game import Trajectory
 from repro.telemetry import get_telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.game.repeated_game import Trajectory
 
 # Rounds per preallocated column block.  A block of 1024 rounds costs
 # ~48 KiB of scalar columns plus 16 * H bytes per round of panel data —
@@ -179,6 +181,8 @@ class SystemTrace:
                 "per-peer recording was not enabled or the population changed; "
                 "run the system with record_peers=True and no churn"
             )
+        from repro.game.repeated_game import Trajectory
+
         return Trajectory(
             capacities=self.capacities,
             actions=np.stack(self.actions),

@@ -10,8 +10,10 @@ The public API of the spec layer:
   metrics;
 * :func:`~repro.spec.cells.run_spec_cell` — the picklable sweep cell.
 
-Built-in components register on import (:mod:`repro.spec.builtins`);
-scenario presets register from :mod:`repro.workloads.scenarios`.
+Each registry loads its built-in entries on first use: the stock
+components from :mod:`repro.spec.builtins`, the scenario presets from
+:mod:`repro.workloads.scenarios`, ``.adversarial`` and ``.geo``.  No
+caller imports them for their side effects.
 """
 
 from repro.spec.registry import (
@@ -30,8 +32,6 @@ from repro.spec.registry import (
     register_metric,
     register_scenario,
 )
-
-import repro.spec.builtins  # noqa: F401  (registers the stock components)
 
 from repro.spec.cells import run_spec_cell
 from repro.spec.model import (

@@ -1,21 +1,18 @@
 """Built-in registry entries: the components the core packages ship.
 
-Imported for its side effects by :mod:`repro.spec` before the spec model,
-so every :class:`~repro.spec.model.ExperimentSpec` can resolve the stock
-names.  Scenario presets register themselves from
-:mod:`repro.workloads.scenarios` (the workloads layer depends on the spec
-layer, never the reverse).
+The capacity-backend, transform, learner and metric registries import
+this module on their first use (:mod:`repro.spec.registry`), so every
+:class:`~repro.spec.model.ExperimentSpec` can resolve the stock names.
+Each factory imports the code it builds when it is called, not when it
+is registered: validating a spec compiles no simulator.  Scenario presets
+register from :mod:`repro.workloads` (the workloads layer depends on the
+spec layer, never the reverse).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.r2hs import R2HSLearner
-from repro.game.baselines import StickyLearner, UniformRandomLearner
-from repro.metrics.fairness import jain_index
-from repro.runtime.learner_bank import bank_factory as _runtime_bank_factory
-from repro.sim.bandwidth import paper_bandwidth_process
 from repro.spec.registry import (
     register_capacity_backend,
     register_capacity_transform,
@@ -30,6 +27,8 @@ from repro.spec.registry import (
 
 def _paper_backend(backend: str):
     def build(num_helpers, *, levels, stay_probability, rng):
+        from repro.sim.bandwidth import paper_bandwidth_process
+
         return paper_bandwidth_process(
             num_helpers,
             levels=levels,
@@ -208,18 +207,19 @@ register_capacity_transform(
 # ----------------------------------------------------------------------
 
 
-def _regret_scalar(cls):
-    def build(epsilon, delta, mu, u_max):
-        return lambda h, rng: cls(
-            h, rng=rng, epsilon=epsilon, delta=delta, mu=mu, u_max=u_max
-        )
+def _regret_scalar(epsilon, delta, mu, u_max):
+    from repro.core.r2hs import R2HSLearner
 
-    return build
+    return lambda h, rng: R2HSLearner(
+        h, rng=rng, epsilon=epsilon, delta=delta, mu=mu, u_max=u_max
+    )
 
 
 def _regret_bank(kind):
     def build(epsilon, delta, mu, u_max, dtype, bank="dense", topk=32):
-        return _runtime_bank_factory(
+        from repro.runtime.learner_bank import bank_factory
+
+        return bank_factory(
             kind, epsilon=epsilon, delta=delta, mu=mu, u_max=u_max,
             dtype=dtype, bank=bank, topk=topk,
         )
@@ -228,25 +228,33 @@ def _regret_bank(kind):
 
 
 def _uniform_scalar(epsilon, delta, mu, u_max):
+    from repro.game.baselines import UniformRandomLearner
+
     return lambda h, rng: UniformRandomLearner(h, rng=rng)
 
 
 def _uniform_bank(epsilon, delta, mu, u_max, dtype):
-    return _runtime_bank_factory("uniform")
+    from repro.runtime.learner_bank import bank_factory
+
+    return bank_factory("uniform")
 
 
 def _sticky_scalar(epsilon, delta, mu, u_max):
+    from repro.game.baselines import StickyLearner
+
     return lambda h, rng: StickyLearner(h, rng=rng)
 
 
 def _sticky_bank(epsilon, delta, mu, u_max, dtype):
-    return _runtime_bank_factory("sticky")
+    from repro.runtime.learner_bank import bank_factory
+
+    return bank_factory("sticky")
 
 
 # RTHS and R2HS are one algorithm: Alg. 2 is the recursive form of Alg. 1's
 # history sums, so both names run the same constant-step recursion.
 register_learner(
-    "rths", scalar=_regret_scalar(R2HSLearner), bank=_regret_bank("rths"),
+    "rths", scalar=_regret_scalar, bank=_regret_bank("rths"),
     min_actions=2, sparse=True,
     description=(
         "Regret Tracking Helper Selection (the paper's Alg. 1): "
@@ -254,7 +262,7 @@ register_learner(
     ),
 )
 register_learner(
-    "r2hs", scalar=_regret_scalar(R2HSLearner), bank=_regret_bank("r2hs"),
+    "r2hs", scalar=_regret_scalar, bank=_regret_bank("r2hs"),
     min_actions=2, sparse=True,
     description=(
         "Recursive Regret Tracking Helper Selection (Alg. 2): "
@@ -280,6 +288,13 @@ register_learner(
 # Trace metrics (headline scalars + opt-in per-round series)
 # ----------------------------------------------------------------------
 
+
+def _load_jain(trace) -> float:
+    from repro.metrics.fairness import jain_index
+
+    return float(jain_index(trace.loads.mean(axis=0).astype(float)))
+
+
 register_metric("rounds", lambda trace: float(trace.num_rounds))
 register_metric("mean_welfare", lambda trace: float(trace.welfare.mean()))
 register_metric("final_welfare", lambda trace: float(trace.welfare[-1]))
@@ -296,10 +311,7 @@ register_metric(
 register_metric(
     "mean_online_peers", lambda trace: float(trace.online_peers.mean())
 )
-register_metric(
-    "load_jain",
-    lambda trace: float(jain_index(trace.loads.mean(axis=0).astype(float))),
-)
+register_metric("load_jain", _load_jain)
 # Per-round series: array-valued metrics.  A sweep's workers pickle them
 # home through their pipes with the scalars; a series costs about its
 # size in bytes per cell.

@@ -29,14 +29,14 @@ import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.sim.bandwidth import CAPACITY_BACKENDS as CHAIN_BACKENDS
 from repro.sim.bandwidth import PAPER_BANDWIDTH_LEVELS
-from repro.sim.churn import ChurnConfig
-from repro.sim.system import normalized_channel_weights
 from repro.spec.registry import (
     CAPACITY_BACKENDS,
     CAPACITY_TRANSFORMS,
@@ -52,6 +52,9 @@ from repro.util.validation import (
     require_positive,
     require_positive_int,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.sim.churn import ChurnConfig
 
 #: System backends a spec can target.
 SYSTEM_BACKENDS = ("scalar", "vectorized")
@@ -225,6 +228,8 @@ class TopologySpec:
                 f"num_channels={self.num_channels})"
             )
         if self.channel_popularity is not None:
+            from repro.sim.system import normalized_channel_weights
+
             try:
                 normalized_channel_weights(
                     self.num_channels, self.channel_popularity
@@ -664,6 +669,8 @@ class ChurnSpec:
             )
 
     def to_config(self) -> ChurnConfig:
+        from repro.sim.churn import ChurnConfig
+
         return ChurnConfig(
             arrival_rate=self.arrival_rate,
             mean_lifetime=self.mean_lifetime,

@@ -18,6 +18,13 @@ Unknown names raise :class:`UnknownComponentError` carrying the sorted
 list of registered names, so a typo in a spec JSON fails with the menu of
 valid choices instead of a bare ``KeyError``.
 
+Each global registry loads its built-in entries itself: the first read or
+write imports the modules that register them (:mod:`repro.spec.builtins`
+for the capacity backends, transforms, learners and metrics; the
+:mod:`repro.workloads` preset modules for the scenarios).  A caller never
+imports a provider for its side effect, and re-registering a built-in
+name still needs ``overwrite=True``.
+
 Registries are per-process.  Worker processes rebuild specs from their
 dict form, so a sweep over a spec naming third-party components needs
 those ``register_*`` calls to run in the workers too: under the ``fork``
@@ -46,8 +53,9 @@ The registries and their entry contracts:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 
 class UnknownComponentError(KeyError):
@@ -72,11 +80,26 @@ class UnknownComponentError(KeyError):
 
 
 class Registry:
-    """A name -> component mapping with decorator-style registration."""
+    """A name -> component mapping with decorator-style registration.
 
-    def __init__(self, kind: str) -> None:
+    ``providers`` are the modules that register the built-in entries.
+    They are imported on the first read or write, before anything else
+    touches the mapping.
+    """
+
+    def __init__(self, kind: str, providers: Sequence[str] = ()) -> None:
         self._kind = kind
-        self._entries: Dict[str, object] = {}
+        self._registered: Dict[str, object] = {}
+        self._providers = tuple(providers)
+
+    @property
+    def _entries(self) -> Dict[str, object]:
+        if self._providers:
+            # Cleared first: each provider registers through this property.
+            providers, self._providers = self._providers, ()
+            for module in providers:
+                importlib.import_module(module)
+        return self._registered
 
     @property
     def kind(self) -> str:
@@ -182,12 +205,21 @@ class TransformEntry:
     description: str = ""
 
 
+_BUILTINS = ("repro.spec.builtins",)
+
 #: The global registries.
-CAPACITY_BACKENDS: Registry = Registry("capacity backend")
-CAPACITY_TRANSFORMS: Registry = Registry("capacity transform")
-LEARNERS: Registry = Registry("learner")
-SCENARIOS: Registry = Registry("scenario")
-METRICS: Registry = Registry("metric")
+CAPACITY_BACKENDS: Registry = Registry("capacity backend", _BUILTINS)
+CAPACITY_TRANSFORMS: Registry = Registry("capacity transform", _BUILTINS)
+LEARNERS: Registry = Registry("learner", _BUILTINS)
+SCENARIOS: Registry = Registry(
+    "scenario",
+    (
+        "repro.workloads.scenarios",
+        "repro.workloads.adversarial",
+        "repro.workloads.geo",
+    ),
+)
+METRICS: Registry = Registry("metric", _BUILTINS)
 
 
 def register_capacity_backend(name: str, factory=None, *, overwrite: bool = False):

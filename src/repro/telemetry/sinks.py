@@ -24,6 +24,7 @@ sink's argument.  Third-party sinks plug in with :func:`register_sink`::
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -53,15 +54,29 @@ class JsonlSink:
     The file opens lazily on first emit (a run that never flushes leaves
     no file) and is flushed after every record, so long-running processes
     stream observable state and a crash loses at most the in-flight line.
+    The path's directory must exist when the sink is named
+    (:func:`parse_sink_reference`), so a bad path fails before the run.
     """
 
     def __init__(self, path) -> None:
+        self.path = self.check_path(path)
+        self._fh = None
+
+    @staticmethod
+    def check_path(path) -> str:
+        """``path`` as a string; ``ValueError`` if it is empty or its
+        directory does not exist."""
         if not path:
             raise ValueError(
                 "jsonl sink needs a path: use 'jsonl:/path/to/telemetry.jsonl'"
             )
-        self.path = str(path)
-        self._fh = None
+        path = str(path)
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(
+                f"jsonl sink {path!r}: directory {directory!r} does not exist"
+            )
+        return path
 
     def emit(self, snapshot: Dict) -> None:
         if self._fh is None:
@@ -134,8 +149,9 @@ def parse_sink_reference(reference: str) -> tuple:
     """Split ``"name[:arg]"`` and validate the name against the registry.
 
     Returns ``(name, arg)``; unknown names raise ``ValueError`` listing
-    the registered sinks (the validation
-    :class:`~repro.spec.model.TelemetrySpec` applies at construction).
+    the registered sinks, and so does a ``jsonl`` path whose directory
+    does not exist (the validation :class:`~repro.spec.model.TelemetrySpec`
+    applies at construction, before any work).
     """
     if not reference or not isinstance(reference, str):
         raise ValueError(f"sink reference must be a string, got {reference!r}")
@@ -145,6 +161,8 @@ def parse_sink_reference(reference: str) -> tuple:
             f"unknown telemetry sink {name!r}; registered sinks: "
             f"{', '.join(sink_names())}"
         )
+    if name == "jsonl" and _SINK_FACTORIES[name] is JsonlSink:
+        JsonlSink.check_path(arg)
     return name, (arg or None)
 
 

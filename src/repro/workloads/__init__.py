@@ -20,44 +20,29 @@ Per-peer demand is the bitrate of the peer's channel, set by the spec's
 ``topology.channel_bitrates``.
 """
 
-from repro.workloads.adversarial import (
-    correlated_failures_spec,
-    diurnal_mix_spec,
-    flash_storm_spec,
-    oscillating_capacity_spec,
-)
-from repro.workloads.geo import (
-    asymmetric_uplinks_spec,
-    cross_region_flash_crowd_spec,
-    regional_outage_spec,
-)
-from repro.workloads.popularity import zipf_popularity
-from repro.workloads.scenarios import (
-    fig5_spec,
-    flash_crowd_spec,
-    heterogeneous_spec,
-    large_scale_spec,
-    make_heterogeneous_process,
-    massive_scale_spec,
-    popularity_skew_spec,
-    small_scale_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "zipf_popularity",
-    "small_scale_spec",
-    "large_scale_spec",
-    "fig5_spec",
-    "heterogeneous_spec",
-    "massive_scale_spec",
-    "popularity_skew_spec",
-    "flash_crowd_spec",
-    "make_heterogeneous_process",
-    "correlated_failures_spec",
-    "oscillating_capacity_spec",
-    "flash_storm_spec",
-    "diurnal_mix_spec",
-    "cross_region_flash_crowd_spec",
-    "regional_outage_spec",
-    "asymmetric_uplinks_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.popularity": ["zipf_popularity"],
+    "repro.workloads.scenarios": [
+        "small_scale_spec",
+        "large_scale_spec",
+        "fig5_spec",
+        "heterogeneous_spec",
+        "massive_scale_spec",
+        "popularity_skew_spec",
+        "flash_crowd_spec",
+        "make_heterogeneous_process",
+    ],
+    "repro.workloads.adversarial": [
+        "correlated_failures_spec",
+        "oscillating_capacity_spec",
+        "flash_storm_spec",
+        "diurnal_mix_spec",
+    ],
+    "repro.workloads.geo": [
+        "cross_region_flash_crowd_spec",
+        "regional_outage_spec",
+        "asymmetric_uplinks_spec",
+    ],
+})

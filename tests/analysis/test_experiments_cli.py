@@ -16,12 +16,14 @@ from repro.analysis.experiments import (
     fig4_peer_rates,
     fig5_server_load,
 )
-from repro.cli import build_parser, main
+from repro.cli import FIGURE_DESCRIPTIONS, build_parser, main
 
 
 class TestExperimentsRegistry:
     def test_all_figures_registered(self):
         assert sorted(ALL_FIGURES) == ["fig1", "fig2", "fig3", "fig4", "fig5"]
+        # The CLI's figure choices come from the descriptions.
+        assert sorted(FIGURE_DESCRIPTIONS) == sorted(ALL_FIGURES)
 
     def test_fig1_small(self):
         result = fig1_worst_player_regret(

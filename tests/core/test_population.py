@@ -157,7 +157,7 @@ class TestRun:
         mu controls switching eagerness: the theory-compliant default
         (2 * (m-1) in normalized units) converges slowly on strongly
         asymmetric instances, so this test uses a smaller mu -- see the
-        default_mu docstring and DESIGN.md for the trade-off.
+        default_mu docstring for the trade-off.
         """
         caps = [900.0, 100.0]
         pop = LearnerPopulation(

@@ -3,7 +3,8 @@
 The central assertion: the recursive R2HS accumulator reproduces the
 literal RTHS weighted sums exactly, for constant *and* time-varying step
 schedules — this is the paper's Algorithm 1 == Algorithm 2 claim (with the
-(1-eps) forgetting factor restored in Eq. 3-5; see DESIGN.md).
+(1-eps) forgetting factor restored in Eq. 3-5; see the
+``repro.core.proxy_regret`` module docstring).
 """
 
 import numpy as np

@@ -223,9 +223,10 @@ class TestLearnersUnderFailures:
         trajectory = population.run(process, 500)
         late_load = trajectory.loads[-100:, 0].mean()
         # Residual load = the delta-exploration floor plus the re-entry
-        # trap documented in DESIGN.md §8 (an exploring peer lands on a
-        # stale regret row and needs ~1/delta stages to bounce off), so the
-        # dead helper is not empty — but it must lose most of its load.
+        # trap documented in repro.core.proxy_regret (an exploring peer
+        # lands on a stale regret row and needs ~1/delta stages to bounce
+        # off), so the dead helper is not empty — but it must lose most of
+        # its load.
         assert late_load < before * 0.55
         assert late_load < 2.0
 

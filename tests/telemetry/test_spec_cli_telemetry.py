@@ -5,6 +5,7 @@ failure identity."""
 import io
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.cli import main
 from repro.spec import ExperimentSpec, SweepSpec, TelemetrySpec, TopologySpec
 from repro.telemetry import validate_snapshot
 from repro.util import get_logger
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def small_spec(**kwargs) -> ExperimentSpec:
@@ -156,6 +159,30 @@ class TestCliTelemetryFlag:
             )
         assert excinfo.value.code == 2
         assert "carrier-pigeon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--output", "{path}", "--set", "rounds=2"],
+        ["run", "--spec", "examples/smoke.json", "--telemetry=jsonl:{path}"],
+    ],
+    ids=["profile", "run"],
+)
+def test_jsonl_path_without_directory_fails_before_the_run(
+    argv, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(ROOT)
+    path = tmp_path / "absent" / "x.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(path=path) for arg in argv], out=io.StringIO())
+    assert excinfo.value.code == 2
+    errors = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("repro: error:")
+    ]
+    assert len(errors) == 1 and str(path.parent) in errors[0]
+    assert not path.parent.exists()
 
 
 class TestProfileCommand:
