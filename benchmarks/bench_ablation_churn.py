@@ -16,7 +16,8 @@ import numpy as np
 import repro
 from repro.analysis import render_table
 from repro.metrics import jain_index
-from repro.sim import ChurnConfig, StreamingSystem, SystemConfig
+from repro.sim import StreamingSystem
+from repro.spec import ChurnSpec, ExperimentSpec, TopologySpec
 
 from conftest import write_artifact
 
@@ -26,24 +27,27 @@ ROUNDS = 800
 BITRATE = 100.0
 
 CHURN_LEVELS = [
-    ("none", ChurnConfig()),
-    ("mild", ChurnConfig(arrival_rate=0.1, mean_lifetime=300.0)),
-    ("moderate", ChurnConfig(arrival_rate=0.3, mean_lifetime=100.0)),
-    ("heavy", ChurnConfig(arrival_rate=0.6, mean_lifetime=50.0)),
+    ("none", ChurnSpec()),
+    ("mild", ChurnSpec(arrival_rate=0.1, mean_lifetime=300.0)),
+    ("moderate", ChurnSpec(arrival_rate=0.3, mean_lifetime=100.0)),
+    ("heavy", ChurnSpec(arrival_rate=0.6, mean_lifetime=50.0)),
 ]
 
 
 def run_experiment(seed: int = 0):
     rows = []
     for idx, (label, churn) in enumerate(CHURN_LEVELS):
-        config = SystemConfig(
-            num_peers=NUM_PEERS,
-            num_helpers=NUM_HELPERS,
-            channel_bitrates=BITRATE,
+        spec = ExperimentSpec(
+            backend="scalar",
+            topology=TopologySpec(
+                num_peers=NUM_PEERS,
+                num_helpers=NUM_HELPERS,
+                channel_bitrates=BITRATE,
+            ),
             churn=churn,
         )
         system = StreamingSystem(
-            config,
+            spec,
             lambda h, rng: repro.R2HSLearner(h, rng=rng, u_max=900.0),
             rng=seed + idx,
         )

@@ -82,10 +82,15 @@ from repro.runtime import (  # noqa: E402
 )
 from repro.sim import (  # noqa: E402
     StreamingSystem,
-    SystemConfig,
     TraceCapacityProcess,
     paper_bandwidth_process,
     record_capacity_trace,
+)
+from repro.spec import (  # noqa: E402
+    CapacitySpec,
+    ExperimentSpec,
+    LearnerSpec,
+    TopologySpec,
 )
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -97,17 +102,41 @@ U_MAX = 900.0
 HELPERS_PER_CHANNEL = 50
 
 
-def _build(backend: str, config: SystemConfig, shared: np.ndarray, seed: int):
+def _spec(
+    peers: int,
+    helpers: int,
+    channels: int = 1,
+    capacity: str = "auto",
+    dtype: str = "float64",
+) -> ExperimentSpec:
+    """The system under test: ``peers`` viewers at 100 kbit/s each.
+
+    ``capacity`` names the environment a system given no capacity
+    process builds; ``dtype`` is the peer store's float precision.
+    """
+    return ExperimentSpec(
+        topology=TopologySpec(
+            num_peers=peers,
+            num_helpers=helpers,
+            num_channels=channels,
+            channel_bitrates=100.0,
+        ),
+        capacity=CapacitySpec(backend=capacity),
+        learner=LearnerSpec(dtype=dtype),
+    )
+
+
+def _build(backend: str, spec: ExperimentSpec, shared: np.ndarray, seed: int):
     process = TraceCapacityProcess(shared.copy())
     if backend == "vectorized":
         return VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=U_MAX),
             rng=seed,
             capacity_process=process,
         )
     return StreamingSystem(
-        config,
+        spec,
         lambda h, rng: R2HSLearner(h, rng=rng, u_max=U_MAX),
         rng=seed,
         capacity_process=process,
@@ -116,7 +145,7 @@ def _build(backend: str, config: SystemConfig, shared: np.ndarray, seed: int):
 
 def time_backends(
     backends: list,
-    config: SystemConfig,
+    spec: ExperimentSpec,
     shared: np.ndarray,
     rounds: int,
     warmup: int,
@@ -137,7 +166,7 @@ def time_backends(
     for backend in backends:
         gc.collect()
         t0 = time.perf_counter()
-        systems[backend] = _build(backend, config, shared, seed)
+        systems[backend] = _build(backend, spec, shared, seed)
         build_s = time.perf_counter() - t0
         if warmup:
             systems[backend].run(warmup)
@@ -198,20 +227,13 @@ def bench_helpers_scale(
     for num_helpers in helpers_grid:
         advance = bench_capacity_advance(num_helpers, seed)
         channels = max(1, num_helpers // HELPERS_PER_CHANNEL)
-        config = SystemConfig(
-            num_peers=peers,
-            num_helpers=num_helpers,
-            num_channels=channels,
-            channel_bitrates=100.0,
-        )
         round_s = {}
         for backend in ("scalar", "vectorized"):
             gc.collect()
             system = VectorizedStreamingSystem(
-                config,
+                _spec(peers, num_helpers, channels, capacity=backend),
                 bank_factory("r2hs", u_max=U_MAX),
                 rng=seed,
-                capacity_backend=backend,
             )
             system.run(1)  # warmup
             t0 = time.perf_counter()
@@ -257,7 +279,7 @@ def _per_channel_r2hs(widths, rngs):
 
 
 def _time_engines(
-    config: SystemConfig, rounds: int, seed: int, blocks: int = 3
+    spec: ExperimentSpec, rounds: int, seed: int, blocks: int = 3
 ) -> dict:
     """Best-of-blocks per-round time of the fused and per-channel banks.
 
@@ -274,7 +296,7 @@ def _time_engines(
     round_s = {}
     for engine, factory in factories.items():
         gc.collect()
-        systems[engine] = VectorizedStreamingSystem(config, factory, rng=seed)
+        systems[engine] = VectorizedStreamingSystem(spec, factory, rng=seed)
         systems[engine].run(1)  # warmup
         round_s[engine] = []
     for _ in range(blocks):
@@ -297,13 +319,7 @@ def bench_channels_scale(
     """
     rows = []
     for channels in channels_grid:
-        config = SystemConfig(
-            num_peers=peers,
-            num_helpers=2 * channels,
-            num_channels=channels,
-            channel_bitrates=100.0,
-        )
-        round_s = _time_engines(config, rounds, seed)
+        round_s = _time_engines(_spec(peers, 2 * channels, channels), rounds, seed)
         row = {
             "channels": channels,
             "helpers": 2 * channels,
@@ -324,13 +340,9 @@ def bench_channels_scale(
 def run_channels_guard(args) -> int:
     """CI gate: the fused bank must beat per-channel dispatch at C=50."""
     channels, peers = args.guard_channels, args.guard_channel_peers
-    config = SystemConfig(
-        num_peers=peers,
-        num_helpers=2 * channels,
-        num_channels=channels,
-        channel_bitrates=100.0,
+    round_s = _time_engines(
+        _spec(peers, 2 * channels, channels), max(3, args.rounds), args.seed
     )
-    round_s = _time_engines(config, max(3, args.rounds), args.seed)
     speedup = round_s["per_channel"] / round_s["grouped"]
     print(
         f"channels guard (C={channels}, N={peers}): per_channel "
@@ -362,12 +374,7 @@ def run_network_guard(args) -> int:
     channels, peers = args.guard_channels, args.guard_channel_peers
     helpers = 2 * channels
     rounds, blocks = max(3, args.rounds), 5
-    config = SystemConfig(
-        num_peers=peers,
-        num_helpers=helpers,
-        num_channels=channels,
-        channel_bitrates=100.0,
-    )
+    spec = _spec(peers, helpers, channels)
 
     def process_for(label):
         base = paper_bandwidth_process(
@@ -387,7 +394,7 @@ def run_network_guard(args) -> int:
     for label in ("baseline", "networked"):
         gc.collect()
         systems[label] = VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=U_MAX),
             rng=args.seed,
             capacity_process=process_for(label),
@@ -512,13 +519,10 @@ def _check_topk_trace_identity(seed: int) -> dict:
     """Small-H gate: a topk bank with k = H must be trace-identical to the
     dense bank (same config, same seed, bit-for-bit round records)."""
     N, H, T = 300, 12, 40
-    config = SystemConfig(
-        num_peers=N, num_helpers=H, num_channels=1, channel_bitrates=100.0
-    )
     traces = {}
     for bank in ("dense", "topk"):
         system = VectorizedStreamingSystem(
-            config,
+            _spec(N, H),
             bank_factory("r2hs", u_max=U_MAX, bank=bank, topk=H),
             rng=seed,
         )
@@ -569,21 +573,15 @@ def run_memory_guard(args) -> int:
             "(guard scale is not in the giant regime)"
         )
 
-    config = SystemConfig(
-        num_peers=peers,
-        num_helpers=helpers,
-        num_channels=1,
-        channel_bitrates=100.0,
-    )
+    spec = _spec(peers, helpers, dtype="float32")
     gc.collect()
     t0 = time.perf_counter()
     system = VectorizedStreamingSystem(
-        config,
+        spec,
         bank_factory(
             "r2hs", u_max=U_MAX, dtype=np.float32, bank="topk", topk=k
         ),
         rng=args.seed,
-        dtype=np.float32,
     )
     build_s = time.perf_counter() - t0
     system.run(1)  # warmup round (first-touch allocation, promotion storm)
@@ -858,12 +856,7 @@ def main(argv=None) -> int:
         )
         return 0
 
-    config = SystemConfig(
-        num_peers=args.peers,
-        num_helpers=args.helpers,
-        num_channels=args.channels,
-        channel_bitrates=100.0,
-    )
+    spec = _spec(args.peers, args.helpers, args.channels)
     env = paper_bandwidth_process(args.helpers, rng=args.seed + 1)
     shared = record_capacity_trace(env, args.warmup + args.rounds)
 
@@ -874,7 +867,7 @@ def main(argv=None) -> int:
     )
     backends = ["vectorized"] if args.skip_scalar else ["vectorized", "scalar"]
     results = time_backends(
-        backends, config, shared, args.rounds, args.warmup, args.seed
+        backends, spec, shared, args.rounds, args.warmup, args.seed
     )
     for name in backends:
         print(

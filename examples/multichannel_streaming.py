@@ -14,33 +14,38 @@ import numpy as np
 import repro
 from repro.analysis import render_series_table, sparkline
 from repro.metrics import server_load_report
-from repro.sim import ChurnConfig, StreamingSystem, SystemConfig
+from repro.sim import StreamingSystem
+from repro.spec import ChurnSpec, ExperimentSpec, TopologySpec
 from repro.workloads import zipf_popularity
 
 
 def main() -> None:
     popularity = zipf_popularity(3, exponent=1.0)
-    config = SystemConfig(
-        num_peers=60,
-        num_helpers=9,          # 3 per channel
-        num_channels=3,
-        channel_bitrates=[300.0, 250.0, 200.0],
-        channel_popularity=popularity,
-        churn=ChurnConfig(arrival_rate=0.1, mean_lifetime=300.0),
-        round_duration=1.0,
+    spec = ExperimentSpec(
+        backend="scalar",
+        topology=TopologySpec(
+            num_peers=60,
+            num_helpers=9,          # 3 per channel
+            num_channels=3,
+            channel_bitrates=[300.0, 250.0, 200.0],
+            channel_popularity=popularity,
+            round_duration=1.0,
+        ),
+        churn=ChurnSpec(arrival_rate=0.1, mean_lifetime=300.0),
     )
     system = StreamingSystem(
-        config,
+        spec,
         lambda h, rng: repro.R2HSLearner(h, rng=rng, u_max=900.0),
         rng=7,
     )
 
+    topology = spec.topology
     print("Multi-channel deployment")
-    print(f"  channels: {config.num_channels} with popularity "
+    print(f"  channels: {topology.num_channels} with popularity "
           f"{np.round(popularity, 3).tolist()}")
-    print(f"  helpers : {config.num_helpers} (3 per channel), "
-          f"bandwidth levels {list(config.bandwidth_levels)}")
-    print(f"  peers   : {config.num_peers} initial + Poisson churn\n")
+    print(f"  helpers : {topology.num_helpers} (3 per channel), "
+          f"bandwidth levels {list(spec.capacity.levels)}")
+    print(f"  peers   : {topology.num_peers} initial + Poisson churn\n")
 
     trace = system.run(600)
 

@@ -61,8 +61,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "paper_bandwidth_process",
         "VectorizedCapacityProcess",
     ],
-    "repro.sim.system": ["StreamingSystem", "SystemConfig"],
-    "repro.sim.churn": ["ChurnConfig"],
+    "repro.sim.system": ["StreamingSystem"],
     "repro.metrics.fairness": ["jain_index"],
     "repro.metrics.distributions": ["load_balance_report"],
     "repro.metrics.server_load": ["server_load_report"],

@@ -159,15 +159,12 @@ class RepeatedGameDriver:
     capacity_process:
         Supplies per-stage helper capacities (e.g. the Markov-modulated
         process of the paper's evaluation).
-    connection_costs:
-        Optional per-helper cost subtracted from realized rates.
     """
 
     def __init__(
         self,
         learners: Sequence[Learner],
         capacity_process: CapacityProcess,
-        connection_costs: Optional[Sequence[float]] = None,
     ) -> None:
         if not learners:
             raise ValueError("need at least one learner")
@@ -180,12 +177,6 @@ class RepeatedGameDriver:
                     f"learner {idx} has {learner.num_actions} actions "
                     f"but there are {h} helpers"
                 )
-        if connection_costs is None:
-            self._costs = np.zeros(h)
-        else:
-            self._costs = np.asarray(connection_costs, dtype=float)
-            if self._costs.shape != (h,):
-                raise ValueError("connection_costs must have one entry per helper")
         self._stage = 0
 
     @property
@@ -217,7 +208,7 @@ class RepeatedGameDriver:
             count=self.num_peers,
         )
         loads = loads_from_profile(actions, self.num_helpers)
-        utilities = caps[actions] / loads[actions] - self._costs[actions]
+        utilities = caps[actions] / loads[actions]
         for learner, action, utility in zip(self._learners, actions, utilities):
             learner.observe(int(action), float(utility))
         record = StageRecord(

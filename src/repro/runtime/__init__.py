@@ -3,7 +3,7 @@
 The scalar substrate in :mod:`repro.sim` advances one Python object per
 peer per round — fine for the paper's 10–100-peer figures, hopeless for
 10⁵–10⁶-peer scenarios.  This package re-implements the *same system* (same
-:class:`~repro.sim.system.SystemConfig`, same
+:class:`~repro.spec.ExperimentSpec`, same
 :class:`~repro.sim.trace.SystemTrace` schema, same server/churn semantics)
 on dense arrays:
 

@@ -294,7 +294,6 @@ class PeerStore:
         channels: np.ndarray,
         demands: np.ndarray,
         now: float = 0.0,
-        bank_rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Bulk variant of :meth:`allocate` for initial populations.
 
@@ -319,7 +318,7 @@ class PeerStore:
         self.channel[slots] = channels
         self.demand[slots] = demands
         self.online[slots] = True
-        self.bank_row[slots] = -1 if bank_rows is None else bank_rows
+        self.bank_row[slots] = -1
         self.uid[slots] = np.arange(self._total_created, self._total_created + k)
         self.joined_at[slots] = float(now)
         self._size += k

@@ -3,7 +3,7 @@
 :class:`VectorizedStreamingSystem` is a drop-in, array-backed
 implementation of the full multi-channel streaming system of
 :class:`repro.sim.system.StreamingSystem`: same
-:class:`~repro.sim.system.SystemConfig`, same discrete-event engine
+:class:`~repro.spec.ExperimentSpec`, same discrete-event engine
 driving rounds and churn, same origin-server semantics, and the same
 :class:`~repro.sim.trace.SystemTrace` columns — so every
 existing metric, analysis and reporting path works unchanged.  Only the
@@ -34,30 +34,31 @@ stream layout).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.runtime.grouped_bank import GroupedLearnerBank
 from repro.runtime.learner_bank import BankFactory
 from repro.runtime.peer_store import PeerStore
-from repro.sim.bandwidth import paper_bandwidth_process
 from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
 from repro.sim.entities import Channel, StreamingServer
 from repro.sim.system import (
     ChannelSampler,
-    SystemConfig,
     drive_rounds,
     install_channel_switching,
     install_popularity_drift,
-    normalized_channel_weights,
 )
 from repro.sim.trace import SystemTrace
 from repro.sim.tracker import Tracker
 from repro.telemetry import get_telemetry
 from repro.util.logconfig import get_logger
 from repro.util.rng import Seedish, as_generator, spawn
+from repro.util.validation import normalized_channel_weights
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.spec.model import ExperimentSpec
 
 logger = get_logger("runtime")
 
@@ -67,9 +68,14 @@ class VectorizedStreamingSystem:
 
     Parameters
     ----------
-    config:
-        The same :class:`~repro.sim.system.SystemConfig` the scalar system
-        takes.
+    spec:
+        The same :class:`~repro.spec.ExperimentSpec` the scalar system
+        takes.  ``learner.dtype`` sets the float dtype of the per-peer
+        accumulator columns (:class:`~repro.runtime.peer_store.PeerStore`
+        ``demand`` / ``cumulative_rate`` / ``cumulative_deficit``):
+        ``"float32"`` halves their memory traffic; pair it with a float32
+        bank via ``bank_factory(..., dtype=np.float32)`` for the full
+        effect.  Round records stay float64.
     bank_factory:
         Builds the one
         :class:`~repro.runtime.grouped_bank.GroupedLearnerBank` owning
@@ -83,39 +89,30 @@ class VectorizedStreamingSystem:
     initial_channels:
         Optional explicit channel per initial peer (for paired
         scalar-vs-vectorized runs); defaults to popularity-weighted draws.
-    capacity_backend:
-        Backend for the default environment when ``capacity_process`` is
-        omitted: ``"vectorized"`` (default — one
-        :class:`~repro.sim.bandwidth.VectorizedCapacityProcess` draw per
-        round regardless of ``H``) or ``"scalar"`` (per-helper chains, the
-        pre-engine behaviour).
-    dtype:
-        Float dtype of the per-peer accumulator columns
-        (:class:`~repro.runtime.peer_store.PeerStore` ``demand`` /
-        ``cumulative_rate`` / ``cumulative_deficit``).  ``numpy.float32``
-        halves their memory traffic; pair it with a float32 bank via
-        ``bank_factory(..., dtype=np.float32)`` for the full effect.
-        Round records stay float64.
     """
 
     def __init__(
         self,
-        config: SystemConfig,
+        spec: ExperimentSpec,
         bank_factory: BankFactory,
         rng: Seedish = None,
         capacity_process=None,
         initial_channels: Optional[Sequence[int]] = None,
-        capacity_backend: str = "vectorized",
-        dtype=np.float64,
     ) -> None:
-        self._config = config
+        topology = spec.topology
+        dtype = np.dtype(spec.learner.dtype)
+        self._spec = spec
         self._rng = as_generator(rng)
         self._sim = Simulator()
-        self._server = StreamingServer(capacity=config.server_capacity)
+        server_capacity = spec.capacity.server_capacity
+        self._server = StreamingServer(
+            capacity=float("inf") if server_capacity is None else server_capacity
+        )
         self._tracker = Tracker()
+        record_peers = spec.metrics.record_peers
         self._trace = SystemTrace(
-            actions=[] if config.record_peers else None,
-            utilities=[] if config.record_peers else None,
+            actions=[] if record_peers else None,
+            utilities=[] if record_peers else None,
         )
         self._round_index = 0
         self._population_changed = False
@@ -131,14 +128,8 @@ class VectorizedStreamingSystem:
         self._acc_deficit: Optional[np.ndarray] = None
 
         if capacity_process is None:
-            capacity_process = paper_bandwidth_process(
-                config.num_helpers,
-                levels=config.bandwidth_levels,
-                stay_probability=config.stay_probability,
-                rng=spawn(self._rng),
-                backend=capacity_backend,
-            )
-        if capacity_process.num_helpers != config.num_helpers:
+            capacity_process = spec.build_capacity_process(rng=spawn(self._rng))
+        if capacity_process.num_helpers != topology.num_helpers:
             raise ValueError("capacity process size does not match num_helpers")
         self._capacity_process = capacity_process
         # minimum_capacities() is a per-helper *lower bound over time* —
@@ -152,44 +143,45 @@ class VectorizedStreamingSystem:
         # Channels, popularity, helper partition (identical to scalar).
         self._sampler = ChannelSampler(
             normalized_channel_weights(
-                config.num_channels, config.channel_popularity
+                topology.num_channels, topology.channel_popularity
             )
         )
         # Per-channel playback bitrates as a lookup table: demand vectors
         # for whole populations (and single join events) become one
-        # gather instead of a Python loop over config.bitrate_of.
-        self._bitrate_table = np.asarray(config.channel_bitrates, dtype=float)
+        # gather instead of a Python loop over the channels.
+        bitrates = topology.bitrates()
+        self._bitrate_table = np.asarray(bitrates, dtype=float)
         self._channels = [
             Channel(
                 channel_id=c,
-                bitrate=config.bitrate_of(c),
+                bitrate=bitrate,
                 popularity=float(self._sampler.weights[c]),
             )
-            for c in range(config.num_channels)
+            for c, bitrate in enumerate(bitrates)
         ]
-        for h in range(config.num_helpers):
-            self._tracker.register_helper(h, h % config.num_channels)
+        for h in range(topology.num_helpers):
+            self._tracker.register_helper(h, h % topology.num_channels)
         self._channel_helpers: List[np.ndarray] = [
             np.asarray(self._tracker.helpers_for(c), dtype=np.int64)
-            for c in range(config.num_channels)
+            for c in range(topology.num_channels)
         ]
         # Channel-local action -> global helper id, one 2-D gather per
         # round (padding rows never indexed past the channel's width).
         widths = [int(helpers.size) for helpers in self._channel_helpers]
         self._helper_table = np.full(
-            (config.num_channels, max(widths)), -1, dtype=np.int64
+            (topology.num_channels, max(widths)), -1, dtype=np.int64
         )
         for c, helpers in enumerate(self._channel_helpers):
             self._helper_table[c, : helpers.size] = helpers
 
         # The learner bank: one object owning every channel's rows, built
         # from child generators spawned in channel order.
-        bank_rngs = [spawn(self._rng) for _ in range(config.num_channels)]
+        bank_rngs = [spawn(self._rng) for _ in range(topology.num_channels)]
         self._bank: GroupedLearnerBank = bank_factory(widths, bank_rngs)
-        if self._bank.num_channels != config.num_channels:
+        if self._bank.num_channels != topology.num_channels:
             raise ValueError(
-                f"bank hosts {self._bank.num_channels} channels, config "
-                f"has {config.num_channels}"
+                f"bank hosts {self._bank.num_channels} channels, the spec "
+                f"has {topology.num_channels}"
             )
         for c, width in enumerate(widths):
             if self._bank.num_actions_of(c) != width:
@@ -200,26 +192,26 @@ class VectorizedStreamingSystem:
 
         # Initial population, bulk-allocated.
         self._store = PeerStore(
-            initial_capacity=max(64, config.num_peers), dtype=dtype
+            initial_capacity=max(64, topology.num_peers), dtype=dtype
         )
         self._uid_slot: dict[int, int] = {}
         if initial_channels is not None:
-            if len(initial_channels) != config.num_peers:
+            if len(initial_channels) != topology.num_peers:
                 raise ValueError(
                     "initial_channels must list one channel per initial peer"
                 )
             channels = np.asarray(list(initial_channels), dtype=np.int64)
             if channels.size and (
-                channels.min() < 0 or channels.max() >= config.num_channels
+                channels.min() < 0 or channels.max() >= topology.num_channels
             ):
                 raise ValueError("initial channel out of range")
         else:
-            channels = self._sampler.draw(self._rng, config.num_peers).astype(
+            channels = self._sampler.draw(self._rng, topology.num_peers).astype(
                 np.int64
             )
         demands = self._bitrate_table[channels]
         slots = self._store.allocate_many(channels, demands, now=self._sim.now)
-        for c in range(config.num_channels):
+        for c in range(topology.num_channels):
             mask = channels == c
             count = int(mask.sum())
             if count == 0:
@@ -232,12 +224,12 @@ class VectorizedStreamingSystem:
         # handed to the churn process are uids, which are never reused, so
         # a stale leave event can never hit a recycled slot).
         churn = ChurnProcess(
-            config.churn,
+            spec.churn,
             on_join=self._churn_join,
             on_leave=self._churn_leave,
             rng=spawn(self._rng),
         )
-        if config.churn.initial_peer_lifetimes and config.churn.mean_lifetime:
+        if spec.churn.initial_peer_lifetimes and spec.churn.mean_lifetime:
             for slot in slots:
                 churn.schedule_lifetime(
                     self._sim, int(self._store.uid[slot])
@@ -247,18 +239,18 @@ class VectorizedStreamingSystem:
         # Viewer channel switching (time-varying popularity).
         self._switch_rng = spawn(self._rng)
         self._channel_switches = 0
-        if config.channel_switch_rate > 0:
+        if topology.channel_switch_rate > 0:
             install_channel_switching(
-                self._sim, config, self._switch_rng, churn,
+                self._sim, spec, self._switch_rng, churn,
                 self._switch_once,
             )
 
         # Diurnal popularity drift (skew-shifting workloads): periodically
         # re-mixes the channel weights that churn joins and viewer
         # switches draw from.  The child generator is only spawned when
-        # drift is on, so drift-free configs keep their RNG streams.
-        if config.popularity_drift_rate > 0:
-            install_popularity_drift(self._sim, config, spawn(self._rng), self._sampler)
+        # drift is on, so drift-free specs keep their RNG streams.
+        if topology.popularity_drift_rate > 0:
+            install_popularity_drift(self._sim, spec, spawn(self._rng), self._sampler)
 
         # Telemetry instruments bind once, here: when the process-wide
         # registry is disabled every handle below is the shared null
@@ -284,8 +276,8 @@ class VectorizedStreamingSystem:
         self._pump = tel.pump()
         logger.debug(
             "vectorized system up: N=%d H=%d C=%d bank=%s dtype=%s",
-            config.num_peers, config.num_helpers, config.num_channels,
-            type(self._bank).__name__, np.dtype(dtype).name,
+            topology.num_peers, topology.num_helpers, topology.num_channels,
+            type(self._bank).__name__, dtype.name,
         )
 
     # ------------------------------------------------------------------
@@ -348,11 +340,6 @@ class VectorizedStreamingSystem:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def config(self) -> SystemConfig:
-        """The experiment configuration."""
-        return self._config
 
     @property
     def simulator(self) -> Simulator:
@@ -459,7 +446,7 @@ class VectorizedStreamingSystem:
             store = self._store
             online = store.online_slots()
             slots_sorted, offsets = store.channel_grouping(
-                self._config.num_channels
+                self._spec.topology.num_channels
             )
             position_of = np.empty(max(store.size, 1), dtype=np.int64)
             position_of[online] = np.arange(online.size, dtype=np.int64)
@@ -502,9 +489,8 @@ class VectorizedStreamingSystem:
 
     def _execute_round(self, _: Simulator) -> None:
         round_t0 = self._ph_total.start()
-        config = self._config
         store = self._store
-        num_helpers = config.num_helpers
+        num_helpers = self._spec.topology.num_helpers
         t0 = self._ph_capacity.start()
         caps = np.asarray(self._capacity_process.capacities(), dtype=float)
         self._ph_capacity.stop(t0)
@@ -564,7 +550,7 @@ class VectorizedStreamingSystem:
             total_demand=total_demand,
         )
 
-        if config.record_peers:
+        if self._spec.metrics.record_peers:
             if self._population_changed:
                 raise RuntimeError(
                     "record_peers=True requires a fixed population; disable "
@@ -592,7 +578,7 @@ class VectorizedStreamingSystem:
         """
         drive_rounds(
             self._sim,
-            self._config.round_duration,
+            self._spec.topology.round_duration,
             self._execute_round,
             lambda: self._round_index,
             num_rounds,

@@ -28,9 +28,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "paper_bandwidth_process",
         "record_capacity_trace",
     ],
-    "repro.sim.churn": ["ChurnConfig", "ChurnProcess"],
+    "repro.sim.churn": ["ChurnProcess"],
     "repro.sim.entities": ["Channel", "Helper", "Peer", "StreamingServer"],
-    "repro.sim.system": ["StreamingSystem", "SystemConfig", "LearnerFactory"],
+    "repro.sim.system": ["StreamingSystem", "LearnerFactory"],
     "repro.sim.trace": ["SystemTrace"],
     "repro.sim.tracker": ["Tracker"],
     "repro.sim.failures": ["FailureInjectingProcess", "CorrelatedFailureProcess"],

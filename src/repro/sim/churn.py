@@ -9,38 +9,13 @@ model stays independent of streaming details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Simulator
 from repro.util.rng import Seedish, as_generator
-from repro.util.validation import require_non_negative
 
-
-@dataclass(frozen=True)
-class ChurnConfig:
-    """Churn parameters.
-
-    Attributes
-    ----------
-    arrival_rate:
-        Poisson rate of new-peer arrivals (peers per time unit); 0 disables
-        arrivals.
-    mean_lifetime:
-        Mean of the exponential online duration assigned to each arriving
-        peer; ``None`` means peers never leave.
-    initial_peer_lifetimes:
-        If True, initial peers also get exponential lifetimes.
-    """
-
-    arrival_rate: float = 0.0
-    mean_lifetime: Optional[float] = None
-    initial_peer_lifetimes: bool = False
-
-    def __post_init__(self) -> None:
-        require_non_negative(self.arrival_rate, "arrival_rate")
-        if self.mean_lifetime is not None and self.mean_lifetime <= 0:
-            raise ValueError("mean_lifetime must be positive or None")
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.spec.model import ChurnSpec
 
 
 class ChurnProcess:
@@ -48,8 +23,10 @@ class ChurnProcess:
 
     Parameters
     ----------
-    config:
-        Rates and lifetime settings.
+    churn:
+        The spec's :class:`~repro.spec.ChurnSpec`: the arrival rate, the
+        mean lifetime (``None``: peers never leave) and whether initial
+        peers get lifetimes too.
     on_join:
         Callback ``() -> peer_id`` executed at each arrival; returns the id
         of the newly joined peer (the system creates the peer and learner).
@@ -59,12 +36,12 @@ class ChurnProcess:
 
     def __init__(
         self,
-        config: ChurnConfig,
+        churn: ChurnSpec,
         on_join: Callable[[], int],
         on_leave: Callable[[int], None],
         rng: Seedish = None,
     ) -> None:
-        self._config = config
+        self._churn = churn
         self._on_join = on_join
         self._on_leave = on_leave
         self._rng = as_generator(rng)
@@ -83,14 +60,14 @@ class ChurnProcess:
 
     def start(self, sim: Simulator) -> None:
         """Install the first arrival event (if arrivals are enabled)."""
-        if self._config.arrival_rate > 0:
+        if self._churn.arrival_rate > 0:
             self._schedule_next_arrival(sim)
 
     def schedule_lifetime(self, sim: Simulator, peer_id: int) -> None:
         """Give ``peer_id`` an exponential online duration (if configured)."""
-        if self._config.mean_lifetime is None:
+        if self._churn.mean_lifetime is None:
             return
-        lifetime = float(self._rng.exponential(self._config.mean_lifetime))
+        lifetime = float(self._rng.exponential(self._churn.mean_lifetime))
 
         def leave(_: Simulator) -> None:
             self._leaves += 1
@@ -99,7 +76,7 @@ class ChurnProcess:
         sim.schedule(lifetime, leave)
 
     def _schedule_next_arrival(self, sim: Simulator) -> None:
-        gap = float(self._rng.exponential(1.0 / self._config.arrival_rate))
+        gap = float(self._rng.exponential(1.0 / self._churn.arrival_rate))
 
         def arrive(inner_sim: Simulator) -> None:
             self._joins += 1

@@ -19,23 +19,22 @@ helper loads) are exactly the series plotted in Figs. 3–5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.game.interfaces import Learner
-from repro.sim.bandwidth import (
-    PAPER_BANDWIDTH_LEVELS,
-    MarkovCapacityProcess,
-    paper_bandwidth_process,
-)
-from repro.sim.churn import ChurnConfig, ChurnProcess
+from repro.sim.bandwidth import MarkovCapacityProcess
+from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
 from repro.sim.trace import SystemTrace
 from repro.sim.tracker import Tracker
 from repro.util.rng import Seedish, as_generator, spawn
+from repro.util.validation import normalized_channel_weights
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.spec.model import ExperimentSpec
 
 LearnerFactory = Callable[[int, np.random.Generator], Learner]
 
@@ -66,7 +65,7 @@ def drive_rounds(
 
 def install_channel_switching(
     sim: Simulator,
-    config: "SystemConfig",
+    spec: ExperimentSpec,
     switch_rng: np.random.Generator,
     churn: ChurnProcess,
     switch_once: Callable[[], Optional[int]],
@@ -79,7 +78,7 @@ def install_channel_switching(
     sampling, rescheduling and lifetime wiring here are shared by both
     backends.
     """
-    _ChannelSwitching(config, switch_rng, churn, switch_once).schedule_next(sim)
+    _ChannelSwitching(spec, switch_rng, churn, switch_once).schedule_next(sim)
 
 
 class _ChannelSwitching:
@@ -90,23 +89,24 @@ class _ChannelSwitching:
     callbacks, alive until the garbage collector runs.
     """
 
-    def __init__(self, config, switch_rng, churn, switch_once) -> None:
-        self._config = config
+    def __init__(self, spec, switch_rng, churn, switch_once) -> None:
+        self._rate = spec.topology.channel_switch_rate
+        self._churn_spec = spec.churn
         self._rng = switch_rng
         self._churn = churn
         self._switch_once = switch_once
 
     def schedule_next(self, sim: Simulator) -> None:
-        gap = float(self._rng.exponential(1.0 / self._config.channel_switch_rate))
+        gap = float(self._rng.exponential(1.0 / self._rate))
         sim.schedule(gap, self._fire)
 
     def _fire(self, sim: Simulator) -> None:
         handle = self._switch_once()
-        churn_config = self._config.churn
+        churn_spec = self._churn_spec
         if (
             handle is not None
-            and churn_config.mean_lifetime
-            and churn_config.initial_peer_lifetimes
+            and churn_spec.mean_lifetime
+            and churn_spec.initial_peer_lifetimes
         ):
             self._churn.schedule_lifetime(sim, handle)
         self.schedule_next(sim)
@@ -114,22 +114,24 @@ class _ChannelSwitching:
 
 def install_popularity_drift(
     sim: Simulator,
-    config: "SystemConfig",
+    spec: ExperimentSpec,
     drift_rng: np.random.Generator,
     sampler: ChannelSampler,
 ) -> None:
     """Install the periodic popularity-drift process (diurnal skew).
 
-    Every ``config.popularity_drift_period`` simulation-time units the
+    Every ``topology.popularity_drift_period`` simulation-time units the
     backend's channel weights (held by its ``sampler``) are re-mixed with
     :func:`repro.workloads.popularity.popularity_drift` at rate
-    ``config.popularity_drift_rate`` — so churn joins and viewer channel
+    ``topology.popularity_drift_rate`` — so churn joins and viewer channel
     switches gradually shift toward a new popularity profile, the way
     real deployments' hot channels move through the day.  Only the
     *weights* drift; each peer keeps its channel until it leaves or
     switches.  Both the scheduling and the mixing live here, shared by
     both backends, so drift semantics cannot diverge.
     """
+
+    topology = spec.topology
 
     def drift_once(_sim: Simulator) -> None:
         # Lazy import: the workloads layer may import the spec layer,
@@ -138,31 +140,11 @@ def install_popularity_drift(
 
         sampler.set_weights(
             popularity_drift(
-                sampler.weights, config.popularity_drift_rate, rng=drift_rng
+                sampler.weights, topology.popularity_drift_rate, rng=drift_rng
             )
         )
 
-    sim.schedule_periodic(config.popularity_drift_period, drift_once)
-
-
-def normalized_channel_weights(
-    num_channels: int, popularity: Optional[Sequence[float]]
-) -> np.ndarray:
-    """Validate and normalize channel popularity weights.
-
-    Shared by the scalar system and the vectorized runtime so both apply
-    identical popularity semantics.
-    """
-    weights = popularity
-    if weights is None:
-        weights = [1.0] * num_channels
-    weights = np.asarray(list(weights), dtype=float)
-    if weights.size != num_channels or np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError(
-            "channel_popularity must be one non-negative weight per channel "
-            "with a positive sum"
-        )
-    return weights / weights.sum()
+    sim.schedule_periodic(topology.popularity_drift_period, drift_once)
 
 
 class ChannelSampler:
@@ -197,153 +179,85 @@ class ChannelSampler:
         return self._cdf.searchsorted(rng.random(size), side="right")
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Configuration of a streaming-system experiment.
-
-    Attributes
-    ----------
-    num_peers:
-        Initial population size.
-    num_helpers:
-        Total helpers across all channels (partitioned round-robin).
-    num_channels:
-        Number of live channels; helpers and peers are spread across them.
-    channel_bitrates:
-        Per-channel playback bitrate (kbit/s) = per-peer demand.  A single
-        float applies to every channel.
-    channel_popularity:
-        Relative weights used to assign (initial and churning) peers to
-        channels; defaults to uniform.
-    bandwidth_levels, stay_probability:
-        Helper-capacity Markov chain parameters (paper: ``[700, 800, 900]``
-        with slow switching).
-    round_duration:
-        Simulated time between learning rounds.
-    server_capacity:
-        Origin server upload budget per round (default unbounded).
-    churn:
-        Join/leave configuration (disabled by default).
-    channel_switch_rate:
-        Poisson rate of viewer channel switches (time-varying channel
-        popularity, paper Sec. I): each event, a random online peer stops
-        watching its channel and re-joins one drawn from the popularity
-        weights with a fresh learner (its helper history is channel-local
-        and does not transfer).  0 disables switching.
-    record_peers:
-        Record dense per-peer actions/utilities (fixed populations only),
-        enabling :meth:`~repro.sim.trace.SystemTrace.to_trajectory`.
-    """
-
-    num_peers: int
-    num_helpers: int
-    num_channels: int = 1
-    channel_bitrates: Sequence[float] | float = 350.0
-    channel_popularity: Optional[Sequence[float]] = None
-    bandwidth_levels: Sequence[float] = PAPER_BANDWIDTH_LEVELS
-    stay_probability: float = 0.9
-    round_duration: float = 1.0
-    server_capacity: float = float("inf")
-    churn: ChurnConfig = field(default_factory=ChurnConfig)
-    channel_switch_rate: float = 0.0
-    record_peers: bool = False
-    popularity_drift_rate: float = 0.0
-    popularity_drift_period: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.channel_switch_rate < 0:
-            raise ValueError("channel_switch_rate must be >= 0")
-        if not 0 <= self.popularity_drift_rate <= 1:
-            raise ValueError("popularity_drift_rate must lie in [0, 1]")
-        if self.popularity_drift_period <= 0:
-            raise ValueError("popularity_drift_period must be positive")
-        if self.num_peers < 1:
-            raise ValueError("num_peers must be >= 1")
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
-        if self.num_helpers < self.num_channels:
-            raise ValueError("need at least one helper per channel")
-        if self.round_duration <= 0:
-            raise ValueError("round_duration must be positive")
-        if self.server_capacity <= 0:
-            raise ValueError("server_capacity must be positive")
-        # Normalize channel_bitrates to one float per channel so that a
-        # misconfigured sequence fails here, at construction, and
-        # ``bitrate_of`` is a plain tuple lookup.
-        rates = self.channel_bitrates
-        if isinstance(rates, (int, float)):
-            normalized = (float(rates),) * self.num_channels
-        else:
-            normalized = tuple(float(r) for r in rates)
-            if len(normalized) != self.num_channels:
-                raise ValueError(
-                    "channel_bitrates must have one entry per channel"
-                )
-        if any(r <= 0 for r in normalized):
-            raise ValueError("channel bitrates must be positive")
-        object.__setattr__(self, "channel_bitrates", normalized)
-
-    def bitrate_of(self, channel_id: int) -> float:
-        """Playback bitrate of ``channel_id``."""
-        return self.channel_bitrates[channel_id]
-
-
 class StreamingSystem:
-    """A runnable multi-channel P2P streaming deployment."""
+    """A runnable multi-channel P2P streaming deployment.
+
+    Parameters
+    ----------
+    spec:
+        The :class:`~repro.spec.ExperimentSpec` the system runs: its
+        ``topology`` (peers, helpers partitioned round-robin over the
+        channels, per-channel bitrates as per-peer demand, popularity,
+        round duration, viewer switching and popularity drift),
+        ``capacity.server_capacity`` (``None``: unbounded), ``churn``
+        and ``metrics.record_peers``.  A viewer switch retires a random
+        online peer and creates one on a channel drawn from the
+        popularity weights, with a fresh learner.
+    learner_factory:
+        Builds one peer's learner: ``factory(num_actions, rng)``.
+    rng:
+        Seed or generator; children are spawned in construction order.
+    capacity_process:
+        The helper-bandwidth environment.  Omitted, the system builds
+        ``spec.build_capacity_process`` from the first child of ``rng``,
+        transforms and ``network`` section included; pass a recorded
+        trace for paired runs.
+    initial_channels:
+        Optional explicit channel per initial peer (for paired
+        scalar-vs-vectorized runs); defaults to popularity-weighted draws.
+    """
 
     def __init__(
         self,
-        config: SystemConfig,
+        spec: ExperimentSpec,
         learner_factory: LearnerFactory,
         rng: Seedish = None,
         capacity_process: Optional[MarkovCapacityProcess] = None,
         initial_channels: Optional[Sequence[int]] = None,
-        capacity_backend: str = "scalar",
     ) -> None:
-        self._config = config
+        topology = spec.topology
+        self._spec = spec
         self._factory = learner_factory
         self._rng = as_generator(rng)
         self._sim = Simulator()
-        self._server = StreamingServer(capacity=config.server_capacity)
+        server_capacity = spec.capacity.server_capacity
+        self._server = StreamingServer(
+            capacity=float("inf") if server_capacity is None else server_capacity
+        )
         self._tracker = Tracker()
+        record_peers = spec.metrics.record_peers
         self._trace = SystemTrace(
-            actions=[] if config.record_peers else None,
-            utilities=[] if config.record_peers else None,
+            actions=[] if record_peers else None,
+            utilities=[] if record_peers else None,
         )
         self._round_index = 0
         self._population_changed = False
 
         if capacity_process is None:
-            capacity_process = paper_bandwidth_process(
-                config.num_helpers,
-                levels=config.bandwidth_levels,
-                stay_probability=config.stay_probability,
-                rng=spawn(self._rng),
-                backend=capacity_backend,
-            )
-        if capacity_process.num_helpers != config.num_helpers:
+            capacity_process = spec.build_capacity_process(rng=spawn(self._rng))
+        if capacity_process.num_helpers != topology.num_helpers:
             raise ValueError("capacity process size does not match num_helpers")
         self._capacity_process = capacity_process
 
         # Channels and their popularity weights.
         self._sampler = ChannelSampler(
             normalized_channel_weights(
-                config.num_channels, config.channel_popularity
+                topology.num_channels, topology.channel_popularity
             )
         )
         self._channels = [
             Channel(
                 channel_id=c,
-                bitrate=config.bitrate_of(c),
+                bitrate=bitrate,
                 popularity=float(self._sampler.weights[c]),
             )
-            for c in range(config.num_channels)
+            for c, bitrate in enumerate(topology.bitrates())
         ]
 
         # Helpers, partitioned round-robin over channels.
         self._helpers: List[Helper] = []
-        for h in range(config.num_helpers):
-            channel_id = h % config.num_channels
+        for h in range(topology.num_helpers):
+            channel_id = h % topology.num_channels
             helper = Helper(helper_id=h, channel_id=channel_id)
             self._helpers.append(helper)
             self._tracker.register_helper(h, channel_id)
@@ -352,27 +266,27 @@ class StreamingSystem:
         # paired scalar-vs-vectorized runs start from identical populations.
         self._peers: List[Peer] = []
         if initial_channels is not None:
-            if len(initial_channels) != config.num_peers:
+            if len(initial_channels) != topology.num_peers:
                 raise ValueError(
                     "initial_channels must list one channel per initial peer"
                 )
             for channel_id in initial_channels:
                 channel_id = int(channel_id)
-                if not 0 <= channel_id < config.num_channels:
+                if not 0 <= channel_id < topology.num_channels:
                     raise ValueError(f"channel {channel_id} out of range")
                 self._create_peer(channel_id)
         else:
-            for _ in range(config.num_peers):
+            for _ in range(topology.num_peers):
                 self._create_peer()
 
         # Churn.
         churn = ChurnProcess(
-            config.churn,
+            spec.churn,
             on_join=self._churn_join,
             on_leave=self._churn_leave,
             rng=spawn(self._rng),
         )
-        if config.churn.initial_peer_lifetimes and config.churn.mean_lifetime:
+        if spec.churn.initial_peer_lifetimes and spec.churn.mean_lifetime:
             for peer in self._peers:
                 churn.schedule_lifetime(self._sim, peer.peer_id)
         churn.start(self._sim)
@@ -380,16 +294,16 @@ class StreamingSystem:
         # Viewer channel switching (time-varying popularity).
         self._switch_rng = spawn(self._rng)
         self._channel_switches = 0
-        if config.channel_switch_rate > 0:
+        if topology.channel_switch_rate > 0:
             install_channel_switching(
-                self._sim, config, self._switch_rng, churn,
+                self._sim, spec, self._switch_rng, churn,
                 self._switch_once,
             )
 
         # Diurnal popularity drift (only spawns its generator when on, so
-        # drift-free configs keep their RNG streams bit-identical).
-        if config.popularity_drift_rate > 0:
-            install_popularity_drift(self._sim, config, spawn(self._rng), self._sampler)
+        # drift-free specs keep their RNG streams bit-identical).
+        if topology.popularity_drift_rate > 0:
+            install_popularity_drift(self._sim, spec, spawn(self._rng), self._sampler)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -458,11 +372,6 @@ class StreamingSystem:
     # ------------------------------------------------------------------
 
     @property
-    def config(self) -> SystemConfig:
-        """The experiment configuration."""
-        return self._config
-
-    @property
     def simulator(self) -> Simulator:
         """The underlying event engine."""
         return self._sim
@@ -501,7 +410,6 @@ class StreamingSystem:
     # ------------------------------------------------------------------
 
     def _execute_round(self, _: Simulator) -> None:
-        config = self._config
         caps = self._capacity_process.capacities()
         online = self.online_peers()
 
@@ -554,7 +462,7 @@ class StreamingSystem:
             total_demand=total_demand,
         )
 
-        if config.record_peers:
+        if self._spec.metrics.record_peers:
             if self._population_changed:
                 raise RuntimeError(
                     "record_peers=True requires a fixed population; disable "
@@ -582,7 +490,7 @@ class StreamingSystem:
         """
         drive_rounds(
             self._sim,
-            self._config.round_duration,
+            self._spec.topology.round_duration,
             self._execute_round,
             lambda: self._round_index,
             num_rounds,

@@ -29,9 +29,7 @@ import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,14 +45,12 @@ from repro.telemetry import parse_sink_reference
 from repro.telemetry import session as telemetry_session
 from repro.util.rng import Seedish, as_generator, spawn
 from repro.util.validation import (
+    normalized_channel_weights,
     require_bool,
     require_non_negative_int,
     require_positive,
     require_positive_int,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.sim.churn import ChurnConfig
 
 #: System backends a spec can target.
 SYSTEM_BACKENDS = ("scalar", "vectorized")
@@ -215,9 +211,8 @@ class TopologySpec:
         object.__setattr__(
             self, "channel_popularity", _opt_tuple(self.channel_popularity)
         )
-        # Mirror SystemConfig's construction-time checks so malformed
-        # specs fail here (where the CLI reports cleanly) instead of deep
-        # inside build().
+        # Malformed specs fail here, where the CLI reports cleanly,
+        # instead of deep inside build().
         for name in ("num_peers", "num_helpers", "num_channels"):
             count = require_positive_int(getattr(self, name), f"topology {name}")
             object.__setattr__(self, name, count)
@@ -228,8 +223,6 @@ class TopologySpec:
                 f"num_channels={self.num_channels})"
             )
         if self.channel_popularity is not None:
-            from repro.sim.system import normalized_channel_weights
-
             try:
                 normalized_channel_weights(
                     self.num_channels, self.channel_popularity
@@ -237,15 +230,13 @@ class TopologySpec:
             except ValueError as exc:
                 raise ValueError(f"topology {exc}") from None
         rates = self.channel_bitrates
-        if isinstance(rates, (int, float)):
-            rates = (rates,)
-        elif len(rates) != self.num_channels:
+        if not isinstance(rates, (int, float)) and len(rates) != self.num_channels:
             raise ValueError(
                 "topology channel_bitrates must be one number or one per "
                 f"channel (num_channels={self.num_channels}, got "
                 f"{list(rates)})"
             )
-        if any(r <= 0 for r in rates):
+        if any(r <= 0 for r in self.bitrates()):
             raise ValueError("topology channel_bitrates must be positive")
         if self.channel_switch_rate < 0:
             raise ValueError("topology channel_switch_rate must be >= 0")
@@ -259,6 +250,13 @@ class TopologySpec:
             raise ValueError(
                 "topology popularity_drift_period must be positive"
             )
+
+    def bitrates(self) -> Tuple[float, ...]:
+        """The playback bitrate (kbit/s) of each channel, in channel order."""
+        rates = self.channel_bitrates
+        if isinstance(rates, (int, float)):
+            return (float(rates),) * self.num_channels
+        return rates
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -668,15 +666,6 @@ class ChurnSpec:
                 "initial_peer_lifetimes"
             )
 
-    def to_config(self) -> ChurnConfig:
-        from repro.sim.churn import ChurnConfig
-
-        return ChurnConfig(
-            arrival_rate=self.arrival_rate,
-            mean_lifetime=self.mean_lifetime,
-            initial_peer_lifetimes=self.initial_peer_lifetimes,
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
@@ -1054,6 +1043,19 @@ class ExperimentSpec:
                 f"num_channels={topo.num_channels} leaves a channel with "
                 f"{topo.num_helpers // topo.num_channels}"
             )
+        # Per-peer recording keeps one column per initial peer, so arrivals,
+        # departures and viewer switches would fail the run part-way.
+        churn = self.churn
+        if self.metrics.record_peers and (
+            churn.arrival_rate > 0
+            or (churn.initial_peer_lifetimes and churn.mean_lifetime is not None)
+            or topo.channel_switch_rate > 0
+        ):
+            raise ValueError(
+                "metrics record_peers requires a fixed population: set churn "
+                "arrival_rate to 0, give initial peers no lifetimes and set "
+                "topology channel_switch_rate to 0, or turn record_peers off"
+            )
 
     # ------------------------------------------------------------------
     # Serialization
@@ -1191,31 +1193,6 @@ class ExperimentSpec:
             return self.capacity.backend
         return "vectorized" if self.backend == "vectorized" else "scalar"
 
-    def to_config(self):
-        """The :class:`~repro.sim.system.SystemConfig` both backends share."""
-        from repro.sim.system import SystemConfig
-
-        topo = self.topology
-        cap = self.capacity
-        return SystemConfig(
-            num_peers=topo.num_peers,
-            num_helpers=topo.num_helpers,
-            num_channels=topo.num_channels,
-            channel_bitrates=topo.channel_bitrates,
-            channel_popularity=topo.channel_popularity,
-            bandwidth_levels=cap.levels,
-            stay_probability=cap.stay_probability,
-            round_duration=topo.round_duration,
-            server_capacity=(
-                float("inf") if cap.server_capacity is None else cap.server_capacity
-            ),
-            churn=self.churn.to_config(),
-            channel_switch_rate=topo.channel_switch_rate,
-            record_peers=self.metrics.record_peers,
-            popularity_drift_rate=topo.popularity_drift_rate,
-            popularity_drift_period=topo.popularity_drift_period,
-        )
-
     def scalar_learner_factory(self):
         """A per-peer :data:`~repro.sim.system.LearnerFactory` for this spec."""
         entry = LEARNERS.get(self.learner.name)
@@ -1321,32 +1298,23 @@ class ExperimentSpec:
     def build(self, rng: Seedish = None, capacity_process=None):
         """A ready-to-run system on the spec's backend.
 
-        ``rng`` defaults to the spec's ``seed``.  The capacity process is
-        built through the registry from a child generator spawned *first*
-        (mirroring the systems' internal construction order, so specs
-        reproduce the pre-spec RNG streams bit-for-bit); pass
-        ``capacity_process`` to inject a recorded trace for paired runs.
+        ``rng`` defaults to the spec's ``seed``.  The system builds its
+        capacity process with :meth:`build_capacity_process` from the
+        first child it spawns; pass ``capacity_process`` to inject a
+        recorded trace for paired runs.
         """
-        parent = as_generator(self.seed if rng is None else rng)
-        config = self.to_config()
-        if capacity_process is None:
-            capacity_process = self.build_capacity_process(rng=spawn(parent))
+        rng = self.seed if rng is None else rng
         if self.backend == "vectorized":
-            from repro.runtime import VectorizedStreamingSystem
+            from repro.runtime.system import VectorizedStreamingSystem
 
             return VectorizedStreamingSystem(
-                config,
-                self.bank_factory(),
-                rng=parent,
+                self, self.bank_factory(), rng=rng,
                 capacity_process=capacity_process,
-                dtype=np.dtype(self.learner.dtype),
             )
         from repro.sim.system import StreamingSystem
 
         return StreamingSystem(
-            config,
-            self.scalar_learner_factory(),
-            rng=parent,
+            self, self.scalar_learner_factory(), rng=rng,
             capacity_process=capacity_process,
         )
 

@@ -7,7 +7,7 @@ simulation loop.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,3 +104,23 @@ def require_stochastic_matrix(mat: Sequence[Sequence[float]], name: str) -> np.n
         raise ValueError(f"{name} rows must each sum to 1, got row sums {rows!r}")
     arr = np.clip(arr, 0.0, None)
     return arr / arr.sum(axis=1, keepdims=True)
+
+
+def normalized_channel_weights(
+    num_channels: int, popularity: Optional[Sequence[float]]
+) -> np.ndarray:
+    """Validate and normalize channel popularity weights.
+
+    ``None`` means uniform.  The spec validates ``channel_popularity``
+    with it, and both streaming systems draw channels from its result.
+    """
+    weights = popularity
+    if weights is None:
+        weights = [1.0] * num_channels
+    weights = np.asarray(list(weights), dtype=float)
+    if weights.size != num_channels or np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError(
+            "channel_popularity must be one non-negative weight per channel "
+            "with a positive sum"
+        )
+    return weights / weights.sum()

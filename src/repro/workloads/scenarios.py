@@ -22,9 +22,8 @@ and ``massive_scale``.  Learner hyper-parameters (unreported in
 the paper) keep the :class:`~repro.spec.LearnerSpec` defaults
 ``epsilon=0.05, delta=0.1, mu = 2 (H-1)`` in normalized units and are
 swept by the ablation benches.  Build a preset's parts with
-``spec.to_config()``, ``spec.build_capacity_process(rng)``,
-``spec.build_population(rng)`` or the whole system with
-``spec.build(rng)``.
+``spec.build_capacity_process(rng)`` and ``spec.build_population(rng)``,
+or the whole system with ``spec.build(rng)``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.game.baselines import StickyLearner, UniformRandomLearner
+from repro.game.baselines import UniformRandomLearner
 from repro.game.repeated_game import (
     RepeatedGameDriver,
     StaticCapacities,
@@ -58,16 +58,6 @@ class TestRepeatedGameDriver:
                 expected = trajectory.capacities[t, j] / trajectory.loads[t, j]
                 assert trajectory.utilities[t, i] == pytest.approx(expected)
 
-    def test_connection_costs_applied(self):
-        learners = [StickyLearner(2, rng=0, switch_probability=0.0)]
-        driver = RepeatedGameDriver(
-            learners, StaticCapacities([800.0, 800.0]), connection_costs=[100.0, 0.0]
-        )
-        trajectory = driver.run(5)
-        j = trajectory.actions[0, 0]
-        expected_cost = 100.0 if j == 0 else 0.0
-        assert trajectory.utilities[0, 0] == pytest.approx(800.0 - expected_cost)
-
     def test_callback_sees_every_stage(self):
         stages = []
         make_driver().run(7, callback=lambda rec: stages.append(rec.stage))
@@ -77,13 +67,6 @@ class TestRepeatedGameDriver:
         learners = [UniformRandomLearner(3, rng=0)]
         with pytest.raises(ValueError):
             RepeatedGameDriver(learners, StaticCapacities([800.0, 800.0]))
-
-    def test_connection_costs_need_one_entry_per_helper(self):
-        learners = [UniformRandomLearner(2, rng=0)]
-        with pytest.raises(ValueError, match="one entry per helper"):
-            RepeatedGameDriver(
-                learners, StaticCapacities([800.0, 400.0]), connection_costs=[1.0]
-            )
 
     def test_capacity_shape_checked_every_stage(self):
         class ShrinkingProcess(StaticCapacities):

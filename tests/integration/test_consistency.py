@@ -10,7 +10,8 @@ from repro.sim.bandwidth import (
     paper_bandwidth_process,
     record_capacity_trace,
 )
-from repro.sim.system import StreamingSystem, SystemConfig
+from repro.sim.system import StreamingSystem
+from repro.spec import ExperimentSpec, MetricsSpec, TopologySpec
 
 
 def test_driver_and_population_statistically_agree():
@@ -36,14 +37,13 @@ def test_driver_and_population_statistically_agree():
 def test_des_system_matches_pure_game_path():
     """The DES system with a fixed population realizes the same stage game
     as the repeated-game driver (same welfare statistics)."""
-    config = SystemConfig(
-        num_peers=10,
-        num_helpers=4,
-        channel_bitrates=100.0,
-        record_peers=True,
+    spec = ExperimentSpec(
+        backend="scalar",
+        topology=TopologySpec(num_peers=10, num_helpers=4, channel_bitrates=100.0),
+        metrics=MetricsSpec(record_peers=True),
     )
     system = StreamingSystem(
-        config,
+        spec,
         lambda h, rng: R2HSLearner(h, rng=rng, epsilon=0.05, u_max=900.0),
         rng=7,
     )

@@ -22,7 +22,8 @@ from repro.metrics import (
     server_load_report,
     time_averaged_regret_series,
 )
-from repro.sim import StreamingSystem, SystemConfig, paper_bandwidth_process
+from repro.sim import StreamingSystem, paper_bandwidth_process
+from repro.spec import ExperimentSpec, TopologySpec
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +82,12 @@ class TestFig4PeerFairness:
 
 class TestFig5ServerLoad:
     def test_server_load_tracks_minimum_deficit(self):
-        config = SystemConfig(num_peers=40, num_helpers=4, channel_bitrates=100.0)
+        spec = ExperimentSpec(
+            backend="scalar",
+            topology=TopologySpec(num_peers=40, num_helpers=4, channel_bitrates=100.0),
+        )
         system = StreamingSystem(
-            config,
+            spec,
             lambda h, rng: repro.R2HSLearner(h, rng=rng, u_max=900.0),
             rng=5,
         )

@@ -11,7 +11,8 @@ from repro.metrics.distributions import (
     mean_loads,
 )
 from repro.metrics.server_load import server_load_report
-from repro.sim.system import StreamingSystem, SystemConfig
+from repro.sim.system import StreamingSystem
+from repro.spec import ExperimentSpec, TopologySpec
 
 
 def fixed_trajectory(load_rows, capacities):
@@ -85,9 +86,12 @@ class TestLoadBalanceReport:
 
 class TestServerLoadReport:
     def _trace(self):
-        config = SystemConfig(num_peers=40, num_helpers=4, channel_bitrates=100.0)
+        spec = ExperimentSpec(
+            backend="scalar",
+            topology=TopologySpec(num_peers=40, num_helpers=4, channel_bitrates=100.0),
+        )
         system = StreamingSystem(
-            config,
+            spec,
             lambda h, rng: R2HSLearner(h, rng=rng, u_max=900.0),
             rng=0,
         )

@@ -20,15 +20,31 @@ from repro.runtime import (
     build_per_channel_banks,
 )
 from repro.sim import (
-    ChurnConfig,
     StreamingSystem,
-    SystemConfig,
     TraceCapacityProcess,
     paper_bandwidth_process,
     record_capacity_trace,
 )
+from repro.spec import (
+    ChurnSpec,
+    ExperimentSpec,
+    LearnerSpec,
+    MetricsSpec,
+    TopologySpec,
+)
 
 SUM_TOL = dict(rtol=1e-11, atol=1e-8)
+
+
+def spec_for(churn=ChurnSpec(), record_peers=False, learner="r2hs", **topology):
+    """One spec for both systems; a system given no capacity process
+    builds the spec's (vectorized-backend) environment."""
+    return ExperimentSpec(
+        topology=TopologySpec(**topology),
+        learner=LearnerSpec(name=learner),
+        churn=churn,
+        metrics=MetricsSpec(record_peers=record_peers),
+    )
 
 
 class ScriptedLearner:
@@ -104,7 +120,7 @@ class TestScriptedExactEquivalence:
         rng = np.random.default_rng(42)
         script = rng.integers(0, H, size=(T, N))
         shared = record_capacity_trace(paper_bandwidth_process(H, rng=7), T)
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=N, num_helpers=H, channel_bitrates=100.0, record_peers=True
         )
 
@@ -116,11 +132,11 @@ class TestScriptedExactEquivalence:
             return ScriptedLearner(column, h)
 
         scalar = StreamingSystem(
-            config, factory, rng=0,
+            spec, factory, rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         vectorized = VectorizedStreamingSystem(
-            config, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
+            spec, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         ts = scalar.run(T)
@@ -141,7 +157,7 @@ class TestScriptedExactEquivalence:
         shared = record_capacity_trace(
             paper_bandwidth_process(H, rng=7, backend="vectorized"), T
         )
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=N, num_helpers=H, channel_bitrates=100.0, record_peers=True
         )
 
@@ -153,11 +169,11 @@ class TestScriptedExactEquivalence:
             return ScriptedLearner(column, h)
 
         scalar = StreamingSystem(
-            config, factory, rng=0,
+            spec, factory, rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         vectorized = VectorizedStreamingSystem(
-            config, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
+            spec, per_channel(lambda h, r: ScriptedBank(script, h)), rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         ts = scalar.run(T)
@@ -170,7 +186,7 @@ class TestScriptedExactEquivalence:
     def test_multi_channel_trace_for_trace(self):
         """Two channels with different helper counts and bitrates."""
         N, T = 30, 60
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=N,
             num_helpers=5,   # round-robin: channel 0 gets 3, channel 1 gets 2
             num_channels=2,
@@ -206,14 +222,14 @@ class TestScriptedExactEquivalence:
             return ScriptedBank(scripts[c], num_actions)
 
         scalar = StreamingSystem(
-            config,
+            spec,
             learner_factory,
             rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
             initial_channels=order,
         )
         vectorized = VectorizedStreamingSystem(
-            config,
+            spec,
             per_channel(scripted_bank_factory),
             rng=0,
             capacity_process=TraceCapacityProcess(shared.copy()),
@@ -226,21 +242,21 @@ class TestScriptedExactEquivalence:
 
 class TestLearnerDistributionalAgreement:
     def test_r2hs_steady_state_matches(self):
-        """Same config, same shared environment, learners on: the two
+        """Same spec, same shared environment, learners on: the two
         backends must agree on steady-state welfare, server load and load
         balance to sampling tolerance."""
         N, H, T = 60, 4, 600
         shared = record_capacity_trace(paper_bandwidth_process(H, rng=5), T)
-        config = SystemConfig(num_peers=N, num_helpers=H, channel_bitrates=100.0)
+        spec = spec_for(num_peers=N, num_helpers=H, channel_bitrates=100.0)
 
         scalar = StreamingSystem(
-            config,
+            spec,
             lambda h, rng: R2HSLearner(h, rng=rng, u_max=900.0),
             rng=1,
             capacity_process=TraceCapacityProcess(shared.copy()),
         )
         vectorized = VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=900.0),
             rng=2,
             capacity_process=TraceCapacityProcess(shared.copy()),
@@ -263,16 +279,16 @@ class TestLearnerDistributionalAgreement:
 
 class TestVectorizedChurn:
     def test_invariants_under_churn(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=20,
             num_helpers=4,
             channel_bitrates=100.0,
-            churn=ChurnConfig(
+            churn=ChurnSpec(
                 arrival_rate=0.5, mean_lifetime=25.0,
                 initial_peer_lifetimes=True,
             ),
         )
-        system = VectorizedStreamingSystem(config, bank_factory("rths"), rng=6)
+        system = VectorizedStreamingSystem(spec, bank_factory("rths"), rng=6)
         trace = system.run(150)
         assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
         store = system.store
@@ -287,39 +303,38 @@ class TestVectorizedChurn:
             assert len(np.unique(rows)) == rows.size
 
     def test_record_peers_with_churn_raises(self):
-        config = SystemConfig(
-            num_peers=8,
-            num_helpers=4,
-            channel_bitrates=100.0,
-            record_peers=True,
-            churn=ChurnConfig(arrival_rate=2.0),
-        )
-        system = VectorizedStreamingSystem(config, bank_factory("uniform"), rng=4)
-        with pytest.raises(RuntimeError):
-            system.run(50)
+        with pytest.raises(ValueError, match="record_peers requires a fixed"):
+            spec_for(
+                num_peers=8,
+                num_helpers=4,
+                channel_bitrates=100.0,
+                record_peers=True,
+                churn=ChurnSpec(arrival_rate=2.0),
+            )
 
 
 class TestBankConstructionErrors:
     def test_single_helper_channel_names_the_channel(self):
         """Round-robin can hand a channel one helper; a regret bank then
         cannot be built, and the error must say which channel and why."""
-        config = SystemConfig(
-            num_peers=10, num_helpers=5, num_channels=4, channel_bitrates=100.0
+        spec = spec_for(
+            num_peers=10, num_helpers=5, num_channels=4, channel_bitrates=100.0,
+            learner="sticky",  # the spec admits a one-helper channel
         )
         with pytest.raises(ValueError, match=r"channel 1 .*1 helper"):
-            VectorizedStreamingSystem(config, bank_factory("r2hs"), rng=0)
+            VectorizedStreamingSystem(spec, bank_factory("r2hs"), rng=0)
 
 
 class TestVectorizedChannelSwitching:
     def test_switches_preserve_population(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=30,
             num_helpers=4,
             num_channels=2,
             channel_bitrates=100.0,
             channel_switch_rate=0.5,
         )
-        system = VectorizedStreamingSystem(config, bank_factory("sticky"), rng=8)
+        system = VectorizedStreamingSystem(spec, bank_factory("sticky"), rng=8)
         trace = system.run(150)
         assert system.channel_switches > 0
         assert np.all(trace.online_peers == 30)
@@ -332,10 +347,10 @@ class TestRoundCacheInvalidation:
         """The documented PeerStore direct-mutation contract: edits to the
         grouping-defining columns take effect on the next round once
         invalidate_round_cache() is called."""
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
+        spec = spec_for(num_peers=10, num_helpers=4, channel_bitrates=100.0)
         shared = record_capacity_trace(paper_bandwidth_process(4, rng=1), 6)
         system = VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=900.0),
             rng=0,
             capacity_process=TraceCapacityProcess(shared),

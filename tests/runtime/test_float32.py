@@ -16,11 +16,11 @@ import pytest
 from repro.core.population import LearnerPopulation
 from repro.runtime import PeerStore, VectorizedStreamingSystem, bank_factory
 from repro.sim import (
-    SystemConfig,
     TraceCapacityProcess,
     paper_bandwidth_process,
     record_capacity_trace,
 )
+from repro.spec import ExperimentSpec, LearnerSpec, TopologySpec
 
 
 class TestPopulationDtype:
@@ -127,15 +127,17 @@ class TestSystemFloat32:
         shared = record_capacity_trace(
             paper_bandwidth_process(H, rng=5, backend="vectorized"), T
         )
-        config = SystemConfig(num_peers=N, num_helpers=H, channel_bitrates=100.0)
+        topology = TopologySpec(num_peers=N, num_helpers=H, channel_bitrates=100.0)
         results = {}
         for dtype in (np.float64, np.float32):
+            spec = ExperimentSpec(
+                topology=topology, learner=LearnerSpec(dtype=np.dtype(dtype).name)
+            )
             system = VectorizedStreamingSystem(
-                config,
+                spec,
                 bank_factory("r2hs", u_max=900.0, dtype=dtype),
                 rng=9,
                 capacity_process=TraceCapacityProcess(shared.copy()),
-                dtype=dtype,
             )
             trace = system.run(T)
             assert system.store.dtype == np.dtype(dtype)

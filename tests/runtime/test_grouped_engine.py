@@ -24,13 +24,29 @@ from repro.runtime import (
     bank_factory,
     build_per_channel_banks,
 )
-from repro.sim import ChurnConfig, SystemConfig
+from repro.spec import (
+    ChurnSpec,
+    ExperimentSpec,
+    LearnerSpec,
+    MetricsSpec,
+    TopologySpec,
+)
 
 U_MAX = 900.0
 
-CHURN = ChurnConfig(
+CHURN = ChurnSpec(
     arrival_rate=2.0, mean_lifetime=25.0, initial_peer_lifetimes=True
 )
+
+
+def spec_for(churn=ChurnSpec(), record_peers=False, learner="r2hs",
+             dtype="float64", **topology):
+    return ExperimentSpec(
+        topology=TopologySpec(**topology),
+        learner=LearnerSpec(name=learner, dtype=dtype),
+        churn=churn,
+        metrics=MetricsSpec(record_peers=record_peers),
+    )
 
 
 def per_channel_oracle(bank="dense", topk=32, dtype=np.float64):
@@ -46,7 +62,7 @@ def per_channel_oracle(bank="dense", topk=32, dtype=np.float64):
     )
 
 
-def build(engine, config, *, kind="r2hs", bank="dense", topk=32, seed=42,
+def build(engine, spec, *, kind="r2hs", bank="dense", topk=32, seed=42,
           initial_channels=None):
     """``engine="grouped"``: the stock fused bank; ``"per_channel"``: the oracle."""
     factory = (
@@ -55,7 +71,7 @@ def build(engine, config, *, kind="r2hs", bank="dense", topk=32, seed=42,
         else per_channel_oracle(bank, topk)
     )
     return VectorizedStreamingSystem(
-        config, factory, rng=seed, initial_channels=initial_channels
+        spec, factory, rng=seed, initial_channels=initial_channels
     )
 
 
@@ -73,35 +89,35 @@ def assert_traces_identical(tg, tp):
 class TestGroupedBitIdentity:
     def test_dense_multi_width_fixed_population(self):
         # 3 channels over 7 helpers: widths 3 / 2 / 2 — two width groups.
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=90, num_helpers=7, num_channels=3,
             channel_bitrates=[100.0, 150.0, 250.0],
         )
-        sg = build("grouped", config)
-        sp = build("per_channel", config)
+        sg = build("grouped", spec)
+        sp = build("per_channel", spec)
         assert isinstance(sg.bank, GroupedRegretBank)
         assert isinstance(sp.bank, PerChannelGroupedBank)
         assert_traces_identical(sg.run(120), sp.run(120))
 
     def test_dense_under_churn_and_switching(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=80, num_helpers=9, num_channels=4,
             channel_bitrates=100.0, churn=CHURN, channel_switch_rate=0.5,
         )
         assert_traces_identical(
-            build("grouped", config).run(200),
-            build("per_channel", config).run(200),
+            build("grouped", spec).run(200),
+            build("per_channel", spec).run(200),
         )
 
     def test_topk_under_churn_with_promotion_and_reselection(self):
         # k well below the channel width, enough rounds for the periodic
         # re-selection (every 32 stages) to fire many times.
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=90, num_helpers=40, num_channels=2,
             channel_bitrates=100.0, churn=CHURN,
         )
-        sg = build("grouped", config, bank="topk", topk=3)
-        sp = build("per_channel", config, bank="topk", topk=3)
+        sg = build("grouped", spec, bank="topk", topk=3)
+        sp = build("per_channel", spec, bank="topk", topk=3)
         assert_traces_identical(sg.run(250), sp.run(250))
         # The sparse machinery actually exercised on both sides.
         grouped_promotions = sum(
@@ -113,13 +129,13 @@ class TestGroupedBitIdentity:
         assert grouped_promotions == per_channel_promotions > 0
 
     def test_record_peers_actions_and_utilities_identical(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=40, num_helpers=6, num_channels=3,
             channel_bitrates=100.0, record_peers=True,
         )
         initial = [i % 3 for i in range(40)]
-        tg = build("grouped", config, initial_channels=initial).run(60)
-        tp = build("per_channel", config, initial_channels=initial).run(60)
+        tg = build("grouped", spec, initial_channels=initial).run(60)
+        tp = build("per_channel", spec, initial_channels=initial).run(60)
         assert_traces_identical(tg, tp)
         a, b = tg.to_trajectory(), tp.to_trajectory()
         assert np.array_equal(a.actions, b.actions)
@@ -129,23 +145,23 @@ class TestGroupedBitIdentity:
         """The baselines have nothing to fuse (their round cost is the
         per-channel RNG call): their stock factory loops per-channel
         banks behind the one bank contract."""
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=50, num_helpers=8, num_channels=3,
             channel_bitrates=100.0, churn=CHURN,
         )
         for kind in ("uniform", "sticky"):
-            system = build("grouped", config, kind=kind)
+            system = build("grouped", spec, kind=kind)
             assert isinstance(system.bank, PerChannelGroupedBank)
             trace = system.run(80)
             assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
 
     def test_float32_banks_identical(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=60, num_helpers=6, num_channels=2,
-            channel_bitrates=100.0,
+            channel_bitrates=100.0, dtype="float32",
         )
         systems = [
-            VectorizedStreamingSystem(config, factory, rng=3, dtype=np.float32)
+            VectorizedStreamingSystem(spec, factory, rng=3)
             for factory in (
                 bank_factory("r2hs", u_max=U_MAX, dtype=np.float32),
                 per_channel_oracle(dtype=np.float32),
@@ -156,43 +172,44 @@ class TestGroupedBitIdentity:
 
 class TestEngineSelection:
     def test_auto_resolves_to_grouped_for_stock_factories(self):
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        system = build("grouped", config)
+        spec = spec_for(num_peers=10, num_helpers=4, channel_bitrates=100.0)
+        system = build("grouped", spec)
         assert isinstance(system.banks[0], GroupedChannelView)
         assert isinstance(system.bank, GroupedRegretBank)
 
     def test_grouped_with_plain_factory_raises(self):
         """A per-channel ``(num_actions, rng)`` factory no longer fits the
         one ``(arm_counts, rngs)`` contract; it must fail loudly."""
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
+        spec = spec_for(num_peers=10, num_helpers=4, channel_bitrates=100.0)
         with pytest.raises(TypeError, match="int"):
             VectorizedStreamingSystem(
-                config, lambda h, rng: RegretBank(h, rng=rng, u_max=U_MAX), rng=0
+                spec, lambda h, rng: RegretBank(h, rng=rng, u_max=U_MAX), rng=0
             )
 
     def test_unknown_engine_rejected(self):
         # The engine switch is gone from the system's constructor.
-        config = SystemConfig(num_peers=10, num_helpers=4, channel_bitrates=100.0)
+        spec = spec_for(num_peers=10, num_helpers=4, channel_bitrates=100.0)
         with pytest.raises(TypeError, match="engine"):
             VectorizedStreamingSystem(
-                config, bank_factory("r2hs"), rng=0, engine="grouped"
+                spec, bank_factory("r2hs"), rng=0, engine="grouped"
             )
 
     def test_grouped_one_helper_channel_names_the_channel(self):
         """Round-robin can hand a channel one helper; the fused regret
         engine must report which channel could not be built."""
-        config = SystemConfig(
-            num_peers=10, num_helpers=5, num_channels=4, channel_bitrates=100.0
+        spec = spec_for(
+            num_peers=10, num_helpers=5, num_channels=4, channel_bitrates=100.0,
+            learner="sticky",  # the spec admits a one-helper channel
         )
         with pytest.raises(ValueError, match=r"channel 1 .*1 helper"):
-            build("grouped", config)
+            build("grouped", spec)
 
     def test_width_groups_fuse_round_robin_partition(self):
         # 10 helpers over 4 channels: widths 3, 3, 2, 2 -> 2 kernel groups.
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=20, num_helpers=10, num_channels=4, channel_bitrates=100.0
         )
-        system = build("grouped", config)
+        system = build("grouped", spec)
         assert system.bank.num_width_groups == 2
         # Channels of equal width share one backing population.
         populations = {c: system.banks[c].population for c in range(4)}
@@ -292,10 +309,10 @@ class TestIncrementalChannelGrouping:
     def test_system_round_cache_invalidation_rebuilds_the_index(self):
         """The documented contract: direct channel edits + invalidate are
         observed by the next round (now including the channel index)."""
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=12, num_helpers=4, num_channels=2, channel_bitrates=100.0
         )
-        system = build("grouped", config, seed=1)
+        system = build("grouped", spec, seed=1)
         system.run(2)
         store = system.store
         moved = store.online_slots()[:3]

@@ -20,37 +20,46 @@ from repro.runtime import (
     VectorizedStreamingSystem,
     bank_factory,
 )
-from repro.sim import ChurnConfig, SystemConfig
-from repro.spec import ExperimentSpec
+from repro.spec import (
+    ChurnSpec,
+    ExperimentSpec,
+    LearnerSpec,
+    MetricsSpec,
+    TopologySpec,
+)
 
 U_MAX = 900.0
 
-CHURN = ChurnConfig(
+CHURN = ChurnSpec(
     arrival_rate=2.0, mean_lifetime=25.0, initial_peer_lifetimes=True
 )
 
 
-def config_for(**overrides):
-    base = dict(
+def spec_for(churn=CHURN, record_peers=False, dtype="float64", **overrides):
+    topology = dict(
         num_peers=60,
         num_helpers=8,
         num_channels=4,
         channel_bitrates=100.0,
-        churn=CHURN,
         channel_switch_rate=0.5,
     )
-    base.update(overrides)
-    return SystemConfig(**base)
+    topology.update(overrides)
+    return ExperimentSpec(
+        topology=TopologySpec(**topology),
+        learner=LearnerSpec(dtype=dtype),
+        churn=churn,
+        metrics=MetricsSpec(record_peers=record_peers),
+    )
 
 
-def build(config, *, kind="r2hs", bank="dense", topk=32, seed=42,
-          initial_channels=None, dtype=np.float64):
+def build(spec, *, kind="r2hs", bank="dense", topk=32, seed=42,
+          initial_channels=None):
+    dtype = np.dtype(spec.learner.dtype)
     return VectorizedStreamingSystem(
-        config,
+        spec,
         bank_factory(kind, u_max=U_MAX, bank=bank, topk=topk, dtype=dtype),
         rng=seed,
         initial_channels=initial_channels,
-        dtype=dtype,
     )
 
 
@@ -69,53 +78,53 @@ class TestReplay:
     @pytest.mark.parametrize("num_channels", [2, 4])
     @pytest.mark.parametrize("kind", ["r2hs", "rths"])
     def test_dense_under_churn_replays(self, kind, num_channels):
-        config = config_for(num_channels=num_channels)
+        spec = spec_for(num_channels=num_channels)
         assert_traces_identical(
-            build(config, kind=kind).run(60), build(config, kind=kind).run(60)
+            build(spec, kind=kind).run(60), build(spec, kind=kind).run(60)
         )
 
     @pytest.mark.parametrize("kind", ["r2hs", "rths"])
     def test_topk_under_churn_replays(self, kind):
-        config = config_for(num_helpers=24, num_channels=3,
+        spec = spec_for(num_helpers=24, num_channels=3,
                             channel_switch_rate=0.0)
-        first = build(config, kind=kind, bank="topk", topk=3).run(40)
-        second = build(config, kind=kind, bank="topk", topk=3).run(40)
+        first = build(spec, kind=kind, bank="topk", topk=3).run(40)
+        second = build(spec, kind=kind, bank="topk", topk=3).run(40)
         assert_traces_identical(first, second)
 
     @pytest.mark.parametrize("kind", ["sticky", "uniform"])
     def test_baseline_under_churn_replays(self, kind):
-        config = config_for()
-        first = build(config, kind=kind)
+        spec = spec_for()
+        first = build(spec, kind=kind)
         assert isinstance(first.bank, PerChannelGroupedBank)
         assert_traces_identical(
-            first.run(60), build(config, kind=kind).run(60)
+            first.run(60), build(spec, kind=kind).run(60)
         )
 
     def test_record_peers_actions_and_utilities_replay(self):
-        config = SystemConfig(
-            num_peers=40, num_helpers=6, num_channels=3,
-            channel_bitrates=100.0, record_peers=True,
+        spec = spec_for(
+            churn=ChurnSpec(), record_peers=True, num_peers=40, num_helpers=6,
+            num_channels=3, channel_switch_rate=0.0,
         )
         initial = [i % 3 for i in range(40)]
-        first = build(config, initial_channels=initial).run(30)
-        second = build(config, initial_channels=initial).run(30)
+        first = build(spec, initial_channels=initial).run(30)
+        second = build(spec, initial_channels=initial).run(30)
         assert_traces_identical(first, second)
         a, b = first.to_trajectory(), second.to_trajectory()
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.utilities, b.utilities)
 
     def test_float32_replays(self):
-        config = config_for(num_peers=40, channel_switch_rate=0.0)
-        first = build(config, seed=7, dtype=np.float32).run(40)
-        second = build(config, seed=7, dtype=np.float32).run(40)
+        spec = spec_for(dtype="float32", num_peers=40, channel_switch_rate=0.0)
+        first = build(spec, seed=7).run(40)
+        second = build(spec, seed=7).run(40)
         assert_traces_identical(first, second)
 
     def test_another_seed_diverges(self):
         # The replay checks above are not vacuous: the seed reaches the
         # trace.
-        config = config_for()
-        a = build(config, seed=42).run(60)
-        b = build(config, seed=43).run(60)
+        spec = spec_for()
+        a = build(spec, seed=42).run(60)
+        b = build(spec, seed=43).run(60)
         assert not np.array_equal(a.welfare, b.welfare)
 
 
@@ -124,9 +133,9 @@ class TestSplitRun:
         "kind, bank", [("r2hs", "dense"), ("r2hs", "topk"), ("sticky", "dense")]
     )
     def test_run_in_pieces_equals_one_run(self, kind, bank):
-        config = config_for(num_helpers=24, num_channels=3)
-        reference = build(config, kind=kind, bank=bank, topk=3).run(50)
-        system = build(config, kind=kind, bank=bank, topk=3)
+        spec = spec_for(num_helpers=24, num_channels=3)
+        reference = build(spec, kind=kind, bank=bank, topk=3).run(50)
+        system = build(spec, kind=kind, bank=bank, topk=3)
         for rounds in (20, 10, 20):
             trace = system.run(rounds)
         assert trace.num_rounds == 50
@@ -163,7 +172,7 @@ class TestOneProcess:
         assert np.array_equal(a.trace.loads, b.trace.loads)
 
     def test_close_is_idempotent_and_trace_stays_readable(self):
-        system = build(config_for())
+        system = build(spec_for())
         trace = system.run(30)
         welfare = trace.welfare.copy()
         system.close()

@@ -19,12 +19,11 @@ from repro.core.population import LearnerPopulation
 from repro.core.sparse_population import TopKPopulation
 from repro.runtime import TopKRegretBank, VectorizedStreamingSystem, bank_factory
 from repro.sim import (
-    SystemConfig,
     TraceCapacityProcess,
     paper_bandwidth_process,
     record_capacity_trace,
 )
-from repro.spec import ExperimentSpec
+from repro.spec import ChurnSpec, ExperimentSpec, TopologySpec
 
 U_MAX = 900.0
 
@@ -88,13 +87,13 @@ class TestFullKBitIdentity:
         """Full streaming system, same seed: dense and k=H topk banks
         must produce bit-identical traces."""
         N, H, T = 120, 8, 60
-        config = SystemConfig(
+        spec = ExperimentSpec(topology=TopologySpec(
             num_peers=N, num_helpers=H, num_channels=2, channel_bitrates=100.0
-        )
+        ))
         traces = {}
         for bank in ("dense", "topk"):
             system = VectorizedStreamingSystem(
-                config,
+                spec,
                 bank_factory("r2hs", u_max=U_MAX, bank=bank, topk=H),
                 rng=7,
             )
@@ -301,21 +300,19 @@ class TestBankPlumbing:
 class TestDriveRecordedTrace:
     def test_system_run_with_churn_and_topk(self):
         """End-to-end smoke under churn on a recorded environment."""
-        from repro.sim import ChurnConfig
-
         H = 24
         shared = record_capacity_trace(paper_bandwidth_process(H, rng=3), 120)
-        config = SystemConfig(
-            num_peers=80,
-            num_helpers=H,
-            channel_bitrates=100.0,
-            churn=ChurnConfig(
+        spec = ExperimentSpec(
+            topology=TopologySpec(
+                num_peers=80, num_helpers=H, channel_bitrates=100.0
+            ),
+            churn=ChurnSpec(
                 arrival_rate=1.0, mean_lifetime=30.0,
                 initial_peer_lifetimes=True,
             ),
         )
         system = VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=U_MAX, bank="topk", topk=6),
             rng=5,
             capacity_process=TraceCapacityProcess(shared),

@@ -11,7 +11,7 @@ interleavings) and through the full system's churn process.
 import numpy as np
 
 from repro.runtime import TopKRegretBank, VectorizedStreamingSystem, bank_factory
-from repro.sim import ChurnConfig, SystemConfig
+from repro.spec import ChurnSpec, ExperimentSpec, TopologySpec
 
 U_MAX = 900.0
 
@@ -88,18 +88,18 @@ class TestRecycledBlocksProperty:
 
 class TestSystemChurnWithTopk:
     def test_no_stale_rows_and_unique_assignment_under_churn(self):
-        config = SystemConfig(
-            num_peers=60,
-            num_helpers=30,
-            num_channels=2,
-            channel_bitrates=100.0,
-            churn=ChurnConfig(
+        spec = ExperimentSpec(
+            topology=TopologySpec(
+                num_peers=60, num_helpers=30, num_channels=2,
+                channel_bitrates=100.0,
+            ),
+            churn=ChurnSpec(
                 arrival_rate=2.0, mean_lifetime=20.0,
                 initial_peer_lifetimes=True,
             ),
         )
         system = VectorizedStreamingSystem(
-            config,
+            spec,
             bank_factory("r2hs", u_max=U_MAX, bank="topk", topk=5),
             rng=12,
         )
@@ -118,4 +118,4 @@ class TestSystemChurnWithTopk:
             assert (np.diff(ids, axis=1) > 0).all()
         assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
         # Churn actually cycled slots through the free-list.
-        assert store.total_created > config.num_peers
+        assert store.total_created > spec.topology.num_peers

@@ -9,12 +9,9 @@ the generator exactly where ``choice`` leaves it.
 import numpy as np
 
 from repro.sim.engine import Simulator
-from repro.sim.system import (
-    ChannelSampler,
-    SystemConfig,
-    install_popularity_drift,
-    normalized_channel_weights,
-)
+from repro.sim.system import ChannelSampler, install_popularity_drift
+from repro.spec import ExperimentSpec, LearnerSpec, TopologySpec
+from repro.util.validation import normalized_channel_weights
 from repro.workloads.popularity import popularity_drift
 
 SEEDS = range(1_000)
@@ -86,14 +83,17 @@ def test_set_weights_rebuilds_the_cdf():
 def test_popularity_drift_moves_the_draws():
     """The drift process writes through the sampler: the next draws follow
     the drifted weights, exactly as ``choice`` over them would."""
-    config = SystemConfig(
-        num_peers=1, num_helpers=5, num_channels=5,
-        popularity_drift_rate=0.5, popularity_drift_period=1.0,
+    spec = ExperimentSpec(
+        topology=TopologySpec(
+            num_peers=1, num_helpers=5, num_channels=5,
+            popularity_drift_rate=0.5, popularity_drift_period=1.0,
+        ),
+        learner=LearnerSpec(name="uniform"),  # one helper per channel
     )
     start = normalized_channel_weights(5, [5.0, 4.0, 3.0, 2.0, 1.0])
     sampler = ChannelSampler(start)
     sim = Simulator()
-    install_popularity_drift(sim, config, np.random.default_rng(11), sampler)
+    install_popularity_drift(sim, spec, np.random.default_rng(11), sampler)
     sim.run_until(2.0)  # two drift steps
     twin = np.random.default_rng(11)
     expected = popularity_drift(start, 0.5, rng=twin)

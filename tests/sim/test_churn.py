@@ -1,28 +1,12 @@
 """Tests for repro.sim.churn."""
 
-import pytest
-
-from repro.sim.churn import ChurnConfig, ChurnProcess
+from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
-
-
-class TestChurnConfig:
-    def test_defaults_disable_everything(self):
-        config = ChurnConfig()
-        assert config.arrival_rate == 0.0
-        assert config.mean_lifetime is None
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            ChurnConfig(arrival_rate=-1.0)
-
-    def test_rejects_nonpositive_lifetime(self):
-        with pytest.raises(ValueError):
-            ChurnConfig(mean_lifetime=0.0)
+from repro.spec import ChurnSpec
 
 
 class TestChurnProcess:
-    def _run(self, config, horizon=100.0, seed=0):
+    def _run(self, churn, horizon=100.0, seed=0):
         sim = Simulator()
         joined = []
         left = []
@@ -35,19 +19,19 @@ class TestChurnProcess:
             return pid
 
         process = ChurnProcess(
-            config, on_join=on_join, on_leave=lambda pid: left.append((sim.now, pid)), rng=seed
+            churn, on_join=on_join, on_leave=lambda pid: left.append((sim.now, pid)), rng=seed
         )
         process.start(sim)
         sim.run_until(horizon)
         return process, joined, left
 
     def test_no_arrivals_when_disabled(self):
-        process, joined, left = self._run(ChurnConfig())
+        process, joined, left = self._run(ChurnSpec())
         assert joined == [] and left == []
 
     def test_arrival_count_near_rate(self):
         process, joined, _ = self._run(
-            ChurnConfig(arrival_rate=0.5), horizon=1000.0, seed=1
+            ChurnSpec(arrival_rate=0.5), horizon=1000.0, seed=1
         )
         # Poisson(500): 4-sigma band.
         assert 400 < len(joined) < 600
@@ -55,7 +39,7 @@ class TestChurnProcess:
 
     def test_lifetimes_trigger_leaves(self):
         process, joined, left = self._run(
-            ChurnConfig(arrival_rate=0.5, mean_lifetime=5.0),
+            ChurnSpec(arrival_rate=0.5, mean_lifetime=5.0),
             horizon=500.0,
             seed=2,
         )
@@ -68,7 +52,7 @@ class TestChurnProcess:
 
     def test_no_leaves_without_lifetime(self):
         _, joined, left = self._run(
-            ChurnConfig(arrival_rate=0.5), horizon=200.0, seed=3
+            ChurnSpec(arrival_rate=0.5), horizon=200.0, seed=3
         )
         assert joined and not left
 
@@ -76,7 +60,7 @@ class TestChurnProcess:
         sim = Simulator()
         left = []
         process = ChurnProcess(
-            ChurnConfig(mean_lifetime=2.0),
+            ChurnSpec(mean_lifetime=2.0, initial_peer_lifetimes=True),
             on_join=lambda: 0,
             on_leave=lambda pid: left.append(pid),
             rng=4,
@@ -87,9 +71,9 @@ class TestChurnProcess:
 
     def test_seeded_reproducibility(self):
         _, j1, l1 = self._run(
-            ChurnConfig(arrival_rate=0.3, mean_lifetime=10.0), horizon=200.0, seed=9
+            ChurnSpec(arrival_rate=0.3, mean_lifetime=10.0), horizon=200.0, seed=9
         )
         _, j2, l2 = self._run(
-            ChurnConfig(arrival_rate=0.3, mean_lifetime=10.0), horizon=200.0, seed=9
+            ChurnSpec(arrival_rate=0.3, mean_lifetime=10.0), horizon=200.0, seed=9
         )
         assert j1 == j2 and l1 == l2

@@ -5,8 +5,14 @@ import pytest
 
 from repro.core.r2hs import R2HSLearner
 from repro.game.baselines import UniformRandomLearner
-from repro.sim.churn import ChurnConfig
-from repro.sim.system import StreamingSystem, SystemConfig
+from repro.sim.system import StreamingSystem
+from repro.spec import (
+    CapacitySpec,
+    ChurnSpec,
+    ExperimentSpec,
+    MetricsSpec,
+    TopologySpec,
+)
 
 
 def r2hs_factory(num_actions, rng):
@@ -17,48 +23,38 @@ def random_factory(num_actions, rng):
     return UniformRandomLearner(num_actions, rng=rng)
 
 
-def build(config=None, factory=r2hs_factory, seed=0, **kwargs):
-    if config is None:
-        config = SystemConfig(
-            num_peers=12, num_helpers=4, channel_bitrates=100.0, **kwargs
-        )
-    return StreamingSystem(config, factory, rng=seed)
+def spec_for(churn=ChurnSpec(), server_capacity=None, record_peers=False,
+             **topology):
+    """A scalar-backend spec: its default environment is per-helper chains."""
+    return ExperimentSpec(
+        backend="scalar",
+        topology=TopologySpec(**topology),
+        capacity=CapacitySpec(server_capacity=server_capacity),
+        churn=churn,
+        metrics=MetricsSpec(record_peers=record_peers),
+    )
 
 
-class TestSystemConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SystemConfig(num_peers=0, num_helpers=2)
-        with pytest.raises(ValueError):
-            SystemConfig(num_peers=1, num_helpers=1, num_channels=2)
-        with pytest.raises(ValueError):
-            SystemConfig(num_peers=1, num_helpers=2, round_duration=0.0)
+def build(spec=None, factory=r2hs_factory, seed=0):
+    if spec is None:
+        spec = spec_for(num_peers=12, num_helpers=4, channel_bitrates=100.0)
+    return StreamingSystem(spec, factory, rng=seed)
 
-    def test_bitrate_of_scalar(self):
-        config = SystemConfig(num_peers=2, num_helpers=2, channel_bitrates=250.0)
-        assert config.bitrate_of(0) == 250.0
 
-    def test_bitrate_of_sequence(self):
-        config = SystemConfig(
-            num_peers=2, num_helpers=4, num_channels=2, channel_bitrates=[100.0, 300.0]
-        )
-        assert config.bitrate_of(1) == 300.0
+class TestChannelBitrates:
+    def test_one_rate_applies_to_every_channel(self):
+        spec = spec_for(num_peers=2, num_helpers=4, num_channels=2,
+                        channel_bitrates=250)
+        assert spec.topology.bitrates() == (250.0, 250.0)
+        system = build(spec)
+        assert [c.bitrate for c in system.channels] == [250.0, 250.0]
 
-    def test_bitrate_length_mismatch_fails_at_construction(self):
-        with pytest.raises(ValueError):
-            SystemConfig(
-                num_peers=2, num_helpers=4, num_channels=2, channel_bitrates=[100.0]
-            )
-
-    def test_nonpositive_bitrate_fails_at_construction(self):
-        with pytest.raises(ValueError):
-            SystemConfig(num_peers=2, num_helpers=2, channel_bitrates=0.0)
-
-    def test_bitrates_normalized_to_tuple(self):
-        config = SystemConfig(
-            num_peers=2, num_helpers=4, num_channels=2, channel_bitrates=250.0
-        )
-        assert config.channel_bitrates == (250.0, 250.0)
+    def test_one_rate_per_channel(self):
+        spec = spec_for(num_peers=8, num_helpers=4, num_channels=2,
+                        channel_bitrates=[100.0, 300.0])
+        system = build(spec)
+        assert [c.bitrate for c in system.channels] == [100.0, 300.0]
+        assert sorted({p.demand for p in system.peers}) == [100.0, 300.0]
 
 
 class TestSingleChannelRun:
@@ -95,10 +91,8 @@ class TestSingleChannelRun:
         assert trace.server_load[-1] == pytest.approx(0.0)
 
     def test_min_deficit_formula(self):
-        config = SystemConfig(
-            num_peers=40, num_helpers=4, channel_bitrates=100.0
-        )
-        system = StreamingSystem(config, r2hs_factory, rng=1)
+        spec = spec_for(num_peers=40, num_helpers=4, channel_bitrates=100.0)
+        system = StreamingSystem(spec, r2hs_factory, rng=1)
         trace = system.run(5)
         # 40 * 100 demand vs 4 * 700 minimum capacity -> deficit 1200.
         assert np.allclose(trace.min_deficit, 1200.0)
@@ -111,13 +105,13 @@ class TestSingleChannelRun:
             assert peer.average_rate > 0
 
     def test_server_capacity_bounds_topup(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=40,
             num_helpers=4,
             channel_bitrates=200.0,
             server_capacity=500.0,
         )
-        system = StreamingSystem(config, r2hs_factory, rng=2)
+        system = StreamingSystem(spec, r2hs_factory, rng=2)
         trace = system.run(10)
         assert np.all(trace.server_load <= 500.0 + 1e-9)
 
@@ -128,10 +122,10 @@ class TestSingleChannelRun:
 
 class TestRecordPeers:
     def test_trajectory_export(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=8, num_helpers=4, channel_bitrates=100.0, record_peers=True
         )
-        system = StreamingSystem(config, r2hs_factory, rng=3)
+        system = StreamingSystem(spec, r2hs_factory, rng=3)
         trace = system.run(20)
         trajectory = trace.to_trajectory()
         assert trajectory.actions.shape == (20, 8)
@@ -144,42 +138,40 @@ class TestRecordPeers:
             trace.to_trajectory()
 
     def test_record_peers_with_churn_raises(self):
-        config = SystemConfig(
-            num_peers=8,
-            num_helpers=4,
-            channel_bitrates=100.0,
-            record_peers=True,
-            churn=ChurnConfig(arrival_rate=2.0),
-        )
-        system = StreamingSystem(config, r2hs_factory, rng=4)
-        with pytest.raises(RuntimeError):
-            system.run(50)
+        with pytest.raises(ValueError, match="record_peers requires a fixed"):
+            spec_for(
+                num_peers=8,
+                num_helpers=4,
+                channel_bitrates=100.0,
+                record_peers=True,
+                churn=ChurnSpec(arrival_rate=2.0),
+            )
 
 
 class TestChurnIntegration:
     def test_population_grows_with_arrivals_only(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=5,
             num_helpers=4,
             channel_bitrates=100.0,
-            churn=ChurnConfig(arrival_rate=0.5),
+            churn=ChurnSpec(arrival_rate=0.5),
         )
-        system = StreamingSystem(config, r2hs_factory, rng=5)
+        system = StreamingSystem(spec, r2hs_factory, rng=5)
         trace = system.run(100)
         assert trace.online_peers[-1] > 5
 
     def test_departed_peers_stop_participating(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=10,
             num_helpers=4,
             channel_bitrates=100.0,
-            churn=ChurnConfig(
+            churn=ChurnSpec(
                 arrival_rate=0.0,
                 mean_lifetime=20.0,
                 initial_peer_lifetimes=True,
             ),
         )
-        system = StreamingSystem(config, r2hs_factory, rng=6)
+        system = StreamingSystem(spec, r2hs_factory, rng=6)
         trace = system.run(200)
         assert trace.online_peers[-1] < 10
         departed = [p for p in system.peers if not p.online]
@@ -188,30 +180,30 @@ class TestChurnIntegration:
             assert peer.left_at is not None
 
     def test_loads_match_online_population(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=10,
             num_helpers=4,
             channel_bitrates=100.0,
-            churn=ChurnConfig(arrival_rate=0.3, mean_lifetime=30.0),
+            churn=ChurnSpec(arrival_rate=0.3, mean_lifetime=30.0),
         )
-        system = StreamingSystem(config, r2hs_factory, rng=7)
+        system = StreamingSystem(spec, r2hs_factory, rng=7)
         trace = system.run(80)
         assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
 
 
 class TestMultiChannel:
     def test_helpers_partitioned_round_robin(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=10, num_helpers=6, num_channels=2, channel_bitrates=100.0
         )
-        system = StreamingSystem(config, r2hs_factory, rng=8)
+        system = StreamingSystem(spec, r2hs_factory, rng=8)
         assert [h.channel_id for h in system.helpers] == [0, 1, 0, 1, 0, 1]
 
     def test_peers_select_only_their_channels_helpers(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=20, num_helpers=6, num_channels=2, channel_bitrates=100.0
         )
-        system = StreamingSystem(config, r2hs_factory, rng=9)
+        system = StreamingSystem(spec, r2hs_factory, rng=9)
         system.run(10)
         for peer in system.online_peers():
             helpers = [
@@ -223,30 +215,30 @@ class TestMultiChannel:
             assert helpers[0].channel_id == peer.channel_id
 
     def test_popularity_skews_assignment(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=300,
             num_helpers=4,
             num_channels=2,
             channel_bitrates=100.0,
             channel_popularity=[0.9, 0.1],
         )
-        system = StreamingSystem(config, random_factory, rng=10)
+        system = StreamingSystem(spec, random_factory, rng=10)
         counts = np.bincount(
             [p.channel_id for p in system.peers], minlength=2
         )
         assert counts[0] > counts[1] * 3
 
     def test_learner_factory_size_validated(self):
-        config = SystemConfig(num_peers=4, num_helpers=4, channel_bitrates=100.0)
+        spec = spec_for(num_peers=4, num_helpers=4, channel_bitrates=100.0)
         with pytest.raises(ValueError):
             StreamingSystem(
-                config, lambda h, rng: UniformRandomLearner(h + 1, rng=rng), rng=0
+                spec, lambda h, rng: UniformRandomLearner(h + 1, rng=rng), rng=0
             )
 
 
 class TestChannelSwitching:
     def test_switch_events_move_viewers(self):
-        config = SystemConfig(
+        spec = spec_for(
             num_peers=30,
             num_helpers=4,
             num_channels=2,
@@ -254,7 +246,7 @@ class TestChannelSwitching:
             channel_popularity=[0.5, 0.5],
             channel_switch_rate=0.5,
         )
-        system = StreamingSystem(config, r2hs_factory, rng=11)
+        system = StreamingSystem(spec, r2hs_factory, rng=11)
         trace = system.run(200)
         assert system.channel_switches > 0
         # Population stays constant: each switch is a leave + join.
@@ -268,20 +260,12 @@ class TestChannelSwitching:
         system.run(20)
         assert system.channel_switches == 0
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            SystemConfig(
-                num_peers=2, num_helpers=2, channel_switch_rate=-0.1
-            )
-
     def test_record_peers_incompatible_with_switching(self):
-        config = SystemConfig(
-            num_peers=10,
-            num_helpers=4,
-            channel_bitrates=100.0,
-            channel_switch_rate=1.0,
-            record_peers=True,
-        )
-        system = StreamingSystem(config, r2hs_factory, rng=12)
-        with pytest.raises(RuntimeError):
-            system.run(100)
+        with pytest.raises(ValueError, match="record_peers requires a fixed"):
+            spec_for(
+                num_peers=10,
+                num_helpers=4,
+                channel_bitrates=100.0,
+                channel_switch_rate=1.0,
+                record_peers=True,
+            )

@@ -218,6 +218,41 @@ class TestParseTimeValidation:
         assert excinfo.value.code == 2
         assert "arrival_rate" in capsys.readouterr().err
 
+    RECORD_A_SMALL_RUN = [
+        "run", "--set", "metrics.record_peers=true",
+        "--set", "topology.num_peers=10", "--set", "topology.num_helpers=4",
+        "--set", "rounds=3",
+    ]
+
+    @pytest.mark.parametrize("change", [
+        ["churn.arrival_rate=1.0"],
+        ["churn.mean_lifetime=5.0", "churn.initial_peer_lifetimes=true"],
+        ["topology.channel_switch_rate=1.0"],
+    ])
+    def test_record_peers_with_a_changing_population_fails_cleanly(
+        self, change, capsys
+    ):
+        # Arrivals, departures and viewer switches would each fail the
+        # per-peer recording part-way through the round loop.
+        argv = list(self.RECORD_A_SMALL_RUN)
+        for item in change:
+            argv += ["--set", item]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv, out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = err.strip().splitlines()[-1]
+        assert error.startswith("repro: error:") and "record_peers" in error
+
+    def test_record_peers_with_popularity_drift_runs(self):
+        # Drift moves channel weights, not peers: the population is fixed.
+        argv = self.RECORD_A_SMALL_RUN + [
+            "--set", "topology.num_channels=2",
+            "--set", "topology.popularity_drift_rate=0.5",
+        ]
+        assert main(argv, out=io.StringIO()) == 0
+
     def test_valid_combination_parses(self):
         parser = build_parser()
         args = parser.parse_args(

@@ -6,12 +6,22 @@ Under a shared recorded environment the agreement is distributional (the
 established tolerances of ``tests/runtime/test_equivalence.py``: same
 dynamics, different RNG stream layouts); integer population accounting
 must match exactly.
+
+The spec is also the systems' only description: ``spec.build`` only
+picks the backend, so a system built directly from the spec is the same
+run, byte for byte.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim import TraceCapacityProcess, paper_bandwidth_process, record_capacity_trace
+from repro.runtime import VectorizedStreamingSystem
+from repro.sim import (
+    StreamingSystem,
+    TraceCapacityProcess,
+    paper_bandwidth_process,
+    record_capacity_trace,
+)
 from repro.spec import ExperimentSpec
 
 SPEC_JSON = """
@@ -87,3 +97,54 @@ class TestOneSpecTwoBackends:
         tail = slice(150, None)
         w64, w32 = t64.welfare[tail].mean(), t32.welfare[tail].mean()
         assert abs(w64 - w32) / w64 < 0.03
+
+
+#: Churn, viewer switching, popularity drift, a capacity transform, a
+#: server cap and a network section: every part of the spec a system reads.
+EVERYTHING = {
+    "rounds": 40,
+    "seed": 3,
+    "topology": {
+        "num_peers": 40, "num_helpers": 6, "num_channels": 2,
+        "channel_bitrates": [100.0, 150.0], "channel_popularity": [2.0, 1.0],
+        "channel_switch_rate": 0.5, "popularity_drift_rate": 0.2,
+        "popularity_drift_period": 5.0,
+    },
+    "capacity": {
+        "server_capacity": 3000.0,
+        "transforms": [{"name": "failures", "options": {"failure_rate": 0.1}}],
+    },
+    "network": {"latency_ms": 80.0, "jitter_ms": 5.0},
+    "churn": {
+        "arrival_rate": 1.0, "mean_lifetime": 20.0,
+        "initial_peer_lifetimes": True,
+    },
+}
+
+TRACE_COLUMNS = (
+    "times", "welfare", "server_load", "min_deficit", "online_peers",
+    "total_demand", "capacities", "loads",
+)
+
+
+class TestOneConstructionPath:
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_build_equals_the_directly_built_system(self, backend):
+        spec = ExperimentSpec.from_dict(dict(EVERYTHING, backend=backend))
+        if backend == "vectorized":
+            direct = VectorizedStreamingSystem(spec, spec.bank_factory(), rng=11)
+        else:
+            direct = StreamingSystem(spec, spec.scalar_learner_factory(), rng=11)
+        built = spec.build(rng=11)
+        assert type(built) is type(direct)
+        a, b = built.run(spec.rounds), direct.run(spec.rounds)
+        for column in TRACE_COLUMNS:
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        # The run exercised what the spec describes: the failures
+        # transform zeroes helpers, the link layer scales the rest off the
+        # chain levels, and the population changed.
+        caps = b.capacities
+        assert (caps == 0).any()
+        assert not np.isin(caps[caps > 0], spec.capacity.levels).any()
+        assert direct.channel_switches > 0
+        assert len(set(b.online_peers.tolist())) > 1

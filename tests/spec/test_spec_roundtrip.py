@@ -171,6 +171,10 @@ class TestValidation:
             TopologySpec(num_helpers=2, num_channels=4)
         with pytest.raises(ValueError, match="bitrates"):
             TopologySpec(channel_bitrates=-5.0)
+        with pytest.raises(ValueError, match="round_duration"):
+            TopologySpec(round_duration=0.0)
+        with pytest.raises(ValueError, match="channel_switch_rate"):
+            TopologySpec(channel_switch_rate=-0.1)
         # Out-of-range values fail as CLI cases in test_spec_fuzz.py; the
         # boundaries stay valid: a zero weight, a zero capacity level.
         TopologySpec(num_helpers=4, num_channels=2, channel_popularity=[0, 1])

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.runtime import VectorizedStreamingSystem, bank_factory
-from repro.sim import SystemConfig
+from repro.spec import ExperimentSpec, TopologySpec
 from repro.telemetry import (
     NULL,
     JsonlSink,
@@ -21,12 +21,10 @@ from repro.telemetry import (
 
 
 def small_system():
-    config = SystemConfig(
+    spec = ExperimentSpec(topology=TopologySpec(
         num_peers=40, num_helpers=4, num_channels=1, channel_bitrates=100.0
-    )
-    return VectorizedStreamingSystem(
-        config, bank_factory("r2hs"), rng=0
-    )
+    ))
+    return VectorizedStreamingSystem(spec, bank_factory("r2hs"), rng=0)
 
 
 class TestSinkRegistry:

@@ -142,7 +142,10 @@ def test_a_resumed_eval_imports_no_runtime_or_learners(tmp_path):
             "--store", str(tmp_path / "store")]
     assert repro.cli.main(argv, out=io.StringIO()) == 0  # fills the store
     modules = modules_after(argv + ["--resume"])
-    assert under(modules, "repro.runtime.", "repro.core.") == []
+    assert under(
+        modules, "repro.runtime.", "repro.core.", "repro.sim.system",
+        "repro.sim.engine", "repro.sim.churn", "repro.game.",
+    ) == []
 
 
 def test_a_cold_run_imports_no_figure_or_oracle_code():

@@ -69,9 +69,6 @@ class TestPopularityDriftScenario:
         clone = ExperimentSpec.from_json(spec.to_json())
         assert clone.topology.popularity_drift_rate == 0.25
         assert clone.topology.popularity_drift_period == 7.0
-        config = clone.to_config()
-        assert config.popularity_drift_rate == 0.25
-        assert config.popularity_drift_period == 7.0
 
     def test_scalar_backend_shares_drift_semantics(self):
         spec = popularity_drift_spec(

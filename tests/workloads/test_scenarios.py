@@ -17,14 +17,13 @@ class TestMassiveScaleScenario:
         assert topology.num_channels > 1
         assert topology.num_helpers >= topology.num_channels
 
-    def test_to_config(self):
+    def test_scale_reaches_the_topology(self):
         spec = massive_scale_spec(
             num_peers=100, num_helpers=8, num_channels=2, num_stages=10
         )
-        config = spec.to_config()
-        assert config.num_peers == 100
-        assert config.num_channels == 2
-        assert config.channel_bitrates == (100.0, 100.0)
+        assert spec.topology.num_peers == 100
+        assert spec.topology.num_channels == 2
+        assert spec.topology.bitrates() == (100.0, 100.0)
 
     def test_vectorized_system_runs(self):
         spec = massive_scale_spec(
