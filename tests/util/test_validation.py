@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.validation import (
+    normalized_channel_weights,
     require_in_closed_unit_interval,
     require_non_negative,
     require_non_negative_int,
@@ -135,3 +136,20 @@ class TestStochasticMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             require_stochastic_matrix([[1.1, -0.1], [0.5, 0.5]], "m")
+
+
+class TestNormalizedChannelWeights:
+    def test_none_means_uniform(self):
+        weights = normalized_channel_weights(4, None)
+        assert np.array_equal(weights, np.full(4, 0.25))
+
+    def test_normalizes_and_keeps_zero_weights(self):
+        weights = normalized_channel_weights(3, [2.0, 0.0, 6.0])
+        assert np.allclose(weights, [0.25, 0.0, 0.75])
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, 2.0, 3.0], [1.0], [1.0, -1.0], [0.0, 0.0]]
+    )
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError, match="channel_popularity"):
+            normalized_channel_weights(2, bad)
