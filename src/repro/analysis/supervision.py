@@ -108,6 +108,8 @@ class SweepFailure:
             where += f" [spec {self.spec_digest}]"
         if self.params:
             where += f" (params {self.params})"
+        if self.seed is not None:
+            where += f" (seed {self.seed})"
         return where
 
     def to_dict(self) -> Dict[str, Any]:

@@ -25,7 +25,7 @@ Usage::
 same text tables the benchmark harness writes to ``benchmarks/output/``.
 ``scenario`` runs an ad-hoc helper-selection experiment (bare repeated
 game, vectorized population) and prints the headline metrics.  ``run``
-executes the *full streaming system* — channels, tracker, churn, origin
+executes the *full streaming system* — channels, helpers, churn, origin
 server — on either the scalar (``repro.sim``) or the vectorized
 (``repro.runtime``) backend, optionally fanning replications across worker
 processes.  ``eval`` runs a prequential learner × scenario comparison

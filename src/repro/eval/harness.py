@@ -235,14 +235,7 @@ def run_eval_cell(
     spec = EvalSpec.from_dict(eval_dict)
     scenario, learner = params["scenario"], params["learner"]
     cell_spec = spec.build_cell_spec(scenario, learner)
-    try:
-        result = cell_spec.run(seed=seed)
-    except Exception as exc:
-        exc.add_note(
-            f"eval {spec.eval_digest()} cell scenario={scenario!r} "
-            f"learner={learner!r} seed={seed}"
-        )
-        raise
+    result = cell_spec.run(seed=seed)
     from repro.telemetry import get_telemetry
 
     get_telemetry().counter("eval.cells").inc()

@@ -22,6 +22,8 @@ on dense arrays:
 * :mod:`repro.runtime.system` — :class:`VectorizedStreamingSystem`, whose
   learning round is a handful of numpy ops (one learner draw,
   ``np.bincount`` loads, masked deficit accounting, one learner update).
+  Its construction, churn/switch/drift wiring and round loop are the
+  scalar system's: both inherit :class:`repro.sim.system.SystemSkeleton`.
 
 Pick a backend per experiment: the scalar system for per-peer
 introspection and plug-in scalar learners, the vectorized runtime for

@@ -25,6 +25,13 @@ per-channel regret banks behind the same API: same per-channel RNG
 streams, same per-row float sequences, same traces (asserted
 trace-for-trace in ``tests/runtime/test_grouped_engine.py``).
 
+Everything but the peers and the round comes from
+:class:`repro.sim.system.SystemSkeleton`, which the scalar system
+inherits too: server, trace, capacity process, channels, helper
+partition, churn, viewer switching, popularity drift and the round loop.
+This module adds the peer store, the bank, the churn callbacks and the
+array round.
+
 Given identical helper choices the scalar and vectorized systems produce
 identical round records (asserted trace-for-trace in
 ``tests/runtime/test_equivalence.py`` by scripting the choices); with
@@ -41,21 +48,12 @@ import numpy as np
 from repro.runtime.grouped_bank import GroupedLearnerBank
 from repro.runtime.learner_bank import BankFactory
 from repro.runtime.peer_store import PeerStore
-from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
-from repro.sim.entities import Channel, StreamingServer
-from repro.sim.system import (
-    ChannelSampler,
-    drive_rounds,
-    install_channel_switching,
-    install_popularity_drift,
-)
+from repro.sim.system import SystemSkeleton
 from repro.sim.trace import SystemTrace
-from repro.sim.tracker import Tracker
 from repro.telemetry import get_telemetry
 from repro.util.logconfig import get_logger
-from repro.util.rng import Seedish, as_generator, spawn
-from repro.util.validation import normalized_channel_weights
+from repro.util.rng import Seedish, spawn
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.spec.model import ExperimentSpec
@@ -63,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 logger = get_logger("runtime")
 
 
-class VectorizedStreamingSystem:
+class VectorizedStreamingSystem(SystemSkeleton):
     """A runnable multi-channel P2P streaming deployment, array-backed.
 
     Parameters
@@ -99,23 +97,7 @@ class VectorizedStreamingSystem:
         capacity_process=None,
         initial_channels: Optional[Sequence[int]] = None,
     ) -> None:
-        topology = spec.topology
-        dtype = np.dtype(spec.learner.dtype)
-        self._spec = spec
-        self._rng = as_generator(rng)
-        self._sim = Simulator()
-        server_capacity = spec.capacity.server_capacity
-        self._server = StreamingServer(
-            capacity=float("inf") if server_capacity is None else server_capacity
-        )
-        self._tracker = Tracker()
-        record_peers = spec.metrics.record_peers
-        self._trace = SystemTrace(
-            actions=[] if record_peers else None,
-            utilities=[] if record_peers else None,
-        )
-        self._round_index = 0
-        self._population_changed = False
+        self._bank_factory = bank_factory
         # Memoized round grouping (see _round_grouping): valid until the
         # population changes.
         self._grouping = None
@@ -126,131 +108,7 @@ class VectorizedStreamingSystem:
         self._acc_rounds = 0
         self._acc_rate: Optional[np.ndarray] = None
         self._acc_deficit: Optional[np.ndarray] = None
-
-        if capacity_process is None:
-            capacity_process = spec.build_capacity_process(rng=spawn(self._rng))
-        if capacity_process.num_helpers != topology.num_helpers:
-            raise ValueError("capacity process size does not match num_helpers")
-        self._capacity_process = capacity_process
-        # minimum_capacities() is a per-helper *lower bound over time* —
-        # constant for every process implementation (chain level sets and
-        # recorded traces are fixed at construction) — so its sum, the only
-        # thing the round loop needs, is computed once.
-        self._min_caps_sum = float(
-            np.asarray(capacity_process.minimum_capacities()).sum()
-        )
-
-        # Channels, popularity, helper partition (identical to scalar).
-        self._sampler = ChannelSampler(
-            normalized_channel_weights(
-                topology.num_channels, topology.channel_popularity
-            )
-        )
-        # Per-channel playback bitrates as a lookup table: demand vectors
-        # for whole populations (and single join events) become one
-        # gather instead of a Python loop over the channels.
-        bitrates = topology.bitrates()
-        self._bitrate_table = np.asarray(bitrates, dtype=float)
-        self._channels = [
-            Channel(
-                channel_id=c,
-                bitrate=bitrate,
-                popularity=float(self._sampler.weights[c]),
-            )
-            for c, bitrate in enumerate(bitrates)
-        ]
-        for h in range(topology.num_helpers):
-            self._tracker.register_helper(h, h % topology.num_channels)
-        self._channel_helpers: List[np.ndarray] = [
-            np.asarray(self._tracker.helpers_for(c), dtype=np.int64)
-            for c in range(topology.num_channels)
-        ]
-        # Channel-local action -> global helper id, one 2-D gather per
-        # round (padding rows never indexed past the channel's width).
-        widths = [int(helpers.size) for helpers in self._channel_helpers]
-        self._helper_table = np.full(
-            (topology.num_channels, max(widths)), -1, dtype=np.int64
-        )
-        for c, helpers in enumerate(self._channel_helpers):
-            self._helper_table[c, : helpers.size] = helpers
-
-        # The learner bank: one object owning every channel's rows, built
-        # from child generators spawned in channel order.
-        bank_rngs = [spawn(self._rng) for _ in range(topology.num_channels)]
-        self._bank: GroupedLearnerBank = bank_factory(widths, bank_rngs)
-        if self._bank.num_channels != topology.num_channels:
-            raise ValueError(
-                f"bank hosts {self._bank.num_channels} channels, the spec "
-                f"has {topology.num_channels}"
-            )
-        for c, width in enumerate(widths):
-            if self._bank.num_actions_of(c) != width:
-                raise ValueError(
-                    f"bank produced {self._bank.num_actions_of(c)} actions "
-                    f"for channel {c} with {width} helpers"
-                )
-
-        # Initial population, bulk-allocated.
-        self._store = PeerStore(
-            initial_capacity=max(64, topology.num_peers), dtype=dtype
-        )
-        self._uid_slot: dict[int, int] = {}
-        if initial_channels is not None:
-            if len(initial_channels) != topology.num_peers:
-                raise ValueError(
-                    "initial_channels must list one channel per initial peer"
-                )
-            channels = np.asarray(list(initial_channels), dtype=np.int64)
-            if channels.size and (
-                channels.min() < 0 or channels.max() >= topology.num_channels
-            ):
-                raise ValueError("initial channel out of range")
-        else:
-            channels = self._sampler.draw(self._rng, topology.num_peers).astype(
-                np.int64
-            )
-        demands = self._bitrate_table[channels]
-        slots = self._store.allocate_many(channels, demands, now=self._sim.now)
-        for c in range(topology.num_channels):
-            mask = channels == c
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            self._store.bank_row[slots[mask]] = self._bank.acquire_many(c, count)
-        for slot in slots:
-            self._uid_slot[int(self._store.uid[slot])] = int(slot)
-
-        # Churn (same process and semantics as the scalar system; peer ids
-        # handed to the churn process are uids, which are never reused, so
-        # a stale leave event can never hit a recycled slot).
-        churn = ChurnProcess(
-            spec.churn,
-            on_join=self._churn_join,
-            on_leave=self._churn_leave,
-            rng=spawn(self._rng),
-        )
-        if spec.churn.initial_peer_lifetimes and spec.churn.mean_lifetime:
-            for slot in slots:
-                churn.schedule_lifetime(
-                    self._sim, int(self._store.uid[slot])
-                )
-        churn.start(self._sim)
-
-        # Viewer channel switching (time-varying popularity).
-        self._switch_rng = spawn(self._rng)
-        self._channel_switches = 0
-        if topology.channel_switch_rate > 0:
-            install_channel_switching(
-                self._sim, spec, self._switch_rng, churn,
-                self._switch_once,
-            )
-
-        # Diurnal popularity drift (skew-shifting workloads): periodically
-        # re-mixes the channel weights that churn joins and viewer
-        # switches draw from.  The child generator is only spawned when
-        # drift is on, so drift-free specs keep their RNG streams.
-        if topology.popularity_drift_rate > 0:
-            install_popularity_drift(self._sim, spec, spawn(self._rng), self._sampler)
+        super().__init__(spec, rng, capacity_process, initial_channels)
 
         # Telemetry instruments bind once, here: when the process-wide
         # registry is disabled every handle below is the shared null
@@ -274,15 +132,73 @@ class VectorizedStreamingSystem:
         self._gauge_online = tel.gauge("round.online_peers")
         self._hist_round_s = tel.histogram("round.duration_s")
         self._pump = tel.pump()
+        topology = spec.topology
         logger.debug(
             "vectorized system up: N=%d H=%d C=%d bank=%s dtype=%s",
             topology.num_peers, topology.num_helpers, topology.num_channels,
-            type(self._bank).__name__, dtype.name,
+            type(self._bank).__name__, spec.learner.dtype,
         )
 
     # ------------------------------------------------------------------
-    # Construction helpers / churn callbacks
+    # Population and churn callbacks
     # ------------------------------------------------------------------
+
+    def _populate(self, initial_channels: Optional[np.ndarray]) -> List[int]:
+        topology = self._spec.topology
+        # Per-channel playback bitrates as a lookup table: demand vectors
+        # for whole populations (and single join events) become one
+        # gather instead of a Python loop over the channels.
+        self._bitrate_table = np.asarray(topology.bitrates(), dtype=float)
+        # Channel-local action -> global helper id, one 2-D gather per
+        # round (padding rows never indexed past the channel's width).
+        widths = [len(helpers) for helpers in self._channel_helpers]
+        self._helper_table = np.full(
+            (topology.num_channels, max(widths)), -1, dtype=np.int64
+        )
+        for c, helpers in enumerate(self._channel_helpers):
+            self._helper_table[c, : len(helpers)] = helpers
+
+        # The learner bank: one object owning every channel's rows, built
+        # from child generators spawned in channel order.
+        bank_rngs = [spawn(self._rng) for _ in range(topology.num_channels)]
+        self._bank: GroupedLearnerBank = self._bank_factory(widths, bank_rngs)
+        if self._bank.num_channels != topology.num_channels:
+            raise ValueError(
+                f"bank hosts {self._bank.num_channels} channels, the spec "
+                f"has {topology.num_channels}"
+            )
+        for c, width in enumerate(widths):
+            if self._bank.num_actions_of(c) != width:
+                raise ValueError(
+                    f"bank produced {self._bank.num_actions_of(c)} actions "
+                    f"for channel {c} with {width} helpers"
+                )
+
+        # Initial population, bulk-allocated.  Churn handles are uids,
+        # which are never reused, so a stale leave event can never hit a
+        # recycled slot.
+        self._store = PeerStore(
+            initial_capacity=max(64, topology.num_peers),
+            dtype=np.dtype(self._spec.learner.dtype),
+        )
+        if initial_channels is None:
+            channels = self._sampler.draw(self._rng, topology.num_peers).astype(
+                np.int64
+            )
+        else:
+            channels = initial_channels
+        demands = self._bitrate_table[channels]
+        slots = self._store.allocate_many(channels, demands, now=self._sim.now)
+        for c in range(topology.num_channels):
+            mask = channels == c
+            count = int(mask.sum())
+            if count == 0:
+                continue
+            self._store.bank_row[slots[mask]] = self._bank.acquire_many(c, count)
+        self._uid_slot: dict[int, int] = {}
+        for slot in slots:
+            self._uid_slot[int(self._store.uid[slot])] = int(slot)
+        return list(self._uid_slot)
 
     def _create_peer(self, channel_id: Optional[int] = None) -> int:
         """Bring one peer online; returns its uid."""
@@ -342,11 +258,6 @@ class VectorizedStreamingSystem:
     # ------------------------------------------------------------------
 
     @property
-    def simulator(self) -> Simulator:
-        """The underlying event engine."""
-        return self._sim
-
-    @property
     def store(self) -> PeerStore:
         """The struct-of-arrays peer table.
 
@@ -375,31 +286,6 @@ class VectorizedStreamingSystem:
         ``population`` for introspection.
         """
         return self._bank.channel_views()
-
-    @property
-    def channels(self) -> List[Channel]:
-        """All channels."""
-        return self._channels
-
-    @property
-    def channel_weights(self) -> np.ndarray:
-        """Current channel popularity weights (drift updates them)."""
-        return self._sampler.weights.copy()
-
-    @property
-    def server(self) -> StreamingServer:
-        """The origin server."""
-        return self._server
-
-    @property
-    def trace(self) -> SystemTrace:
-        """The recorded per-round history."""
-        return self._trace
-
-    @property
-    def channel_switches(self) -> int:
-        """Viewer channel-switch events processed so far."""
-        return self._channel_switches
 
     @property
     def num_online(self) -> int:
@@ -551,15 +437,9 @@ class VectorizedStreamingSystem:
         )
 
         if self._spec.metrics.record_peers:
-            if self._population_changed:
-                raise RuntimeError(
-                    "record_peers=True requires a fixed population; disable "
-                    "churn or per-peer recording"
-                )
             # Global helper ids, in slot (= creation) order, exactly like
             # the scalar system's peer order.
-            self._trace.actions.append(helper_global.copy())  # type: ignore[union-attr]
-            self._trace.utilities.append(shares.copy())  # type: ignore[union-attr]
+            self._record_peer_rows(helper_global.copy(), shares.copy())
         self._ph_trace.stop(t0)
 
         t0 = self._ph_capacity.start()
@@ -574,24 +454,10 @@ class VectorizedStreamingSystem:
     def run(self, num_rounds: int) -> SystemTrace:
         """Advance the system by ``num_rounds`` learning rounds.
 
-        May be called repeatedly; the trace accumulates.
+        The skeleton's round loop, then the deferred per-peer
+        accumulators are folded into the store.  May be called
+        repeatedly; the trace accumulates.
         """
-        drive_rounds(
-            self._sim,
-            self._spec.topology.round_duration,
-            self._execute_round,
-            lambda: self._round_index,
-            num_rounds,
-        )
+        trace = super().run(num_rounds)
         self._flush_accumulators()
-        return self._trace
-
-    def close(self) -> None:
-        """End the run: drop the pending events.
-
-        Churn, switching and round events call back into this system, so
-        while they are queued the system sits in a reference cycle and
-        outlives its last user until the garbage collector runs.  The
-        trace stays readable; the system cannot run on.
-        """
-        self._sim.clear()
+        return trace

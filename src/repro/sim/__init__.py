@@ -5,13 +5,15 @@
 * :mod:`repro.sim.bandwidth` — Markov-modulated helper capacity processes
   (the paper's ``[700, 800, 900]`` slow-switching environment) and trace
   replay for paired comparisons.
-* :mod:`repro.sim.entities` / :mod:`repro.sim.tracker` — channels, helpers,
-  peers, origin server, and the directory service.
+* :mod:`repro.sim.entities` — channels, helpers, peers and the origin
+  server.
 * :mod:`repro.sim.churn` — Poisson join / exponential-lifetime leave.
 * :mod:`repro.sim.failures` / :mod:`repro.sim.adversarial` — helper
   failure injection and oscillating capacity wrapped around a capacity
   process.
-* :mod:`repro.sim.system` — the runnable system tying it all together.
+* :mod:`repro.sim.system` — the runnable system tying it all together,
+  on the skeleton both backends share (capacity process, channels and
+  their helper partition, churn, switching, drift, the round loop).
 * :mod:`repro.sim.trace` — per-round metric recording.
 """
 
@@ -32,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.entities": ["Channel", "Helper", "Peer", "StreamingServer"],
     "repro.sim.system": ["StreamingSystem", "LearnerFactory"],
     "repro.sim.trace": ["SystemTrace"],
-    "repro.sim.tracker": ["Tracker"],
     "repro.sim.failures": ["FailureInjectingProcess", "CorrelatedFailureProcess"],
     "repro.sim.adversarial": ["OscillatingCapacityProcess"],
 })

@@ -25,19 +25,17 @@ class Channel:
     bitrate:
         Streaming rate (kbit/s) each viewer needs for smooth playback —
         the per-peer demand ``d_i`` of the Fig. 5 experiment.
-    popularity:
-        Relative popularity weight (drives how churn assigns new peers).
+
+    A channel's popularity weight lives in the system's channel sampler
+    (``channel_weights``), where popularity drift moves it.
     """
 
     channel_id: int
     bitrate: float
-    popularity: float = 1.0
 
     def __post_init__(self) -> None:
         if self.bitrate <= 0:
             raise ValueError(f"bitrate must be positive, got {self.bitrate}")
-        if self.popularity < 0:
-            raise ValueError("popularity must be non-negative")
 
 
 @dataclass

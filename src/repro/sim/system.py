@@ -2,10 +2,11 @@
 
 Wires the substrate together: a :class:`~repro.sim.engine.Simulator` drives
 periodic learning rounds; helper bandwidth follows the Markov capacity
-process; peers run plug-in learners (RTHS/R2HS/baselines); a tracker hands
-joining peers their channel's helper list; churn (optional) adds and
-removes peers; the origin server tops up any peer whose helper share falls
-short of its demand.  Each round:
+process; peers run plug-in learners (RTHS/R2HS/baselines); each channel's
+viewers pick among the helpers of a static partition (the contact list a
+tracker hands a joining peer); churn (optional) adds and removes peers;
+the origin server tops up any peer whose helper share falls short of its
+demand.  Each round:
 
 1. every online peer draws a helper from its learner;
 2. helper capacities split evenly among their connected peers — peer ``i``
@@ -15,6 +16,13 @@ short of its demand.  Each round:
 
 The per-round aggregates (welfare, server load, minimum bandwidth deficit,
 helper loads) are exactly the series plotted in Figs. 3–5.
+
+:class:`SystemSkeleton` builds everything but the peers and the round,
+for both backends: server, trace, capacity process, channels, helper
+partition, churn, viewer switching, popularity drift and the round
+loop.  :class:`StreamingSystem` is the scalar backend on top of it, one
+:class:`~repro.sim.entities.Peer` object and learner per viewer; the
+vectorized backend is :class:`repro.runtime.system.VectorizedStreamingSystem`.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
 from repro.sim.trace import SystemTrace
-from repro.sim.tracker import Tracker
 from repro.util.rng import Seedish, as_generator, spawn
 from repro.util.validation import normalized_channel_weights
 
@@ -39,54 +46,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 LearnerFactory = Callable[[int, np.random.Generator], Learner]
 
 
-def drive_rounds(
-    sim: Simulator,
-    period: float,
-    execute: Callable[[Simulator], None],
-    completed_rounds: Callable[[], int],
-    num_rounds: int,
-) -> None:
-    """Fire ``execute`` for ``num_rounds`` periodic learning rounds.
-
-    Rounds land at fixed absolute times; other events (churn, switches)
-    interleave naturally.  Shared by the scalar and vectorized systems so
-    the two backends cannot drift in round scheduling semantics.
-    """
-    if num_rounds < 1:
-        raise ValueError("num_rounds must be >= 1")
-    target = completed_rounds() + num_rounds
-    start = sim.now
-    offset = 1
-    while completed_rounds() < target:
-        sim.schedule_at(start + offset * period, execute)
-        sim.run_until(start + offset * period)
-        offset += 1
-
-
-def install_channel_switching(
-    sim: Simulator,
-    spec: ExperimentSpec,
-    switch_rng: np.random.Generator,
-    churn: ChurnProcess,
-    switch_once: Callable[[], Optional[int]],
-) -> None:
-    """Install the Poisson viewer channel-switch process.
+class _ChannelSwitching:
+    """The Poisson viewer channel-switch process.
 
     ``switch_once`` performs one backend-specific switch (pick a random
     online viewer, retire it, create a replacement) and returns the new
-    peer's churn handle, or ``None`` when nobody is online.  The gap
-    sampling, rescheduling and lifetime wiring here are shared by both
-    backends.
-    """
-    _ChannelSwitching(spec, switch_rng, churn, switch_once).schedule_next(sim)
+    peer's churn handle, or ``None`` when nobody is online.
 
-
-class _ChannelSwitching:
-    """State of the switch process; only its pending event refers to it.
-
-    A self-rescheduling closure would refer to itself through its own
-    cell, a cycle that keeps the churn process, and the system behind its
-    callbacks, alive until the garbage collector runs.
+    Only its pending event refers to this object: a self-rescheduling
+    closure would refer to itself through its own cell, a cycle that
+    keeps the churn process, and the system behind its callbacks, alive
+    until the garbage collector runs.
     """
 
     def __init__(self, spec, switch_rng, churn, switch_once) -> None:
@@ -127,8 +97,7 @@ def install_popularity_drift(
     switches gradually shift toward a new popularity profile, the way
     real deployments' hot channels move through the day.  Only the
     *weights* drift; each peer keeps its channel until it leaves or
-    switches.  Both the scheduling and the mixing live here, shared by
-    both backends, so drift semantics cannot diverge.
+    switches.
     """
 
     topology = spec.topology
@@ -179,7 +148,197 @@ class ChannelSampler:
         return self._cdf.searchsorted(rng.random(size), side="right")
 
 
-class StreamingSystem:
+class SystemSkeleton:
+    """What both streaming backends share: all but the peers and the round.
+
+    The constructor reads the spec and builds, in this order, the server
+    and the trace; the capacity process (from the first child of ``rng``
+    when none is injected); the channels, their popularity sampler and
+    the helper partition; the initial population (through the backend's
+    :meth:`_populate`); the churn process with its initial lifetimes;
+    viewer switching; and popularity drift (its child generator spawned
+    only when drift is on).  Both backends' pinned RNG streams rest on
+    that order.
+
+    A backend provides:
+
+    * ``_populate(initial_channels)``: build the peer representation and
+      the initial population, spawning its generators from ``self._rng``
+      (``initial_channels`` is ``None`` or one validated channel id per
+      initial peer); return the initial peers' churn handles;
+    * ``_churn_join() -> handle`` and ``_churn_leave(handle)``: the churn
+      callbacks;
+    * ``_switch_once() -> Optional[handle]``: one viewer channel switch;
+    * ``_execute_round(sim)``: one learning round, which appends one
+      trace record, advances the capacity process and increments
+      ``self._round_index``.
+    """
+
+    def __init__(
+        self,
+        spec: ExperimentSpec,
+        rng: Seedish,
+        capacity_process: Optional[MarkovCapacityProcess],
+        initial_channels: Optional[Sequence[int]],
+    ) -> None:
+        topology = spec.topology
+        self._spec = spec
+        self._rng = as_generator(rng)
+        self._sim = Simulator()
+        server_capacity = spec.capacity.server_capacity
+        self._server = StreamingServer(
+            capacity=float("inf") if server_capacity is None else server_capacity
+        )
+        record_peers = spec.metrics.record_peers
+        self._trace = SystemTrace(
+            actions=[] if record_peers else None,
+            utilities=[] if record_peers else None,
+        )
+        self._round_index = 0
+        self._population_changed = False
+        self._channel_switches = 0
+
+        if capacity_process is None:
+            capacity_process = spec.build_capacity_process(rng=spawn(self._rng))
+        if capacity_process.num_helpers != topology.num_helpers:
+            raise ValueError("capacity process size does not match num_helpers")
+        self._capacity_process = capacity_process
+        # minimum_capacities() is a per-helper *lower bound over time* —
+        # constant for every process implementation (chain level sets and
+        # recorded traces are fixed at construction) — so its sum, the
+        # Fig. 5 bound the rounds need, is computed once.
+        self._min_caps_sum = float(
+            np.asarray(capacity_process.minimum_capacities()).sum()
+        )
+
+        self._sampler = ChannelSampler(
+            normalized_channel_weights(
+                topology.num_channels, topology.channel_popularity
+            )
+        )
+        self._channels = [
+            Channel(channel_id=c, bitrate=bitrate)
+            for c, bitrate in enumerate(topology.bitrates())
+        ]
+        self._channel_helpers = topology.channel_helpers()
+
+        # An explicit channel assignment makes paired scalar-vs-vectorized
+        # runs start from identical populations.
+        if initial_channels is not None:
+            initial_channels = np.asarray(list(initial_channels), dtype=np.int64)
+            if initial_channels.shape != (topology.num_peers,) or not (
+                0 <= initial_channels.min()
+                and initial_channels.max() < topology.num_channels
+            ):
+                raise ValueError(
+                    "initial_channels must list one channel id in "
+                    f"[0, {topology.num_channels}) for each of the "
+                    f"{topology.num_peers} initial peers"
+                )
+        handles = self._populate(initial_channels)
+
+        churn = ChurnProcess(
+            spec.churn,
+            on_join=self._churn_join,
+            on_leave=self._churn_leave,
+            rng=spawn(self._rng),
+        )
+        if spec.churn.initial_peer_lifetimes and spec.churn.mean_lifetime:
+            for handle in handles:
+                churn.schedule_lifetime(self._sim, handle)
+        churn.start(self._sim)
+
+        # Viewer channel switching (time-varying popularity).
+        self._switch_rng = spawn(self._rng)
+        if topology.channel_switch_rate > 0:
+            _ChannelSwitching(
+                spec, self._switch_rng, churn, self._switch_once
+            ).schedule_next(self._sim)
+
+        # Diurnal popularity drift.  Its generator is spawned only when
+        # drift is on, so drift-free specs keep their RNG streams.
+        if topology.popularity_drift_rate > 0:
+            install_popularity_drift(self._sim, spec, spawn(self._rng), self._sampler)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    @property
+    def simulator(self) -> Simulator:
+        """The underlying event engine."""
+        return self._sim
+
+    @property
+    def channels(self) -> List[Channel]:
+        """All channels."""
+        return self._channels
+
+    @property
+    def channel_weights(self) -> np.ndarray:
+        """Current channel popularity weights (drift updates them)."""
+        return self._sampler.weights.copy()
+
+    @property
+    def channel_switches(self) -> int:
+        """Viewer channel-switch events processed so far."""
+        return self._channel_switches
+
+    @property
+    def server(self) -> StreamingServer:
+        """The origin server."""
+        return self._server
+
+    @property
+    def trace(self) -> SystemTrace:
+        """The recorded per-round history."""
+        return self._trace
+
+    # ------------------------------------------------------------------
+    # Running
+    # ------------------------------------------------------------------
+
+    def _record_peer_rows(self, actions: np.ndarray, utilities: np.ndarray) -> None:
+        """Append one round's per-peer helper ids and shares to the trace."""
+        if self._population_changed:
+            raise RuntimeError(
+                "record_peers=True requires a fixed population; disable "
+                "churn or per-peer recording"
+            )
+        self._trace.actions.append(actions)  # type: ignore[union-attr]
+        self._trace.utilities.append(utilities)  # type: ignore[union-attr]
+
+    def run(self, num_rounds: int) -> SystemTrace:
+        """Advance the system by ``num_rounds`` learning rounds.
+
+        Rounds land at fixed absolute times, one ``round_duration``
+        apart; churn, switch and drift events interleave between them.
+        May be called repeatedly; the trace accumulates.
+        """
+        if num_rounds < 1:
+            raise ValueError("num_rounds must be >= 1")
+        target = self._round_index + num_rounds
+        period = self._spec.topology.round_duration
+        start = self._sim.now
+        offset = 1
+        while self._round_index < target:
+            self._sim.schedule_at(start + offset * period, self._execute_round)
+            self._sim.run_until(start + offset * period)
+            offset += 1
+        return self._trace
+
+    def close(self) -> None:
+        """End the run: drop the pending events.
+
+        Churn, switching and round events call back into this system, so
+        while they are queued the system sits in a reference cycle and
+        outlives its last user until the garbage collector runs.  The
+        trace stays readable; the system cannot run on.
+        """
+        self._sim.clear()
+
+
+class StreamingSystem(SystemSkeleton):
     """A runnable multi-channel P2P streaming deployment.
 
     Parameters
@@ -215,114 +374,38 @@ class StreamingSystem:
         capacity_process: Optional[MarkovCapacityProcess] = None,
         initial_channels: Optional[Sequence[int]] = None,
     ) -> None:
-        topology = spec.topology
-        self._spec = spec
         self._factory = learner_factory
-        self._rng = as_generator(rng)
-        self._sim = Simulator()
-        server_capacity = spec.capacity.server_capacity
-        self._server = StreamingServer(
-            capacity=float("inf") if server_capacity is None else server_capacity
-        )
-        self._tracker = Tracker()
-        record_peers = spec.metrics.record_peers
-        self._trace = SystemTrace(
-            actions=[] if record_peers else None,
-            utilities=[] if record_peers else None,
-        )
-        self._round_index = 0
-        self._population_changed = False
+        super().__init__(spec, rng, capacity_process, initial_channels)
 
-        if capacity_process is None:
-            capacity_process = spec.build_capacity_process(rng=spawn(self._rng))
-        if capacity_process.num_helpers != topology.num_helpers:
-            raise ValueError("capacity process size does not match num_helpers")
-        self._capacity_process = capacity_process
+    # ------------------------------------------------------------------
+    # Population and churn callbacks
+    # ------------------------------------------------------------------
 
-        # Channels and their popularity weights.
-        self._sampler = ChannelSampler(
-            normalized_channel_weights(
-                topology.num_channels, topology.channel_popularity
-            )
-        )
-        self._channels = [
-            Channel(
-                channel_id=c,
-                bitrate=bitrate,
-                popularity=float(self._sampler.weights[c]),
-            )
-            for c, bitrate in enumerate(topology.bitrates())
+    def _populate(self, initial_channels: Optional[np.ndarray]) -> List[int]:
+        channel_of = {
+            h: c for c, helpers in enumerate(self._channel_helpers) for h in helpers
+        }
+        self._helpers = [
+            Helper(helper_id=h, channel_id=c) for h, c in sorted(channel_of.items())
         ]
-
-        # Helpers, partitioned round-robin over channels.
-        self._helpers: List[Helper] = []
-        for h in range(topology.num_helpers):
-            channel_id = h % topology.num_channels
-            helper = Helper(helper_id=h, channel_id=channel_id)
-            self._helpers.append(helper)
-            self._tracker.register_helper(h, channel_id)
-
-        # Initial peer population.  An explicit channel assignment makes
-        # paired scalar-vs-vectorized runs start from identical populations.
         self._peers: List[Peer] = []
-        if initial_channels is not None:
-            if len(initial_channels) != topology.num_peers:
-                raise ValueError(
-                    "initial_channels must list one channel per initial peer"
-                )
-            for channel_id in initial_channels:
-                channel_id = int(channel_id)
-                if not 0 <= channel_id < topology.num_channels:
-                    raise ValueError(f"channel {channel_id} out of range")
-                self._create_peer(channel_id)
-        else:
-            for _ in range(topology.num_peers):
+        if initial_channels is None:
+            for _ in range(self._spec.topology.num_peers):
                 self._create_peer()
-
-        # Churn.
-        churn = ChurnProcess(
-            spec.churn,
-            on_join=self._churn_join,
-            on_leave=self._churn_leave,
-            rng=spawn(self._rng),
-        )
-        if spec.churn.initial_peer_lifetimes and spec.churn.mean_lifetime:
-            for peer in self._peers:
-                churn.schedule_lifetime(self._sim, peer.peer_id)
-        churn.start(self._sim)
-
-        # Viewer channel switching (time-varying popularity).
-        self._switch_rng = spawn(self._rng)
-        self._channel_switches = 0
-        if topology.channel_switch_rate > 0:
-            install_channel_switching(
-                self._sim, spec, self._switch_rng, churn,
-                self._switch_once,
-            )
-
-        # Diurnal popularity drift (only spawns its generator when on, so
-        # drift-free specs keep their RNG streams bit-identical).
-        if topology.popularity_drift_rate > 0:
-            install_popularity_drift(self._sim, spec, spawn(self._rng), self._sampler)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @property
-    def channel_weights(self) -> np.ndarray:
-        """Current channel popularity weights (drift updates them)."""
-        return self._sampler.weights.copy()
+        else:
+            for channel_id in initial_channels:
+                self._create_peer(int(channel_id))
+        return [peer.peer_id for peer in self._peers]
 
     def _create_peer(self, channel_id: Optional[int] = None) -> Peer:
         if channel_id is None:
             channel_id = int(self._sampler.draw(self._rng))
-        helpers = self._tracker.helpers_for(channel_id)
-        learner = self._factory(len(helpers), spawn(self._rng))
-        if learner.num_actions != len(helpers):
+        num_helpers = len(self._channel_helpers[channel_id])
+        learner = self._factory(num_helpers, spawn(self._rng))
+        if learner.num_actions != num_helpers:
             raise ValueError(
                 f"learner_factory produced {learner.num_actions} actions for "
-                f"a channel with {len(helpers)} helpers"
+                f"a channel with {num_helpers} helpers"
             )
         peer = Peer(
             peer_id=len(self._peers),
@@ -351,11 +434,6 @@ class StreamingSystem:
         self._population_changed = True
         return replacement.peer_id
 
-    @property
-    def channel_switches(self) -> int:
-        """Viewer channel-switch events processed so far."""
-        return self._channel_switches
-
     def _churn_leave(self, peer_id: int) -> None:
         peer = self._peers[peer_id]
         if not peer.online:
@@ -364,17 +442,12 @@ class StreamingSystem:
         peer.left_at = self._sim.now
         self._population_changed = True
         if peer.current_helper is not None:
-            helpers = self._tracker.helpers_for(peer.channel_id)
-            self._helpers[helpers[peer.current_helper]].detach(peer_id)
+            helper_id = self._channel_helpers[peer.channel_id][peer.current_helper]
+            self._helpers[helper_id].detach(peer_id)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def simulator(self) -> Simulator:
-        """The underlying event engine."""
-        return self._sim
 
     @property
     def peers(self) -> List[Peer]:
@@ -385,21 +458,6 @@ class StreamingSystem:
     def helpers(self) -> List[Helper]:
         """All helpers."""
         return self._helpers
-
-    @property
-    def channels(self) -> List[Channel]:
-        """All channels."""
-        return self._channels
-
-    @property
-    def server(self) -> StreamingServer:
-        """The origin server."""
-        return self._server
-
-    @property
-    def trace(self) -> SystemTrace:
-        """The recorded per-round history."""
-        return self._trace
 
     def online_peers(self) -> List[Peer]:
         """Peers currently participating."""
@@ -412,6 +470,7 @@ class StreamingSystem:
     def _execute_round(self, _: Simulator) -> None:
         caps = self._capacity_process.capacities()
         online = self.online_peers()
+        channel_helpers = self._channel_helpers
 
         # 1. Everyone picks a helper (local index within their channel).
         choices: Dict[int, int] = {}
@@ -420,7 +479,7 @@ class StreamingSystem:
         for peer in online:
             local = peer.learner.act()
             choices[peer.peer_id] = local
-            helper_id = self._tracker.helpers_for(peer.channel_id)[local]
+            helper_id = channel_helpers[peer.channel_id][local]
             self._helpers[helper_id].attach(peer.peer_id)
             peer.current_helper = local
 
@@ -431,9 +490,7 @@ class StreamingSystem:
         total_deficit_requested = 0.0
         shares: Dict[int, float] = {}
         for peer in online:
-            helper_id = self._tracker.helpers_for(peer.channel_id)[
-                choices[peer.peer_id]
-            ]
+            helper_id = channel_helpers[peer.channel_id][choices[peer.peer_id]]
             share = caps[helper_id] / loads[helper_id]
             shares[peer.peer_id] = share
             total_share += share
@@ -449,60 +506,26 @@ class StreamingSystem:
             peer.cumulative_deficit += max(0.0, peer.demand - share)
 
         total_demand = float(sum(p.demand for p in online))
-        min_caps = self._capacity_process.minimum_capacities()
-        min_deficit = max(0.0, total_demand - float(min_caps.sum()))
         self._trace.append_round(
             time=self._sim.now,
             capacities=caps,
             loads=loads,
             welfare=total_share,
             server_load=granted,
-            min_deficit=min_deficit,
+            min_deficit=max(0.0, total_demand - self._min_caps_sum),
             online_peers=len(online),
             total_demand=total_demand,
         )
 
         if self._spec.metrics.record_peers:
-            if self._population_changed:
-                raise RuntimeError(
-                    "record_peers=True requires a fixed population; disable "
-                    "churn or per-peer recording"
-                )
             # Global helper ids so the trajectory indexes all H helpers.
-            action_row = np.array(
-                [
-                    self._tracker.helpers_for(p.channel_id)[choices[p.peer_id]]
-                    for p in online
-                ],
-                dtype=int,
+            self._record_peer_rows(
+                np.array(
+                    [channel_helpers[p.channel_id][choices[p.peer_id]] for p in online],
+                    dtype=int,
+                ),
+                np.array([shares[p.peer_id] for p in online]),
             )
-            util_row = np.array([shares[p.peer_id] for p in online])
-            self._trace.actions.append(action_row)  # type: ignore[union-attr]
-            self._trace.utilities.append(util_row)  # type: ignore[union-attr]
 
         self._capacity_process.advance()
         self._round_index += 1
-
-    def run(self, num_rounds: int) -> SystemTrace:
-        """Advance the system by ``num_rounds`` learning rounds.
-
-        May be called repeatedly; the trace accumulates.
-        """
-        drive_rounds(
-            self._sim,
-            self._spec.topology.round_duration,
-            self._execute_round,
-            lambda: self._round_index,
-            num_rounds,
-        )
-        return self._trace
-
-    def close(self) -> None:
-        """End the run: drop the pending events.
-
-        Churn, switching and round events call back into this system, so
-        while they are queued the system sits in a reference cycle and
-        outlives its last user until the garbage collector runs.  The
-        trace stays readable; the system cannot run on.
-        """
-        self._sim.clear()

@@ -30,16 +30,7 @@ def run_spec_cell(
     if overrides:
         spec = spec.with_overrides(overrides)
     start = time.perf_counter()
-    try:
-        result = spec.run(seed=seed)
-    except Exception as exc:
-        # Name the exact experiment in the worker traceback the runner
-        # ships home — a 4000-cell sweep failure is otherwise anonymous.
-        exc.add_note(
-            f"spec {spec.spec_digest()} ({spec.name!r}) seed={seed} "
-            f"overrides={overrides}"
-        )
-        raise
+    result = spec.run(seed=seed)
     elapsed = time.perf_counter() - start
     metrics = dict(result.metrics)
     metrics["elapsed_s"] = elapsed

@@ -258,6 +258,18 @@ class TopologySpec:
             return (float(rates),) * self.num_channels
         return rates
 
+    def channel_helpers(self) -> Tuple[Tuple[int, ...], ...]:
+        """The helper ids serving each channel, in channel order.
+
+        Helper ``h`` serves channel ``h % num_channels``.  The partition
+        is static: it is the contact list the paper's tracker hands every
+        peer joining a channel.
+        """
+        return tuple(
+            tuple(range(c, self.num_helpers, self.num_channels))
+            for c in range(self.num_channels)
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 

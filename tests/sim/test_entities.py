@@ -1,24 +1,19 @@
-"""Tests for repro.sim.entities and repro.sim.tracker."""
+"""Tests for repro.sim.entities."""
 
 import pytest
 
 from repro.game.baselines import UniformRandomLearner
 from repro.sim.entities import Channel, Helper, Peer, StreamingServer
-from repro.sim.tracker import Tracker
 
 
 class TestChannel:
     def test_valid(self):
-        channel = Channel(channel_id=0, bitrate=350.0, popularity=2.0)
+        channel = Channel(channel_id=0, bitrate=350.0)
         assert channel.bitrate == 350.0
 
     def test_rejects_nonpositive_bitrate(self):
         with pytest.raises(ValueError):
             Channel(channel_id=0, bitrate=0.0)
-
-    def test_rejects_negative_popularity(self):
-        with pytest.raises(ValueError):
-            Channel(channel_id=0, bitrate=100.0, popularity=-1.0)
 
 
 class TestHelper:
@@ -92,38 +87,3 @@ class TestStreamingServer:
         with pytest.raises(ValueError):
             StreamingServer().serve(-1.0)
 
-
-class TestTracker:
-    def test_register_and_lookup(self):
-        tracker = Tracker()
-        tracker.register_helper(0, channel_id=1)
-        tracker.register_helper(2, channel_id=1)
-        assert tracker.helpers_for(1) == [0, 2]
-
-    def test_register_idempotent(self):
-        tracker = Tracker()
-        tracker.register_helper(0, 0)
-        tracker.register_helper(0, 0)
-        assert tracker.num_helpers(0) == 1
-
-    def test_unregister(self):
-        tracker = Tracker()
-        tracker.register_helper(0, 0)
-        tracker.unregister_helper(0, 0)
-        assert tracker.num_helpers(0) == 0
-
-    def test_unknown_channel_raises(self):
-        with pytest.raises(KeyError):
-            Tracker().helpers_for(9)
-
-    def test_channels_listing(self):
-        tracker = Tracker()
-        tracker.register_helper(0, 2)
-        tracker.register_helper(1, 0)
-        assert list(tracker.channels()) == [0, 2]
-
-    def test_helpers_for_returns_copy(self):
-        tracker = Tracker()
-        tracker.register_helper(0, 0)
-        tracker.helpers_for(0).append(99)
-        assert tracker.helpers_for(0) == [0]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.r2hs import R2HSLearner
 from repro.game.baselines import UniformRandomLearner
+from repro.runtime.system import VectorizedStreamingSystem
 from repro.sim.system import StreamingSystem
 from repro.spec import (
     CapacitySpec,
@@ -194,10 +195,12 @@ class TestChurnIntegration:
 class TestMultiChannel:
     def test_helpers_partitioned_round_robin(self):
         spec = spec_for(
-            num_peers=10, num_helpers=6, num_channels=2, channel_bitrates=100.0
+            num_peers=9, num_helpers=7, num_channels=3, channel_bitrates=100.0
         )
+        assert spec.topology.channel_helpers() == ((0, 3, 6), (1, 4), (2, 5))
         system = StreamingSystem(spec, r2hs_factory, rng=8)
-        assert [h.channel_id for h in system.helpers] == [0, 1, 0, 1, 0, 1]
+        assert [h.helper_id for h in system.helpers] == list(range(7))
+        assert [h.channel_id for h in system.helpers] == [0, 1, 2, 0, 1, 2, 0]
 
     def test_peers_select_only_their_channels_helpers(self):
         spec = spec_for(
@@ -234,6 +237,30 @@ class TestMultiChannel:
             StreamingSystem(
                 spec, lambda h, rng: UniformRandomLearner(h + 1, rng=rng), rng=0
             )
+
+
+class TestInitialChannels:
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_malformed_assignment_fails_with_one_message(self, backend):
+        spec = ExperimentSpec(
+            backend=backend,
+            topology=TopologySpec(
+                num_peers=4, num_helpers=4, num_channels=2, channel_bitrates=100.0
+            ),
+        )
+        if backend == "scalar":
+            system, factory = StreamingSystem, spec.scalar_learner_factory()
+        else:
+            system, factory = VectorizedStreamingSystem, spec.bank_factory()
+        messages = set()
+        for channels in ([0, 1, 0], [0, 1, 0, 1, 0], [0, 1, -1, 0], [0, 1, 2, 0]):
+            with pytest.raises(ValueError) as info:
+                system(spec, factory, rng=0, initial_channels=channels)
+            messages.add(str(info.value))
+        assert messages == {
+            "initial_channels must list one channel id in [0, 2) for each "
+            "of the 4 initial peers"
+        }
 
 
 class TestChannelSwitching:

@@ -2,12 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.eval import EvalSpec
 from repro.spec import ExperimentSpec
+
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def write_spec(tmp_path, **overrides):
@@ -344,6 +351,22 @@ class TestListCommand:
         for needle in ("scenarios", "flash_crowd", "learners", "r2hs",
                        "capacity backends", "metrics"):
             assert needle in text
+
+    def test_reader_that_stops_early_gets_no_traceback(self):
+        # The pipe's read end is closed before the child starts, so the
+        # child's first write to stdout fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestTopKFlags:

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.spec import ExperimentSpec
 from repro.store import ResultsStore
+from repro.util.rng import as_generator, derive_seed
 
 
 def write_spec(tmp_path, **overrides):
@@ -176,11 +177,14 @@ class TestSweepFailureReporting:
         assert code == 1
         err = capsys.readouterr().err
         spec = ExperimentSpec.from_json(path.read_text())
-        # One structured line naming spec digest + cell index + params —
-        # not a worker traceback dump.
+        # One structured line naming spec digest + cell index + params +
+        # the cell's seed (enough to re-run it) — not a worker traceback.
+        parent = as_generator(spec.seed)
+        seeds = [derive_seed(parent) for _ in range(2)]
         assert "error: sweep cell 1 failed" in err
         assert spec.result_digest() in err
         assert "learner.epsilon" in err
+        assert f"(seed {seeds[1]})" in err
         assert "Traceback" not in err
 
     def test_debug_log_level_restores_traceback(self, tmp_path, capsys):
