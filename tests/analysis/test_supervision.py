@@ -213,6 +213,14 @@ class TestFailureRecords:
         assert "feedbeefcafe" in failure.describe()
         assert "cell 0" in failure.describe()
 
+    def test_describe_names_the_seed_when_known(self):
+        failure = SweepFailure(cell_index=2, params={"x": 1}, seed=99)
+        assert failure.describe() == (
+            "sweep cell 2 failed (params {'x': 1}) (seed 99)"
+        )
+        unseeded = SweepFailure(cell_index=2, params={"x": 1})
+        assert "seed" not in unseeded.describe()
+
     def test_sweep_error_is_a_runtime_error(self):
         failure = SweepFailure(cell_index=3, params={"x": 1})
         assert isinstance(SweepError(failure), RuntimeError)

@@ -42,6 +42,13 @@ def build(spec=None, factory=r2hs_factory, seed=0):
     return StreamingSystem(spec, factory, rng=seed)
 
 
+def backend_system(spec, **kwargs):
+    """The spec's backend, built with the spec's own learners."""
+    if spec.backend == "scalar":
+        return StreamingSystem(spec, spec.scalar_learner_factory(), **kwargs)
+    return VectorizedStreamingSystem(spec, spec.bank_factory(), **kwargs)
+
+
 class TestChannelBitrates:
     def test_one_rate_applies_to_every_channel(self):
         spec = spec_for(num_peers=2, num_helpers=4, num_channels=2,
@@ -202,6 +209,19 @@ class TestMultiChannel:
         assert [h.helper_id for h in system.helpers] == list(range(7))
         assert [h.channel_id for h in system.helpers] == [0, 1, 2, 0, 1, 2, 0]
 
+    def test_channel_helpers_cover_every_helper_once(self):
+        for num_helpers, num_channels in ((4, 1), (6, 2), (7, 3), (5, 5)):
+            partition = TopologySpec(
+                num_helpers=num_helpers, num_channels=num_channels
+            ).channel_helpers()
+            assert len(partition) == num_channels
+            assert sorted(h for helpers in partition for h in helpers) == list(
+                range(num_helpers)
+            )
+            for channel, helpers in enumerate(partition):
+                assert helpers == tuple(sorted(helpers))
+                assert all(h % num_channels == channel for h in helpers)
+
     def test_peers_select_only_their_channels_helpers(self):
         spec = spec_for(
             num_peers=20, num_helpers=6, num_channels=2, channel_bitrates=100.0
@@ -216,6 +236,22 @@ class TestMultiChannel:
             ]
             assert len(helpers) == 1
             assert helpers[0].channel_id == peer.channel_id
+
+    def test_vectorized_peers_select_only_their_channels_helpers(self):
+        spec = ExperimentSpec(
+            topology=TopologySpec(
+                num_peers=20, num_helpers=7, num_channels=3, channel_bitrates=100.0
+            ),
+            metrics=MetricsSpec(record_peers=True),
+        )
+        system = VectorizedStreamingSystem(spec, spec.bank_factory(), rng=9)
+        system.run(10)
+        partition = spec.topology.channel_helpers()
+        channels = system.store.channel[:20]
+        assert set(channels.tolist()) == {0, 1, 2}
+        for actions in system.trace.actions:
+            for channel, helper in zip(channels, actions):
+                assert helper in partition[channel]
 
     def test_popularity_skews_assignment(self):
         spec = spec_for(
@@ -248,19 +284,61 @@ class TestInitialChannels:
                 num_peers=4, num_helpers=4, num_channels=2, channel_bitrates=100.0
             ),
         )
-        if backend == "scalar":
-            system, factory = StreamingSystem, spec.scalar_learner_factory()
-        else:
-            system, factory = VectorizedStreamingSystem, spec.bank_factory()
         messages = set()
         for channels in ([0, 1, 0], [0, 1, 0, 1, 0], [0, 1, -1, 0], [0, 1, 2, 0]):
             with pytest.raises(ValueError) as info:
-                system(spec, factory, rng=0, initial_channels=channels)
+                backend_system(spec, rng=0, initial_channels=channels)
             messages.add(str(info.value))
         assert messages == {
             "initial_channels must list one channel id in [0, 2) for each "
             "of the 4 initial peers"
         }
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+class TestRunLoop:
+    @staticmethod
+    def spec(backend):
+        # 12 peers at 400 kbps outrun 4 helpers' 700 kbps floor by 2000.
+        return ExperimentSpec(
+            backend=backend,
+            topology=TopologySpec(
+                num_peers=12, num_helpers=4, num_channels=2, channel_bitrates=400.0
+            ),
+        )
+
+    def test_run_until_called_once_per_round(self, backend):
+        # Per-round timing wraps the instance's run_until, so run must
+        # look it up on each round and call it once.
+        system = backend_system(self.spec(backend), rng=0)
+        run_until = system.simulator.run_until
+        calls = []
+
+        def counted(end_time):
+            calls.append(end_time)
+            run_until(end_time)
+
+        system.simulator.run_until = counted
+        system.run(3)
+        system.run(2)
+        assert calls == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert system.trace.num_rounds == 5
+
+    def test_capacity_floor_summed_once(self, backend):
+        spec = self.spec(backend)
+        process = spec.build_capacity_process(rng=1)
+        minimum_capacities = process.minimum_capacities
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return minimum_capacities()
+
+        process.minimum_capacities = counted
+        system = backend_system(spec, rng=0, capacity_process=process)
+        system.run(4)
+        assert len(calls) == 1
+        np.testing.assert_allclose(system.trace.min_deficit, [2000.0] * 4)
 
 
 class TestChannelSwitching:
