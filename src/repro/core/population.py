@@ -120,6 +120,22 @@ def _items(rows: np.ndarray, item: np.dtype) -> np.ndarray:
     return rows.view(item).reshape(-1)
 
 
+def _grown(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
+    """``array`` extended to ``capacity`` rows, the new rows set to ``fill``
+    (zero when ``None``; a row broadcasts).
+
+    The result comes from ``np.zeros``, whose pages the kernel commits
+    only when they are first written, and only the old rows are copied
+    in.  So growing a zero-filled array writes just the rows in use,
+    where a concatenate with a zero block would write every byte.
+    """
+    out = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+    out[: array.shape[0]] = array
+    if fill is not None:
+        out[array.shape[0]:] = fill
+    return out
+
+
 def _observe_block_rows(width: int) -> int:
     """Rows per observe pass for the given action-set width.
 
@@ -323,31 +339,20 @@ class LearnerPopulation:
     def ensure_capacity(self, capacity: int) -> None:
         """Grow the population to at least ``capacity`` slots.
 
-        New slots start fresh (uniform strategy, zero regret).
-        Existing slots keep their state and indices.
+        New slots start fresh (uniform strategy, zero regret), byte for
+        byte as :meth:`reset_slots` leaves a slot, so a bank hands them
+        out without a reset.  Existing slots keep their state and
+        indices.  Only the old slots are copied: the new slots' share of
+        the ``(N, H, H)`` tensor stays unwritten, and so not resident,
+        until a stage first updates it.
         """
         if capacity <= self._n:
             return
-        old = self._n
-        self._s = np.concatenate(
-            [self._s, np.zeros((capacity - old, self._h, self._h), dtype=self._dtype)]
-        )
-        self._scale = np.concatenate([self._scale, np.ones(capacity - old)])
-        self._probs = np.concatenate(
-            [
-                self._probs,
-                np.full((capacity - old, self._h), 1.0 / self._h, dtype=self._dtype),
-            ]
-        )
-        self._last_played_regrets = np.concatenate(
-            [
-                self._last_played_regrets,
-                np.zeros((capacity - old, self._h), dtype=self._dtype),
-            ]
-        )
-        self._cdf = np.concatenate(
-            [self._cdf, np.tile(self._uniform_cdf, (capacity - old, 1))]
-        )
+        self._s = _grown(self._s, capacity)
+        self._scale = _grown(self._scale, capacity, 1.0)
+        self._probs = _grown(self._probs, capacity, 1.0 / self._h)
+        self._last_played_regrets = _grown(self._last_played_regrets, capacity)
+        self._cdf = _grown(self._cdf, capacity, self._uniform_cdf)
         self._n = int(capacity)
         self._peer_index = np.arange(self._n)
 

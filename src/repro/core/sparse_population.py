@@ -76,6 +76,7 @@ from repro.core.population import (
     _SCALE_FLOOR,
     _SCALE_FLOOR32,
     _Scratch,
+    _grown,
     _items,
     _observe_block_rows,
     _require_step,
@@ -255,7 +256,13 @@ class TopKPopulation:
         return self._num_groups
 
     def nbytes(self) -> int:
-        """Bytes held by the per-slot arrays (blocks, rows and counters)."""
+        """Bytes allocated for the per-slot arrays (blocks, rows and
+        counters), at the current slot capacity.
+
+        This counts allocated bytes, not resident ones: the pages of
+        slots never issued and never written are not committed (see
+        :meth:`ensure_capacity`).
+        """
         return sum(
             a.nbytes
             for a in (
@@ -313,41 +320,30 @@ class TopKPopulation:
     # ------------------------------------------------------------------
 
     def ensure_capacity(self, capacity: int) -> None:
-        """Grow the population to at least ``capacity`` slots."""
+        """Grow the population to at least ``capacity`` slots.
+
+        New slots start fresh, byte for byte as :meth:`reset_slots`
+        leaves a slot, so a bank hands them out without a reset.  Only
+        the old slots are copied: the new slots' share of the
+        ``(N, k, k)`` blocks stays unwritten, and so not resident, until
+        a stage first updates it.
+        """
         if capacity <= self._n:
             return
-        old = self._n
-        extra = capacity - old
-        kk = self._k
-        fresh = np.tile(np.arange(kk, dtype=np.int32), (extra, 1))
-        self._ids = np.concatenate([self._ids, fresh])
-        self._pos = np.concatenate([self._pos, fresh])
-        self._s = np.concatenate(
-            [self._s, np.zeros((extra, kk, kk), dtype=self._dtype)]
+        first_arms = np.arange(self._k, dtype=np.int32)
+        self._ids = _grown(self._ids, capacity, first_arms)
+        self._pos = _grown(self._pos, capacity, first_arms)
+        self._s = _grown(self._s, capacity)
+        self._scale = _grown(self._scale, capacity, 1.0)
+        self._probs = _grown(self._probs, capacity, 1.0 / self._h)
+        self._tail_prob = _grown(
+            self._tail_prob, capacity, self._tail_count / self._h
         )
-        self._scale = np.concatenate([self._scale, np.ones(extra)])
-        self._probs = np.concatenate(
-            [self._probs, np.full((extra, kk), 1.0 / self._h, dtype=self._dtype)]
-        )
-        self._tail_prob = np.concatenate(
-            [self._tail_prob, np.full(extra, self._tail_count / self._h)]
-        )
-        self._stages = np.concatenate(
-            [self._stages, np.zeros(extra, dtype=np.int64)]
-        )
-        self._last_played_regrets = np.concatenate(
-            [
-                self._last_played_regrets,
-                np.zeros((extra, kk), dtype=self._dtype),
-            ]
-        )
-        self._cdf = np.concatenate(
-            [self._cdf, np.tile(self._uniform_cdf, (extra, 1))]
-        )
-        self._tail_regret = np.concatenate([self._tail_regret, np.zeros(extra)])
-        self._slot_group = np.concatenate(
-            [self._slot_group, np.zeros(extra, dtype=np.int32)]
-        )
+        self._stages = _grown(self._stages, capacity)
+        self._last_played_regrets = _grown(self._last_played_regrets, capacity)
+        self._cdf = _grown(self._cdf, capacity, self._uniform_cdf)
+        self._tail_regret = _grown(self._tail_regret, capacity)
+        self._slot_group = _grown(self._slot_group, capacity)
         self._n = int(capacity)
         self._peer_index = np.arange(self._n)
 

@@ -54,7 +54,7 @@ from typing import List, Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.population import LearnerPopulation
-from repro.runtime.learner_bank import _INITIAL_ROWS, LearnerBank, _RowBank
+from repro.runtime.learner_bank import _INITIAL_ROWS, LearnerBank, _PopulationRows
 from repro.telemetry import get_telemetry
 from repro.util.rng import as_generator
 
@@ -210,18 +210,12 @@ class PerChannelGroupedBank:
         return list(self._banks)
 
 
-class _GroupRows(_RowBank):
+class _GroupRows(_PopulationRows):
     """Row lifecycle of one width group over its shared population."""
 
     def __init__(self, population, initial_rows: int) -> None:
-        self._pop = population
         super().__init__(initial_rows)
-
-    def _grow_rows(self, new_rows: int) -> None:
-        self._pop.ensure_capacity(new_rows)
-
-    def _reset_rows(self, rows) -> None:
-        self._pop.reset_slots(rows)
+        self._pop = population
 
 
 class _WidthGroup:

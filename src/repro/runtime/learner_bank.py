@@ -84,14 +84,23 @@ class LearnerBank(Protocol):
 
 
 class _RowBank:
-    """Shared row lifecycle: doubling capacity plus a LIFO free-list."""
+    """Shared row lifecycle: doubling capacity, a LIFO free-list of
+    released rows and a fresh watermark.
+
+    Rows at or above the watermark ``_issued`` were never handed out, as
+    with the slots past ``PeerStore._size``.  Released rows go out again
+    first, the most recently released first; then fresh rows, in
+    ascending order.  :meth:`_reset_rows` sees every row handed out
+    before the watermark rises past it, so a bank whose storage creates
+    rows in the reset state can skip the fresh ones.
+    """
 
     def __init__(self, initial_rows: int = _INITIAL_ROWS) -> None:
         if initial_rows < 1:
             raise ValueError("initial_rows must be >= 1")
         self._rows = int(initial_rows)
-        # Popping from the tail hands out ascending rows 0, 1, 2, ...
-        self._free: List[int] = list(range(self._rows - 1, -1, -1))
+        self._issued = 0
+        self._free: List[int] = []
 
     @property
     def rows(self) -> int:
@@ -104,44 +113,77 @@ class _RowBank:
 
     def _reset_rows(self, rows) -> None:
         """Restore ``rows`` -- one row index or an index array -- to the
-        fresh-learner state (subclass hook)."""
+        fresh-learner state (subclass hook).  Those at or above the
+        watermark are being issued for the first time."""
         raise NotImplementedError
 
-    def _ensure_free(self, count: int) -> None:
-        if len(self._free) >= count:
-            return
-        old = self._rows
-        new = max(2 * old, old + count - len(self._free))
-        self._grow_rows(new)
-        self._free[:0] = range(new - 1, old - 1, -1)
-        self._rows = new
+    def _first_fresh(self, count: int) -> int:
+        """The first of ``count`` fresh rows, growing storage to hold them."""
+        first = self._issued
+        if first + count > self._rows:
+            new = max(2 * self._rows, first + count)
+            self._grow_rows(new)
+            self._rows = new
+        return first
 
     def acquire(self) -> int:
-        self._ensure_free(1)
-        row = self._free.pop()
+        row = self._free.pop() if self._free else self._first_fresh(1)
         self._reset_rows(row)
+        self._issued = max(self._issued, row + 1)
         return row
 
     def acquire_many(self, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("count must be >= 0")
-        self._ensure_free(count)
-        rows = np.array([self._free.pop() for _ in range(count)], dtype=np.int64)
+        split = max(len(self._free) - count, 0)
+        recycled = self._free[split:][::-1]
+        del self._free[split:]
+        fresh = count - len(recycled)
+        first = self._first_fresh(fresh)
+        rows = np.concatenate(
+            [
+                np.array(recycled, dtype=np.int64),
+                np.arange(first, first + fresh, dtype=np.int64),
+            ]
+        )
         self._reset_rows(rows)
+        self._issued = first + fresh
         return rows
 
     def release(self, row: int) -> None:
         self._free.append(int(row))
 
 
-class RegretBank(_RowBank):
+class _PopulationRows(_RowBank):
+    """Rows that are the slots of one regret population, ``_pop``, which a
+    subclass sets after ``super().__init__``.
+
+    A population creates its slots in the reset state, so only rows that
+    come back from the free-list are reset.
+    """
+
+    _pop: "LearnerPopulation | TopKPopulation"
+
+    def _grow_rows(self, new_rows: int) -> None:
+        self._pop.ensure_capacity(new_rows)
+
+    def _reset_rows(self, rows) -> None:
+        if isinstance(rows, np.ndarray):
+            rows = rows[rows < self._issued]
+            if rows.size:
+                self._pop.reset_slots(rows)
+        elif rows < self._issued:
+            self._pop.reset_slots(rows)
+
+
+class RegretBank(_PopulationRows):
     """Vectorized regret-tracking block (the recursion ``rths`` and
     ``r2hs`` both run).
 
     Thin ownership wrapper over the slot API of
-    :class:`~repro.core.population.LearnerPopulation`: ``acquire`` resets a
-    population slot to a fresh learner, ``act``/``observe`` advance the
-    listed slots.
+    :class:`~repro.core.population.LearnerPopulation`: ``acquire`` hands
+    out a population slot in the fresh-learner state, ``act``/``observe``
+    advance the listed slots.
     """
 
     def __init__(
@@ -176,12 +218,6 @@ class RegretBank(_RowBank):
         """The backing population (for diagnostics: regrets, strategies)."""
         return self._pop
 
-    def _grow_rows(self, new_rows: int) -> None:
-        self._pop.ensure_capacity(new_rows)
-
-    def _reset_rows(self, rows) -> None:
-        self._pop.reset_slots(rows)
-
     def act(self, rows: np.ndarray) -> np.ndarray:
         return self._pop.act_slots(rows)
 
@@ -191,7 +227,7 @@ class RegretBank(_RowBank):
         self._pop.observe_slots(rows, actions, utilities)
 
 
-class TopKRegretBank(_RowBank):
+class TopKRegretBank(_PopulationRows):
     """Sparse top-k regret block for giant helper counts (``H >> 10^3``).
 
     Same slot API and the same recursion as :class:`RegretBank`,
@@ -246,12 +282,6 @@ class TopKRegretBank(_RowBank):
     def population(self) -> TopKPopulation:
         """The backing sparse population (for diagnostics)."""
         return self._pop
-
-    def _grow_rows(self, new_rows: int) -> None:
-        self._pop.ensure_capacity(new_rows)
-
-    def _reset_rows(self, rows) -> None:
-        self._pop.reset_slots(rows)
 
     def act(self, rows: np.ndarray) -> np.ndarray:
         return self._pop.act_slots(rows)

@@ -389,6 +389,9 @@ class StreamingSystem(SystemSkeleton):
             Helper(helper_id=h, channel_id=c) for h, c in sorted(channel_of.items())
         ]
         self._peers: List[Peer] = []
+        # The online peers by id, in creation order (the scalar round's
+        # summation order): _create_peer adds, _churn_leave removes.
+        self._online: Dict[int, Peer] = {}
         if initial_channels is None:
             for _ in range(self._spec.topology.num_peers):
                 self._create_peer()
@@ -415,6 +418,7 @@ class StreamingSystem(SystemSkeleton):
             joined_at=self._sim.now,
         )
         self._peers.append(peer)
+        self._online[peer.peer_id] = peer
         return peer
 
     def _churn_join(self) -> int:
@@ -439,6 +443,7 @@ class StreamingSystem(SystemSkeleton):
         if not peer.online:
             return
         peer.online = False
+        del self._online[peer_id]
         peer.left_at = self._sim.now
         self._population_changed = True
         if peer.current_helper is not None:
@@ -460,8 +465,8 @@ class StreamingSystem(SystemSkeleton):
         return self._helpers
 
     def online_peers(self) -> List[Peer]:
-        """Peers currently participating."""
-        return [p for p in self._peers if p.online]
+        """Peers currently participating, in creation order."""
+        return list(self._online.values())
 
     # ------------------------------------------------------------------
     # The learning round

@@ -8,16 +8,24 @@ instances with hypothesis:
   (this is why the paper prefers CE: "usually leads to better performance
   in terms of system efficiency");
 * the CE LP solution always satisfies the Eq. (3-1) inequalities;
-* a point-mass distribution on a pure NE passes the empirical CE check.
+* a point-mass distribution on a pure NE passes the empirical CE check;
+* the paper's claim on a static game: regret-tracking play approaches
+  the CE set, with CE welfare.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.equilibrium import solve_ce_lp
+from repro.core.equilibrium import (
+    ce_welfare_bounds,
+    empirical_ce_regret_report,
+    solve_ce_lp,
+)
+from repro.core.population import LearnerPopulation
 from repro.game.helper_selection import HelperSelectionGame
 from repro.game.nash import enumerate_pure_nash
+from repro.game.repeated_game import StaticCapacities, Trajectory
 
 game_params = st.tuples(
     st.integers(min_value=2, max_value=4),      # peers
@@ -94,3 +102,35 @@ def test_pure_nash_point_mass_has_zero_empirical_ce_regret(params):
         utilities=np.tile(caps[nash] / loads[nash], (stages, 1)),
     )
     assert empirical_ce_regret(trajectory) <= 1e-9
+
+
+U_MAX = 900.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=4),  # peers
+    st.lists(st.sampled_from([700.0, 800.0, 900.0]), min_size=2, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),  # learner seed
+)
+def test_learner_play_approaches_the_ce_set_of_a_static_game(
+    num_peers, capacities, seed
+):
+    """Over the last half of 3000 stages, the empirical play of the
+    paper's recursion (eps = delta = 0.05) is within 0.1 u_max of every
+    Eq. (3-1) inequality, and its mean welfare lies between the worst
+    and the best CE welfare, up to 0.1 u_max."""
+    game = HelperSelectionGame(num_peers, capacities)
+    population = LearnerPopulation(
+        num_peers, len(capacities), epsilon=0.05, delta=0.05, u_max=U_MAX, rng=seed
+    )
+    played = population.run(StaticCapacities(capacities), 3000)
+    tail = Trajectory(
+        capacities=played.capacities[1500:],
+        actions=played.actions[1500:],
+        loads=played.loads[1500:],
+        utilities=played.utilities[1500:],
+    )
+    assert empirical_ce_regret_report(tail, u_max=U_MAX).max_regret <= 0.1
+    worst, best = ce_welfare_bounds(game)
+    assert worst - 0.1 * U_MAX <= tail.welfare.mean() <= best + 0.1 * U_MAX

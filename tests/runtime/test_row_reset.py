@@ -1,16 +1,22 @@
-"""A recycled learner row starts fresh, reset by integer or by array index.
+"""A learner row starts fresh, whether new or recycled.
 
-A joining peer's row is reset through one integer index (basic
+A joining peer's recycled row is reset through one integer index (basic
 indexing); a bulk acquire resets through an index array.  Both must
 leave every per-slot array exactly as a fresh population has it, and
-must draw the same random numbers.
+must draw the same random numbers.  A row never issued before is not
+reset at all: growing a population creates its rows in the reset state,
+and writes none of the regret tensor beyond the old rows.
 """
 
 import copy
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.population import LearnerPopulation
+from repro.core.sparse_population import TopKPopulation
 from repro.runtime.learner_bank import (
     RegretBank,
     StickyBank,
@@ -133,3 +139,96 @@ def test_grouped_topk_acquire_sets_the_domain_of_an_integer_row():
     assert bank.acquire(1) == row
     assert population._slot_group[row] == 1
     assert population._stages[row] == 0
+
+
+def make_population(kind, capacity, dtype, seed=0):
+    if kind == "dense":
+        return LearnerPopulation(capacity, HELPERS, u_max=900.0, rng=seed, dtype=dtype)
+    return TopKPopulation(
+        capacity, HELPERS, k=3, u_max=900.0, rng=seed, dtype=dtype, reselect_every=4
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["dense", "topk"])
+def test_growth_keeps_old_rows_and_adds_fresh_ones(kind, dtype):
+    population = make_population(kind, ROWS, dtype)
+    rows = np.arange(ROWS)
+    gen = np.random.default_rng(1)
+    for _ in range(24):
+        actions = population.act_slots(rows)
+        population.observe_slots(rows, actions, gen.random(ROWS) * 900.0)
+    before = {name: value.copy() for name, value in per_slot_arrays(population).items()}
+    population.ensure_capacity(5 * ROWS)
+    grown = per_slot_arrays(population)
+    fresh = per_slot_arrays(make_population(kind, 5 * ROWS, dtype, seed=9))
+    assert set(grown) == set(fresh) == set(before)
+    for name, value in grown.items():
+        assert value.dtype == before[name].dtype, name
+        assert value[:ROWS].tobytes() == before[name].tobytes(), name
+        assert value[ROWS:].tobytes() == fresh[name][ROWS:].tobytes(), name
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/statm"
+)
+@pytest.mark.parametrize(
+    "kind, helpers, capacity", [("dense", 100, 1000), ("topk", 2000, 10_000)]
+)
+def test_growth_commits_only_the_rows_it_copies(kind, helpers, capacity):
+    """The grown regret tensor (over 32 MiB, so glibc maps it fresh) is
+    resident only where the old rows were copied in: the new rows stay
+    unwritten until a stage first updates them."""
+    if kind == "dense":
+        population = LearnerPopulation(64, helpers, u_max=900.0, rng=0)
+    else:
+        population = TopKPopulation(64, helpers, k=32, u_max=900.0, rng=0)
+    tensor_bytes = capacity * population._s[0].nbytes
+    assert tensor_bytes > 32 * 2**20
+    before = resident_bytes()
+    population.ensure_capacity(capacity)
+    assert population._s.nbytes == tensor_bytes
+    assert resident_bytes() - before < 0.25 * tensor_bytes
+
+
+class ResetSpy:
+    """Records the slots each ``reset_slots`` call gets, then resets them."""
+
+    def __init__(self, population):
+        self.calls = []
+        self._reset = population.reset_slots
+        population.reset_slots = self
+
+    def __call__(self, slots):
+        self.calls.append(np.atleast_1d(slots).tolist())
+        self._reset(slots)
+
+
+@pytest.mark.parametrize("kind", ["dense", "topk"])
+def test_only_recycled_rows_are_reset(kind):
+    """A population creates its rows in the reset state, so a fused bank
+    resets a row only when it hands it out again."""
+    bank = bank_factory("r2hs", bank=kind, topk=2, u_max=900.0)(
+        [4, 4], [np.random.default_rng(c) for c in range(2)]
+    )
+    spy = ResetSpy(bank.population_of(0))
+    first = bank.acquire_many(0, 5)
+    second = bank.acquire_many(1, 100)  # grows past the initial 64 rows
+    assert first.tolist() == list(range(5))
+    assert second.tolist() == list(range(5, 105))
+    assert spy.calls == []
+    bank.release(0, 3)
+    assert bank.acquire(1) == 3
+    assert spy.calls == [[3]]
+    assert bank.acquire(0) == 105  # a fresh row: no reset
+    bank.release(1, 7)
+    bank.release(1, 9)
+    # Released rows go out again first, the most recent first; then
+    # fresh rows in ascending order.  Only the released ones are reset.
+    assert bank.acquire_many(0, 4).tolist() == [9, 7, 106, 107]
+    assert spy.calls == [[3], [9, 7]]

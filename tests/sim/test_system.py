@@ -198,6 +198,28 @@ class TestChurnIntegration:
         trace = system.run(80)
         assert np.all(trace.loads.sum(axis=1) == trace.online_peers)
 
+    def test_online_peers_follow_churn_and_switches_in_creation_order(self):
+        """The online set is kept as peers join and leave; it must list
+        exactly the online peers, in creation order, after every round."""
+        spec = spec_for(
+            num_peers=12,
+            num_helpers=4,
+            num_channels=2,
+            channel_bitrates=100.0,
+            channel_switch_rate=0.5,
+            churn=ChurnSpec(
+                arrival_rate=2.0,
+                mean_lifetime=3.0,
+                initial_peer_lifetimes=True,
+            ),
+        )
+        system = StreamingSystem(spec, r2hs_factory, rng=8)
+        for _ in range(60):
+            system.run(1)
+            assert system.online_peers() == [p for p in system.peers if p.online]
+        assert system.channel_switches > 0
+        assert len(system.peers) > len(system.online_peers()) + 12
+
 
 class TestMultiChannel:
     def test_helpers_partitioned_round_robin(self):
