@@ -6,7 +6,8 @@
   makes.  No plotting dependencies; everything renders in a terminal or
   CI log.
 * :mod:`repro.analysis.experiments` — one function per paper figure.
-* :mod:`repro.analysis.sweeps` — paired-environment parameter sweeps.
+* :mod:`repro.analysis.sweeps` — sweep results and the environment-speed
+  sweep.
 * :mod:`repro.analysis.parallel` / :mod:`repro.analysis.supervision` —
   deterministic sweep execution, inline or one supervised worker process
   per cell.
@@ -24,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "format_float",
     ],
     "repro.analysis.sweeps": [
-        "SweepResult", "sweep_learner_parameters", "sweep_environment_speed",
+        "SweepResult", "sweep_environment_speed",
     ],
     "repro.analysis.parallel": ["ParallelRunner", "CellFunction"],
 })

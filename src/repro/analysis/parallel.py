@@ -16,9 +16,9 @@ retries, timeouts, heartbeats or recorded failures — runs under
 each result pickled home through that worker's own pipe.
 
 Cell functions must be picklable (module-level functions, or
-:func:`functools.partial` over one); the CLI's ``repro run`` command and
-:func:`repro.analysis.sweeps.sweep_learner_parameters` both route through
-this runner.
+:func:`functools.partial` over one); the spec sweep
+(:meth:`repro.spec.ExperimentSpec.sweep`, behind the CLI's ``repro run``)
+routes through this runner.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Parameter-sweep harness.
+"""Sweep results, and the environment-speed sweep of the bare game.
 
-Grid sweeps over learner and environment parameters with paired
-environment realizations: every cell replays the *same* recorded bandwidth
-path, so differences between cells are attributable to the parameters, not
-to environment luck.  Used by the ablation benches and the ``sweep``-style
-analyses in the examples.
+:class:`SweepResult` carries every sweep's cells home with its rendering
+helpers; :meth:`repro.spec.ExperimentSpec.sweep` (and so ``repro run``
+with a sweep section) builds one.  Learner parameters are swept as a
+spec grid over ``learner.*`` paths.  :func:`sweep_environment_speed`
+sweeps the bandwidth chain's stay-probability for the bare repeated game
+(``benchmarks/bench_ablation_environment.py``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -19,12 +19,11 @@ from repro.analysis.reporting import render_table
 from repro.util.rng import Seedish, as_generator, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.analysis.parallel import ParallelRunner
     from repro.game.repeated_game import Trajectory
 
 # SweepCell and SweepResult carry every sweep's results home, resumed
-# ones included; the learner and capacity code below loads only when a
-# learner sweep runs.
+# ones included; the learner and capacity code below loads only when an
+# environment sweep runs.
 MetricFunction = Callable[["Trajectory"], float]
 
 
@@ -163,86 +162,6 @@ class SweepResult:
                 for cell in self.cells
             ]
         )
-
-
-def _learner_cell(
-    trace: np.ndarray,
-    num_peers: int,
-    num_helpers: int,
-    num_stages: int,
-    u_max: float,
-    metrics: Optional[Mapping[str, MetricFunction]],
-    params: Mapping[str, object],
-    seed: int,
-) -> Dict[str, float]:
-    """One sweep cell, picklable for :class:`~repro.analysis.parallel.ParallelRunner`.
-
-    ``trace`` is the sweep's recorded ``(T, H)`` capacity path; every
-    cell replays it read-only.  ``metrics`` ``None`` means
-    :func:`default_metrics`, built where the cell runs.
-    """
-    from repro.core.population import LearnerPopulation
-    from repro.sim.bandwidth import TraceCapacityProcess
-
-    learner_params = {k: v for k, v in params.items() if k != "replication"}
-    population = LearnerPopulation(
-        num_peers, num_helpers, u_max=u_max, rng=seed, **learner_params
-    )
-    trajectory = population.run(TraceCapacityProcess(trace), num_stages)
-    metric_fns = default_metrics(u_max) if metrics is None else metrics
-    return {name: fn(trajectory) for name, fn in metric_fns.items()}
-
-
-def sweep_learner_parameters(
-    grid,
-    num_peers: int,
-    num_helpers: int,
-    num_stages: int,
-    metrics: Mapping[str, MetricFunction] | None = None,
-    stay_probability: float = 0.9,
-    u_max: float = 900.0,
-    rng: Seedish = None,
-    runner: Optional["ParallelRunner"] = None,
-) -> SweepResult:
-    """Sweep :class:`~repro.core.population.LearnerPopulation` parameters.
-
-    ``grid`` maps LearnerPopulation keyword names (``epsilon``, ``delta``,
-    ``mu``) to value lists — a plain mapping or a
-    :class:`~repro.spec.SweepSpec` (whose ``replications`` also apply);
-    the full cross product is evaluated against a single shared bandwidth
-    realization.
-
-    Cells run through ``runner`` (default: one worker, inline).  With
-    more than one worker the cells compute :func:`default_metrics` in
-    their own processes, so custom metric callables (usually closures,
-    which do not pickle) need a single worker.  Per-cell seeds are
-    derived in grid order either way, so sweeps with the same ``rng``
-    agree cell-for-cell at any worker count.  The shared ``(T, H)``
-    trace rides inside the cell function.
-    """
-    from repro.analysis.parallel import ParallelRunner
-    from repro.sim.bandwidth import paper_bandwidth_process, record_capacity_trace
-    from repro.spec.model import SweepSpec
-
-    sweep = grid if isinstance(grid, SweepSpec) else SweepSpec(grid=dict(grid))
-    if not sweep.grid:
-        raise ValueError("grid must not be empty")
-    if runner is None:
-        runner = ParallelRunner(workers=1)
-    if metrics is not None and runner.workers > 1:
-        raise ValueError(
-            "custom metrics are not picklable across workers; "
-            "use the default metrics with a multi-worker ParallelRunner"
-        )
-    parent = as_generator(rng)
-    env = paper_bandwidth_process(
-        num_helpers, stay_probability=stay_probability, rng=derive_seed(parent)
-    )
-    shared = record_capacity_trace(env, num_stages)
-    cell_fn = functools.partial(
-        _learner_cell, shared, num_peers, num_helpers, num_stages, u_max, metrics
-    )
-    return runner.run_sweep(sweep, cell_fn, rng=parent)
 
 
 def sweep_environment_speed(

@@ -34,27 +34,41 @@ the row-major layout, where the scattered read-modify-write dominates.
 
 **Narrow rows.**  With a few arms per channel a row is a handful of
 floats, and numpy's cost per row — not the arithmetic — sets the price of
-a stage.  Two measures keep it down without changing a float operation.
-Whole rows (of ``probs``, the CDF, the played-regret rows and the stored
-tensor's rank-one rows) are gathered and scattered through a view with one
-opaque ``H * itemsize``-byte item per row, so each row moves as one item
-of a 1-D fancy index instead of as a strided sub-array; every
-``(row, played action)`` entry of a block's buffers is reached through one
-flat position computed once per block.  And below ``_NARROW_WIDTH`` arms
-the row sum, the CDF prefix sum, the regret-row gather index and the act
-threshold count run as a loop over columns, one whole-block numpy call per
-column.  The switch sits at 8 because numpy adds up a row of fewer than 8
-items left to right — the same float sequence as the column loop (pinned
-in ``tests/core/test_kernel_reference.py``) — and from 8 items on sums
-pairwise, so wider rows keep the axis-1 calls.
+a stage.  Three measures keep it down without changing a float operation.
+Whole rows (of ``probs``, the played-regret rows and the stored tensor's
+rank-one rows) are gathered and scattered through a view with one opaque
+``H * itemsize``-byte item per row, so each row moves as one item of a
+1-D fancy index instead of as a strided sub-array; every ``(row, played
+action)`` entry of a block's buffers is reached through one flat position
+computed once per block.  Below ``_NARROW_WIDTH`` arms the row sum, the
+strategy prefix sum, the regret-row gather index, the act threshold count
+and the three ``(k, 1)`` broadcasts of a stage (the rank-one weight, the
+diagonal and the lazy scale) run as a loop over columns, one whole-block
+numpy call per column.  The switch sits at 8 because numpy adds up a row
+of fewer than 8 items left to right — the same float sequence as the
+column loop (pinned in ``tests/core/test_kernel_reference.py``) — and
+from 8 items on sums pairwise, so wider rows keep the axis-1 calls.  The
+broadcasts are elementwise, so their column form changes no float at any
+width.  And gathers are plain fancy indexes (``a[idx]``): numpy's
+``take`` into an ``out`` buffer, in its default bounds-checked mode,
+gathers into a hidden temporary and copies that into ``out`` only once
+every index has passed, one copy more, and its other modes clip or wrap
+a bad index instead of refusing it.
+
+**Strategy CDF.**  ``act_slots`` prefix-sums, left to right, the
+strategy rows it gathers, so no CDF is stored: each acting row is summed
+once a round either way, and updates, resets and growth write one array
+fewer.
 
 **Slot API.**  ``act_slots`` / ``observe_slots`` / ``reset_slots`` /
 ``ensure_capacity`` advance an arbitrary *subset* of rows, which is what
 :mod:`repro.runtime` needs to host churning populations (a freed slot is
 reset and handed to the next arrival).  The step is one constant ``eps``
 for every slot, so a slot needs no stage counter: a reset row is exactly
-a fresh learner.  The classic whole-population API (``act_all`` /
-``observe_all`` / ``run``) is a thin wrapper over the slot API.
+a fresh learner.  ``act_slots`` and ``observe_slots`` refuse a slot
+outside ``[0, N)`` with an ``IndexError`` before any state changes.  The
+classic whole-population API (``act_all`` / ``observe_all`` / ``run``)
+is a thin wrapper over the slot API.
 """
 
 from __future__ import annotations
@@ -118,6 +132,29 @@ def _items(rows: np.ndarray, item: np.dtype) -> np.ndarray:
     dtype exactly one row wide, so the view aliases the same bytes.
     """
     return rows.view(item).reshape(-1)
+
+
+def _gather(rows: np.ndarray, slots: np.ndarray, item: np.dtype) -> np.ndarray:
+    """Rows ``slots`` of the 2-D ``rows``, each moved as one ``item``,
+    into a fresh C-contiguous array."""
+    return _items(rows, item)[slots].view(rows.dtype).reshape(-1, rows.shape[1])
+
+
+def _prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows`` prefix-summed in place, left to right along each row
+    (narrow rows column by column, as ``np.cumsum`` adds)."""
+    if rows.shape[1] < _NARROW_WIDTH:
+        for j in range(1, rows.shape[1]):
+            rows[:, j] += rows[:, j - 1]
+    else:
+        np.cumsum(rows, axis=1, out=rows)
+    return rows
+
+
+def _require_slots(slots: np.ndarray, capacity: int) -> None:
+    """Refuse any slot outside ``[0, capacity)``, before state changes."""
+    if slots.min(initial=0) < 0 or slots.max(initial=0) >= capacity:
+        raise IndexError(f"slots must lie in [0, {capacity})")
 
 
 def _grown(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
@@ -256,15 +293,6 @@ class LearnerPopulation:
         self._stage = 0
         self._peer_index = np.arange(self._n)
         self._last_played_regrets = np.zeros((self._n, self._h), dtype=self._dtype)
-        # Maintained strategy CDF: row i always holds cumsum(_probs[i]).
-        # The action sampler gathers it instead of re-running cumsum over
-        # rows that have not changed since the last observe; every writer
-        # of _probs refreshes the matching rows (same sequential cumsum
-        # arithmetic, so act results stay bit-identical).
-        self._cdf = np.cumsum(self._probs, axis=1)
-        self._uniform_cdf = np.cumsum(
-            np.full(self._h, 1.0 / self._h, dtype=self._dtype)
-        )
         # Flat offsets of column j within one (H, H) block (see the q
         # gather in _observe_block).
         self._col_offsets = np.arange(self._h, dtype=np.intp) * self._h
@@ -352,7 +380,6 @@ class LearnerPopulation:
         self._scale = _grown(self._scale, capacity, 1.0)
         self._probs = _grown(self._probs, capacity, 1.0 / self._h)
         self._last_played_regrets = _grown(self._last_played_regrets, capacity)
-        self._cdf = _grown(self._cdf, capacity, self._uniform_cdf)
         self._n = int(capacity)
         self._peer_index = np.arange(self._n)
 
@@ -368,7 +395,6 @@ class LearnerPopulation:
         self._s[slots] = 0.0
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h
-        self._cdf[slots] = self._uniform_cdf
         self._last_played_regrets[slots] = 0.0
 
     def act_slots(
@@ -385,12 +411,11 @@ class LearnerPopulation:
         arithmetic is identical either way.
         """
         slots = np.asarray(slots, dtype=np.intp)
+        _require_slots(slots, self._n)
         k = slots.shape[0]
         h = self._h
-        item = self._item
         ws = self._scratch
-        cdf = ws.rows("act_cdf", k, h, self._dtype)
-        np.take(_items(self._cdf, item), slots, out=_items(cdf, item))
+        cdf = _prefix_sums(_gather(self._probs, slots, self._item))
         if draws is None:
             draws = self._rng.random(k)
         else:
@@ -424,6 +449,7 @@ class LearnerPopulation:
         k = slots.shape[0]
         if actions.shape != (k,) or utilities.shape != (k,):
             raise ValueError("slots, actions and utilities must align")
+        _require_slots(slots, self._n)
         if k == 0:
             return
         if actions.min(initial=0) < 0 or actions.max(initial=0) >= self._h:
@@ -453,9 +479,9 @@ class LearnerPopulation:
         # factor accumulates in `scale`, the rank-one column update lands
         # in the stored tensor pre-divided by it.  In the transposed
         # storage, column a_i of S is the contiguous row _s[i, a_i, :].
-        # (Every temporary below lives in a reused scratch buffer — at
-        # scale the round cost is memory traffic and numpy dispatch, not
-        # flops.)
+        # (Index and weight temporaries live in reused scratch buffers —
+        # at scale the round cost is memory traffic and numpy dispatch,
+        # not flops.)
         decay = 1.0 - eps
         if decay < self._scale_floor:
             # eps ≈ 1 erases all history: the recursion degenerates to
@@ -464,8 +490,7 @@ class LearnerPopulation:
             self._s[slots] = 0.0
             self._scale[slots] = 1.0
             decay = 1.0
-        scale = ws.vec("scale", k, np.float64)
-        np.take(self._scale, slots, out=scale)
+        scale = self._scale[slots]
         scale *= decay
         self._scale[slots] = scale
         item = self._item
@@ -474,28 +499,30 @@ class LearnerPopulation:
         played = ws.vec("played", k, np.intp)
         np.multiply(ws.arange(k), h, out=played)
         played += actions
-        gathered = ws.rows("gathered", k, h, self._dtype)
-        np.take(_items(self._probs, item), slots, out=_items(gathered, item))
+        gathered = _gather(self._probs, slots, item)
         played_prob = gathered.reshape(-1)[played]
         weight = ws.vec("weight", k, np.float64)
         np.multiply(normalized, eps, out=weight)
         np.divide(weight, played_prob, out=weight)
         np.divide(weight, scale, out=weight)
-        np.multiply(gathered, weight[:, None], out=gathered)
-        # Row a_i of peer i's stored block is item i*H + a_i of this view.
-        flat_rows = _items(self._s, item)
+        if narrow:
+            for j in range(h):
+                gathered[:, j] *= weight
+        else:
+            gathered *= weight[:, None]
+        # Row a_i of peer i's stored block is row i*H + a_i of this view.
+        flat_rows = self._s.reshape(-1, h)
         row_idx = ws.vec("row_idx", k, np.intp)
         np.multiply(slots, h, out=row_idx)
         row_idx += actions
-        acc = ws.rows("acc", k, h, self._dtype)
-        np.take(flat_rows, row_idx, out=_items(acc, item))
+        acc = _gather(flat_rows, row_idx, item)
         acc += gathered
-        flat_rows[row_idx] = _items(acc, item)
+        _items(flat_rows, item)[row_idx] = _items(acc, item)
 
         # Regret rows for the played actions (Eq. 3-6, row j = a_i);
         # S(a_i, k) over k is the strided column _s[i, :, a_i], gathered
         # through precomputed flat offsets (cheaper than the mixed
-        # advanced-index form and free of its fresh result allocation).
+        # advanced-index form).
         q_idx = ws.rows("q_idx", k, h, np.intp)
         base = ws.vec("q_base", k, np.intp)
         np.multiply(slots, h * h, out=base)
@@ -505,12 +532,17 @@ class LearnerPopulation:
                 np.add(base, j * h, out=q_idx[:, j])
         else:
             np.add(base[:, None], self._col_offsets, out=q_idx)
-        q = ws.rows("q", k, h, self._dtype)
+        q = self._s.reshape(-1)[q_idx]
         q_flat = q.reshape(-1)
-        np.take(self._s.reshape(-1), q_idx, out=q)
         diag = q_flat[played]
-        q -= diag[:, None]
-        q *= scale[:, None]
+        if narrow:
+            for j in range(h):
+                column = q[:, j]
+                column -= diag
+                column *= scale
+        else:
+            q -= diag[:, None]
+            q *= scale[:, None]
         np.maximum(q, 0.0, out=q)
         q_flat[played] = 0.0
         _items(self._last_played_regrets, item)[slots] = _items(q, item)
@@ -530,14 +562,6 @@ class LearnerPopulation:
             total = q.sum(axis=1)
         q_flat[played] = 1.0 - total
         _items(self._probs, item)[slots] = _items(q, item)
-        # Refresh the maintained CDF rows while q is cache-hot (q is not
-        # needed after this point, so the prefix sum lands in place).
-        if narrow:
-            for j in range(1, h):
-                q[:, j] += q[:, j - 1]
-        else:
-            np.cumsum(q, axis=1, out=q)
-        _items(self._cdf, item)[slots] = _items(q, item)
 
         # Fold nearly-underflowed scales back into the stored tensors.
         tiny = ws.vec("tiny", k, np.bool_)

@@ -38,8 +38,8 @@ discards no regret).  This pre-warms popular arms — their regret history
 starts accruing before the peer's own exploration finds them — without
 ever perturbing the current strategy.
 
-**Blocks stay put.**  A peer's ``k``-wide rows — tracked ids, strategy,
-CDF and the played-regret row — are kept in ascending arm order, which
+**Blocks stay put.**  A peer's ``k``-wide rows — tracked ids, strategy
+and the played-regret row — are kept in ascending arm order, which
 the action sampler's tail walk and the insertion search rely on.  The
 ``(k, k)`` block is not: it is indexed by *storage slot*, and a per-row
 position map ``pos`` (one more ``k``-wide row) gives the slot of the arm
@@ -68,17 +68,21 @@ from repro.core.probability import default_mu
 from repro.util.rng import Seedish, as_generator
 from repro.util.validation import require_positive, require_positive_int
 
-# Lazy-decay renorm floors, the observe blocking rule, the step check and
-# the scratch machinery are shared with the dense kernel: the two
-# recursions must renormalize and block at the same points to stay
-# bit-identical at k >= H, so there is exactly one source of truth.
+# Lazy-decay renorm floors, the observe blocking rule, the step and slot
+# checks, the act prefix sum and the row machinery are shared with the
+# dense kernel: the two recursions must renormalize, block and sum at the
+# same points to stay bit-identical at k >= H, so there is exactly one
+# source of truth.
 from repro.core.population import (
     _SCALE_FLOOR,
     _SCALE_FLOOR32,
     _Scratch,
+    _gather,
     _grown,
     _items,
     _observe_block_rows,
+    _prefix_sums,
+    _require_slots,
     _require_step,
 )
 
@@ -98,8 +102,8 @@ class TopKPopulation:
     ``O(N * k^2)`` instead of ``O(N * H^2)``.
 
     State per slot ``i``: the ``(N, k)`` rows ``_ids``, ``_probs``,
-    ``_cdf``, ``_pos`` and ``_last_played_regrets`` in sorted-arm order
-    (rank ``r`` is the ``r``-th smallest tracked id), and the block
+    ``_pos`` and ``_last_played_regrets`` in sorted-arm order (rank ``r``
+    is the ``r``-th smallest tracked id), and the block
     ``_s[i]`` indexed by storage slot.  ``_pos[i, r]`` is the storage
     slot of the arm at rank ``r``; the block is transposed like the dense
     kernel's, so ``_s[i, _pos[i, c], _pos[i, r]]`` holds
@@ -194,10 +198,6 @@ class TopKPopulation:
         self._stages = np.zeros(n, dtype=np.int64)
         self._peer_index = np.arange(n)
         self._last_played_regrets = np.zeros((n, kk), dtype=self._dtype)
-        # Maintained tracked-arm CDF (see LearnerPopulation): row i always
-        # holds cumsum(_probs[i]); refreshed by every writer of _probs.
-        self._cdf = np.cumsum(self._probs, axis=1)
-        self._uniform_cdf = np.cumsum(np.full(kk, 1.0 / self._h, dtype=self._dtype))
         # One opaque item per k-wide row, for whole-row gathers and
         # scatters: float rows, and the int32 rows of _ids and _pos.
         self._item = np.dtype((np.void, kk * self._dtype.itemsize))
@@ -270,7 +270,6 @@ class TopKPopulation:
                 self._ids,
                 self._pos,
                 self._probs,
-                self._cdf,
                 self._last_played_regrets,
                 self._scale,
                 self._tail_prob,
@@ -341,7 +340,6 @@ class TopKPopulation:
         )
         self._stages = _grown(self._stages, capacity)
         self._last_played_regrets = _grown(self._last_played_regrets, capacity)
-        self._cdf = _grown(self._cdf, capacity, self._uniform_cdf)
         self._tail_regret = _grown(self._tail_regret, capacity)
         self._slot_group = _grown(self._slot_group, capacity)
         self._n = int(capacity)
@@ -376,7 +374,6 @@ class TopKPopulation:
         self._s[slots] = 0.0
         self._scale[slots] = 1.0
         self._probs[slots] = 1.0 / self._h
-        self._cdf[slots] = self._uniform_cdf
         self._tail_prob[slots] = self._tail_count / self._h
         self._stages[slots] = 0
         self._last_played_regrets[slots] = 0.0
@@ -397,17 +394,16 @@ class TopKPopulation:
         :meth:`~repro.core.population.LearnerPopulation.act_slots`).
         """
         slots = np.asarray(slots, dtype=np.intp)
+        _require_slots(slots, self._n)
         count = slots.shape[0]
-        ws = self._scratch
-        cdf = ws.rows("act_cdf", count, self._k, self._dtype)
-        np.take(_items(self._cdf, self._item), slots, out=_items(cdf, self._item))
+        cdf = _prefix_sums(self._rows(self._probs, slots))
         if draws is None:
             draws = self._rng.random(count)
         else:
             draws = np.asarray(draws, dtype=float)
             if draws.shape != (count,):
                 raise ValueError("draws must supply one uniform per slot")
-        below = ws.rows("act_below", count, self._k, np.bool_)
+        below = self._scratch.rows("act_below", count, self._k, np.bool_)
         np.less(cdf, draws[:, None], out=below)
         local = below.sum(axis=1)
         if self._tail_count == 0:
@@ -453,6 +449,7 @@ class TopKPopulation:
         count = slots.shape[0]
         if actions.shape != (count,) or utilities.shape != (count,):
             raise ValueError("slots, actions and utilities must align")
+        _require_slots(slots, self._n)
         if count == 0:
             return
         if actions.min(initial=0) < 0 or actions.max(initial=0) >= self._h:
@@ -495,7 +492,7 @@ class TopKPopulation:
         """Rows ``slots`` of the ``(N, k)`` array ``rows``, gathered whole
         into a fresh ``(len(slots), k)`` array."""
         item = self._item if rows.dtype == self._dtype else self._index_item
-        return _items(rows, item)[slots].view(rows.dtype).reshape(-1, self._k)
+        return _gather(rows, slots, item)
 
     def _set_rows(self, rows: np.ndarray, slots: np.ndarray, values: np.ndarray) -> None:
         """Scatter the C-contiguous ``values`` into rows ``slots`` of ``rows``."""
@@ -515,7 +512,6 @@ class TopKPopulation:
         self._set_rows(self._pos, slots, pos)
         probs = np.take_along_axis(self._rows(self._probs, slots), order, axis=1)
         self._set_rows(self._probs, slots, probs)
-        self._set_rows(self._cdf, slots, np.cumsum(probs, axis=1))
 
     def _clear_arm(self, slots: np.ndarray, ranks: np.ndarray) -> None:
         """Zero the block row and column of the arm at sorted ``ranks``."""
@@ -620,8 +616,7 @@ class TopKPopulation:
             self._s[slots] = 0.0
             self._scale[slots] = 1.0
             decay = 1.0
-        scale = ws.vec("scale", count, np.float64)
-        np.take(self._scale, slots, out=scale)
+        scale = self._scale[slots]
         scale *= decay
         self._scale[slots] = scale
 
@@ -644,8 +639,7 @@ class TopKPopulation:
         pos = self._rows(self._pos, slots)
         played_slot = pos.reshape(-1)[played]
 
-        gathered = ws.rows("gathered", count, kk, self._dtype)
-        np.take(_items(self._probs, item), slots, out=_items(gathered, item))
+        gathered = self._rows(self._probs, slots)
         played_prob = gathered.reshape(-1)[played]
         weight = ws.vec("weight", count, np.float64)
         np.multiply(normalized, eps, out=weight)
@@ -659,14 +653,13 @@ class TopKPopulation:
         np.add(row_start[:, None], pos, out=idx)
         stored = ws.rows("stored", count, kk, self._dtype)
         stored.reshape(-1)[idx] = gathered
-        flat_rows = _items(self._s, item)
+        flat_rows = self._s.reshape(-1, kk)
         row_idx = ws.vec("row_idx", count, np.intp)
         np.multiply(slots, kk, out=row_idx)
         row_idx += played_slot
-        acc = ws.rows("acc", count, kk, self._dtype)
-        np.take(flat_rows, row_idx, out=_items(acc, item))
+        acc = _gather(flat_rows, row_idx, item)
         acc += stored
-        flat_rows[row_idx] = _items(acc, item)
+        _items(flat_rows, item)[row_idx] = _items(acc, item)
 
         # Tracked regret row of the played action (Eq. 3-6, row j = a_i):
         # rank r is the block entry (pos[r], played slot), one entry from
@@ -676,9 +669,8 @@ class TopKPopulation:
         base += played_slot
         np.multiply(pos, kk, out=idx)
         idx += base[:, None]
-        q = ws.rows("q", count, kk, self._dtype)
+        q = self._s.reshape(-1)[idx]
         q_flat = q.reshape(-1)
-        np.take(self._s.reshape(-1), idx, out=q)
         diag = q_flat[played]
         q -= diag[:, None]
         q *= scale[:, None]
@@ -701,9 +693,6 @@ class TopKPopulation:
         _items(self._probs, item)[slots] = _items(q, item)
         if self._tail_count:
             self._tail_prob[slots] = self._tail_mass
-        # Refresh the maintained CDF rows while q is cache-hot.
-        np.cumsum(q, axis=1, out=q)
-        _items(self._cdf, item)[slots] = _items(q, item)
 
         # Fold nearly-underflowed scales back into the stored blocks.
         tiny = ws.vec("tiny", count, np.bool_)

@@ -138,10 +138,11 @@ def build_per_channel_banks(
     return banks
 
 
-def _channel_segments(channels, offsets) -> List[tuple]:
-    """Non-empty ``(channel, start, stop)`` segments, in channel order."""
+def _channel_segments(channels, offsets: List[int]) -> List[tuple]:
+    """Non-empty ``(channel, start, stop)`` segments, in channel order
+    (``offsets`` as a list of Python ints)."""
     return [
-        (c, int(offsets[c]), int(offsets[c + 1]))
+        (c, offsets[c], offsets[c + 1])
         for c in channels
         if offsets[c + 1] > offsets[c]
     ]
@@ -184,7 +185,7 @@ class PerChannelGroupedBank:
         t0 = self._ph_act.start()
         local = np.empty(int(offsets[-1]), dtype=np.int64)
         for c, start, stop in _channel_segments(
-            range(len(self._banks)), offsets
+            range(len(self._banks)), offsets.tolist()
         ):
             local[start:stop] = self._banks[c].act(rows[start:stop])
         self._ph_act.stop(t0)
@@ -199,7 +200,7 @@ class PerChannelGroupedBank:
     ) -> None:
         t0 = self._ph_observe.start()
         for c, start, stop in _channel_segments(
-            range(len(self._banks)), offsets
+            range(len(self._banks)), offsets.tolist()
         ):
             self._banks[c].observe(
                 rows[start:stop], actions[start:stop], utilities[start:stop]
@@ -219,15 +220,30 @@ class _GroupRows(_PopulationRows):
 
 
 class _WidthGroup:
-    """All channels sharing one arm count, hosted in one population."""
+    """All channels sharing one arm count, hosted in one population.
 
-    __slots__ = ("width", "channels", "population", "rows")
+    ``contiguous`` says whether the (ascending) channels form one id
+    range, as they always do under the round-robin partition: then the
+    group's rows are one slice of the channel-sorted order.
+    """
+
+    __slots__ = ("width", "channels", "contiguous", "population", "rows")
 
     def __init__(self, width, channels, population, rows) -> None:
         self.width = width
         self.channels = channels
+        self.contiguous = channels[-1] - channels[0] + 1 == len(channels)
         self.population = population
         self.rows = rows
+
+    def positions(self, offsets: List[int]):
+        """Where the group's rows sit in the channel-sorted order: a
+        slice when contiguous, else a gather index, in channel order."""
+        if self.contiguous:
+            return slice(offsets[self.channels[0]], offsets[self.channels[-1] + 1])
+        return np.concatenate(
+            [np.arange(offsets[c], offsets[c + 1]) for c in self.channels]
+        )
 
 
 class GroupedChannelView:
@@ -413,34 +429,24 @@ class GroupedRegretBank:
     # The two fused calls
     # ------------------------------------------------------------------
 
-    def _group_passes(self, offsets: np.ndarray):
-        """Per width group: its non-empty segments plus a fused indexer.
-
-        Under the round-robin partition a width's channels are contiguous
-        in channel order, so the fused indexer is a plain slice (no
-        copies); arbitrary partitions fall back to a gather index.
-        """
-        for group in self._groups:
-            segments = _channel_segments(group.channels, offsets)
-            if not segments:
-                continue
-            start, stop = segments[0][1], segments[-1][2]
-            if stop - start == sum(e - s for _, s, e in segments):
-                yield group, segments, slice(start, stop)
-            else:
-                yield group, segments, np.concatenate(
-                    [np.arange(s, e) for _, s, e in segments]
-                )
-
     def act_all(self, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
         t0 = self._ph_act.start()
-        local = np.empty(int(offsets[-1]), dtype=np.int64)
-        for group, segments, index in self._group_passes(offsets):
+        offsets = offsets.tolist()
+        local = np.empty(offsets[-1], dtype=np.int64)
+        for group in self._groups:
+            index = group.positions(offsets)
+            slots = rows[index]
+            if not slots.size:
+                continue
             # Per-channel uniforms from per-channel streams (bit-identity
-            # with private banks); everything else is one kernel call.
-            draws = [self._rngs[c].random(stop - start) for c, start, stop in segments]
-            draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
-            local[index] = group.population.act_slots(rows[index], draws=draws)
+            # with private banks), written in channel order into one
+            # buffer; everything else is one kernel call.
+            draws = np.empty(slots.size)
+            at = 0
+            for c, start, stop in _channel_segments(group.channels, offsets):
+                self._rngs[c].random(out=draws[at:at + stop - start])
+                at += stop - start
+            local[index] = group.population.act_slots(slots, draws=draws)
         self._ph_act.stop(t0)
         return local
 
@@ -452,8 +458,12 @@ class GroupedRegretBank:
         utilities: np.ndarray,
     ) -> None:
         t0 = self._ph_observe.start()
-        for group, _, index in self._group_passes(offsets):
-            group.population.observe_slots(
-                rows[index], actions[index], utilities[index]
-            )
+        offsets = offsets.tolist()
+        for group in self._groups:
+            index = group.positions(offsets)
+            slots = rows[index]
+            if slots.size:
+                group.population.observe_slots(
+                    slots, actions[index], utilities[index]
+                )
         self._ph_observe.stop(t0)

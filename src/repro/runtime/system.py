@@ -149,14 +149,17 @@ class VectorizedStreamingSystem(SystemSkeleton):
         # for whole populations (and single join events) become one
         # gather instead of a Python loop over the channels.
         self._bitrate_table = np.asarray(topology.bitrates(), dtype=float)
-        # Channel-local action -> global helper id, one 2-D gather per
-        # round (padding rows never indexed past the channel's width).
+        # Channel-local action -> global helper id: entry c * stride + a
+        # of this flattened table, one 1-D gather per round (padding never
+        # indexed past the channel's width).
         widths = [len(helpers) for helpers in self._channel_helpers]
-        self._helper_table = np.full(
-            (topology.num_channels, max(widths)), -1, dtype=np.int64
+        self._helper_stride = max(widths)
+        table = np.full(
+            (topology.num_channels, self._helper_stride), -1, dtype=np.int64
         )
         for c, helpers in enumerate(self._channel_helpers):
-            self._helper_table[c, : len(helpers)] = helpers
+            table[c, : len(helpers)] = helpers
+        self._helper_table = table.reshape(-1)
 
         # The learner bank: one object owning every channel's rows, built
         # from child generators spawned in channel order.
@@ -315,13 +318,14 @@ class VectorizedStreamingSystem(SystemSkeleton):
     def _round_grouping(self):
         """The channel-sorted round grouping, memoized until churn.
 
-        Returns ``(online, perm, offsets, rows_sorted, chan_sorted,
+        Returns ``(online, perm, offsets, rows_sorted, helper_base,
         demand_online, total_demand, min_deficit)``: ``online`` the
         ascending online slots, ``perm`` the positions inside ``online``
         of the channel-sorted slots (``online[perm]`` is sorted by
         ``(channel, slot)``), ``offsets`` the per-channel segment table,
-        ``rows_sorted`` / ``chan_sorted`` the bank rows and channel ids
-        in sorted order, and ``min_deficit`` the Fig. 5 lower bound
+        ``rows_sorted`` the bank rows in sorted order, ``helper_base``
+        each sorted row's channel offset into the flat helper table,
+        and ``min_deficit`` the Fig. 5 lower bound
         (a pure function of the demand total, so it is computed here
         once per churn epoch instead of once per round).  The sorted
         permutation is maintained incrementally by the store's channel
@@ -343,7 +347,7 @@ class VectorizedStreamingSystem(SystemSkeleton):
                 position_of[slots_sorted],
                 offsets,
                 store.bank_row[slots_sorted],
-                store.channel[slots_sorted],
+                store.channel[slots_sorted] * self._helper_stride,
                 demand_online,
                 total_demand,
                 max(0.0, total_demand - self._min_caps_sum),
@@ -382,7 +386,7 @@ class VectorizedStreamingSystem(SystemSkeleton):
         self._ph_capacity.stop(t0)
         t0 = self._ph_grouping.start()
         (
-            online, perm, offsets, rows_sorted, chan_sorted,
+            online, perm, offsets, rows_sorted, helper_base,
             demand_online, total_demand, min_deficit,
         ) = self._round_grouping()
         self._ph_grouping.stop(t0)
@@ -395,7 +399,7 @@ class VectorizedStreamingSystem(SystemSkeleton):
         t0 = self._ph_act.start()
         local = self._bank.act_all(offsets, rows_sorted)
         helper_global = self._helper_buf
-        helper_global[perm] = self._helper_table[chan_sorted, local]
+        helper_global[perm] = self._helper_table[helper_base + local]
         loads = np.bincount(helper_global, minlength=num_helpers)
         self._ph_act.stop(t0)
 

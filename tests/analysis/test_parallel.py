@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.parallel import ParallelRunner
-from repro.analysis.sweeps import sweep_learner_parameters
 
 
 def echo_cell(params, seed):
@@ -48,52 +47,3 @@ class TestParallelRunner:
         for a, b in zip(serial, parallel):
             assert a.parameters == b.parameters
             assert a.metrics == b.metrics
-
-
-class TestSweepIntegration:
-    def test_parallel_sweep_matches_serial(self):
-        grid = {"epsilon": [0.05, 0.1]}
-        kwargs = dict(num_peers=8, num_helpers=3, num_stages=60, rng=42)
-        serial = sweep_learner_parameters(grid, **kwargs)
-        fanned = sweep_learner_parameters(
-            grid, runner=ParallelRunner(workers=2), **kwargs
-        )
-        for a, b in zip(serial.cells, fanned.cells):
-            assert dict(a.parameters) == dict(b.parameters)
-            for name in a.metrics:
-                assert a.metrics[name] == b.metrics[name]
-
-    def test_parallel_sweep_rejects_custom_metrics(self):
-        with pytest.raises(ValueError):
-            sweep_learner_parameters(
-                {"epsilon": [0.05]},
-                num_peers=4,
-                num_helpers=3,
-                num_stages=10,
-                metrics={"zero": lambda t: 0.0},
-                runner=ParallelRunner(workers=2),
-            )
-
-    def test_one_worker_runs_custom_metrics_inline(self):
-        result = sweep_learner_parameters(
-            {"epsilon": [0.05]},
-            num_peers=4,
-            num_helpers=3,
-            num_stages=10,
-            metrics={"stages": lambda t: float(t.num_stages)},
-            runner=ParallelRunner(workers=1),
-        )
-        assert result.cells[0].metrics == {"stages": 10.0}
-
-
-class TestSweepTraceHandoff:
-    def test_parallel_matches_serial(self):
-        grid = {"epsilon": [0.02, 0.08]}
-        serial = sweep_learner_parameters(grid, 8, 4, 50, rng=11)
-        parallel = sweep_learner_parameters(
-            grid, 8, 4, 50, rng=11, runner=ParallelRunner(workers=2),
-        )
-        for a, b in zip(serial.cells, parallel.cells):
-            assert a.parameters == b.parameters
-            for name in a.metrics:
-                assert a.metrics[name] == b.metrics[name]

@@ -7,65 +7,7 @@ from repro.analysis.sweeps import (
     SweepResult,
     default_metrics,
     sweep_environment_speed,
-    sweep_learner_parameters,
 )
-
-
-class TestSweepLearnerParameters:
-    def test_grid_cross_product(self):
-        result = sweep_learner_parameters(
-            {"epsilon": [0.05, 0.1], "delta": [0.1]},
-            num_peers=6,
-            num_helpers=3,
-            num_stages=150,
-            rng=0,
-        )
-        assert len(result.cells) == 2
-        assert result.cells[0].parameters["epsilon"] == 0.05
-        assert result.cells[1].parameters["epsilon"] == 0.1
-
-    def test_metrics_present(self):
-        result = sweep_learner_parameters(
-            {"epsilon": [0.05]},
-            num_peers=4,
-            num_helpers=2,
-            num_stages=100,
-            rng=1,
-        )
-        metrics = result.cells[0].metrics
-        assert set(metrics) == {"tail_welfare", "ce_regret", "load_jain"}
-        assert metrics["tail_welfare"] > 0
-
-    def test_custom_metric(self):
-        result = sweep_learner_parameters(
-            {"epsilon": [0.05]},
-            num_peers=4,
-            num_helpers=2,
-            num_stages=50,
-            metrics={"stages": lambda t: float(t.num_stages)},
-            rng=2,
-        )
-        assert result.cells[0].metrics["stages"] == 50.0
-
-    def test_paired_environments(self):
-        """Cells share the environment: two cells with identical learner
-        parameters and the same sweep seed see identical capacities."""
-        result = sweep_learner_parameters(
-            {"epsilon": [0.05, 0.05]},
-            num_peers=4,
-            num_helpers=2,
-            num_stages=80,
-            rng=3,
-        )
-        # Same parameters, different learner seeds: welfare close but the
-        # environments were identical, so tail welfare differs only by
-        # learner randomness (within a loose band).
-        a, b = (c.metrics["tail_welfare"] for c in result.cells)
-        assert abs(a - b) / max(a, b) < 0.1
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_learner_parameters({}, 4, 2, 50)
 
 
 class TestSweepEnvironmentSpeed:
@@ -84,17 +26,13 @@ class TestSweepEnvironmentSpeed:
 
 class TestSweepResult:
     def _result(self):
-        return sweep_learner_parameters(
-            {"epsilon": [0.05, 0.2]},
-            num_peers=4,
-            num_helpers=2,
-            num_stages=100,
-            rng=4,
+        return sweep_environment_speed(
+            [0.9, 0.5], num_peers=4, num_helpers=2, num_stages=100, rng=4
         )
 
     def test_to_table_renders(self):
         table = self._result().to_table()
-        assert "epsilon" in table
+        assert "stay_probability" in table
         assert "ce_regret" in table
 
     def test_best(self):

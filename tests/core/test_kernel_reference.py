@@ -1,9 +1,10 @@
 """Pre-rewrite reference bit-identity for the fused learner kernels.
 
-The kernel rewrite (preallocated workspaces, maintained strategy CDF,
-fused decay/scatter) promised **bit identity** with the arithmetic it
-replaced.  ``_ReferenceLearner`` below is that pre-rewrite arithmetic
-transcribed verbatim — fresh temporaries each call, one cumsum per act.
+The kernel rewrites (reused scratch buffers, whole-row item gathers,
+narrow-row column loops, fused decay/scatter) promised **bit identity**
+with the arithmetic they replaced.  ``_ReferenceLearner`` below is that
+pre-rewrite arithmetic transcribed verbatim — fresh temporaries each
+call, one cumsum per act.
 Each kernel runs at the tracking step ``eps = 0.05`` and at ``eps = 1``,
 the step that wipes all history every stage (the lazy-decay wipe path).
 The property tests drive it and :class:`LearnerPopulation` through the same
@@ -12,10 +13,12 @@ with shared explicit draws and demand byte equality of every state
 array.  ``_ReferenceTopK`` does the same for the top-k kernel at
 ``k < H``: it is the sorted-block layout that re-sorted each ``(k, k)``
 block on every promotion and re-selection, before blocks were indexed
-by storage slot.  Plus: blocking invariance (observe block boundaries must not
-leak into results) for the dense and top-k kernels, the maintained-CDF
-invariant, and the numpy summation order the dense kernel's narrow-row
-column loops rely on.
+by storage slot; it keeps a maintained CDF, which the kernel does not
+store, so every step checks the kernel's act-time prefix sums against it
+through the actions.
+Plus: blocking invariance (observe block boundaries must not leak into
+results) for the dense and top-k kernels, and the numpy summation order
+the narrow-row column loops rely on.
 """
 
 import numpy as np
@@ -179,10 +182,11 @@ def assert_states_identical(pop, ref):
 
 
 class TestDenseKernelReference:
-    # Both sides of population._NARROW_WIDTH: column-wise row sums,
-    # prefix sums and thresholds below it, numpy's axis-1 calls from it on.
+    # Both sides of population._NARROW_WIDTH, every narrow width:
+    # column-wise row sums, prefix sums, thresholds and (k, 1) broadcasts
+    # below it, numpy's axis-1 and broadcast calls from it on.
     @pytest.mark.parametrize(
-        "width", [2, 3, 6, 7, 8, 9, 33], ids=lambda w: f"width{w}"
+        "width", [2, 3, 4, 5, 6, 7, 8, 9, 33], ids=lambda w: f"width{w}"
     )
     @pytest.mark.parametrize(
         "dtype,epsilon",
@@ -523,7 +527,7 @@ class TestTopKKernelReference:
             else:
                 replay(pop, [op])
                 replay(ref, [op])
-            for name in ("_ids", "_probs", "_cdf", "_tail_prob", "_tail_regret",
+            for name in ("_ids", "_probs", "_tail_prob", "_tail_regret",
                          "_last_played_regrets", "_scale", "_stages"):
                 assert_bytes_equal(getattr(pop, name), getattr(ref, name), name)
             assert_bytes_equal(sorted_block(pop), ref._s, "block")
@@ -569,35 +573,11 @@ class TestBlockingInvariance:
         assert np.array_equal(pop_default._stages, pop_small._stages)
 
 
-class TestMaintainedCdfInvariant:
-    """Every writer of ``_probs`` must refresh the matching CDF rows."""
-
-    def assert_cdf_fresh(self, pop):
-        assert np.array_equal(pop._cdf, np.cumsum(pop._probs, axis=1))
-
-    def test_dense_cdf_tracks_probs_exactly(self):
-        for width in (6, 2):  # either side of population._NARROW_WIDTH
-            pop = LearnerPopulation(40, width, epsilon=0.05, u_max=U_MAX, rng=0)
-            rng = np.random.default_rng(21)
-            for _ in range(60):
-                replay(pop, random_ops(rng, pop.num_peers, 1))
-                self.assert_cdf_fresh(pop)
-
-    def test_topk_cdf_tracks_probs_exactly(self):
-        pop = TopKPopulation(
-            40, 12, k=3, epsilon=0.05, u_max=U_MAX, rng=0, reselect_every=8
-        )
-        rng = np.random.default_rng(22)
-        for _ in range(60):
-            replay(pop, random_ops(rng, pop._n, 1))
-            self.assert_cdf_fresh(pop)
-
-
 class TestNarrowRowSums:
     """The numpy behaviour the narrow-row column loops rely on.
 
-    Below ``_NARROW_WIDTH`` the dense kernel replaces ``q.sum(axis=1)``
-    and ``np.cumsum(q, axis=1)`` with loops over columns and promises the
+    Below ``_NARROW_WIDTH`` the kernels replace ``q.sum(axis=1)`` and
+    ``np.cumsum(q, axis=1)`` with loops over columns and promise the
     same bytes.  A numpy release that changes its reduction order fails
     here by name, not only as a kernel byte difference.
     """

@@ -168,3 +168,46 @@ class TestRun:
         weak_load = trajectory.loads[-500:, 1].mean()
         assert weak_load < 1.6  # uniform random would hold it at 3.0
         assert tail_welfare > 940.0
+
+
+class TestSlotBounds:
+    """A slot outside ``[0, N)`` is refused before any state changes."""
+
+    @staticmethod
+    def warmed(kind):
+        if kind == "dense":
+            pop = LearnerPopulation(8, 4, u_max=900.0, rng=0)
+        else:
+            pop = TopKPopulation(8, 10, k=3, u_max=900.0, rng=0, reselect_every=2)
+        slots = np.arange(8)
+        for _ in range(5):
+            actions = pop.act_slots(slots)
+            pop.observe_slots(slots, actions, np.linspace(100.0, 800.0, 8))
+        return pop
+
+    @staticmethod
+    def state(pop):
+        """Every array the population holds (per-slot rows, blocks and
+        the play EWMA) as bytes, plus its generator state."""
+        arrays = {
+            name: value.tobytes()
+            for name, value in vars(pop).items()
+            if isinstance(value, np.ndarray)
+        }
+        return arrays, pop._rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["dense", "topk"])
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "past-capacity"])
+    @pytest.mark.parametrize("call", ["act", "act-with-draws", "observe"])
+    def test_out_of_range_slot_raises_and_changes_nothing(self, kind, bad, call):
+        pop = self.warmed(kind)
+        before = self.state(pop)
+        slots = np.array([3, bad])
+        with pytest.raises(IndexError, match=r"\[0, 8\)"):
+            if call == "act":
+                pop.act_slots(slots)
+            elif call == "act-with-draws":
+                pop.act_slots(slots, draws=np.array([0.5, 0.5]))
+            else:
+                pop.observe_slots(slots, np.array([0, 1]), np.array([100.0, 200.0]))
+        assert self.state(pop) == before

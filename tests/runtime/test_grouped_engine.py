@@ -218,6 +218,75 @@ class TestEngineSelection:
         assert populations[0] is not populations[2]
 
 
+class TestNonContiguousWidthGroups:
+    """Width groups whose channels are not one id range.
+
+    The round-robin partition never makes one, so no system test reaches
+    the fused bank's gather-index path; this drives the bank directly
+    against private per-channel banks, byte for byte.
+    """
+
+    ARM_COUNTS = [4, 2, 4, 2]
+    STATE = {
+        "dense": ("_s", "_scale", "_probs", "_last_played_regrets"),
+        "topk": ("_ids", "_pos", "_s", "_scale", "_probs", "_tail_prob",
+                 "_stages", "_last_played_regrets", "_tail_regret"),
+    }
+
+    @pytest.mark.parametrize("bank", ["dense", "topk"])
+    def test_matches_per_channel_banks_through_churn(self, bank):
+        def rngs():
+            return [np.random.default_rng([5, c]) for c in range(4)]
+
+        banks = {
+            "fused": GroupedRegretBank(
+                self.ARM_COUNTS, rngs(), u_max=U_MAX, bank=bank, topk=3
+            ),
+            "oracle": per_channel_oracle(bank, topk=3)(self.ARM_COUNTS, rngs()),
+        }
+        fused, oracle = banks["fused"], banks["oracle"]
+        assert fused.num_width_groups == 2
+        assert not any(group.contiguous for group in fused._groups)
+        rows = {
+            side: [list(b.acquire_many(c, 6)) for c in range(4)]
+            for side, b in banks.items()
+        }
+        script = np.random.default_rng(9)
+        for _ in range(120):
+            # One join or leave on one channel, the same on both sides.
+            c = int(script.integers(4))
+            if script.random() < 0.5 or not rows["fused"][c]:
+                for side, b in banks.items():
+                    rows[side][c].append(b.acquire(c))
+            else:
+                j = int(script.integers(len(rows["fused"][c])))
+                for side, b in banks.items():
+                    b.release(c, rows[side][c].pop(j))
+            counts = [len(r) for r in rows["fused"]]
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            flat = {
+                side: np.array(sum(rows[side], []), dtype=np.int64)
+                for side in banks
+            }
+            actions = fused.act_all(offsets, flat["fused"])
+            want = oracle.act_all(offsets, flat["oracle"])
+            assert actions.tobytes() == want.tobytes()
+            utilities = script.random(offsets[-1]) * U_MAX
+            for side, b in banks.items():
+                b.observe_all(offsets, flat[side], actions, utilities)
+        for c, view in enumerate(oracle.channel_views()):
+            mine, theirs = fused.population_of(c), view.population
+            for name in self.STATE[bank]:
+                got = getattr(mine, name)[rows["fused"][c]]
+                assert got.tobytes() == getattr(theirs, name)[rows["oracle"][c]].tobytes(), (c, name)
+            if bank == "topk":
+                ewma = mine._play_ewma[fused._domain_of[c]]
+                assert ewma.tobytes() == theirs._play_ewma[0].tobytes()
+        if bank == "topk":
+            assert fused.population_of(0).promotions > 0
+            assert fused.population_of(0).reselections > 0
+
+
 class TestIncrementalChannelGrouping:
     def brute_force(self, store, num_channels):
         online = store.online_slots()

@@ -277,7 +277,7 @@ class TestBankPlumbing:
             for value in vars(pop).values()
             if isinstance(value, np.ndarray) and value.shape[:1] == (57,)
         ]
-        assert len(per_slot) >= 12
+        assert len(per_slot) >= 11
         assert pop.nbytes() == sum(a.nbytes for a in per_slot)
 
     def test_acquire_release_recycles_rows(self):

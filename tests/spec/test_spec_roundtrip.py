@@ -17,6 +17,15 @@ from repro.spec import (
 )
 
 
+def untimed(metrics) -> dict:
+    """A run's metrics without the wall-clock ones."""
+    return {
+        name: value
+        for name, value in metrics.items()
+        if name not in ("elapsed_s", "rounds_per_s")
+    }
+
+
 def full_spec() -> ExperimentSpec:
     """A spec exercising every section, cheap enough to run in tests."""
     return ExperimentSpec(
@@ -245,10 +254,26 @@ class TestRunFacade:
         fanned = spec.sweep(workers=3, sweep=grid)
         for a, b in zip(serial.cells, fanned.cells):
             assert a.parameters == b.parameters
-            for name in a.metrics:
-                if name in ("elapsed_s", "rounds_per_s"):
-                    continue
-                assert a.metrics[name] == pytest.approx(b.metrics[name])
+            assert untimed(a.metrics) == untimed(b.metrics)
+
+    def test_sweep_seeds_follow_grid_position(self):
+        """Cell i runs on the i-th seed derived from the sweep's rng, so
+        a cell's result does not depend on the cells after it, and moving
+        a value to another grid position gives it another seed."""
+        spec = ExperimentSpec(
+            rounds=4,
+            seed=11,
+            topology=TopologySpec(num_peers=16, num_helpers=4),
+        )
+
+        def cells(values):
+            grid = SweepSpec(grid={"learner.epsilon": values})
+            return [untimed(c.metrics) for c in spec.sweep(sweep=grid).cells]
+
+        head = cells([0.02])
+        full = cells([0.02, 0.05, 0.1])
+        assert full[0] == head[0]
+        assert cells([0.05, 0.02])[1] != head[0]
 
     def test_sweep_replications_derive_distinct_seeds(self):
         spec = ExperimentSpec(
