@@ -14,13 +14,11 @@ evacuates failed helpers within a few stages, keeping zero-service rare
 and degrading mean rate only mildly as failures intensify.
 """
 
-import numpy as np
-
 from repro.analysis import render_table
 from repro.core import R2HSLearner
 from repro.game import RepeatedGameDriver, StickyLearner
 from repro.sim import paper_bandwidth_process
-from repro.sim.failures import FailureInjectingProcess
+from repro.sim.failures import CorrelatedFailureProcess
 
 from conftest import write_artifact
 
@@ -41,9 +39,10 @@ def run_experiment(seed: int = 0):
             ("sticky overlay", lambda i: StickyLearner(
                 NUM_HELPERS, rng=seed + 200 + i, switch_probability=0.0)),
         ]:
-            process = FailureInjectingProcess(
+            process = CorrelatedFailureProcess(
                 paper_bandwidth_process(NUM_HELPERS, rng=seed),
-                failure_rate=rate,
+                num_groups=NUM_HELPERS,
+                group_failure_rate=rate,
                 mean_outage_rounds=MEAN_OUTAGE,
                 rng=seed + 1,
             )

@@ -14,7 +14,8 @@ The specs are variations of ``examples/smoke.json``: the dense fused
 bank, top-k at k >= and k < the channel width, float32 with per-peer
 rows, the scalar backend, churn with viewer switching and popularity
 drift on both backends, a 2-arm channel shape (with one 3-arm channel,
-so two width groups) and an 8-arm one.
+so two width groups), an 8-arm one, and the ``failures`` (one failure
+domain per helper) and ``correlated_failures`` capacity transforms.
 
 Not a CI check: the digests hash raw float bytes, which can move with
 the numpy version.  Compare two trees under one interpreter.
@@ -58,6 +59,13 @@ SPECS = (
     ("arms-2", {"topology.num_helpers": 21, "topology.num_channels": 10,
                 "topology.num_peers": 300}),
     ("arms-8", {"topology.num_helpers": 16}),
+    ("failures", {"capacity.transforms": [
+        {"name": "failures",
+         "options": {"failure_rate": 0.05, "mean_outage_rounds": 5.0}}]}),
+    ("correlated-failures", {"capacity.transforms": [
+        {"name": "correlated_failures",
+         "options": {"num_groups": 4, "group_failure_rate": 0.05,
+                     "mean_outage_rounds": 5.0}}]}),
 )
 
 TRACE_COLUMNS = ("times", "welfare", "server_load", "min_deficit",
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
     theirs = digests_under(args.against) if args.against is not None else None
     differ = 0
     for name, _ in SPECS:
-        line = f"{name:18s} {mine[name]}"
+        line = f"{name:20s} {mine[name]}"
         if theirs is not None:
             same = theirs[name] == mine[name]
             differ += not same

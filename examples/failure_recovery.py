@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis import render_series_table
 from repro.core import LearnerPopulation, sliding_ce_regret
 from repro.game.repeated_game import StaticCapacities
-from repro.sim.failures import FailureInjectingProcess
+from repro.sim.failures import CorrelatedFailureProcess
 
 NUM_PEERS = 16
 NUM_HELPERS = 4
@@ -29,8 +29,11 @@ PHASE = 400  # stages per phase: healthy -> failed -> recovered
 
 def main() -> None:
     base = StaticCapacities([CAPACITY] * NUM_HELPERS)
-    process = FailureInjectingProcess(
-        base, failure_rate=0.0, mean_outage_rounds=1e9, rng=0
+    # One failure domain per helper, none failing on its own: the
+    # example switches helper 0's domain off and on by hand.
+    process = CorrelatedFailureProcess(
+        base, num_groups=NUM_HELPERS, group_failure_rate=0.0,
+        mean_outage_rounds=1e9, rng=0,
     )
     population = LearnerPopulation(
         NUM_PEERS, NUM_HELPERS,
@@ -41,9 +44,9 @@ def main() -> None:
           f"helper 0 fails at stage {PHASE} and recovers at {2 * PHASE}\n")
 
     healthy = population.run(process, PHASE)
-    process._failed[0] = True          # helper 0 goes down
+    process._group_failed[0] = True    # helper 0 goes down
     failed = population.run(process, PHASE)
-    process._failed[0] = False         # and comes back
+    process._group_failed[0] = False   # and comes back
     recovered = population.run(process, PHASE)
 
     # Stitch the three phases for reporting.

@@ -8,7 +8,9 @@ peer per round — fine for the paper's 10–100-peer figures, hopeless for
 on dense arrays:
 
 * :mod:`repro.runtime.peer_store` — struct-of-arrays peer table with an
-  O(1) free-list for churn and generation counters against slot aliasing;
+  O(1) free-list for churn and never-reused uids as churn handles; its
+  columns change only through ``allocate``/``release``, which keep the
+  channel index the round groups by;
 * :mod:`repro.runtime.learner_bank` — per-channel vectorized strategy
   blocks (the regret recursion via
   :class:`repro.core.population.LearnerPopulation`, plus uniform and

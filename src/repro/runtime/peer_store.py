@@ -8,11 +8,11 @@ state as parallel numpy arrays (one column per field) so the round loop
 reads and writes whole-population slices.
 
 Joins and leaves are O(1) array writes through a **free-list**: a leaving
-peer's slot index is pushed on a stack and handed to the next arrival.  To
-make reuse safe, every slot carries a **generation** counter bumped on
-release; a ``(slot, generation)`` pair is a handle that can never alias a
-later occupant of the same slot (the property test in
-``tests/runtime/test_peer_store.py`` hammers this).
+peer's slot index is pushed on a stack and handed to the next arrival.
+Slots are reused, uids are not: every allocation gets the next uid, so a
+uid can never alias a later occupant of the same slot (the property test
+in ``tests/runtime/test_peer_store.py`` hammers this), and the vectorized
+system keys its churn events by uid.
 """
 
 from __future__ import annotations
@@ -33,19 +33,18 @@ class PeerStore:
     * ``demand`` — required streaming rate (kbit/s)
     * ``online`` — participation mask (the round loop's filter)
     * ``bank_row`` — row index inside the channel's learner bank
-    * ``generation`` — bumped every release; guards stale handles
     * ``uid`` — globally unique peer id (never reused)
     * ``joined_at`` / ``left_at`` — simulation timestamps
     * ``rounds_participated`` / ``cumulative_rate`` / ``cumulative_deficit``
       — the same lifetime statistics :class:`~repro.sim.entities.Peer`
       accumulates
 
-    Mutating these arrays directly is allowed for round-loop hot paths
-    (the vectorized system does); slot lifecycle must go through
-    :meth:`allocate` / :meth:`release`.  Note the vectorized system
-    memoizes its round grouping over ``channel`` / ``demand`` /
-    ``online`` / ``bank_row`` — after editing those columns from outside,
-    call :meth:`~repro.runtime.system.VectorizedStreamingSystem.invalidate_round_cache`.
+    A peer's ``channel``, ``demand`` and ``online`` entries change only
+    through :meth:`allocate`, :meth:`allocate_many` and :meth:`release`,
+    which keep the channel index (:meth:`channel_grouping`) in step; no
+    column is edited from outside.  The owning system writes only the
+    ``bank_row`` of slots it has just allocated and folds its round
+    accumulators into the statistics columns.
 
     ``dtype`` (``numpy.float64`` default, ``numpy.float32`` opt-in) sets
     the precision of the rate columns (``demand`` / ``cumulative_rate`` /
@@ -66,7 +65,6 @@ class PeerStore:
         self.demand = np.zeros(cap, dtype=dtype)
         self.online = np.zeros(cap, dtype=bool)
         self.bank_row = np.full(cap, -1, dtype=np.int64)
-        self.generation = np.zeros(cap, dtype=np.int64)
         self.uid = np.full(cap, -1, dtype=np.int64)
         self.joined_at = np.zeros(cap)
         self.left_at = np.full(cap, np.nan)
@@ -83,12 +81,10 @@ class PeerStore:
         # step with allocate/release, plus cached ndarray segments (see
         # channel_grouping).  A join/leave costs O(log n_c + n_c memmove)
         # here instead of an O(N * C) per-channel rescan at the next
-        # round.  _index_valid=False forces a full rebuild from the
-        # columns (the escape hatch for direct column mutation).
+        # round.
         self._members: Dict[int, List[int]] = {}
         self._member_arrays: Dict[int, np.ndarray] = {}
         self._dirty_channels: Set[int] = set()
-        self._index_valid = True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -129,21 +125,11 @@ class PeerStore:
         churn-free population)."""
         return np.flatnonzero(self.online[: self._size])
 
-    def is_live(self, slot: int, generation: int) -> bool:
-        """Whether the handle ``(slot, generation)`` still names a live peer."""
-        return (
-            0 <= slot < self._size
-            and bool(self.online[slot])
-            and int(self.generation[slot]) == generation
-        )
-
     # ------------------------------------------------------------------
     # Incremental channel index
     # ------------------------------------------------------------------
 
     def _index_add(self, channel: int, slot: int) -> None:
-        if not self._index_valid:
-            return
         members = self._members.setdefault(channel, [])
         if not members or slot > members[-1]:
             members.append(slot)
@@ -152,44 +138,12 @@ class PeerStore:
         self._dirty_channels.add(channel)
 
     def _index_remove(self, channel: int, slot: int) -> None:
-        if not self._index_valid:
-            return
-        members = self._members.get(channel)
-        if members:
-            i = bisect_left(members, slot)
-            if i < len(members) and members[i] == slot:
-                del members[i]
-                self._dirty_channels.add(channel)
-                return
-        # The slot is not where the index says it should be — the channel
-        # column was edited directly without invalidate_channel_index().
-        # Fall back to a full rebuild rather than serve a stale grouping.
-        self._index_valid = False
-
-    def invalidate_channel_index(self) -> None:
-        """Force a full channel-index rebuild at the next grouping call.
-
-        Call after mutating the ``channel`` or ``online`` columns
-        directly (slot lifecycle through :meth:`allocate` /
-        :meth:`release` maintains the index incrementally).
-        """
-        self._index_valid = False
-
-    def _rebuild_index(self) -> None:
-        online = np.flatnonzero(self.online[: self._size])
-        channels = self.channel[online]
-        order = np.argsort(channels, kind="stable")
-        sorted_slots = online[order]
-        sorted_channels = channels[order]
-        self._members = {}
-        # Split where the sorted channel changes (not ``np.unique``, whose
-        # first call imports ``numpy.ma``).
-        starts = np.flatnonzero(np.diff(sorted_channels)) + 1
-        for segment in np.split(sorted_slots, starts) if sorted_slots.size else ():
-            self._members[int(self.channel[segment[0]])] = segment.tolist()
-        self._member_arrays = {}
-        self._dirty_channels = set(self._members)
-        self._index_valid = True
+        members = self._members.get(channel, [])
+        i = bisect_left(members, slot)
+        if i == len(members) or members[i] != slot:
+            raise RuntimeError(f"slot {slot} is missing from channel {channel}'s index")
+        del members[i]
+        self._dirty_channels.add(channel)
 
     def channel_grouping(
         self, num_channels: int
@@ -203,8 +157,6 @@ class PeerStore:
         it is maintained incrementally under churn (only channels dirtied
         since the last call re-materialize their segment array).
         """
-        if not self._index_valid:
-            self._rebuild_index()
         counts = np.zeros(num_channels + 1, dtype=np.int64)
         for channel, members in self._members.items():
             if not members:
@@ -248,7 +200,6 @@ class PeerStore:
         self.demand = pad(self.demand, 0.0)
         self.online = pad(self.online, False)
         self.bank_row = pad(self.bank_row, -1)
-        self.generation = pad(self.generation, 0)
         self.uid = pad(self.uid, -1)
         self.joined_at = pad(self.joined_at, 0.0)
         self.left_at = pad(self.left_at, np.nan)
@@ -259,8 +210,8 @@ class PeerStore:
 
     def allocate(
         self, channel: int, demand: float, now: float = 0.0, bank_row: int = -1
-    ) -> Tuple[int, int]:
-        """Bring one peer online; returns its ``(slot, generation)`` handle.
+    ) -> int:
+        """Bring one peer online; returns its slot.
 
         Reuses the most recently freed slot if any (LIFO keeps the touched
         region compact), else extends the fresh watermark.
@@ -287,7 +238,7 @@ class PeerStore:
         self._total_created += 1
         self._num_online += 1
         self._index_add(int(channel), slot)
-        return slot, int(self.generation[slot])
+        return slot
 
     def allocate_many(
         self,
@@ -324,25 +275,23 @@ class PeerStore:
         self._size += k
         self._total_created += k
         self._num_online += k
-        if self._index_valid:
-            # Fresh slots are a block past every existing index entry, so
-            # per-channel extends preserve sortedness.  Channels come from
-            # bincount, not ``np.unique`` (whose first call imports
-            # ``numpy.ma``): the same ascending ids.
-            for channel in np.flatnonzero(np.bincount(channels)):
-                members = self._members.setdefault(int(channel), [])
-                members.extend(slots[channels == channel].tolist())
-                self._dirty_channels.add(int(channel))
+        # Fresh slots are a block past every existing index entry, so
+        # per-channel extends preserve sortedness.  Channels come from
+        # bincount, not ``np.unique`` (whose first call imports
+        # ``numpy.ma``): the same ascending ids.
+        for channel in np.flatnonzero(np.bincount(channels)):
+            members = self._members.setdefault(int(channel), [])
+            members.extend(slots[channels == channel].tolist())
+            self._dirty_channels.add(int(channel))
         return slots
 
     def release(self, slot: int, now: float = 0.0) -> None:
-        """Take a peer offline and recycle its slot (bumps the generation)."""
+        """Take a peer offline and recycle its slot."""
         slot = int(slot)
         if not (0 <= slot < self._size) or not self.online[slot]:
             raise ValueError(f"slot {slot} is not online")
         self.online[slot] = False
         self.left_at[slot] = float(now)
-        self.generation[slot] += 1
         self._num_online -= 1
         self._free.append(slot)
         self._index_remove(int(self.channel[slot]), slot)

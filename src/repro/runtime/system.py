@@ -179,7 +179,7 @@ class VectorizedStreamingSystem(SystemSkeleton):
 
         # Initial population, bulk-allocated.  Churn handles are uids,
         # which are never reused, so a stale leave event can never hit a
-        # recycled slot.
+        # recycled slot (see _churn_leave).
         self._store = PeerStore(
             initial_capacity=max(64, topology.num_peers),
             dtype=np.dtype(self._spec.learner.dtype),
@@ -208,7 +208,7 @@ class VectorizedStreamingSystem(SystemSkeleton):
         if channel_id is None:
             channel_id = int(self._sampler.draw(self._rng))
         row = self._bank.acquire(channel_id)
-        slot, _ = self._store.allocate(
+        slot = self._store.allocate(
             channel_id,
             float(self._bitrate_table[channel_id]),
             now=self._sim.now,
@@ -229,8 +229,10 @@ class VectorizedStreamingSystem(SystemSkeleton):
 
     def _churn_leave(self, uid: int) -> None:
         with self._ph_churn:
+            # A peer that already left has no uid entry any more, and
+            # uids are never reused: a stale leave is a no-op.
             slot = self._uid_slot.pop(int(uid), None)
-            if slot is None or not self._store.online[slot]:
+            if slot is None:
                 return
             self._flush_accumulators()
             self._bank.release(
@@ -294,22 +296,6 @@ class VectorizedStreamingSystem(SystemSkeleton):
     def num_online(self) -> int:
         """Currently online peers."""
         return self._store.num_online
-
-    def invalidate_round_cache(self) -> None:
-        """Drop the memoized round grouping and the store's channel index.
-
-        The round loop caches the channel-sorted permutation of online
-        slots, their bank rows, and their demand totals until the
-        population changes (churn and channel switches invalidate
-        automatically, updating the store's channel index incrementally).
-        Call this after mutating the grouping-defining store columns
-        directly — ``channel``, ``demand``, ``online`` or ``bank_row`` —
-        so the next round observes the edit (the deferred per-peer
-        accumulators are flushed into the store first).
-        """
-        self._flush_accumulators()
-        self._grouping = None
-        self._store.invalidate_channel_index()
 
     # ------------------------------------------------------------------
     # The learning round

@@ -1,7 +1,7 @@
 """Discrete-event P2P streaming substrate.
 
-* :mod:`repro.sim.engine` — the event engine (calendar queue, periodic
-  events, deterministic tie-breaking).
+* :mod:`repro.sim.engine` — the event engine (a heap of timed
+  callbacks, periodic events, insertion-order tie-breaking).
 * :mod:`repro.sim.bandwidth` — Markov-modulated helper capacity processes
   (the paper's ``[700, 800, 900]`` slow-switching environment) and trace
   replay for paired comparisons.
@@ -20,7 +20,7 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.sim.engine": ["Simulator", "EventHandle"],
+    "repro.sim.engine": ["Simulator"],
     "repro.sim.bandwidth": [
         "PAPER_BANDWIDTH_LEVELS",
         "MarkovCapacityProcess",
@@ -34,6 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.sim.entities": ["Channel", "Helper", "Peer", "StreamingServer"],
     "repro.sim.system": ["StreamingSystem", "LearnerFactory"],
     "repro.sim.trace": ["SystemTrace"],
-    "repro.sim.failures": ["FailureInjectingProcess", "CorrelatedFailureProcess"],
+    "repro.sim.failures": ["CorrelatedFailureProcess"],
     "repro.sim.adversarial": ["OscillatingCapacityProcess"],
 })

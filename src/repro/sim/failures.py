@@ -1,13 +1,18 @@
 """Helper failure injection.
 
 Helpers are ordinary peers volunteering surplus bandwidth; they crash,
-leave, or throttle without warning.  :class:`FailureInjectingProcess`
+leave, or throttle without warning.  :class:`CorrelatedFailureProcess`
 wraps any capacity process and knocks helpers out for random outages:
 
-* each stage, every healthy helper fails independently with probability
-  ``failure_rate``;
-* a failed helper's capacity reads 0 until it recovers;
+* helpers split into ``num_groups`` contiguous failure domains; each
+  stage, every healthy domain fails as a unit with probability
+  ``group_failure_rate``;
+* a failed domain's capacities read 0 until it recovers;
 * outage lengths are geometric with mean ``mean_outage_rounds``.
+
+With one domain per helper (``num_groups`` equal to the helper count,
+as the ``failures`` capacity transform builds it) every helper fails
+independently.
 
 Because a failed helper still *accepts* connections (peers discover the
 outage only through a zero rate — bandit feedback, as everywhere in the
@@ -17,7 +22,6 @@ designed for.  The failure ablation bench compares RTHS against a sticky
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -30,89 +34,20 @@ from repro.util.validation import (
 )
 
 
-class FailureInjectingProcess:
-    """Wrap a capacity process with random helper outages."""
-
-    def __init__(
-        self,
-        base: CapacityProcess,
-        failure_rate: float,
-        mean_outage_rounds: float = 20.0,
-        rng: Seedish = None,
-    ) -> None:
-        require_in_closed_unit_interval(failure_rate, "failure_rate")
-        require_positive(mean_outage_rounds, "mean_outage_rounds")
-        self._base = base
-        self._failure_rate = float(failure_rate)
-        self._recovery_probability = 1.0 / float(mean_outage_rounds)
-        self._rng = as_generator(rng)
-        self._failed = np.zeros(base.num_helpers, dtype=bool)
-        self._outages_started = 0
-        self._stages_failed = 0
-
-    @property
-    def num_helpers(self) -> int:
-        """Helper count of the wrapped process."""
-        return self._base.num_helpers
-
-    @property
-    def failed(self) -> np.ndarray:
-        """Current outage mask (True = helper down)."""
-        return self._failed.copy()
-
-    @property
-    def outages_started(self) -> int:
-        """Total outage events injected so far."""
-        return self._outages_started
-
-    @property
-    def failed_helper_stages(self) -> int:
-        """Cumulative helper-stages spent in outage."""
-        return self._stages_failed
-
-    def capacities(self) -> np.ndarray:
-        """Base capacities with failed helpers zeroed."""
-        caps = np.asarray(self._base.capacities(), dtype=float).copy()
-        caps[self._failed] = 0.0
-        return caps
-
-    def minimum_capacities(self) -> np.ndarray:
-        """Per-helper lower bound over time (the systems' deficit floor).
-
-        With a positive failure rate every helper can read zero during an
-        outage, so the bound is zero everywhere; at rate zero the wrapped
-        process's bound passes through.
-        """
-        if self._failure_rate > 0:
-            return np.zeros(self.num_helpers, dtype=float)
-        return np.asarray(self._base.minimum_capacities(), dtype=float)
-
-    def advance(self) -> None:
-        """Advance the base process and the failure/recovery dynamics."""
-        self._base.advance()
-        self._stages_failed += int(self._failed.sum())
-        draws = self._rng.random(self.num_helpers)
-        # Recoveries first (a helper cannot fail and recover in one stage).
-        recovering = self._failed & (draws < self._recovery_probability)
-        self._failed[recovering] = False
-        fresh = (~self._failed) & ~recovering & (draws < self._failure_rate)
-        self._outages_started += int(fresh.sum())
-        self._failed[fresh] = True
-
-
 class CorrelatedFailureProcess:
     """Whole failure domains going dark as a unit.
 
     Real helper fleets fail *together* — a rack loses power, an ISP
     region drops, a software push bricks one deployment cohort.
-    Independent per-helper outages (:class:`FailureInjectingProcess`)
-    leave the learner plenty of healthy alternatives; correlated outages
-    are the adversarial version: helpers split into ``num_groups``
-    contiguous domains, and each stage every healthy domain fails *as a
-    whole* with probability ``group_failure_rate``, staying dark for a
-    geometric outage (mean ``mean_outage_rounds``).  A peer whose whole
-    preferred neighborhood vanishes at once must re-explore from scratch
-    — the regime where regret tracking should decisively beat sticking.
+    Independent per-helper outages (one domain per helper) leave the
+    learner plenty of healthy alternatives; correlated outages (fewer,
+    larger domains) are the adversarial version: helpers split into
+    ``num_groups`` contiguous domains, and each stage every healthy
+    domain fails *as a whole* with probability ``group_failure_rate``,
+    staying dark for a geometric outage (mean ``mean_outage_rounds``).
+    A peer whose whole preferred neighborhood vanishes at once must
+    re-explore from scratch — the regime where regret tracking should
+    decisively beat sticking.
 
     Feedback stays bandit, as everywhere in the paper: a failed domain
     still accepts connections and simply reads 0.
@@ -203,7 +138,7 @@ class CorrelatedFailureProcess:
         self._group_failed[fresh] = True
 
 
-def availability(process: FailureInjectingProcess, num_stages: int) -> float:
+def availability(process: CorrelatedFailureProcess, num_stages: int) -> float:
     """Empirical helper availability over ``num_stages`` advances.
 
     Advances the process; returns the fraction of helper-stages that were

@@ -56,12 +56,14 @@ def _failures_transform(
     failure_rate: float = 0.02,
     mean_outage_rounds: float = 20.0,
 ):
-    """Random independent helper outages (capacity reads 0 until recovery)."""
-    from repro.sim.failures import FailureInjectingProcess
+    """Random independent helper outages (capacity reads 0 until recovery):
+    the correlated process with one failure domain per helper."""
+    from repro.sim.failures import CorrelatedFailureProcess
 
-    return FailureInjectingProcess(
+    return CorrelatedFailureProcess(
         process,
-        failure_rate,
+        num_groups=process.num_helpers,
+        group_failure_rate=failure_rate,
         mean_outage_rounds=mean_outage_rounds,
         rng=rng,
     )

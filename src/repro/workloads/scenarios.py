@@ -288,12 +288,13 @@ def helper_failures_spec(
     Helpers are volunteers: each round every healthy one fails with
     probability ``failure_rate`` and stays dark for a geometric outage
     (mean ``mean_outage_rounds``) — the
-    :class:`~repro.sim.failures.FailureInjectingProcess` wrapped around
-    the paper environment via the registered ``"failures"`` capacity
-    transform.  Peers discover outages only through a zero rate (bandit
-    feedback), while Poisson churn keeps the population itself moving —
-    the churn-heavy adaptation workload the fused multi-channel engine
-    is exercised under.
+    :class:`~repro.sim.failures.CorrelatedFailureProcess` with one
+    failure domain per helper, wrapped around the paper environment via
+    the registered ``"failures"`` capacity transform.  Peers discover
+    outages only through a zero rate (bandit feedback), while Poisson
+    churn keeps the population itself moving — the churn-heavy
+    adaptation workload the fused multi-channel engine is exercised
+    under.
     """
     return ExperimentSpec(
         name="helper-failures",

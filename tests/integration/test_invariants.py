@@ -32,7 +32,7 @@ def test_engine_fires_in_nondecreasing_time_order(delays):
     fired = []
     for delay in delays:
         sim.schedule(delay, lambda s: fired.append(s.now))
-    sim.run()
+    sim.run_until(100.0)
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
 

@@ -341,24 +341,3 @@ class TestVectorizedChannelSwitching:
         # Each switch retired one uid and created another.
         assert system.store.total_created == 30 + system.channel_switches
 
-
-class TestRoundCacheInvalidation:
-    def test_external_store_mutation_respected_after_invalidate(self):
-        """The documented PeerStore direct-mutation contract: edits to the
-        grouping-defining columns take effect on the next round once
-        invalidate_round_cache() is called."""
-        spec = spec_for(num_peers=10, num_helpers=4, channel_bitrates=100.0)
-        shared = record_capacity_trace(paper_bandwidth_process(4, rng=1), 6)
-        system = VectorizedStreamingSystem(
-            spec,
-            bank_factory("r2hs", u_max=900.0),
-            rng=0,
-            capacity_process=TraceCapacityProcess(shared),
-        )
-        system.run(2)
-        base_demand = system.trace.total_demand[-1]
-        assert base_demand == pytest.approx(10 * 100.0)
-        system.store.demand[system.store.online_slots()] = 250.0
-        system.invalidate_round_cache()
-        system.run(2)
-        assert system.trace.total_demand[-1] == pytest.approx(10 * 250.0)

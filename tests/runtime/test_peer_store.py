@@ -9,7 +9,7 @@ from repro.runtime.peer_store import PeerStore
 class TestAllocate:
     def test_fresh_slots_are_sequential(self):
         store = PeerStore(initial_capacity=4)
-        slots = [store.allocate(0, 100.0)[0] for _ in range(3)]
+        slots = [store.allocate(0, 100.0) for _ in range(3)]
         assert slots == [0, 1, 2]
         assert store.num_online == 3
         assert store.size == 3
@@ -25,10 +25,10 @@ class TestAllocate:
 
     def test_uids_never_repeat(self):
         store = PeerStore()
-        slot_a, _ = store.allocate(0, 100.0)
+        slot_a = store.allocate(0, 100.0)
         uid_a = store.uid[slot_a]
         store.release(slot_a)
-        slot_b, _ = store.allocate(0, 100.0)
+        slot_b = store.allocate(0, 100.0)
         assert slot_b == slot_a  # slot recycled
         assert store.uid[slot_b] == uid_a + 1  # uid not recycled
 
@@ -47,7 +47,7 @@ class TestAllocate:
 
     def test_allocate_many_requires_empty_free_list(self):
         store = PeerStore()
-        slot, _ = store.allocate(0, 100.0)
+        slot = store.allocate(0, 100.0)
         store.release(slot)
         with pytest.raises(RuntimeError):
             store.allocate_many(np.array([0]), np.array([100.0]))
@@ -60,7 +60,7 @@ class TestAllocate:
 class TestRelease:
     def test_release_takes_peer_offline(self):
         store = PeerStore()
-        slot, gen = store.allocate(0, 100.0, now=1.0)
+        slot = store.allocate(0, 100.0, now=1.0)
         store.release(slot, now=5.0)
         assert not store.online[slot]
         assert store.left_at[slot] == 5.0
@@ -69,21 +69,17 @@ class TestRelease:
 
     def test_double_release_rejected(self):
         store = PeerStore()
-        slot, _ = store.allocate(0, 100.0)
+        slot = store.allocate(0, 100.0)
         store.release(slot)
         with pytest.raises(ValueError):
             store.release(slot)
 
-    def test_generation_guards_stale_handles(self):
+    def test_slot_missing_from_the_channel_index_raises(self):
         store = PeerStore()
-        slot, gen = store.allocate(0, 100.0)
-        assert store.is_live(slot, gen)
-        store.release(slot)
-        assert not store.is_live(slot, gen)
-        slot2, gen2 = store.allocate(0, 100.0)
-        assert slot2 == slot and gen2 == gen + 1
-        assert store.is_live(slot2, gen2)
-        assert not store.is_live(slot, gen)  # old handle still dead
+        slot = store.allocate(0, 100.0)
+        store.channel[slot] = 1  # behind the index's back
+        with pytest.raises(RuntimeError, match="missing from channel 1"):
+            store.release(slot)
 
 
 class TestOnlineSlots:
@@ -96,11 +92,11 @@ class TestOnlineSlots:
 
     def test_statistics_reset_on_reuse(self):
         store = PeerStore()
-        slot, _ = store.allocate(0, 100.0)
+        slot = store.allocate(0, 100.0)
         store.cumulative_rate[slot] = 123.0
         store.rounds_participated[slot] = 7
         store.release(slot)
-        slot2, _ = store.allocate(1, 200.0)
+        slot2 = store.allocate(1, 200.0)
         assert slot2 == slot
         assert store.cumulative_rate[slot2] == 0.0
         assert store.rounds_participated[slot2] == 0
@@ -110,35 +106,36 @@ class TestOnlineSlots:
 class TestFreeListAliasing:
     def test_random_churn_never_aliases_live_peers(self):
         """Property test: under a random allocate/release storm, a handed-out
-        slot is never already online, live handles stay valid, stale handles
-        never validate, and online bookkeeping stays exact."""
+        slot is never already online, every allocation gets a fresh uid,
+        a live uid stays on its slot, a departed uid is on no online slot,
+        and online bookkeeping stays exact."""
         rng = np.random.default_rng(1234)
         store = PeerStore(initial_capacity=2)
-        live = {}      # uid -> (slot, generation)
-        dead = []      # stale (slot, generation) handles
+        live = {}      # uid -> slot
+        dead = set()   # uids of released peers
         for _ in range(3000):
             if live and rng.random() < 0.45:
                 uid = list(live)[int(rng.integers(len(live)))]
-                slot, gen = live.pop(uid)
-                store.release(slot)
-                dead.append((slot, gen))
+                store.release(live.pop(uid))
+                dead.add(uid)
             else:
-                slot, gen = store.allocate(
+                slot = store.allocate(
                     int(rng.integers(3)), float(rng.uniform(50, 500))
                 )
                 uid = int(store.uid[slot])
-                # The slot handed out must not belong to any live peer.
-                assert all(slot != s for s, _ in live.values())
-                assert uid not in live
-                live[uid] = (slot, gen)
+                # The slot handed out must not belong to any live peer,
+                # and its uid must be new.
+                assert slot not in live.values()
+                assert uid == store.total_created - 1
+                assert uid not in live and uid not in dead
+                live[uid] = slot
             # Invariants after every step.
             assert store.num_online == len(live)
-            assert set(store.online_slots().tolist()) == {
-                s for s, _ in live.values()
-            }
-        for slot, gen in live.values():
-            assert store.is_live(slot, gen)
-        for slot, gen in dead:
-            assert not store.is_live(slot, gen)
-        # uids are a permutation-free strictly increasing sequence.
+            assert set(store.online_slots().tolist()) == set(live.values())
+        online_uids = set(store.uid[store.online_slots()].tolist())
+        assert online_uids == set(live)
+        assert not online_uids & dead
+        for uid, slot in live.items():
+            assert store.uid[slot] == uid and store.online[slot]
+        # uids are a strictly increasing sequence: none is ever reused.
         assert store.total_created == len(live) + len(dead)

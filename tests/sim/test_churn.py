@@ -66,7 +66,7 @@ class TestChurnProcess:
             rng=4,
         )
         process.schedule_lifetime(sim, 42)
-        sim.run()
+        sim.run_until(1000.0)
         assert left == [42]
 
     def test_seeded_reproducibility(self):

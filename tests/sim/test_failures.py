@@ -1,16 +1,46 @@
-"""Tests for helper failure injection."""
+"""Tests for helper failure injection with one failure domain per helper.
+
+Independent per-helper outages are :class:`CorrelatedFailureProcess`
+with ``num_groups`` equal to the helper count, which is what the
+``failures`` capacity transform builds.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import LearnerPopulation
 from repro.game.repeated_game import StaticCapacities
-from repro.sim.failures import FailureInjectingProcess, availability
+from repro.sim.failures import CorrelatedFailureProcess, availability
+from repro.spec import CapacitySpec, ExperimentSpec, TopologySpec, TransformSpec
 
 
-class TestFailureInjectingProcess:
+def per_helper(base, failure_rate, mean_outage_rounds=20.0, rng=None):
+    """Independent outages: the domain process with one helper a domain."""
+    return CorrelatedFailureProcess(
+        base,
+        num_groups=base.num_helpers,
+        group_failure_rate=failure_rate,
+        mean_outage_rounds=mean_outage_rounds,
+        rng=rng,
+    )
+
+
+class TestFailuresTransform:
+    def test_builds_one_domain_per_helper(self):
+        spec = ExperimentSpec(
+            topology=TopologySpec(num_peers=20, num_helpers=6, channel_bitrates=100.0),
+            capacity=CapacitySpec(transforms=(
+                TransformSpec(name="failures", options={"failure_rate": 0.3}),
+            )),
+        )
+        process = spec.build_capacity_process(rng=0)
+        assert isinstance(process, CorrelatedFailureProcess)
+        assert process._groups.tolist() == list(range(6))
+
+
+class TestIndependentFailures:
     def test_zero_rate_never_fails(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0, 800.0]), failure_rate=0.0, rng=0
         )
         for _ in range(200):
@@ -19,7 +49,7 @@ class TestFailureInjectingProcess:
         assert process.outages_started == 0
 
     def test_failed_helper_reads_zero_capacity(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0, 800.0]), failure_rate=0.5,
             mean_outage_rounds=10.0, rng=1,
         )
@@ -35,7 +65,7 @@ class TestFailureInjectingProcess:
         assert saw_failure
 
     def test_helpers_recover(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0]), failure_rate=1.0,
             mean_outage_rounds=2.0, rng=2,
         )
@@ -50,7 +80,7 @@ class TestFailureInjectingProcess:
         assert recovered
 
     def test_outage_accounting(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0, 800.0]), failure_rate=0.2,
             mean_outage_rounds=5.0, rng=3,
         )
@@ -62,7 +92,7 @@ class TestFailureInjectingProcess:
     def test_availability_matches_parameters(self):
         # Steady-state availability ~ recovery / (failure + recovery).
         fail, mean_outage = 0.02, 10.0
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * 8), failure_rate=fail,
             mean_outage_rounds=mean_outage, rng=4,
         )
@@ -72,12 +102,12 @@ class TestFailureInjectingProcess:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FailureInjectingProcess(StaticCapacities([1.0]), failure_rate=1.5)
+            per_helper(StaticCapacities([1.0]), failure_rate=1.5)
         with pytest.raises(ValueError):
-            FailureInjectingProcess(
+            per_helper(
                 StaticCapacities([1.0]), failure_rate=0.1, mean_outage_rounds=0.0
             )
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([1.0]), failure_rate=0.1, rng=0
         )
         with pytest.raises(ValueError):
@@ -93,7 +123,7 @@ class TestFailureEdgeCases:
         # is fully deterministic: every draw satisfies both thresholds, and
         # recoveries are applied before fresh failures, so the population
         # alternates all-healthy / all-failed with period 2.
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * 4), failure_rate=1.0,
             mean_outage_rounds=1.0, rng=0,
         )
@@ -105,7 +135,7 @@ class TestFailureEdgeCases:
             process.advance()
 
     def test_certain_failure_availability_exactly_half(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * 4), failure_rate=1.0,
             mean_outage_rounds=1.0, rng=0,
         )
@@ -118,11 +148,11 @@ class TestFailureEdgeCases:
         # is the reciprocal of the recovery probability, so the fastest
         # legal recovery is mean_outage_rounds=1.0 and zero must raise.
         with pytest.raises(ValueError):
-            FailureInjectingProcess(
+            per_helper(
                 StaticCapacities([1.0]), failure_rate=0.5,
                 mean_outage_rounds=0.0,
             )
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0, 800.0]), failure_rate=0.5,
             mean_outage_rounds=1.0, rng=3,
         )
@@ -136,11 +166,11 @@ class TestFailureEdgeCases:
             previous = current
 
     def test_recovery_from_all_failed(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * 8), failure_rate=0.0,
             mean_outage_rounds=4.0, rng=5,
         )
-        process._failed[:] = True  # test hook: pin every helper down
+        process._group_failed[:] = True  # test hook: pin every helper down
         assert np.all(process.capacities() == 0.0)
         # With rate 0 only recoveries happen: the outage mask shrinks
         # monotonically, staggered by the geometric outage lengths, and
@@ -163,7 +193,7 @@ class TestFailureEdgeCases:
         # At rate 1.0 the only helpers that can start a new outage are
         # those that recovered on an *earlier* stage; while the whole
         # population is down, outages_started must stay flat.
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * 8), failure_rate=1.0,
             mean_outage_rounds=50.0, rng=5,
         )
@@ -181,7 +211,7 @@ class TestFailureEdgeCases:
         # availability() and failed_helper_stages observe the same
         # pre-advance mask, so they must partition helper-stages exactly.
         num_stages, num_helpers = 137, 6
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0] * num_helpers), failure_rate=0.3,
             mean_outage_rounds=3.0, rng=9,
         )
@@ -193,13 +223,13 @@ class TestFailureEdgeCases:
 
     def test_minimum_capacities_consistent_with_rate(self):
         base = StaticCapacities([800.0, 600.0])
-        risky = FailureInjectingProcess(
+        risky = per_helper(
             base, failure_rate=1.0, mean_outage_rounds=1.0, rng=0
         )
         # Any positive failure rate can zero a helper, so the worst-case
         # floor collapses — even under instant recovery.
         assert np.all(risky.minimum_capacities() == 0.0)
-        safe = FailureInjectingProcess(base, failure_rate=0.0, rng=0)
+        safe = per_helper(base, failure_rate=0.0, rng=0)
         np.testing.assert_array_equal(
             safe.minimum_capacities(), base.minimum_capacities()
         )
@@ -210,7 +240,7 @@ class TestLearnersUnderFailures:
         """When a helper dies, RTHS peers drain off it within a few dozen
         stages (their shares drop to zero and regrets point elsewhere)."""
         base = StaticCapacities([800.0, 800.0, 800.0])
-        process = FailureInjectingProcess(
+        process = per_helper(
             base, failure_rate=0.0, mean_outage_rounds=1e9, rng=0
         )
         population = LearnerPopulation(
@@ -219,7 +249,7 @@ class TestLearnersUnderFailures:
         population.run(process, 400)  # converge on healthy helpers
         before = population.run(process, 100).loads[:, 0].mean()
         # Force helper 0 down permanently.
-        process._failed[0] = True  # test hook: pin the outage
+        process._group_failed[0] = True  # test hook: pin the outage
         trajectory = population.run(process, 500)
         late_load = trajectory.loads[-100:, 0].mean()
         # Residual load = the delta-exploration floor plus the re-entry
@@ -231,7 +261,7 @@ class TestLearnersUnderFailures:
         assert late_load < 2.0
 
     def test_rates_zero_on_failed_helper(self):
-        process = FailureInjectingProcess(
+        process = per_helper(
             StaticCapacities([800.0, 800.0]), failure_rate=1.0,
             mean_outage_rounds=1e9, rng=6,
         )

@@ -396,3 +396,77 @@ class TestChannelSwitching:
                 channel_switch_rate=1.0,
                 record_peers=True,
             )
+
+
+def online_handles(system):
+    """The churn handles of the online peers: peer ids or uids."""
+    if isinstance(system, StreamingSystem):
+        return [peer.peer_id for peer in system.online_peers()]
+    store = system.store
+    return store.uid[store.online_slots()].tolist()
+
+
+def peer_state(system):
+    """Every per-peer field a leave could touch, online and departed."""
+    if isinstance(system, StreamingSystem):
+        return [(p.peer_id, p.online, p.left_at) for p in system.peers]
+    store = system.store
+    return {
+        name: getattr(store, name)[: store.size].copy()
+        for name in ("uid", "online", "channel", "bank_row", "left_at")
+    }
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+class TestStaleLeave:
+    """A leave event for a peer that already left changes nothing.
+
+    A churn handle is a peer id (scalar) or a uid (vectorized); neither
+    is ever reused, so a lifetime event that fires after its peer left,
+    by its own lifetime or by a channel switch, finds no online peer,
+    even when a later join has recycled the peer's store slot.
+    """
+
+    def pair(self, backend):
+        spec = ExperimentSpec(
+            backend=backend,
+            topology=TopologySpec(
+                num_peers=10, num_helpers=4, num_channels=2, channel_bitrates=100.0
+            ),
+        )
+        return [backend_system(spec, rng=3) for _ in range(2)]
+
+    def test_stale_leave_is_a_no_op(self, backend):
+        with_call, without = self.pair(backend)
+        departed = []
+        for system in (with_call, without):
+            system.run(2)
+            system._churn_leave(3)  # peer 3's lifetime ends
+            joined = system._churn_join()
+            before = online_handles(system)
+            system._switch_once()
+            switched_out = set(before) - set(online_handles(system))
+            departed.append((joined, switched_out))
+        assert departed[0] == departed[1]
+        joined, switched_out = departed[0]
+        assert len(switched_out) == 1 and joined not in switched_out
+        if backend == "vectorized":
+            # The join took peer 3's slot off the free-list.
+            assert with_call.store.uid[3] == joined
+
+        for handle in (3, *switched_out):
+            with_call._churn_leave(handle)
+
+        assert online_handles(with_call) == online_handles(without)
+        assert len(online_handles(with_call)) == 10
+        assert joined in online_handles(with_call)
+        np.testing.assert_equal(peer_state(with_call), peer_state(without))
+        if backend == "vectorized":
+            assert with_call.store.uid[3] == joined and with_call.store.online[3]
+        with_call.run(3)
+        without.run(3)
+        for name in ("times", "welfare", "server_load", "min_deficit",
+                     "online_peers", "total_demand", "loads", "capacities"):
+            assert np.array_equal(
+                getattr(with_call.trace, name), getattr(without.trace, name)
+            ), name
