@@ -290,8 +290,8 @@ class PeerStore:
         slot = int(slot)
         if not (0 <= slot < self._size) or not self.online[slot]:
             raise ValueError(f"slot {slot} is not online")
+        self._index_remove(int(self.channel[slot]), slot)
         self.online[slot] = False
         self.left_at[slot] = float(now)
         self._num_online -= 1
         self._free.append(slot)
-        self._index_remove(int(self.channel[slot]), slot)

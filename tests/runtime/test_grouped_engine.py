@@ -356,6 +356,41 @@ class TestIncrementalChannelGrouping:
         store.allocate_many(np.array([7, 2, 7, 4, 2]), np.full(5, 100.0))
         self.assert_matches(store, 8)
 
+    def test_bulk_allocation_after_single_joins(self):
+        """A bulk block lands past every slot already indexed, so it
+        extends each channel's members in slot order."""
+        store = PeerStore(initial_capacity=2)
+        store.allocate(2, 100.0)
+        store.allocate(0, 100.0)
+        store.channel_grouping(3)
+        store.allocate_many(np.array([2, 1, 2, 0]), np.full(4, 100.0))
+        slots_sorted, offsets = store.channel_grouping(3)
+        assert offsets.tolist() == [0, 2, 3, 6]
+        assert slots_sorted.tolist() == [1, 5, 3, 0, 2, 4]
+        self.assert_matches(store, 3)
+
+    def test_recycled_slot_moves_to_its_new_channel(self):
+        store = PeerStore()
+        slots = store.allocate_many(np.array([0, 0, 1]), np.full(3, 100.0))
+        store.channel_grouping(3)
+        store.release(int(slots[1]))
+        self.assert_matches(store, 3)
+        assert store.allocate(2, 100.0) == slots[1]
+        slots_sorted, offsets = store.channel_grouping(3)
+        assert slots_sorted[offsets[2]:offsets[3]].tolist() == [int(slots[1])]
+        assert int(slots[1]) not in slots_sorted[offsets[0]:offsets[1]].tolist()
+        self.assert_matches(store, 3)
+
+    def test_returned_arrays_do_not_alias_the_index(self):
+        """Callers may write into the grouping they get back: the next
+        call rebuilds it from the index, including clean channels."""
+        store = PeerStore()
+        store.allocate_many(np.array([1, 0, 1, 0]), np.full(4, 100.0))
+        slots_sorted, offsets = store.channel_grouping(2)
+        slots_sorted[:] = -1
+        offsets[:] = 0
+        self.assert_matches(store, 2)
+
     def test_out_of_range_channel_rejected(self):
         store = PeerStore()
         store.allocate(5, 100.0)

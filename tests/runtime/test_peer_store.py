@@ -81,6 +81,21 @@ class TestRelease:
         with pytest.raises(RuntimeError, match="missing from channel 1"):
             store.release(slot)
 
+    def test_refused_release_changes_nothing(self):
+        """The index check runs before any column or counter moves, so a
+        refused release leaves the peer online and its slot off the
+        free-list."""
+        store = PeerStore()
+        slot = store.allocate(0, 100.0, now=1.0)
+        store.channel[slot] = 1  # behind the index's back
+        with pytest.raises(RuntimeError):
+            store.release(slot, now=5.0)
+        assert store.online[slot] and np.isnan(store.left_at[slot])
+        assert store.num_online == 1 and store.free_slots == 0
+        store.channel[slot] = 0
+        store.release(slot, now=5.0)
+        assert store.num_online == 0 and store.free_slots == 1
+
 
 class TestOnlineSlots:
     def test_ascending_order(self):

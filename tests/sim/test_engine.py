@@ -1,11 +1,13 @@
 """Tests for the discrete-event engine."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.telemetry import session
 
 
 class TestScheduling:
@@ -51,6 +53,18 @@ class TestScheduling:
             sim.schedule_at(4.0, lambda s: None)
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda s: None)
+
+    def test_now_is_a_valid_time(self):
+        """The checks refuse times before ``now``, not ``now`` itself:
+        a zero delay, ``schedule_at(now)`` and ``run_until(now)`` pass."""
+        sim = Simulator()
+        sim.run_until(5.0)
+        fired = []
+        sim.schedule(0.0, lambda s: fired.append(("delay", s.now)))
+        sim.schedule_at(5.0, lambda s: fired.append(("at", s.now)))
+        sim.run_until(5.0)
+        assert fired == [("delay", 5.0), ("at", 5.0)]
+        assert sim.now == 5.0 and sim.events_processed == 2
 
     def test_callbacks_can_schedule_more(self):
         sim = Simulator()
@@ -118,6 +132,21 @@ class TestRunUntil:
         sim.run_until(3.0)
         assert fired == [3]
 
+    def test_zero_delay_from_a_callback_fires_in_the_same_run(self):
+        sim = Simulator()
+        fired = []
+
+        def at_boundary(s):
+            fired.append("boundary")
+            s.schedule(0.0, lambda s: fired.append(("now", s.now)))
+            s.schedule(0.5, lambda s: fired.append(("later", s.now)))
+
+        sim.schedule(2.0, at_boundary)
+        sim.run_until(2.0)
+        assert fired == ["boundary", ("now", 2.0)]
+        sim.run_until(3.0)
+        assert fired[-1] == ("later", 2.5)
+
     def test_rejects_backwards(self):
         sim = Simulator()
         sim.run_until(4.0)
@@ -132,6 +161,23 @@ class TestPeriodic:
         sim.schedule_periodic(1.0, lambda s: times.append(s.now))
         sim.run_until(4.5)
         assert times == [1.0, 2.0, 3.0, 4.0]
+
+    def test_equal_periods_fire_in_scheduling_order(self):
+        """A series reschedules itself when it fires, so at each tick the
+        series keep the order they were started in; a one-shot scheduled
+        before either started fires first at its tick, its sequence number
+        being older than their reschedules'."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, lambda s: fired.append(("x", s.now)))
+        sim.schedule_periodic(1.0, lambda s: fired.append(("a", s.now)))
+        sim.schedule_periodic(1.0, lambda s: fired.append(("b", s.now)))
+        sim.run_until(3.0)
+        assert fired == [
+            ("a", 1.0), ("b", 1.0),
+            ("x", 2.0), ("a", 2.0), ("b", 2.0),
+            ("a", 3.0), ("b", 3.0),
+        ]
 
     def test_rejects_nonpositive_period(self):
         sim = Simulator()
@@ -170,6 +216,33 @@ class TestTieOrder:
             sim.schedule_at(1.0, _Unordered(fired, i))
         sim.run_until(1.0)
         assert fired == list(range(self.COUNT))
+
+    def test_random_times_fire_by_time_then_insertion(self):
+        """Property: over a heap with many ties, events added by
+        callbacks and a run cut into windows, events fire sorted by
+        ``(time, insertion index)``, each with ``now`` at its time."""
+        rng = random.Random(2024)
+        sim = Simulator()
+        scheduled = []  # (time, insertion index) of every event
+        fired = []
+
+        def add(s, time):
+            key = (time, len(scheduled))
+            scheduled.append(key)
+            s.schedule_at(time, lambda s: on_fire(s, key))
+
+        def on_fire(s, key):
+            assert s.now == key[0]
+            fired.append(key)
+            if rng.random() < 0.2:
+                add(s, s.now + rng.randrange(4) * 0.5)
+
+        for _ in range(2000):
+            add(sim, rng.randrange(40) * 0.5)
+        for end in (5.0, 5.0, 12.25, 1000.0):
+            sim.run_until(end)
+        assert len(scheduled) > 2000
+        assert fired == sorted(scheduled)
 
 
 class TestPeriodicDrift:
@@ -277,3 +350,19 @@ class TestCounters:
             sim.schedule(d, lambda s: None)
         sim.run_until(10.0)
         assert sim.events_processed == 2
+
+    def test_telemetry_counts_every_dispatch(self):
+        """The ``sim.events`` counter and the ``sim.dispatch`` phase see
+        each fired callback once, periodic firings and events scheduled
+        by callbacks included; events dropped by ``clear`` never count."""
+        with session() as tel:
+            sim = Simulator()
+            sim.schedule_periodic(1.0, lambda s: None)
+            sim.schedule(0.5, lambda s: s.schedule(0.25, lambda s: None))
+            sim.run_until(3.5)
+            sim.schedule(1.0, lambda s: None)
+            sim.clear()
+            sim.run_until(10.0)
+            assert sim.events_processed == 5
+            assert tel.counter("sim.events").value == 5
+            assert tel.phase("sim.dispatch").count == 5

@@ -37,6 +37,40 @@ class TestFailuresTransform:
         assert isinstance(process, CorrelatedFailureProcess)
         assert process._groups.tolist() == list(range(6))
 
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_equals_correlated_failures_with_a_domain_per_helper(self, backend):
+        """Stage for stage, the ``failures`` transform is the
+        ``correlated_failures`` transform with ``num_groups`` equal to
+        the helper count, on either capacity backend."""
+
+        def build(name, options):
+            spec = ExperimentSpec(
+                topology=TopologySpec(
+                    num_peers=20, num_helpers=6, channel_bitrates=100.0
+                ),
+                capacity=CapacitySpec(
+                    backend=backend,
+                    transforms=(TransformSpec(name=name, options=options),),
+                ),
+            )
+            return spec.build_capacity_process(rng=5)
+
+        independent = build(
+            "failures", {"failure_rate": 0.3, "mean_outage_rounds": 4.0}
+        )
+        domains = build("correlated_failures", {
+            "num_groups": 6, "group_failure_rate": 0.3, "mean_outage_rounds": 4.0,
+        })
+        for _ in range(300):
+            assert independent.capacities().tobytes() == domains.capacities().tobytes()
+            assert np.array_equal(independent.failed, domains.failed)
+            independent.advance()
+            domains.advance()
+        assert independent.outages_started == domains.outages_started > 0
+        assert np.array_equal(
+            independent.minimum_capacities(), domains.minimum_capacities()
+        )
+
 
 class TestIndependentFailures:
     def test_zero_rate_never_fails(self):
